@@ -8,11 +8,19 @@ with rational pivots are eliminated by substitution, inequalities by
 combining lower and upper bounds; when the coefficient of an eliminated
 symbol is a parameter polynomial of unknown sign the conjunct splits
 into the three sign cases, each tagged with its case literal.
+
+Ground satisfiability (is_sat) runs the same elimination on integer
+rows: each atom is cleared of denominators once, every row is kept
+divided by the gcd of its entries, and only the witness built at the
+end is rational.  The atoms are ordered by LinAtom.key first, so the
+witness does not depend on the interpreter's hash seed.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import CaseExplosionError, GridError, NonLinearError, SortError
@@ -57,13 +65,6 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
                 out[m] = s
             else:
                 out.pop(m, None)
-    return out
-
-
-def poly_symbols(a: Poly) -> Set[str]:
-    out: Set[str] = set()
-    for m in a:
-        out.update(m)
     return out
 
 
@@ -232,9 +233,9 @@ def _dnf(f: Formula, cap: int) -> List[List[Union[LinAtom, bool]]]:
         out = [[]]
         for p in f.parts:
             branches = _dnf(p, cap)
-            out = [c + b for c in out for b in branches]
-            if len(out) > cap:
+            if len(out) * len(branches) > cap:
                 raise CaseExplosionError("DNF exceeds %d conjuncts" % cap)
+            out = [c + b for c in out for b in branches]
         return out
     if isinstance(f, (Not, Implies, Forall, Exists)):
         raise SortError("formula is not ground quantifier-free NNF: %s" % type(f).__name__)
@@ -251,37 +252,70 @@ def _mono_var(m: Monomial) -> str:
     return _PROD_SEP.join(m)
 
 
-def _prune_rows(rows):
-    """Scale rows canonically, drop duplicates and slack bounds sharing
-    a coefficient pattern, and decide constant rows early (None when a
-    constant row is false)."""
-    out = []
-    best: Dict[tuple, int] = {}
-    for rel, coeffs, const in rows:
+Row = Tuple[str, Dict[str, int], int]
+
+
+def _atom_row(a: LinAtom) -> Row:
+    """The atom as an integer row: coefficients and constant times the
+    least common denominator."""
+    if a.rel == "!=":
+        raise SortError("is_sat expects atoms without !=")
+    den = lcm(*(c.denominator for _, c in a.poly))
+    coeffs: Dict[str, int] = {}
+    const = 0
+    for m, c in a.poly:
+        q = c.numerator if den == 1 else c.numerator * (den // c.denominator)
+        if m:
+            v = _mono_var(m)
+            coeffs[v] = coeffs.get(v, 0) + q
+        else:
+            const += q
+    return a.rel, coeffs, const
+
+
+def _prune_rows(rows: Iterable[Row]) -> Optional[List[Row]]:
+    """Divide rows by the gcd of their entries, drop duplicate equations
+    and slack bounds sharing a coefficient direction, and decide
+    constant rows early (None when a constant row is false).  Kept rows
+    stay in input order; a tighter bound takes the slot of the one it
+    replaces."""
+    out: List[Row] = []
+    equations: Set[tuple] = set()
+    # coefficient direction -> (slot in out, gcd of the slot's coefficients)
+    bounds: Dict[frozenset, Tuple[int, int]] = {}
+    for row in rows:
+        rel, coeffs, const = row
         if not coeffs:
             ok = const <= 0 if rel == "<=" else const < 0 if rel == "<" else const == 0
             if not ok:
                 return None
             continue
-        lead = sorted(coeffs)[0]
-        scale = abs(coeffs[lead])
-        coeffs = {v: c / scale for v, c in coeffs.items()}
-        const = const / scale
-        pattern = (rel == "=", tuple(sorted(coeffs.items())))
+        g = gcd(*coeffs.values())
+        h = gcd(g, const)
+        if h != 1:
+            coeffs = {v: c // h for v, c in coeffs.items()}
+            const //= h
+            g //= h
+            row = (rel, coeffs, const)
         if rel == "=":
-            key = pattern + (const,)
-            if key not in best:
-                best[key] = len(out)
-                out.append((rel, coeffs, const))
+            key = (frozenset(coeffs.items()), const)
+            if key not in equations:
+                equations.add(key)
+                out.append(row)
             continue
-        seen = best.get(pattern)
+        direction = frozenset(coeffs.items() if g == 1 else ((v, c // g) for v, c in coeffs.items()))
+        seen = bounds.get(direction)
         if seen is None:
-            best[pattern] = len(out)
-            out.append((rel, coeffs, const))
+            bounds[direction] = (len(out), g)
+            out.append(row)
             continue
-        orel, _, oconst = out[seen]
-        if const > oconst or (const == oconst and rel == "<" and orel == "<="):
-            out[seen] = (rel, coeffs, const)
+        # same direction: compare const/g against oconst/og
+        slot, og = seen
+        orel, _, oconst = out[slot]
+        lhs, rhs = const * og, oconst * g
+        if lhs > rhs or (lhs == rhs and rel == "<" and orel == "<="):
+            out[slot] = row
+            bounds[direction] = (slot, g)
     return out
 
 
@@ -289,152 +323,138 @@ _SAT_CACHE: Dict[frozenset, Optional[Dict[str, Fraction]]] = {}
 _SAT_CACHE_LIMIT = 200000
 
 
+def _atom_order(a: LinAtom):
+    """Sorts atoms as LinAtom.key does; integral coefficients become
+    ints, which compare faster than Fractions and in the same order."""
+    return tuple((m, c.numerator if c.denominator == 1 else c) for m, c in a.poly), a.rel
+
+
 def is_sat(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
     """Decide a conjunction; returns a rational witness or None.
 
     Product monomials are treated as fresh symbols, which is exact for
     linear input (the documented contract) and refutation-sound
-    otherwise.
+    otherwise.  The atoms are eliminated in LinAtom.key order, so the
+    witness does not depend on the order they are given in.
     """
     key = frozenset(atoms)
     if key in _SAT_CACHE:
         cached = _SAT_CACHE[key]
         return dict(cached) if cached is not None else None
-    result = _is_sat_uncached(key)
+    result = _is_sat_uncached(sorted(key, key=_atom_order))
     if len(_SAT_CACHE) < _SAT_CACHE_LIMIT:
         _SAT_CACHE[key] = result
     return dict(result) if result is not None else None
 
 
 def _is_sat_uncached(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
-    rows: List[Tuple[str, Dict[str, Fraction], Fraction]] = []
-    for a in atoms:
-        coeffs: Dict[str, Fraction] = {}
-        const = ZERO
-        for m, c in a.poly:
-            if m:
-                coeffs[_mono_var(m)] = coeffs.get(_mono_var(m), ZERO) + c
-            else:
-                const += c
-        if a.rel == "!=":
-            raise SortError("is_sat expects atoms without !=")
-        rows.append((a.rel, coeffs, const))
-    rows = _prune_rows(rows)
+    """Fourier-Motzkin on primitive integer rows.  Each step eliminates
+    the variable with the fewest occurrences (ties: first appearance),
+    by substituting the first equation that has it, else by combining
+    every lower with every upper bound."""
+    rows = _prune_rows([_atom_row(a) for a in atoms])
     if rows is None:
         return None
-    order: List[str] = []
-    seen: Set[str] = set()
+    first: Dict[str, int] = {}
     for _, coeffs, _ in rows:
         for v in coeffs:
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
+            if v not in first:
+                first[v] = len(first)
     steps: List[tuple] = []
-    while True:
-        live = [v for v in order if any(v in r[1] for r in rows)]
-        if not live:
-            break
-        live.sort(key=lambda v: (sum(1 for r in rows if v in r[1]), order.index(v)))
-        v = live[0]
-        with_v = [r for r in rows if v in r[1]]
-        rest = [r for r in rows if v not in r[1]]
+    while rows:
+        counts = Counter(chain.from_iterable(coeffs for _, coeffs, _ in rows))
+        v = min(counts, key=lambda u: (counts[u], first[u]))
+        with_v: List[Row] = []
+        new_rows: List[Row] = []
+        for row in rows:
+            (with_v if v in row[1] else new_rows).append(row)
         pivot = next((r for r in with_v if r[0] == "="), None)
         if pivot is not None:
-            _, pcoeffs, pconst = pivot
-            pc = pcoeffs[v]
-            expr = ({u: -c / pc for u, c in pcoeffs.items() if u != v}, -pconst / pc)
-            new_rows = rest
-            for rel, coeffs, const in with_v:
-                if (rel, coeffs, const) is pivot:
+            # v = -(pconst + sum pco[u] u) / pc; rows are scaled by |pc|
+            _, pco, pconst = pivot
+            pc = pco[v]
+            scale = abs(pc)
+            for row in with_v:
+                if row is pivot:
                     continue
-                c = coeffs[v]
-                merged = {u: q for u, q in coeffs.items() if u != v}
-                for u, q in expr[0].items():
-                    merged[u] = merged.get(u, ZERO) + c * q
+                rel, coeffs, const = row
+                f = coeffs[v] if pc > 0 else -coeffs[v]
+                merged = {u: scale * q for u, q in coeffs.items() if u != v}
+                for u, q in pco.items():
+                    if u != v:
+                        merged[u] = merged.get(u, 0) - f * q
                 merged = {u: q for u, q in merged.items() if q}
-                new_rows.append((rel, merged, const + c * expr[1]))
-            steps.append(("pivot", v, expr))
-            rows = _prune_rows(new_rows)
-            if rows is None:
-                return None
-            continue
-        lowers = []
-        uppers = []
-        for rel, coeffs, const in with_v:
-            if coeffs[v] > 0:
-                uppers.append((rel, coeffs, const))
-            else:
-                lowers.append((rel, coeffs, const))
-        steps.append(("bounds", v, lowers, uppers))
-        new_rows = rest
-        for lrel, lco, lconst in lowers:
-            for urel, uco, uconst in uppers:
+                new_rows.append((rel, merged, scale * const - f * pconst))
+            steps.append((v, pivot, (), ()))
+        else:
+            lowers: List[Row] = []
+            uppers: List[Row] = []
+            for row in with_v:
+                (uppers if row[1][v] > 0 else lowers).append(row)
+            steps.append((v, None, lowers, uppers))
+            for lrel, lco, lconst in lowers:
                 lc = lco[v]
-                uc = uco[v]
-                merged: Dict[str, Fraction] = {}
-                for u, q in lco.items():
-                    if u != v:
-                        merged[u] = merged.get(u, ZERO) + uc * q
-                for u, q in uco.items():
-                    if u != v:
-                        merged[u] = merged.get(u, ZERO) - lc * q
-                merged = {u: q for u, q in merged.items() if q}
-                rel = "<" if "<" in (lrel, urel) else "<="
-                new_rows.append((rel, merged, uc * lconst - lc * uconst))
+                for urel, uco, uconst in uppers:
+                    uc = uco[v]
+                    merged = {}
+                    for u, q in lco.items():
+                        if u != v:
+                            merged[u] = merged.get(u, 0) + uc * q
+                    for u, q in uco.items():
+                        if u != v:
+                            merged[u] = merged.get(u, 0) - lc * q
+                    merged = {u: q for u, q in merged.items() if q}
+                    rel = "<" if "<" in (lrel, urel) else "<="
+                    new_rows.append((rel, merged, uc * lconst - lc * uconst))
         rows = _prune_rows(new_rows)
         if rows is None:
             return None
-    for rel, _, const in rows:
-        if rel == "<=" and not const <= 0:
-            return None
-        if rel == "<" and not const < 0:
-            return None
-        if rel == "=" and const != 0:
-            return None
-    witness: Dict[str, Fraction] = {}
+    return _back_substitute(steps)
 
-    def value_of(coeffs: Dict[str, Fraction], const: Fraction) -> Fraction:
-        total = const
+
+Rational = Union[int, Fraction]
+
+
+def _quotient(n: Rational, d: int) -> Rational:
+    """n / d exactly, as an int while it is integral."""
+    if type(n) is int:
+        return n // d if n % d == 0 else Fraction(n, d)
+    return n / d
+
+
+def _back_substitute(steps: List[tuple]) -> Dict[str, Fraction]:
+    """Rational witness from the elimination steps, latest first: a
+    pivot's value solves its equation, a bounded variable takes the
+    midpoint of its tightest bounds, or one past the only side."""
+    witness: Dict[str, Rational] = {}
+
+    def bound_of(v: str, row: Row) -> Rational:
+        """The value of v that makes the row an equation."""
+        _, coeffs, total = row
         for u, q in coeffs.items():
-            # variables that vanished by cancellation stay unconstrained
-            if u not in witness:
-                witness[u] = ZERO
-            total += witness[u] * q
-        return total
+            if u == v:
+                continue
+            w = witness.get(u)
+            if w is None:
+                # variables that vanished by cancellation stay unconstrained
+                witness[u] = 0
+            elif w:
+                total += w * q
+        return _quotient(-total, coeffs[v])
 
-    for step in reversed(steps):
-        if step[0] == "pivot":
-            _, v, (coeffs, const) = step
-            witness[v] = value_of(coeffs, const)
+    for v, pivot, lowers, uppers in reversed(steps):
+        if pivot is not None:
+            witness[v] = bound_of(v, pivot)
             continue
-        _, v, lowers, uppers = step
-        lo = None
-        lo_strict = False
-        for rel, coeffs, const in lowers:
-            c = coeffs[v]
-            bound = -value_of({u: q for u, q in coeffs.items() if u != v}, const) / c
-            if lo is None or bound > lo or (bound == lo and rel == "<"):
-                lo = bound
-                lo_strict = rel == "<"
-        hi = None
-        hi_strict = False
-        for rel, coeffs, const in uppers:
-            c = coeffs[v]
-            bound = -value_of({u: q for u, q in coeffs.items() if u != v}, const) / c
-            if hi is None or bound < hi or (bound == hi and rel == "<"):
-                hi = bound
-                hi_strict = rel == "<"
-        if lo is None and hi is None:
-            witness[v] = ZERO
-        elif lo is None:
-            witness[v] = hi - 1
+        lo = max((bound_of(v, row) for row in lowers), default=None)
+        hi = min((bound_of(v, row) for row in uppers), default=None)
+        if lo is None:
+            witness[v] = 0 if hi is None else hi - 1
         elif hi is None:
             witness[v] = lo + 1
-        elif lo == hi:
-            witness[v] = lo
         else:
-            witness[v] = (lo + hi) / 2
-    return witness
+            witness[v] = _quotient(lo + hi, 2)
+    return {v: Fraction(w) for v, w in witness.items()}
 
 
 # ---------------------------------------------------------------------------

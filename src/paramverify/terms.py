@@ -126,13 +126,6 @@ class Clause:
         return not self.variables
 
 
-def clause_formula(clause: Clause) -> Formula:
-    body = disj(clause.literals) if clause.literals else FALSE
-    if clause.variables:
-        return Forall(clause.variables, body)
-    return body
-
-
 @dataclass
 class Signature:
     """Declared symbols: base functions, leveled extension functions,
@@ -222,9 +215,6 @@ class SymbolRenaming:
 
     def target(self, name: str) -> str:
         return self.mapping.get(name, name)
-
-    def inverted(self) -> "SymbolRenaming":
-        return SymbolRenaming({v: k for k, v in self.mapping.items()})
 
 
 # ---------------------------------------------------------------------------

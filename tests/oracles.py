@@ -2,15 +2,17 @@
 
 These deliberately avoid the code paths they check: the projection
 oracle decides one-variable satisfiability by direct interval
-reasoning, and the full-instantiation oracle grounds extension axioms
-by brute force over all terms up to a fixed depth.
+reasoning, the reference Fourier-Motzkin decides conjunctions with
+Fraction rows, and the full-instantiation oracle grounds extension
+axioms by brute force over all terms up to a fixed depth.
 """
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from paramverify.linear import LinAtom, make_atom
+from paramverify.errors import SortError
+from paramverify.linear import ZERO, LinAtom, _mono_var, make_atom
 from paramverify.terms import App, Atom, Forall, Formula, Term, substitute
 
 GRID7 = [Fraction(q) for q in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)]
@@ -109,6 +111,180 @@ def random_conjunct(rng: random.Random, symbols: Sequence[str], max_atoms: int =
     if not atoms:
         atoms = [make_atom("<=", {(symbols[0],): Fraction(1)})]
     return tuple(atoms)
+
+
+# ---------------------------------------------------------------------------
+# Reference ground Fourier-Motzkin over Fractions
+
+# The engine's decision procedure before it moved to primitive integer
+# rows, kept unchanged as the oracle for that version: given the atoms
+# in the same order, both must return the same verdict and the same
+# witness.
+
+
+def _reference_prune_rows(rows):
+    """Scale rows canonically, drop duplicates and slack bounds sharing
+    a coefficient pattern, and decide constant rows early (None when a
+    constant row is false)."""
+    out = []
+    best: Dict[tuple, int] = {}
+    for rel, coeffs, const in rows:
+        if not coeffs:
+            ok = const <= 0 if rel == "<=" else const < 0 if rel == "<" else const == 0
+            if not ok:
+                return None
+            continue
+        lead = sorted(coeffs)[0]
+        scale = abs(coeffs[lead])
+        coeffs = {v: c / scale for v, c in coeffs.items()}
+        const = const / scale
+        pattern = (rel == "=", tuple(sorted(coeffs.items())))
+        if rel == "=":
+            key = pattern + (const,)
+            if key not in best:
+                best[key] = len(out)
+                out.append((rel, coeffs, const))
+            continue
+        seen = best.get(pattern)
+        if seen is None:
+            best[pattern] = len(out)
+            out.append((rel, coeffs, const))
+            continue
+        orel, _, oconst = out[seen]
+        if const > oconst or (const == oconst and rel == "<" and orel == "<="):
+            out[seen] = (rel, coeffs, const)
+    return out
+
+
+def reference_is_sat(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
+    rows: List[Tuple[str, Dict[str, Fraction], Fraction]] = []
+    for a in atoms:
+        coeffs: Dict[str, Fraction] = {}
+        const = ZERO
+        for m, c in a.poly:
+            if m:
+                coeffs[_mono_var(m)] = coeffs.get(_mono_var(m), ZERO) + c
+            else:
+                const += c
+        if a.rel == "!=":
+            raise SortError("is_sat expects atoms without !=")
+        rows.append((a.rel, coeffs, const))
+    rows = _reference_prune_rows(rows)
+    if rows is None:
+        return None
+    order: List[str] = []
+    seen: Set[str] = set()
+    for _, coeffs, _ in rows:
+        for v in coeffs:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    steps: List[tuple] = []
+    while True:
+        live = [v for v in order if any(v in r[1] for r in rows)]
+        if not live:
+            break
+        live.sort(key=lambda v: (sum(1 for r in rows if v in r[1]), order.index(v)))
+        v = live[0]
+        with_v = [r for r in rows if v in r[1]]
+        rest = [r for r in rows if v not in r[1]]
+        pivot = next((r for r in with_v if r[0] == "="), None)
+        if pivot is not None:
+            _, pcoeffs, pconst = pivot
+            pc = pcoeffs[v]
+            expr = ({u: -c / pc for u, c in pcoeffs.items() if u != v}, -pconst / pc)
+            new_rows = rest
+            for rel, coeffs, const in with_v:
+                if (rel, coeffs, const) is pivot:
+                    continue
+                c = coeffs[v]
+                merged = {u: q for u, q in coeffs.items() if u != v}
+                for u, q in expr[0].items():
+                    merged[u] = merged.get(u, ZERO) + c * q
+                merged = {u: q for u, q in merged.items() if q}
+                new_rows.append((rel, merged, const + c * expr[1]))
+            steps.append(("pivot", v, expr))
+            rows = _reference_prune_rows(new_rows)
+            if rows is None:
+                return None
+            continue
+        lowers = []
+        uppers = []
+        for rel, coeffs, const in with_v:
+            if coeffs[v] > 0:
+                uppers.append((rel, coeffs, const))
+            else:
+                lowers.append((rel, coeffs, const))
+        steps.append(("bounds", v, lowers, uppers))
+        new_rows = rest
+        for lrel, lco, lconst in lowers:
+            for urel, uco, uconst in uppers:
+                lc = lco[v]
+                uc = uco[v]
+                merged: Dict[str, Fraction] = {}
+                for u, q in lco.items():
+                    if u != v:
+                        merged[u] = merged.get(u, ZERO) + uc * q
+                for u, q in uco.items():
+                    if u != v:
+                        merged[u] = merged.get(u, ZERO) - lc * q
+                merged = {u: q for u, q in merged.items() if q}
+                rel = "<" if "<" in (lrel, urel) else "<="
+                new_rows.append((rel, merged, uc * lconst - lc * uconst))
+        rows = _reference_prune_rows(new_rows)
+        if rows is None:
+            return None
+    for rel, _, const in rows:
+        if rel == "<=" and not const <= 0:
+            return None
+        if rel == "<" and not const < 0:
+            return None
+        if rel == "=" and const != 0:
+            return None
+    witness: Dict[str, Fraction] = {}
+
+    def value_of(coeffs: Dict[str, Fraction], const: Fraction) -> Fraction:
+        total = const
+        for u, q in coeffs.items():
+            # variables that vanished by cancellation stay unconstrained
+            if u not in witness:
+                witness[u] = ZERO
+            total += witness[u] * q
+        return total
+
+    for step in reversed(steps):
+        if step[0] == "pivot":
+            _, v, (coeffs, const) = step
+            witness[v] = value_of(coeffs, const)
+            continue
+        _, v, lowers, uppers = step
+        lo = None
+        lo_strict = False
+        for rel, coeffs, const in lowers:
+            c = coeffs[v]
+            bound = -value_of({u: q for u, q in coeffs.items() if u != v}, const) / c
+            if lo is None or bound > lo or (bound == lo and rel == "<"):
+                lo = bound
+                lo_strict = rel == "<"
+        hi = None
+        hi_strict = False
+        for rel, coeffs, const in uppers:
+            c = coeffs[v]
+            bound = -value_of({u: q for u, q in coeffs.items() if u != v}, const) / c
+            if hi is None or bound < hi or (bound == hi and rel == "<"):
+                hi = bound
+                hi_strict = rel == "<"
+        if lo is None and hi is None:
+            witness[v] = ZERO
+        elif lo is None:
+            witness[v] = hi - 1
+        elif hi is None:
+            witness[v] = lo + 1
+        elif lo == hi:
+            witness[v] = lo
+        else:
+            witness[v] = (lo + hi) / 2
+    return witness
 
 
 # ---------------------------------------------------------------------------

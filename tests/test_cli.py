@@ -169,7 +169,9 @@ def test_parallel_matches_sequential():
 
 def test_determinism_across_hash_seeds():
     """Reports match byte for byte even under different interpreter
-    hash randomization, after masking time fields."""
+    hash randomization, after masking time fields.  The PTS task's
+    candidate is not inductive, so its report prints a witness; hash
+    seeds 0 and 2 iterate its ground atoms in different orders."""
     import subprocess
     import sys
 
@@ -177,13 +179,13 @@ def test_determinism_across_hash_seeds():
         [
             "from paramverify.runner import run_task_file",
             "import sys",
-            "for name in ['ex1_constraint', 'ex2_strengthening', 'chem_mode1']:",
+            "for name in ['ex1_constraint', 'ex2_strengthening', 'chem_mode1', 'pts_check_unsorted']:",
             "    text = open(r'{data}/' + name + '.yaml').read()".format(data=DATA),
             "    sys.stdout.write(run_task_file(text)[0])",
         ]
     )
     outputs = []
-    for seed in ("1", "42"):
+    for seed in ("0", "1", "2", "42"):
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
@@ -193,4 +195,5 @@ def test_determinism_across_hash_seeds():
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(mask_report(proc.stdout))
-    assert outputs[0] == outputs[1]
+    assert "(step) witness: " in outputs[0]
+    assert all(out == outputs[0] for out in outputs[1:])

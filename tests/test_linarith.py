@@ -1,12 +1,15 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from oracles import GRID7, eval_conjunct, eval_dnf, exists_extension, random_conjunct
+from oracles import GRID7, eval_conjunct, eval_dnf, exists_extension, random_conjunct, reference_is_sat
 from paramverify.errors import CaseExplosionError, GridError, NonLinearError
 from paramverify.linear import (
+    LinAtom,
+    _is_sat_uncached,
     assumptions_from,
     decide,
     dnf_formula,
@@ -20,7 +23,7 @@ from paramverify.linear import (
 )
 from paramverify.parsing import parse_formula, parse_statements
 from paramverify.printing import print_canonical, print_formula
-from paramverify.terms import And, Signature, conj
+from paramverify.terms import And, Atom, Or, Signature, conj, const, num
 
 
 def dnf(text, sig=None):
@@ -116,6 +119,55 @@ def test_is_sat_against_grid_search():
             assert eval_conjunct(conjunct, full)
 
 
+RATIONALS = [Fraction(q) for q in (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 5), Fraction(-7, 3))]
+
+
+def equation_heavy_conjunct(rng, symbols, max_atoms=12):
+    """Mostly equations, with non-unit rational coefficients and strict
+    bounds among the rest."""
+    atoms = []
+    for _ in range(rng.randint(2, max_atoms)):
+        poly = {(s,): rng.choice(RATIONALS) for s in rng.sample(symbols, rng.randint(1, 3))}
+        poly[()] = rng.choice(RATIONALS + [Fraction(0)])
+        a = make_atom(rng.choices(["=", "<", "<="], weights=[5, 2, 1])[0], poly)
+        if isinstance(a, LinAtom):
+            atoms.append(a)
+    return tuple(atoms)
+
+
+def with_strictness_twins(rng, atoms):
+    """Some bounds followed, later on, by the same bound with the other
+    strictness, so that pruning meets equal constants of both kinds."""
+    out = list(atoms)
+    for a in atoms:
+        if a.rel != "=" and rng.random() < 0.5:
+            twin = make_atom("<" if a.rel == "<=" else "<=", a.poly_dict())
+            out.insert(rng.randint(out.index(a) + 1, len(out)), twin)
+    return tuple(out)
+
+
+def test_integer_fm_matches_fraction_reference():
+    """The integer-row FM returns the reference FM's verdict and witness
+    (same values, same insertion order) for atoms given in one order,
+    and is_sat eliminates in LinAtom.key order."""
+    rng = random.Random(20231018)
+    symbols = ["x", "y", "z", "w", "v"]
+    cases = [random_conjunct(rng, symbols[:4], max_atoms=8) for _ in range(300)]
+    cases += [equation_heavy_conjunct(rng, symbols) for _ in range(300)]
+    cases += [with_strictness_twins(rng, atoms) for atoms in cases[:300]]
+    verdicts = set()
+    for atoms in cases:
+        expected = reference_is_sat(atoms)
+        got = _is_sat_uncached(atoms)
+        assert got == expected
+        verdicts.add(got is None)
+        if got is not None:
+            assert list(got) == list(expected)
+            assert eval_conjunct(atoms, {s: got.get(s, Fraction(0)) for s in symbols})
+        assert is_sat(atoms) == reference_is_sat(sorted(set(atoms), key=LinAtom.key))
+    assert verdicts == {True, False}
+
+
 def test_simplify_contradicted_disjuncts():
     sig = Signature()
     A = assumptions_from(parse_statements("min >= _0; ea > _0;", sig))
@@ -160,6 +212,23 @@ def test_case_explosion_guard():
     text = "p1 * x <= _1; p2 * x <= _1; p3 * x <= _1; p4 * x <= _1; x >= _0;"
     with pytest.raises(CaseExplosionError):
         eliminate(["x"], dnf(text, sig), max_cases=3)
+    # Each disjunction fits the cap, their product (90,000 conjuncts)
+    # does not: the guard fires before the product is built.
+    x, y = const("x"), const("y")
+    wide = And(
+        (
+            Or(tuple(Atom("<=", x, num(k)) for k in range(300))),
+            Or(tuple(Atom("<=", y, num(k)) for k in range(300))),
+        )
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(CaseExplosionError):
+            to_linear(wide, max_conjuncts=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_equiv_on_grid_basics():
