@@ -25,10 +25,6 @@ class CaseExplosionError(EngineError):
     """Sign case splitting exceeded the configured conjunct bound."""
 
 
-class GridError(EngineError):
-    """Requested evaluation grid is too large."""
-
-
 class ParseError(Exception):
     """Syntax or resolution error in an input file."""
 

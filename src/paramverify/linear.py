@@ -10,21 +10,30 @@ symbol is a parameter polynomial of unknown sign the conjunct splits
 into the three sign cases, each tagged with its case literal.
 
 Ground satisfiability (is_sat) runs the same elimination on integer
-rows: each atom is cleared of denominators once, every row is kept
-divided by the gcd of its entries, and only the witness built at the
-end is rational.  The atoms are ordered by LinAtom.key first, so the
-witness does not depend on the interpreter's hash seed.
+rows: each atom is cleared of denominators once (the row is cached on
+the atom), every row is kept divided by the gcd of its entries, and
+only the witness built at the end is rational.  One insertion-ordered
+row table lives for the whole call: a step pops the rows holding the
+eliminated variable and admits the rows it produces, so duplicate
+equations and slack bounds are found by one dictionary lookup per new
+row, and occurrence counts are kept up to date instead of recounted.
+The atoms are ordered by LinAtom.key first, so the witness does not
+depend on the interpreter's hash seed.
+
+The ground decision procedure (decide) is DPLL over clauses with is_sat
+at the leaves.  It translates each literal once per call, and keeps the
+model of the current unit atoms: a feasibility probe whose atoms all
+hold at that model is satisfiable without an is_sat call.  A unit the
+model violates drops the model until the next is_sat of the units.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import CaseExplosionError, GridError, NonLinearError, SortError
-from .terms import And, Atom, App, Exists, Forall, Formula, Implies, Not, Num, Or, Var, nnf
+from .errors import CaseExplosionError, NonLinearError, SortError
+from .terms import And, Atom, App, Exists, Forall, Formula, Implies, Not, Num, Or, Var, negate_atom, nnf
 
 Monomial = Tuple[str, ...]
 Poly = Dict[Monomial, Fraction]
@@ -81,12 +90,25 @@ def _mono_key(m: Monomial):
     return (len(m), m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinAtom:
-    """poly rel 0, with rel one of <=, <, = (and != transiently)."""
+    """poly rel 0, with rel one of <=, <, = (and != transiently).
+
+    The hash is computed once; the integer row and the sort key that
+    is_sat uses are filled in on first use (_atom_row, _atom_order).
+    None of the three takes part in equality or repr."""
 
     rel: str
     poly: PolyItems
+    _hash: int = field(init=False, compare=False, repr=False)
+    _row: Optional["Row"] = field(default=None, init=False, compare=False, repr=False)
+    _order: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.rel, self.poly)))
+
+    def __hash__(self):
+        return self._hash
 
     def poly_dict(self) -> Poly:
         return dict(self.poly)
@@ -257,7 +279,11 @@ Row = Tuple[str, Dict[str, int], int]
 
 def _atom_row(a: LinAtom) -> Row:
     """The atom as an integer row: coefficients and constant times the
-    least common denominator."""
+    least common denominator.  Computed once per atom; callers must not
+    mutate it."""
+    row = a._row
+    if row is not None:
+        return row
     if a.rel == "!=":
         raise SortError("is_sat expects atoms without !=")
     den = lcm(*(c.denominator for _, c in a.poly))
@@ -270,63 +296,24 @@ def _atom_row(a: LinAtom) -> Row:
             coeffs[v] = coeffs.get(v, 0) + q
         else:
             const += q
-    return a.rel, coeffs, const
-
-
-def _prune_rows(rows: Iterable[Row]) -> Optional[List[Row]]:
-    """Divide rows by the gcd of their entries, drop duplicate equations
-    and slack bounds sharing a coefficient direction, and decide
-    constant rows early (None when a constant row is false).  Kept rows
-    stay in input order; a tighter bound takes the slot of the one it
-    replaces."""
-    out: List[Row] = []
-    equations: Set[tuple] = set()
-    # coefficient direction -> (slot in out, gcd of the slot's coefficients)
-    bounds: Dict[frozenset, Tuple[int, int]] = {}
-    for row in rows:
-        rel, coeffs, const = row
-        if not coeffs:
-            ok = const <= 0 if rel == "<=" else const < 0 if rel == "<" else const == 0
-            if not ok:
-                return None
-            continue
-        g = gcd(*coeffs.values())
-        h = gcd(g, const)
-        if h != 1:
-            coeffs = {v: c // h for v, c in coeffs.items()}
-            const //= h
-            g //= h
-            row = (rel, coeffs, const)
-        if rel == "=":
-            key = (frozenset(coeffs.items()), const)
-            if key not in equations:
-                equations.add(key)
-                out.append(row)
-            continue
-        direction = frozenset(coeffs.items() if g == 1 else ((v, c // g) for v, c in coeffs.items()))
-        seen = bounds.get(direction)
-        if seen is None:
-            bounds[direction] = (len(out), g)
-            out.append(row)
-            continue
-        # same direction: compare const/g against oconst/og
-        slot, og = seen
-        orel, _, oconst = out[slot]
-        lhs, rhs = const * og, oconst * g
-        if lhs > rhs or (lhs == rhs and rel == "<" and orel == "<="):
-            out[slot] = row
-            bounds[direction] = (slot, g)
-    return out
-
-
-_SAT_CACHE: Dict[frozenset, Optional[Dict[str, Fraction]]] = {}
-_SAT_CACHE_LIMIT = 200000
+    row = (a.rel, coeffs, const)
+    object.__setattr__(a, "_row", row)
+    return row
 
 
 def _atom_order(a: LinAtom):
     """Sorts atoms as LinAtom.key does; integral coefficients become
-    ints, which compare faster than Fractions and in the same order."""
-    return tuple((m, c.numerator if c.denominator == 1 else c) for m, c in a.poly), a.rel
+    ints, which compare faster than Fractions and in the same order.
+    Computed once per atom."""
+    order = a._order
+    if order is None:
+        order = tuple((m, c.numerator if c.denominator == 1 else c) for m, c in a.poly), a.rel
+        object.__setattr__(a, "_order", order)
+    return order
+
+
+_SAT_CACHE: Dict[frozenset, Optional[Dict[str, Fraction]]] = {}
+_SAT_CACHE_LIMIT = 200000
 
 
 def is_sat(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
@@ -347,27 +334,76 @@ def is_sat(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
     return dict(result) if result is not None else None
 
 
+# row key (see _admit) -> (row, gcd of the row's coefficients)
+RowTable = Dict[object, Tuple[Row, int]]
+
+
+def _admit(table: RowTable, counts: Dict[str, int], rel: str, coeffs: Dict[str, int], const: int) -> bool:
+    """Add a row to the table, divided by the gcd of its entries.  An
+    equation is keyed by its entries and dropped when already present;
+    a bound is keyed by its coefficients over their gcd and replaces, in
+    its slot, a slacker bound with that key, or is dropped.  counts
+    tracks the occurrences of each variable in the table.  A constant
+    row is decided instead; False when it is false."""
+    if not coeffs:
+        return const <= 0 if rel == "<=" else const < 0 if rel == "<" else const == 0
+    g = gcd(*coeffs.values())
+    h = gcd(g, const)
+    if h != 1:
+        coeffs = {v: c // h for v, c in coeffs.items()}
+        const //= h
+        g //= h
+    if rel == "=":
+        key = ("=", frozenset(coeffs.items()), const)
+        if key in table:
+            return True
+    else:
+        key = frozenset(coeffs.items() if g == 1 else ((v, c // g) for v, c in coeffs.items()))
+        seen = table.get(key)
+        if seen is not None:
+            # same direction: compare const/g against oconst/og
+            (orel, _, oconst), og = seen
+            lhs, rhs = const * og, oconst * g
+            if lhs > rhs or (lhs == rhs and rel == "<" and orel == "<="):
+                table[key] = ((rel, coeffs, const), g)
+            return True
+    table[key] = ((rel, coeffs, const), g)
+    for v in coeffs:
+        counts[v] = counts.get(v, 0) + 1
+    return True
+
+
 def _is_sat_uncached(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
     """Fourier-Motzkin on primitive integer rows.  Each step eliminates
     the variable with the fewest occurrences (ties: first appearance),
     by substituting the first equation that has it, else by combining
-    every lower with every upper bound."""
-    rows = _prune_rows([_atom_row(a) for a in atoms])
-    if rows is None:
-        return None
+    every lower with every upper bound.  The rows without the variable
+    keep their slots in the table and the produced rows are admitted
+    after them, in order."""
+    table: RowTable = {}
+    counts: Dict[str, int] = {}
+    for a in atoms:
+        if not _admit(table, counts, *_atom_row(a)):
+            return None
     first: Dict[str, int] = {}
-    for _, coeffs, _ in rows:
+    for (_, coeffs, _), _ in table.values():
         for v in coeffs:
             if v not in first:
                 first[v] = len(first)
     steps: List[tuple] = []
-    while rows:
-        counts = Counter(chain.from_iterable(coeffs for _, coeffs, _ in rows))
-        v = min(counts, key=lambda u: (counts[u], first[u]))
-        with_v: List[Row] = []
-        new_rows: List[Row] = []
-        for row in rows:
-            (with_v if v in row[1] else new_rows).append(row)
+    while table:
+        least = min(counts.values())
+        for v in first:
+            if counts.get(v) == least:
+                break
+        with_v = [table.pop(k)[0] for k in [k for k, (row, _) in table.items() if v in row[1]]]
+        for _, coeffs, _ in with_v:
+            for u in coeffs:
+                n = counts[u] - 1
+                if n:
+                    counts[u] = n
+                else:
+                    del counts[u]
         pivot = next((r for r in with_v if r[0] == "="), None)
         if pivot is not None:
             # v = -(pconst + sum pco[u] u) / pc; rows are scaled by |pc|
@@ -384,7 +420,8 @@ def _is_sat_uncached(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
                     if u != v:
                         merged[u] = merged.get(u, 0) - f * q
                 merged = {u: q for u, q in merged.items() if q}
-                new_rows.append((rel, merged, scale * const - f * pconst))
+                if not _admit(table, counts, rel, merged, scale * const - f * pconst):
+                    return None
             steps.append((v, pivot, (), ()))
         else:
             lowers: List[Row] = []
@@ -405,10 +442,8 @@ def _is_sat_uncached(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
                             merged[u] = merged.get(u, 0) - lc * q
                     merged = {u: q for u, q in merged.items() if q}
                     rel = "<" if "<" in (lrel, urel) else "<="
-                    new_rows.append((rel, merged, uc * lconst - lc * uconst))
-        rows = _prune_rows(new_rows)
-        if rows is None:
-            return None
+                    if not _admit(table, counts, rel, merged, uc * lconst - lc * uconst):
+                        return None
     return _back_substitute(steps)
 
 
@@ -789,7 +824,7 @@ def decide(formulas, assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, 
     if not isinstance(formulas, (list, tuple)):
         formulas = [formulas]
     pending = [nnf(f) for f in formulas]
-    return _decide(list(assumptions), pending)
+    return _decide(list(assumptions), pending, {})
 
 
 def _lit_branches(f: Atom) -> List[List[Union[LinAtom, bool]]]:
@@ -799,7 +834,40 @@ def _lit_branches(f: Atom) -> List[List[Union[LinAtom, bool]]]:
     return [atom_to_lin(f)]
 
 
-def _decide(units: List[LinAtom], pending: List[Formula]) -> Optional[Dict[str, Fraction]]:
+# literal -> [its branches, the atoms of its negation (None until needed)]
+LiteralMemo = Dict[Atom, list]
+
+
+def _translated(lit: Atom, memo: LiteralMemo) -> list:
+    entry = memo.get(lit)
+    if entry is None:
+        entry = memo[lit] = [_lit_branches(lit), None]
+    return entry
+
+
+def _holds(model: Dict[str, Fraction], atoms: Iterable[LinAtom]) -> bool:
+    """Every atom holds at the model, read as is_sat reads atoms: a
+    product monomial is its own column, a missing symbol is 0."""
+    for a in atoms:
+        rel, coeffs, total = _atom_row(a)
+        for v, c in coeffs.items():
+            w = model.get(v)
+            if w:
+                total += c * w
+        if not (total <= 0 if rel == "<=" else total < 0 if rel == "<" else total == 0):
+            return False
+    return True
+
+
+def _refuted(units: List[LinAtom], extra: List[LinAtom], model: Optional[Dict[str, Fraction]]) -> bool:
+    """is_sat(units + extra) is None; False without an is_sat call when
+    the model of the units satisfies the extra atoms."""
+    if model is not None and _holds(model, extra):
+        return False
+    return is_sat(units + extra) is None
+
+
+def _decide(units: List[LinAtom], pending: List[Formula], memo: LiteralMemo) -> Optional[Dict[str, Fraction]]:
     complexes: List[Formula] = []
     stack = list(pending)
     while stack:
@@ -810,7 +878,7 @@ def _decide(units: List[LinAtom], pending: List[Formula]) -> Optional[Dict[str, 
             if f.rel == "!=":
                 complexes.append(f)
                 continue
-            for a in atom_to_lin(f):
+            for a in _translated(f, memo)[0][0]:
                 if a is False:
                     return None
                 if a is not True:
@@ -821,7 +889,9 @@ def _decide(units: List[LinAtom], pending: List[Formula]) -> Optional[Dict[str, 
             complexes.append(f)
         else:
             raise SortError("decide expects ground clause structure, found %s" % type(f).__name__)
-    if is_sat(units) is None:
+    # a model of every atom in units, or None after a unit it violates
+    model = is_sat(units)
+    if model is None:
         return None
     # unit propagation: drop satisfied clauses, prune impossible literals
     changed = True
@@ -834,16 +904,17 @@ def _decide(units: List[LinAtom], pending: List[Formula]) -> Optional[Dict[str, 
             satisfied = False
             for lit in lits:
                 if isinstance(lit, Atom):
-                    branches = _lit_branches(lit)
+                    entry = _translated(lit, memo)
                     if all(
-                        any(a is False for a in b)
-                        or is_sat(units + [a for a in b if a is not True]) is None
-                        for b in branches
+                        any(a is False for a in b) or _refuted(units, [a for a in b if a is not True], model)
+                        for b in entry[0]
                     ):
                         continue  # literal cannot hold
-                    negated = [x for b in _lit_branches(negate_lit(lit)) for x in b]
+                    negated = entry[1]
+                    if negated is None:
+                        negated = entry[1] = [x for b in _lit_branches(negate_atom(lit)) for x in b]
                     if all(a is not True for a in negated) and all(
-                        is_sat(units + [a]) is None for a in negated if a is not False
+                        _refuted(units, [a], model) for a in negated if a is not False
                     ):
                         satisfied = True
                         break
@@ -854,11 +925,13 @@ def _decide(units: List[LinAtom], pending: List[Formula]) -> Optional[Dict[str, 
             if not viable:
                 return None
             if len(viable) == 1 and isinstance(viable[0], Atom) and viable[0].rel != "!=":
-                for a in atom_to_lin(viable[0]):
+                for a in _translated(viable[0], memo)[0][0]:
                     if a is False:
                         return None
                     if a is not True:
                         units.append(a)
+                        if model is not None and not _holds(model, (a,)):
+                            model = None
                 changed = True
                 continue
             if len(viable) < len(lits):
@@ -867,8 +940,10 @@ def _decide(units: List[LinAtom], pending: List[Formula]) -> Optional[Dict[str, 
             else:
                 remaining.append(f)
         complexes = remaining
-        if changed and is_sat(units) is None:
-            return None
+        if changed:
+            model = is_sat(units)
+            if model is None:
+                return None
     if not complexes:
         return is_sat(units)
     complexes.sort(key=lambda f: len(f.parts) if isinstance(f, Or) else 2)
@@ -879,157 +954,10 @@ def _decide(units: List[LinAtom], pending: List[Formula]) -> Optional[Dict[str, 
     else:
         branches = list(first.parts)
     for b in branches:
-        w = _decide(list(units), [b] + rest)
+        w = _decide(list(units), [b] + rest, memo)
         if w is not None:
             return w
     return None
-
-
-def negate_lit(a: Atom) -> Atom:
-    from .terms import negate_atom
-
-    return negate_atom(a)
-
-
-# ---------------------------------------------------------------------------
-# Grid equivalence oracle
-
-
-def evaluate_term(t, point: Dict[str, Fraction]) -> Fraction:
-    if isinstance(t, Num):
-        return t.value
-    if isinstance(t, App):
-        if not t.args:
-            if t.fn not in point:
-                raise GridError("no value for symbol %s" % t.fn)
-            return point[t.fn]
-        if t.fn == "+":
-            return evaluate_term(t.args[0], point) + evaluate_term(t.args[1], point)
-        if t.fn == "-" and len(t.args) == 1:
-            return -evaluate_term(t.args[0], point)
-        if t.fn == "-":
-            return evaluate_term(t.args[0], point) - evaluate_term(t.args[1], point)
-        if t.fn == "*":
-            return evaluate_term(t.args[0], point) * evaluate_term(t.args[1], point)
-        raise GridError("cannot evaluate application of %s" % t.fn)
-    raise GridError("cannot evaluate %r" % (t,))
-
-
-_REL_TESTS = {
-    "=": lambda d: d == 0,
-    "!=": lambda d: d != 0,
-    "<=": lambda d: d <= 0,
-    "<": lambda d: d < 0,
-    ">=": lambda d: d >= 0,
-    ">": lambda d: d > 0,
-}
-
-
-def evaluate(f: Formula, point: Dict[str, Fraction]) -> bool:
-    if isinstance(f, Atom):
-        return _REL_TESTS[f.rel](evaluate_term(f.lhs, point) - evaluate_term(f.rhs, point))
-    if isinstance(f, And):
-        return all(evaluate(p, point) for p in f.parts)
-    if isinstance(f, Or):
-        return any(evaluate(p, point) for p in f.parts)
-    if isinstance(f, Not):
-        return not evaluate(f.body, point)
-    if isinstance(f, Implies):
-        return not evaluate(f.left, point) or evaluate(f.right, point)
-    raise GridError("formula is not quantifier-free")
-
-
-DEFAULT_GRID = (
-    Fraction(-2),
-    Fraction(-1),
-    Fraction(-1, 2),
-    Fraction(0),
-    Fraction(1, 2),
-    Fraction(1),
-    Fraction(2),
-)
-
-_FALLBACK_GRIDS = (
-    DEFAULT_GRID,
-    (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2)),
-    (Fraction(-1), Fraction(0), Fraction(1)),
-)
-
-
-def _grid_points(symbols: Sequence[str], values: Sequence[Fraction], cap: int):
-    total = len(values) ** len(symbols) if symbols else 1
-    if total > cap:
-        raise GridError("grid has %d points, cap is %d" % (total, cap))
-    points = [{}]
-    for s in symbols:
-        points = [dict(p, **{s: v}) for p in points for v in values]
-    return points
-
-
-def _witness_points(formulas, symbols: Sequence[str], cap: int) -> List[Dict[str, Fraction]]:
-    """Boundary and feasibility points: witnesses of single atoms, their
-    equality boundaries, and of atom pairs."""
-    from .terms import formula_atoms
-
-    lin: List[LinAtom] = []
-    for f in formulas:
-        for a in formula_atoms(f):
-            for la in atom_to_lin(a):
-                if isinstance(la, LinAtom) and la not in lin:
-                    lin.append(la)
-    candidates: List[List[LinAtom]] = []
-    for a in lin:
-        candidates.append([a])
-        eq = make_atom("=", a.poly_dict())
-        if isinstance(eq, LinAtom):
-            candidates.append([eq])
-    for i in range(len(lin)):
-        for j in range(i + 1, len(lin)):
-            candidates.append([lin[i], lin[j]])
-            if len(candidates) > 4 * cap:
-                break
-    out: List[Dict[str, Fraction]] = []
-    for atoms in candidates:
-        if len(out) >= cap:
-            break
-        try:
-            w = is_sat(atoms)
-        except SortError:
-            continue
-        if w is None:
-            continue
-        point = {s: w.get(s, ZERO) for s in symbols}
-        if point not in out:
-            out.append(point)
-    return out
-
-
-def equiv_on_grid(
-    f: Formula,
-    g: Formula,
-    symbols: Sequence[str],
-    grid: Optional[Sequence[Fraction]] = None,
-    assumptions: Optional[Formula] = None,
-    cap: int = 100000,
-) -> bool:
-    """True iff f and g agree at every grid point (satisfying the
-    assumptions, when given)."""
-    if grid is not None:
-        points = _grid_points(symbols, list(grid), cap)
-    else:
-        for values in _FALLBACK_GRIDS:
-            if len(values) ** len(symbols) <= cap:
-                points = _grid_points(symbols, values, cap)
-                break
-        else:
-            raise GridError("no default grid fits %d symbols under cap %d" % (len(symbols), cap))
-        points.extend(_witness_points([f, g], symbols, cap=2000))
-    for p in points:
-        if assumptions is not None and not evaluate(assumptions, p):
-            continue
-        if evaluate(f, p) != evaluate(g, p):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .terms import (
     conj,
     disj,
     formula_symbols,
+    negate_atom,
     negate_universal,
     subterms,
     substitute,
@@ -317,8 +318,6 @@ def _definition_parts(clause: Forall, heads) -> Optional[Tuple[str, Tuple[str, .
     value_lits = [l for l in lits if p in _atom_subterms(l)]
     if not value_lits:
         return None
-    from .terms import negate_atom
-
     guard = conj([negate_atom(l) for l in guard_lits]) if guard_lits else TRUE
     return p.fn, names, guard
 

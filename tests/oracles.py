@@ -3,17 +3,35 @@
 These deliberately avoid the code paths they check: the projection
 oracle decides one-variable satisfiability by direct interval
 reasoning, the reference Fourier-Motzkin decides conjunctions with
-Fraction rows, and the full-instantiation oracle grounds extension
-axioms by brute force over all terms up to a fixed depth.
+Fraction rows, the reference decide() runs DPLL without the engine's
+literal memo and model shortcut, the grid oracle compares formulas by
+evaluating them at sample points, and the full-instantiation oracle
+grounds extension axioms by brute force over all terms up to a fixed
+depth.
 """
 
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from paramverify.errors import SortError
-from paramverify.linear import ZERO, LinAtom, _mono_var, make_atom
-from paramverify.terms import App, Atom, Forall, Formula, Term, substitute
+from paramverify.errors import EngineError, SortError
+from paramverify.linear import ZERO, LinAtom, _mono_var, atom_to_lin, is_sat, make_atom
+from paramverify.terms import (
+    And,
+    App,
+    Atom,
+    Forall,
+    Formula,
+    Implies,
+    Not,
+    Num,
+    Or,
+    Term,
+    formula_atoms,
+    negate_atom,
+    nnf,
+    substitute,
+)
 
 GRID7 = [Fraction(q) for q in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)]
 
@@ -285,6 +303,261 @@ def reference_is_sat(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
         else:
             witness[v] = (lo + hi) / 2
     return witness
+
+
+# ---------------------------------------------------------------------------
+# Reference ground decision procedure
+
+# The engine's decide() before it translated each literal once per call
+# and answered feasibility probes from the current model, kept
+# unchanged as the oracle for that version: on the same input both
+# must return the same witness, and the engine's is_sat calls must be a
+# subsequence of the reference's.
+
+
+def reference_decide(formulas, assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, Fraction]]:
+    """Satisfiability of a conjunction of ground quantifier-free
+    formulas; DPLL-style splitting on disjunctions with FM leaves."""
+    if not isinstance(formulas, (list, tuple)):
+        formulas = [formulas]
+    pending = [nnf(f) for f in formulas]
+    return _reference_decide(list(assumptions), pending)
+
+
+def _reference_lit_branches(f: Atom) -> List[List[Union[LinAtom, bool]]]:
+    if f.rel == "!=":
+        halves = atom_to_lin(f)
+        return [[halves[0]], [halves[1]]]
+    return [atom_to_lin(f)]
+
+
+def _reference_decide(units: List[LinAtom], pending: List[Formula]) -> Optional[Dict[str, Fraction]]:
+    complexes: List[Formula] = []
+    stack = list(pending)
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack.extend(f.parts)
+        elif isinstance(f, Atom):
+            if f.rel == "!=":
+                complexes.append(f)
+                continue
+            for a in atom_to_lin(f):
+                if a is False:
+                    return None
+                if a is not True:
+                    units.append(a)
+        elif isinstance(f, Or):
+            if not f.parts:
+                return None
+            complexes.append(f)
+        else:
+            raise SortError("decide expects ground clause structure, found %s" % type(f).__name__)
+    if is_sat(units) is None:
+        return None
+    # unit propagation: drop satisfied clauses, prune impossible literals
+    changed = True
+    while changed and complexes:
+        changed = False
+        remaining: List[Formula] = []
+        for f in complexes:
+            lits = list(f.parts) if isinstance(f, Or) else [f]
+            viable: List[Formula] = []
+            satisfied = False
+            for lit in lits:
+                if isinstance(lit, Atom):
+                    branches = _reference_lit_branches(lit)
+                    if all(
+                        any(a is False for a in b)
+                        or is_sat(units + [a for a in b if a is not True]) is None
+                        for b in branches
+                    ):
+                        continue  # literal cannot hold
+                    negated = [x for b in _reference_lit_branches(negate_atom(lit)) for x in b]
+                    if all(a is not True for a in negated) and all(
+                        is_sat(units + [a]) is None for a in negated if a is not False
+                    ):
+                        satisfied = True
+                        break
+                viable.append(lit)
+            if satisfied:
+                changed = True
+                continue
+            if not viable:
+                return None
+            if len(viable) == 1 and isinstance(viable[0], Atom) and viable[0].rel != "!=":
+                for a in atom_to_lin(viable[0]):
+                    if a is False:
+                        return None
+                    if a is not True:
+                        units.append(a)
+                changed = True
+                continue
+            if len(viable) < len(lits):
+                changed = True
+                remaining.append(Or(tuple(viable)) if len(viable) > 1 else viable[0])
+            else:
+                remaining.append(f)
+        complexes = remaining
+        if changed and is_sat(units) is None:
+            return None
+    if not complexes:
+        return is_sat(units)
+    complexes.sort(key=lambda f: len(f.parts) if isinstance(f, Or) else 2)
+    first = complexes[0]
+    rest = complexes[1:]
+    if isinstance(first, Atom):  # a != literal: branch on < and >
+        branches: List[Formula] = [Atom("<", first.lhs, first.rhs), Atom(">", first.lhs, first.rhs)]
+    else:
+        branches = list(first.parts)
+    for b in branches:
+        w = _reference_decide(list(units), [b] + rest)
+        if w is not None:
+            return w
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Grid equivalence oracle
+
+
+class GridError(EngineError):
+    """Requested evaluation grid is too large."""
+
+
+def evaluate_term(t, point: Dict[str, Fraction]) -> Fraction:
+    if isinstance(t, Num):
+        return t.value
+    if isinstance(t, App):
+        if not t.args:
+            if t.fn not in point:
+                raise GridError("no value for symbol %s" % t.fn)
+            return point[t.fn]
+        if t.fn == "+":
+            return evaluate_term(t.args[0], point) + evaluate_term(t.args[1], point)
+        if t.fn == "-" and len(t.args) == 1:
+            return -evaluate_term(t.args[0], point)
+        if t.fn == "-":
+            return evaluate_term(t.args[0], point) - evaluate_term(t.args[1], point)
+        if t.fn == "*":
+            return evaluate_term(t.args[0], point) * evaluate_term(t.args[1], point)
+        raise GridError("cannot evaluate application of %s" % t.fn)
+    raise GridError("cannot evaluate %r" % (t,))
+
+
+_REL_TESTS = {
+    "=": lambda d: d == 0,
+    "!=": lambda d: d != 0,
+    "<=": lambda d: d <= 0,
+    "<": lambda d: d < 0,
+    ">=": lambda d: d >= 0,
+    ">": lambda d: d > 0,
+}
+
+
+def evaluate(f: Formula, point: Dict[str, Fraction]) -> bool:
+    if isinstance(f, Atom):
+        return _REL_TESTS[f.rel](evaluate_term(f.lhs, point) - evaluate_term(f.rhs, point))
+    if isinstance(f, And):
+        return all(evaluate(p, point) for p in f.parts)
+    if isinstance(f, Or):
+        return any(evaluate(p, point) for p in f.parts)
+    if isinstance(f, Not):
+        return not evaluate(f.body, point)
+    if isinstance(f, Implies):
+        return not evaluate(f.left, point) or evaluate(f.right, point)
+    raise GridError("formula is not quantifier-free")
+
+
+DEFAULT_GRID = (
+    Fraction(-2),
+    Fraction(-1),
+    Fraction(-1, 2),
+    Fraction(0),
+    Fraction(1, 2),
+    Fraction(1),
+    Fraction(2),
+)
+
+_FALLBACK_GRIDS = (
+    DEFAULT_GRID,
+    (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2)),
+    (Fraction(-1), Fraction(0), Fraction(1)),
+)
+
+
+def _grid_points(symbols: Sequence[str], values: Sequence[Fraction], cap: int):
+    total = len(values) ** len(symbols) if symbols else 1
+    if total > cap:
+        raise GridError("grid has %d points, cap is %d" % (total, cap))
+    points = [{}]
+    for s in symbols:
+        points = [dict(p, **{s: v}) for p in points for v in values]
+    return points
+
+
+def _witness_points(formulas, symbols: Sequence[str], cap: int) -> List[Dict[str, Fraction]]:
+    """Boundary and feasibility points: witnesses of single atoms, their
+    equality boundaries, and of atom pairs."""
+    lin: List[LinAtom] = []
+    for f in formulas:
+        for a in formula_atoms(f):
+            for la in atom_to_lin(a):
+                if isinstance(la, LinAtom) and la not in lin:
+                    lin.append(la)
+    candidates: List[List[LinAtom]] = []
+    for a in lin:
+        candidates.append([a])
+        eq = make_atom("=", a.poly_dict())
+        if isinstance(eq, LinAtom):
+            candidates.append([eq])
+    for i in range(len(lin)):
+        for j in range(i + 1, len(lin)):
+            candidates.append([lin[i], lin[j]])
+            if len(candidates) > 4 * cap:
+                break
+    out: List[Dict[str, Fraction]] = []
+    for atoms in candidates:
+        if len(out) >= cap:
+            break
+        try:
+            w = is_sat(atoms)
+        except SortError:
+            continue
+        if w is None:
+            continue
+        point = {s: w.get(s, ZERO) for s in symbols}
+        if point not in out:
+            out.append(point)
+    return out
+
+
+def equiv_on_grid(
+    f: Formula,
+    g: Formula,
+    symbols: Sequence[str],
+    grid: Optional[Sequence[Fraction]] = None,
+    assumptions: Optional[Formula] = None,
+    cap: int = 100000,
+) -> bool:
+    """True iff f and g agree at every grid point (satisfying the
+    assumptions, when given)."""
+    if grid is not None:
+        points = _grid_points(symbols, list(grid), cap)
+    else:
+        for values in _FALLBACK_GRIDS:
+            if len(values) ** len(symbols) <= cap:
+                points = _grid_points(symbols, values, cap)
+                break
+        else:
+            raise GridError("no default grid fits %d symbols under cap %d" % (len(symbols), cap))
+        points.extend(_witness_points([f, g], symbols, cap=2000))
+    for p in points:
+        if assumptions is not None and not evaluate(assumptions, p):
+            continue
+        if evaluate(f, p) != evaluate(g, p):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from conftest import DATA, PLANT_VARIANT_LHA, mask_report
 from oracles import (
     all_terms_to_depth,
     brute_force_ground,
+    equiv_on_grid,
     eval_dnf,
     exists_extension,
     random_conjunct,
@@ -23,7 +24,6 @@ from paramverify.linear import (
     assumptions_from,
     decide,
     eliminate,
-    equiv_on_grid,
     to_linear,
 )
 from paramverify.parsing import parse_formula, parse_lha, parse_spec, parse_statements

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import PLANT_LHA
+from oracles import equiv_on_grid
 from paramverify.errors import EngineError, SortError
 from paramverify.hybrid import HybridAutomaton, flow_relax, vcs_chatterfree, vcs_invariant
-from paramverify.linear import assumptions_from, decide, equiv_on_grid
+from paramverify.linear import assumptions_from, decide
 from paramverify.parsing import parse_formula, parse_lha, parse_statements
 from paramverify.printing import print_formula
 from paramverify.reduction import reduce_chain

@@ -1,3 +1,4 @@
+import copy
 import random
 import tracemalloc
 from fractions import Fraction
@@ -5,17 +6,25 @@ from itertools import product
 
 import pytest
 
-from oracles import GRID7, eval_conjunct, eval_dnf, exists_extension, random_conjunct, reference_is_sat
-from paramverify.errors import CaseExplosionError, GridError, NonLinearError
+from oracles import (
+    GRID7,
+    GridError,
+    equiv_on_grid,
+    eval_conjunct,
+    eval_dnf,
+    exists_extension,
+    random_conjunct,
+    reference_is_sat,
+)
+from paramverify.errors import CaseExplosionError, NonLinearError
 from paramverify.linear import (
     LinAtom,
+    _atom_row,
     _is_sat_uncached,
     assumptions_from,
     decide,
     dnf_formula,
     eliminate,
-    equiv_on_grid,
-    evaluate,
     is_sat,
     make_atom,
     simplify,
@@ -146,17 +155,52 @@ def with_strictness_twins(rng, atoms):
     return tuple(out)
 
 
+def row_table_conjunct(rng):
+    """Rows that meet rows kept from before the step that produces them.
+    t and then z are eliminated first (fewest occurrences), each by its
+    pivot equation.  Substituting t into d + m t + c2 rel 0, and z into
+    d + k z + c3 rel 0, produces bounds with the direction d of the
+    surviving d + c1 rel 0: step one's bound may replace it in its slot,
+    and step two's bound may replace that one.  Substituting z into
+    e + j z + e2 = 0 produces the surviving equation e + e1 = 0, which
+    must be dropped."""
+    d = {("x",): Fraction(rng.choice([1, 2])), ("y",): Fraction(rng.choice([-1, 1, 3]))}
+    e = {("x",): Fraction(1), ("y",): Fraction(rng.choice([-2, 2]))}
+    t0, z0, e1 = (Fraction(rng.randint(-3, 3)) for _ in range(3))
+    m, k, j = (Fraction(rng.choice([-2, -1, 1, 2])) for _ in range(3))
+
+    def bound(poly):
+        return make_atom(rng.choice(["<=", "<"]), {**poly, (): Fraction(rng.randint(-4, 4))})
+
+    bounds = [bound(d), bound({**d, ("t",): m}), bound({**d, ("z",): k})]
+    rng.shuffle(bounds)
+    return tuple(
+        bounds
+        + [
+            make_atom("=", {("t",): Fraction(1), (): -t0}),
+            make_atom("=", {("z",): Fraction(1), (): -z0}),
+            make_atom("=", {**e, ("z",): j, (): e1 - j * z0}),
+            make_atom("=", {**e, (): e1}),
+            make_atom("<=", {("x",): Fraction(1), ("y",): Fraction(-1), (): Fraction(-3)}),
+            make_atom("<=", {("x",): Fraction(-1), ("y",): Fraction(1), (): Fraction(-3)}),
+        ]
+    )
+
+
 def test_integer_fm_matches_fraction_reference():
     """The integer-row FM returns the reference FM's verdict and witness
     (same values, same insertion order) for atoms given in one order,
-    and is_sat eliminates in LinAtom.key order."""
+    and is_sat eliminates in LinAtom.key order.  No call changes the
+    integer row cached on an atom."""
     rng = random.Random(20231018)
-    symbols = ["x", "y", "z", "w", "v"]
+    symbols = ["x", "y", "z", "w", "v", "t"]
     cases = [random_conjunct(rng, symbols[:4], max_atoms=8) for _ in range(300)]
-    cases += [equation_heavy_conjunct(rng, symbols) for _ in range(300)]
+    cases += [equation_heavy_conjunct(rng, symbols[:5]) for _ in range(300)]
     cases += [with_strictness_twins(rng, atoms) for atoms in cases[:300]]
+    cases += [row_table_conjunct(rng) for _ in range(200)]
     verdicts = set()
     for atoms in cases:
+        rows = {a: copy.deepcopy(_atom_row(a)) for a in atoms}
         expected = reference_is_sat(atoms)
         got = _is_sat_uncached(atoms)
         assert got == expected
@@ -165,6 +209,7 @@ def test_integer_fm_matches_fraction_reference():
             assert list(got) == list(expected)
             assert eval_conjunct(atoms, {s: got.get(s, Fraction(0)) for s in symbols})
         assert is_sat(atoms) == reference_is_sat(sorted(set(atoms), key=LinAtom.key))
+        assert all(_atom_row(a) == row for a, row in rows.items())
     assert verdicts == {True, False}
 
 

@@ -3,11 +3,10 @@
 import random
 from fractions import Fraction
 
-from oracles import eval_dnf, random_conjunct
+from oracles import equiv_on_grid, eval_dnf, random_conjunct
 from paramverify.linear import (
     assumptions_from,
     dnf_formula,
-    equiv_on_grid,
     simplify,
     to_linear,
 )

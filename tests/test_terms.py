@@ -139,7 +139,7 @@ def test_negate_universal_rejects_existential():
 
 
 def test_double_negation_flips_truth_on_grid():
-    from paramverify.linear import evaluate
+    from oracles import evaluate
 
     rng = random.Random(11)
     sig = Signature()

@@ -1,6 +1,7 @@
 import pytest
 
-from paramverify.linear import decide, evaluate
+from oracles import evaluate
+from paramverify.linear import decide
 from paramverify.parsing import _parse_task_body, parse_statements
 from paramverify.printing import print_formula
 from paramverify.terms import And, conj
