@@ -9,22 +9,29 @@ combining lower and upper bounds; when the coefficient of an eliminated
 symbol is a parameter polynomial of unknown sign the conjunct splits
 into the three sign cases, each tagged with its case literal.
 
-Ground satisfiability (is_sat) runs the same elimination on integer
-rows: each atom is cleared of denominators once (the row is cached on
-the atom), every row is kept divided by the gcd of its entries, and
-only the witness built at the end is rational.  One insertion-ordered
-row table lives for the whole call: a step pops the rows holding the
-eliminated variable and admits the rows it produces, so duplicate
-equations and slack bounds are found by one dictionary lookup per new
-row, and occurrence counts are kept up to date instead of recounted.
-The atoms are ordered by LinAtom.key first, so the witness does not
-depend on the interpreter's hash seed.
+Ground satisfiability runs the same elimination on integer rows: each
+atom is cleared of denominators once (the row is cached on the atom)
+and every row is kept divided by the gcd of its entries.  One
+insertion-ordered row table lives for the whole elimination: a step
+pops the rows holding the eliminated variable and admits the rows it
+produces, so duplicate equations and slack bounds are found by one
+dictionary lookup per new row, and occurrence counts are kept up to
+date instead of recounted.  The atoms are ordered by LinAtom.key first.
+
+Most callers need only a verdict.  is_sat returns a bool and runs the
+forward elimination alone; model_of also back-substitutes a rational
+witness, which does not depend on the interpreter's hash seed, and
+checks it against every atom.  Both share one cache from atom sets to
+False (unsatisfiable), True (satisfiable, no witness built yet) or the
+witness; model_of on a True entry eliminates once more and stores the
+witness in place.
 
 The ground decision procedure (decide) is DPLL over clauses with is_sat
 at the leaves.  It translates each literal once per call, and keeps the
-model of the current unit atoms: a feasibility probe whose atoms all
-hold at that model is satisfiable without an is_sat call.  A unit the
-model violates drops the model until the next is_sat of the units.
+model of the current unit atoms from model_of, scaled once to integers:
+a feasibility probe whose atoms all hold at that model is satisfiable
+without an is_sat call.  A unit the model violates drops the model
+until the next model_of of the units.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from .errors import CaseExplosionError, NonLinearError, SortError
+from .errors import CaseExplosionError, EngineError, NonLinearError, SortError
 from .terms import And, Atom, App, Exists, Forall, Formula, Implies, Not, Num, Or, Var, negate_atom, nnf
 
 Monomial = Tuple[str, ...]
@@ -312,26 +319,56 @@ def _atom_order(a: LinAtom):
     return order
 
 
-_SAT_CACHE: Dict[frozenset, Optional[Dict[str, Fraction]]] = {}
+# atom set -> False (unsatisfiable), True (satisfiable, no witness
+# built yet) or its witness
+_SAT_CACHE: Dict[frozenset, Union[bool, Dict[str, Fraction]]] = {}
 _SAT_CACHE_LIMIT = 200000
 
 
-def is_sat(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
-    """Decide a conjunction; returns a rational witness or None.
+def is_sat(atoms: Iterable[LinAtom]) -> bool:
+    """Decide a conjunction.  Builds no witness; model_of does.
 
     Product monomials are treated as fresh symbols, which is exact for
     linear input (the documented contract) and refutation-sound
-    otherwise.  The atoms are eliminated in LinAtom.key order, so the
-    witness does not depend on the order they are given in.
+    otherwise.
     """
     key = frozenset(atoms)
-    if key in _SAT_CACHE:
-        cached = _SAT_CACHE[key]
-        return dict(cached) if cached is not None else None
-    result = _is_sat_uncached(sorted(key, key=_atom_order))
+    cached = _SAT_CACHE.get(key)
+    if cached is not None:
+        return cached is not False
+    sat = _fm_steps(sorted(key, key=_atom_order)) is not None
     if len(_SAT_CACHE) < _SAT_CACHE_LIMIT:
-        _SAT_CACHE[key] = result
-    return dict(result) if result is not None else None
+        _SAT_CACHE[key] = sat
+    return sat
+
+
+def model_of(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
+    """A rational witness of a conjunction, or None when it is
+    unsatisfiable.  The atoms are eliminated in LinAtom.key order, so the
+    witness does not depend on the order they are given in.  Every
+    witness built is checked against every atom; a violated atom raises
+    EngineError."""
+    key = frozenset(atoms)
+    cached = _SAT_CACHE.get(key)
+    if cached is False:
+        return None
+    if cached is None or cached is True:
+        ordered = sorted(key, key=_atom_order)
+        steps = _fm_steps(ordered)
+        if steps is None:
+            if len(_SAT_CACHE) < _SAT_CACHE_LIMIT:
+                _SAT_CACHE[key] = False
+            return None
+        cached = _back_substitute(steps)
+        model = _scaled(cached)
+        for a in ordered:
+            if not _holds(model, (a,)):
+                from .printing import print_formula
+
+                raise EngineError("ground witness violates %s" % print_formula(lin_to_atom(a)))
+        if key in _SAT_CACHE or len(_SAT_CACHE) < _SAT_CACHE_LIMIT:
+            _SAT_CACHE[key] = cached
+    return dict(cached)
 
 
 # row key (see _admit) -> (row, gcd of the row's coefficients)
@@ -373,13 +410,15 @@ def _admit(table: RowTable, counts: Dict[str, int], rel: str, coeffs: Dict[str, 
     return True
 
 
-def _is_sat_uncached(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
-    """Fourier-Motzkin on primitive integer rows.  Each step eliminates
-    the variable with the fewest occurrences (ties: first appearance),
-    by substituting the first equation that has it, else by combining
-    every lower with every upper bound.  The rows without the variable
-    keep their slots in the table and the produced rows are admitted
-    after them, in order."""
+def _fm_steps(atoms: Iterable[LinAtom]) -> Optional[List[tuple]]:
+    """Fourier-Motzkin on primitive integer rows: the elimination steps,
+    which _back_substitute turns into a witness, or None when the atoms
+    are unsatisfiable.  Each step eliminates the variable with the
+    fewest occurrences (ties: first appearance), by substituting the
+    first equation that has it, else by combining every lower with
+    every upper bound.  The rows without the variable keep their slots
+    in the table and the produced rows are admitted after them, in
+    order."""
     table: RowTable = {}
     counts: Dict[str, int] = {}
     for a in atoms:
@@ -444,7 +483,7 @@ def _is_sat_uncached(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
                     rel = "<" if "<" in (lrel, urel) else "<="
                     if not _admit(table, counts, rel, merged, uc * lconst - lc * uconst):
                         return None
-    return _back_substitute(steps)
+    return steps
 
 
 Rational = Union[int, Fraction]
@@ -507,11 +546,11 @@ def entails(context: Sequence[LinAtom], atom: LinAtom) -> bool:
                 return False
             if side is False:
                 continue
-            if is_sat(list(context) + [side]) is not None:
+            if is_sat(list(context) + [side]):
                 return False
         return True
     neg = atom.negated()
-    return is_sat(list(context) + [neg]) is None
+    return not is_sat(list(context) + [neg])
 
 
 def _complexity(a: LinAtom):
@@ -522,7 +561,7 @@ def simplify_conjunct(conj: Conjunct, assumptions: Sequence[LinAtom]) -> Optiona
     """Drop atoms entailed by the rest; None when unsatisfiable with the
     assumptions.  A single sequential pass yields an irredundant set."""
     atoms = _bound_prune(list(conj))
-    if is_sat(atoms + list(assumptions)) is None:
+    if not is_sat(atoms + list(assumptions)):
         return None
     for a in sorted(atoms, key=_complexity, reverse=True):
         rest = [b for b in atoms if b is not a] + list(assumptions)
@@ -797,10 +836,10 @@ class _Eliminator:
 
 def _maybe_sat(ctx: List[LinAtom], atom: Union[LinAtom, bool]) -> bool:
     if atom is True:
-        return is_sat(ctx) is not None
+        return is_sat(ctx)
     if atom is False:
         return False
-    return is_sat(ctx + [atom]) is not None
+    return is_sat(ctx + [atom])
 
 
 def eliminate(
@@ -845,13 +884,24 @@ def _translated(lit: Atom, memo: LiteralMemo) -> list:
     return entry
 
 
-def _holds(model: Dict[str, Fraction], atoms: Iterable[LinAtom]) -> bool:
-    """Every atom holds at the model, read as is_sat reads atoms: a
-    product monomial is its own column, a missing symbol is 0."""
+# a model scaled to integers: (d, {symbol: d * value}), zeros left out
+ScaledModel = Tuple[int, Dict[str, int]]
+
+
+def _scaled(model: Dict[str, Fraction]) -> ScaledModel:
+    d = lcm(*(w.denominator for w in model.values()))
+    return d, {v: w.numerator * (d // w.denominator) for v, w in model.items() if w}
+
+
+def _holds(model: ScaledModel, atoms: Iterable[LinAtom]) -> bool:
+    """Every atom holds at the scaled model, read as is_sat reads atoms:
+    a product monomial is its own column, a missing symbol is 0."""
+    d, values = model
     for a in atoms:
-        rel, coeffs, total = _atom_row(a)
+        rel, coeffs, const = _atom_row(a)
+        total = const * d
         for v, c in coeffs.items():
-            w = model.get(v)
+            w = values.get(v)
             if w:
                 total += c * w
         if not (total <= 0 if rel == "<=" else total < 0 if rel == "<" else total == 0):
@@ -859,12 +909,12 @@ def _holds(model: Dict[str, Fraction], atoms: Iterable[LinAtom]) -> bool:
     return True
 
 
-def _refuted(units: List[LinAtom], extra: List[LinAtom], model: Optional[Dict[str, Fraction]]) -> bool:
-    """is_sat(units + extra) is None; False without an is_sat call when
-    the model of the units satisfies the extra atoms."""
+def _refuted(units: List[LinAtom], extra: List[LinAtom], model: Optional[ScaledModel]) -> bool:
+    """not is_sat(units + extra); False without an is_sat call when the
+    model of the units satisfies the extra atoms."""
     if model is not None and _holds(model, extra):
         return False
-    return is_sat(units + extra) is None
+    return not is_sat(units + extra)
 
 
 def _decide(units: List[LinAtom], pending: List[Formula], memo: LiteralMemo) -> Optional[Dict[str, Fraction]]:
@@ -889,10 +939,11 @@ def _decide(units: List[LinAtom], pending: List[Formula], memo: LiteralMemo) -> 
             complexes.append(f)
         else:
             raise SortError("decide expects ground clause structure, found %s" % type(f).__name__)
-    # a model of every atom in units, or None after a unit it violates
-    model = is_sat(units)
-    if model is None:
+    # a scaled model of every atom in units, or None after a unit it violates
+    witness = model_of(units)
+    if witness is None:
         return None
+    model = _scaled(witness)
     # unit propagation: drop satisfied clauses, prune impossible literals
     changed = True
     while changed and complexes:
@@ -941,11 +992,12 @@ def _decide(units: List[LinAtom], pending: List[Formula], memo: LiteralMemo) -> 
                 remaining.append(f)
         complexes = remaining
         if changed:
-            model = is_sat(units)
-            if model is None:
+            witness = model_of(units)
+            if witness is None:
                 return None
+            model = _scaled(witness)
     if not complexes:
-        return is_sat(units)
+        return model_of(units)
     complexes.sort(key=lambda f: len(f.parts) if isinstance(f, Or) else 2)
     first = complexes[0]
     rest = complexes[1:]

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-import yaml
-
 from .errors import ParseError, SignatureError
 from .terms import (
     App,
@@ -592,6 +590,8 @@ class TaskFile:
 
 
 def parse_task_file(text: str) -> TaskFile:
+    import yaml  # imported here: library use without task files never loads it
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

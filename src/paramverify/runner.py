@@ -7,7 +7,6 @@ fields; everything else is byte-stable across runs.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime
 from fractions import Fraction
@@ -407,6 +406,8 @@ def run_task_file(text: str, flags: Optional[RunFlags] = None) -> Tuple[str, int
         return runner.run(task, print_steps)
 
     if flags.parallel and len(selected) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only --parallel runs load it
+
         with ThreadPoolExecutor(max_workers=min(8, len(selected))) as pool:
             outcomes = list(pool.map(execute, selected))
     else:

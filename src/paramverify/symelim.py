@@ -204,8 +204,8 @@ def _lit_possible(ctx: Sequence[LinAtom], lit: LinAtom) -> bool:
     if lit.rel == "!=":
         lt = make_atom("<", lit.poly_dict())
         gt = make_atom("<", poly_scale(lit.poly_dict(), -1))
-        return any(a is True or (a is not False and is_sat(list(ctx) + [a]) is not None) for a in (lt, gt))
-    return is_sat(list(ctx) + [lit]) is not None
+        return any(a is True or (a is not False and is_sat(list(ctx) + [a])) for a in (lt, gt))
+    return is_sat(list(ctx) + [lit])
 
 
 def _lit_entailed(ctx: Sequence[LinAtom], lit: LinAtom) -> bool:
@@ -215,8 +215,8 @@ def _lit_entailed(ctx: Sequence[LinAtom], lit: LinAtom) -> bool:
             return False
         if eq is False:
             return True
-        return is_sat(list(ctx) + [eq]) is None
-    return is_sat(list(ctx) + [lit.negated()]) is None
+        return not is_sat(list(ctx) + [eq])
+    return not is_sat(list(ctx) + [lit.negated()])
 
 
 def _is_tautology(lits: Sequence[LinAtom]) -> bool:

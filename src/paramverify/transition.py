@@ -196,7 +196,7 @@ def _conjoin_constraint(candidate: List[Formula], constraint: Formula) -> List[F
         for lit in literals:
             if isinstance(lit, Atom) and is_ground(lit):
                 lins = [a for a in atom_to_lin(lit) if isinstance(a, LinAtom)]
-                if lins and all(is_sat(units + [a]) is None for a in lins):
+                if lins and not any(is_sat(units + [a]) for a in lins):
                     continue
             kept.append(lit)
         if not kept:

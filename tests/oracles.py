@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from paramverify.errors import EngineError, SortError
-from paramverify.linear import ZERO, LinAtom, _mono_var, atom_to_lin, is_sat, make_atom
+from paramverify.linear import ZERO, LinAtom, _mono_var, atom_to_lin, make_atom, model_of
 from paramverify.terms import (
     And,
     App,
@@ -309,10 +309,11 @@ def reference_is_sat(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
 # Reference ground decision procedure
 
 # The engine's decide() before it translated each literal once per call
-# and answered feasibility probes from the current model, kept
-# unchanged as the oracle for that version: on the same input both
-# must return the same witness, and the engine's is_sat calls must be a
-# subsequence of the reference's.
+# and answered feasibility probes from the current model, kept as the
+# oracle for that version: on the same input both must return the same
+# witness, and the engine's is_sat and model_of calls must be a
+# subsequence of the reference's.  It calls model_of wherever that
+# version called the witness-building is_sat.
 
 
 def reference_decide(formulas, assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, Fraction]]:
@@ -353,7 +354,7 @@ def _reference_decide(units: List[LinAtom], pending: List[Formula]) -> Optional[
             complexes.append(f)
         else:
             raise SortError("decide expects ground clause structure, found %s" % type(f).__name__)
-    if is_sat(units) is None:
+    if model_of(units) is None:
         return None
     # unit propagation: drop satisfied clauses, prune impossible literals
     changed = True
@@ -369,13 +370,13 @@ def _reference_decide(units: List[LinAtom], pending: List[Formula]) -> Optional[
                     branches = _reference_lit_branches(lit)
                     if all(
                         any(a is False for a in b)
-                        or is_sat(units + [a for a in b if a is not True]) is None
+                        or model_of(units + [a for a in b if a is not True]) is None
                         for b in branches
                     ):
                         continue  # literal cannot hold
                     negated = [x for b in _reference_lit_branches(negate_atom(lit)) for x in b]
                     if all(a is not True for a in negated) and all(
-                        is_sat(units + [a]) is None for a in negated if a is not False
+                        model_of(units + [a]) is None for a in negated if a is not False
                     ):
                         satisfied = True
                         break
@@ -399,10 +400,10 @@ def _reference_decide(units: List[LinAtom], pending: List[Formula]) -> Optional[
             else:
                 remaining.append(f)
         complexes = remaining
-        if changed and is_sat(units) is None:
+        if changed and model_of(units) is None:
             return None
     if not complexes:
-        return is_sat(units)
+        return model_of(units)
     complexes.sort(key=lambda f: len(f.parts) if isinstance(f, Or) else 2)
     first = complexes[0]
     rest = complexes[1:]
@@ -521,7 +522,7 @@ def _witness_points(formulas, symbols: Sequence[str], cap: int) -> List[Dict[str
         if len(out) >= cap:
             break
         try:
-            w = is_sat(atoms)
+            w = model_of(atoms)
         except SortError:
             continue
         if w is None:

@@ -197,3 +197,27 @@ def test_determinism_across_hash_seeds():
         outputs.append(mask_report(proc.stdout))
     assert "(step) witness: " in outputs[0]
     assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_imports_load_neither_yaml_nor_thread_pool():
+    """yaml is loaded by parse_task_file and the thread pool by
+    --parallel runs, not by importing the library or the CLI."""
+    import subprocess
+    import sys
+
+    script = "\n".join(
+        [
+            "import sys",
+            "import paramverify.linear, paramverify.reduction, paramverify.parsing, paramverify.cli",
+            "print(sorted(m for m in ('yaml', 'concurrent.futures') if m in sys.modules))",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PATH": os.environ["PATH"], "PYTHONPATH": "src"},
+        cwd=str(DATA.parent.parent),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

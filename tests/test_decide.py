@@ -3,8 +3,8 @@
 The engine translates each literal once per call and answers a
 feasibility probe from the model of the current unit atoms when the
 probe's atoms hold there.  Neither may change the search: the verdict
-and the witness must be the reference's, and the engine's is_sat calls
-must be a subsequence of the reference's.
+and the witness must be the reference's, and the engine's is_sat and
+model_of calls must be a subsequence of the reference's.
 """
 
 import random
@@ -21,17 +21,22 @@ from test_reduction import random_definitional_instance
 
 
 def recorded_calls(monkeypatch):
-    """Route the engine's and the reference's is_sat through one recorder."""
+    """Route every ground satisfiability call of the engine and the
+    reference (is_sat and model_of) through one recorder, in order."""
     calls = []
-    real = linear.is_sat
 
-    def recording(atoms):
-        atoms = list(atoms)
-        calls.append(frozenset(atoms))
-        return real(atoms)
+    def recorder(real):
+        def recording(atoms):
+            atoms = list(atoms)
+            calls.append(frozenset(atoms))
+            return real(atoms)
 
-    monkeypatch.setattr(linear, "is_sat", recording)
-    monkeypatch.setattr(oracles, "is_sat", recording)
+        return recording
+
+    monkeypatch.setattr(linear, "is_sat", recorder(linear.is_sat))
+    recording_model_of = recorder(linear.model_of)
+    monkeypatch.setattr(linear, "model_of", recording_model_of)
+    monkeypatch.setattr(oracles, "model_of", recording_model_of)
     return calls
 
 

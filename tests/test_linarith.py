@@ -12,21 +12,25 @@ from oracles import (
     equiv_on_grid,
     eval_conjunct,
     eval_dnf,
+    evaluate,
     exists_extension,
     random_conjunct,
     reference_is_sat,
 )
-from paramverify.errors import CaseExplosionError, NonLinearError
+from paramverify.errors import CaseExplosionError, EngineError, NonLinearError
+from paramverify import linear
 from paramverify.linear import (
     LinAtom,
     _atom_row,
-    _is_sat_uncached,
+    _back_substitute,
+    _fm_steps,
     assumptions_from,
     decide,
     dnf_formula,
     eliminate,
     is_sat,
     make_atom,
+    model_of,
     simplify,
     to_linear,
 )
@@ -80,16 +84,16 @@ def test_eliminate_unsatisfiable_atom():
 
 
 def test_is_sat_initiation_example():
-    assert is_sat(dnf("d1 = _1; d2 = _1; d1 - d2 > _0;")[0]) is None
+    assert not is_sat(dnf("d1 = _1; d2 = _1; d1 - d2 > _0;")[0])
 
 
 def test_is_sat_witness_in_interval():
-    w = is_sat(dnf("x >= _0; x <= _1;")[0])
+    w = model_of(dnf("x >= _0; x <= _1;")[0])
     assert w is not None and 0 <= w["x"] <= 1
 
 
 def test_is_sat_strict_witness():
-    w = is_sat(dnf("x > _0; x < _1; y > x;")[0])
+    w = model_of(dnf("x > _0; x < _1; y > x;")[0])
     assert w is not None and 0 < w["x"] < 1 and w["y"] > w["x"]
 
 
@@ -114,7 +118,7 @@ def test_is_sat_against_grid_search():
     symbols = ["x", "y", "z"]
     for _ in range(150):
         conjunct = random_conjunct(rng, symbols, max_atoms=5)
-        witness = is_sat(conjunct)
+        witness = model_of(conjunct)
         grid_hit = None
         for values in product(GRID7, repeat=len(symbols)):
             point = dict(zip(symbols, values))
@@ -187,10 +191,12 @@ def row_table_conjunct(rng):
     )
 
 
-def test_integer_fm_matches_fraction_reference():
+def test_integer_fm_matches_fraction_reference(monkeypatch):
     """The integer-row FM returns the reference FM's verdict and witness
-    (same values, same insertion order) for atoms given in one order,
-    and is_sat eliminates in LinAtom.key order.  No call changes the
+    (same values, same insertion order) for atoms given in one order.
+    From an empty cache, is_sat returns the reference's verdict and
+    model_of its witness on LinAtom.key order, whether model_of runs
+    first or upgrades the entry is_sat left.  No call changes the
     integer row cached on an atom."""
     rng = random.Random(20231018)
     symbols = ["x", "y", "z", "w", "v", "t"]
@@ -202,15 +208,61 @@ def test_integer_fm_matches_fraction_reference():
     for atoms in cases:
         rows = {a: copy.deepcopy(_atom_row(a)) for a in atoms}
         expected = reference_is_sat(atoms)
-        got = _is_sat_uncached(atoms)
+        steps = _fm_steps(atoms)
+        got = None if steps is None else _back_substitute(steps)
         assert got == expected
         verdicts.add(got is None)
         if got is not None:
             assert list(got) == list(expected)
             assert eval_conjunct(atoms, {s: got.get(s, Fraction(0)) for s in symbols})
-        assert is_sat(atoms) == reference_is_sat(sorted(set(atoms), key=LinAtom.key))
+        keyed = reference_is_sat(sorted(set(atoms), key=LinAtom.key))
+        for verdict_first in (True, False):
+            monkeypatch.setattr(linear, "_SAT_CACHE", {})
+            if verdict_first:
+                assert is_sat(atoms) == (keyed is not None)
+            witness = model_of(atoms)
+            assert witness == keyed
+            if witness is not None:
+                assert list(witness) == list(keyed)
+            assert is_sat(atoms) == (keyed is not None)
         assert all(_atom_row(a) == row for a, row in rows.items())
     assert verdicts == {True, False}
+
+
+def test_holds_on_scaled_model_matches_evaluation():
+    """_holds at the integer-scaled model agrees with evaluating the
+    atom at the Fraction model, missing symbols reading 0."""
+    rng = random.Random(20231020)
+    symbols = ["x", "y", "z", "w"]
+    values = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3, 7)]
+    checked = {True: 0, False: 0}
+    for k in range(400):
+        model = {s: rng.choice(values) for s in rng.sample(symbols, rng.randint(0, len(symbols)))} if k % 10 else {}
+        scaled = linear._scaled(model)
+        point = {s: model.get(s, Fraction(0)) for s in symbols}
+        for a in random_conjunct(rng, symbols, max_atoms=4) + equation_heavy_conjunct(rng, symbols):
+            holds = linear._holds(scaled, [a])
+            assert holds == evaluate(linear.lin_to_atom(a), point)
+            checked[holds] += 1
+    assert min(checked.values()) > 100
+
+
+def test_model_of_rejects_a_wrong_witness(monkeypatch):
+    """model_of checks every witness it builds against every atom."""
+    real = linear._back_substitute
+
+    def off_by_one(steps):
+        witness = real(steps)
+        witness["x"] += 1
+        return witness
+
+    monkeypatch.setattr(linear, "_SAT_CACHE", {})
+    monkeypatch.setattr(linear, "_back_substitute", off_by_one)
+    atoms = dnf("x = _2; y >= x;")[0]
+    assert is_sat(atoms)
+    with pytest.raises(EngineError, match="violates x = _2"):
+        model_of(atoms)
+    assert linear._SAT_CACHE[frozenset(atoms)] is True
 
 
 def test_simplify_contradicted_disjuncts():

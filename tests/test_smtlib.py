@@ -6,7 +6,7 @@ import pytest
 
 from oracles import GRID7, eval_conjunct, random_conjunct
 from paramverify.errors import SortError
-from paramverify.linear import conjunct_formula, is_sat
+from paramverify.linear import conjunct_formula, model_of
 from paramverify.parsing import parse_statements
 from paramverify.reduction import reduce_chain
 from paramverify.smtlib import export_smtlib
@@ -135,7 +135,7 @@ def test_script_agrees_with_is_sat_on_grid_witnesses():
     for _ in range(60):
         conjunct = random_conjunct(rng, symbols, max_atoms=4)
         script = export_smtlib([conjunct_formula(conjunct)])
-        witness = is_sat(conjunct)
+        witness = model_of(conjunct)
         found = None
         for xv in GRID7:
             for yv in GRID7:
