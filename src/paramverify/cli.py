@@ -27,7 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed-closure", help="file with extra ground instantiation terms, one per line")
     parser.add_argument("--dump-smtlib", metavar="DIR", help="write reduced problems as SMT-LIB2 scripts")
     parser.add_argument("--dump-reduction", action="store_true", help="append reduced problems to the report")
-    parser.add_argument("--parallel", action="store_true", help="run independent tasks concurrently")
     return parser
 
 
@@ -45,7 +44,6 @@ def main(argv=None) -> int:
         seed_closure=args.seed_closure,
         dump_smtlib=args.dump_smtlib,
         dump_reduction=args.dump_reduction,
-        parallel=args.parallel,
     )
     try:
         with open(args.taskfile, "r", encoding="utf-8") as fh:

@@ -26,12 +26,18 @@ False (unsatisfiable), True (satisfiable, no witness built yet) or the
 witness; model_of on a True entry eliminates once more and stores the
 witness in place.
 
-The ground decision procedure (decide) is DPLL over clauses with is_sat
-at the leaves.  It translates each literal once per call, and keeps the
-model of the current unit atoms from model_of, scaled once to integers:
-a feasibility probe whose atoms all hold at that model is satisfiable
-without an is_sat call.  A unit the model violates drops the model
-until the next model_of of the units.
+The ground decision procedure (decide) is DPLL over clauses with
+Fourier-Motzkin at the leaves.  It translates each literal once per
+call, and eliminates each distinct set of unit atoms once per call, in
+model_of's order, keeping the steps: they give the units' model, the
+witness model_of would return, scaled once to integers.  Every probe
+is the units plus one atom.  A probe whose atom holds at the model is
+satisfiable; otherwise the atom's row is carried through the recorded
+steps (_probe_sat), which share the pivot substitution and the bound
+combination with the elimination itself, and the verdict is memoised
+with the units' steps.  A unit the model violates drops the model
+until the round's model of the units.  decide makes no is_sat call
+and does not use the cache.
 """
 
 from dataclasses import dataclass, field
@@ -282,6 +288,9 @@ def _mono_var(m: Monomial) -> str:
 
 
 Row = Tuple[str, Dict[str, int], int]
+# elimination steps, in order: (variable, pivot equation, (), ()) or
+# (variable, None, lower bounds, upper bounds)
+Steps = List[Tuple[str, Optional[Row], Sequence[Row], Sequence[Row]]]
 
 
 def _atom_row(a: LinAtom) -> Row:
@@ -359,16 +368,23 @@ def model_of(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
             if len(_SAT_CACHE) < _SAT_CACHE_LIMIT:
                 _SAT_CACHE[key] = False
             return None
-        cached = _back_substitute(steps)
-        model = _scaled(cached)
-        for a in ordered:
-            if not _holds(model, (a,)):
-                from .printing import print_formula
-
-                raise EngineError("ground witness violates %s" % print_formula(lin_to_atom(a)))
+        cached = _witness(steps, ordered)
         if key in _SAT_CACHE or len(_SAT_CACHE) < _SAT_CACHE_LIMIT:
             _SAT_CACHE[key] = cached
     return dict(cached)
+
+
+def _witness(steps: Steps, atoms: Iterable[LinAtom]) -> Dict[str, Fraction]:
+    """The witness of the elimination steps, checked against every atom;
+    a violated atom raises EngineError."""
+    witness = _back_substitute(steps)
+    model = _scaled(witness)
+    for a in atoms:
+        if not _holds(model, (a,)):
+            from .printing import print_formula
+
+            raise EngineError("ground witness violates %s" % print_formula(lin_to_atom(a)))
+    return witness
 
 
 # row key (see _admit) -> (row, gcd of the row's coefficients)
@@ -410,80 +426,138 @@ def _admit(table: RowTable, counts: Dict[str, int], rel: str, coeffs: Dict[str, 
     return True
 
 
-def _fm_steps(atoms: Iterable[LinAtom]) -> Optional[List[tuple]]:
+def _pop_rows(table: RowTable, counts: Dict[str, int], v: str) -> List[Row]:
+    """Remove the rows that hold v from the table, in table order."""
+    with_v = [table.pop(k)[0] for k in [k for k, (row, _) in table.items() if v in row[1]]]
+    for _, coeffs, _ in with_v:
+        for u in coeffs:
+            n = counts[u] - 1
+            if n:
+                counts[u] = n
+            else:
+                del counts[u]
+    return with_v
+
+
+def _substitute(table: RowTable, counts: Dict[str, int], v: str, pivot: Row, rows: Iterable[Row]) -> bool:
+    """Admit each row with v replaced by its value from the pivot
+    equation; False when a produced row is false."""
+    # v = -(pconst + sum pco[u] u) / pc; rows are scaled by |pc|
+    _, pco, pconst = pivot
+    pc = pco[v]
+    scale = abs(pc)
+    for rel, coeffs, const in rows:
+        f = coeffs[v] if pc > 0 else -coeffs[v]
+        merged = {u: scale * q for u, q in coeffs.items() if u != v}
+        for u, q in pco.items():
+            if u != v:
+                merged[u] = merged.get(u, 0) - f * q
+        merged = {u: q for u, q in merged.items() if q}
+        if not _admit(table, counts, rel, merged, scale * const - f * pconst):
+            return False
+    return True
+
+
+def _combine(table: RowTable, counts: Dict[str, int], v: str, lowers: Sequence[Row], uppers: Sequence[Row]) -> bool:
+    """Admit the sum of every lower bound on v (negative coefficient)
+    and every upper bound (positive), scaled so that v cancels; False
+    when a produced row is false."""
+    for lrel, lco, lconst in lowers:
+        lc = lco[v]
+        for urel, uco, uconst in uppers:
+            uc = uco[v]
+            merged = {}
+            for u, q in lco.items():
+                if u != v:
+                    merged[u] = merged.get(u, 0) + uc * q
+            for u, q in uco.items():
+                if u != v:
+                    merged[u] = merged.get(u, 0) - lc * q
+            merged = {u: q for u, q in merged.items() if q}
+            rel = "<" if "<" in (lrel, urel) else "<="
+            if not _admit(table, counts, rel, merged, uc * lconst - lc * uconst):
+                return False
+    return True
+
+
+def _fm_steps(atoms: Iterable[LinAtom]) -> Optional[Steps]:
     """Fourier-Motzkin on primitive integer rows: the elimination steps,
-    which _back_substitute turns into a witness, or None when the atoms
-    are unsatisfiable.  Each step eliminates the variable with the
-    fewest occurrences (ties: first appearance), by substituting the
-    first equation that has it, else by combining every lower with
-    every upper bound.  The rows without the variable keep their slots
-    in the table and the produced rows are admitted after them, in
-    order."""
+    which _back_substitute turns into a witness and _probe_sat replays,
+    or None when the atoms are unsatisfiable."""
     table: RowTable = {}
     counts: Dict[str, int] = {}
     for a in atoms:
         if not _admit(table, counts, *_atom_row(a)):
             return None
+    return _eliminate_rows(table, counts)
+
+
+def _eliminate_rows(table: RowTable, counts: Dict[str, int]) -> Optional[Steps]:
+    """Eliminate every variable of the table.  Each step eliminates the
+    variable with the fewest occurrences (ties: first appearance), by
+    substituting the first equation that has it, else by combining every
+    lower with every upper bound, and records the pivot or the bounds.
+    The rows without the variable keep their slots in the table and the
+    produced rows are admitted after them, in order."""
     first: Dict[str, int] = {}
     for (_, coeffs, _), _ in table.values():
         for v in coeffs:
             if v not in first:
                 first[v] = len(first)
-    steps: List[tuple] = []
+    steps: Steps = []
     while table:
         least = min(counts.values())
         for v in first:
             if counts.get(v) == least:
                 break
-        with_v = [table.pop(k)[0] for k in [k for k, (row, _) in table.items() if v in row[1]]]
-        for _, coeffs, _ in with_v:
-            for u in coeffs:
-                n = counts[u] - 1
-                if n:
-                    counts[u] = n
-                else:
-                    del counts[u]
+        with_v = _pop_rows(table, counts, v)
         pivot = next((r for r in with_v if r[0] == "="), None)
         if pivot is not None:
-            # v = -(pconst + sum pco[u] u) / pc; rows are scaled by |pc|
-            _, pco, pconst = pivot
-            pc = pco[v]
-            scale = abs(pc)
-            for row in with_v:
-                if row is pivot:
-                    continue
-                rel, coeffs, const = row
-                f = coeffs[v] if pc > 0 else -coeffs[v]
-                merged = {u: scale * q for u, q in coeffs.items() if u != v}
-                for u, q in pco.items():
-                    if u != v:
-                        merged[u] = merged.get(u, 0) - f * q
-                merged = {u: q for u, q in merged.items() if q}
-                if not _admit(table, counts, rel, merged, scale * const - f * pconst):
-                    return None
             steps.append((v, pivot, (), ()))
+            if not _substitute(table, counts, v, pivot, [r for r in with_v if r is not pivot]):
+                return None
         else:
             lowers: List[Row] = []
             uppers: List[Row] = []
             for row in with_v:
                 (uppers if row[1][v] > 0 else lowers).append(row)
             steps.append((v, None, lowers, uppers))
-            for lrel, lco, lconst in lowers:
-                lc = lco[v]
-                for urel, uco, uconst in uppers:
-                    uc = uco[v]
-                    merged = {}
-                    for u, q in lco.items():
-                        if u != v:
-                            merged[u] = merged.get(u, 0) + uc * q
-                    for u, q in uco.items():
-                        if u != v:
-                            merged[u] = merged.get(u, 0) - lc * q
-                    merged = {u: q for u, q in merged.items() if q}
-                    rel = "<" if "<" in (lrel, urel) else "<="
-                    if not _admit(table, counts, rel, merged, uc * lconst - lc * uconst):
-                        return None
+            if not _combine(table, counts, v, lowers, uppers):
+                return None
     return steps
+
+
+def _probe_sat(steps: Steps, atom: LinAtom) -> bool:
+    """is_sat(units + [atom]), given the elimination steps of the
+    satisfiable units.  The atom's rows (an equation enters as two
+    bounds) go through the recorded steps: a pivot is substituted into
+    them, and at a bound step each of them that holds the variable is
+    combined with the recorded opposite bounds and with the opposite
+    bounds among them.  The rows left hold only variables that no step
+    eliminated, and are eliminated as usual."""
+    rel, coeffs, const = _atom_row(atom)
+    table: RowTable = {}
+    counts: Dict[str, int] = {}
+    if rel == "=":
+        _admit(table, counts, "<=", coeffs, const)
+        _admit(table, counts, "<=", {u: -q for u, q in coeffs.items()}, -const)
+    else:
+        _admit(table, counts, rel, coeffs, const)
+    for v, pivot, lowers, uppers in steps:
+        if v not in counts:
+            continue
+        with_v = _pop_rows(table, counts, v)
+        if pivot is not None:
+            ok = _substitute(table, counts, v, pivot, with_v)
+        else:
+            mine_lowers = [r for r in with_v if r[1][v] < 0]
+            mine_uppers = [r for r in with_v if r[1][v] > 0]
+            ok = _combine(table, counts, v, mine_lowers, list(uppers) + mine_uppers) and _combine(
+                table, counts, v, lowers, mine_uppers
+            )
+        if not ok:
+            return False
+    return _eliminate_rows(table, counts) is not None
 
 
 Rational = Union[int, Fraction]
@@ -496,7 +570,7 @@ def _quotient(n: Rational, d: int) -> Rational:
     return n / d
 
 
-def _back_substitute(steps: List[tuple]) -> Dict[str, Fraction]:
+def _back_substitute(steps: Steps) -> Dict[str, Fraction]:
     """Rational witness from the elimination steps, latest first: a
     pivot's value solves its equation, a bounded variable takes the
     midpoint of its tightest bounds, or one past the only side."""
@@ -863,7 +937,7 @@ def decide(formulas, assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, 
     if not isinstance(formulas, (list, tuple)):
         formulas = [formulas]
     pending = [nnf(f) for f in formulas]
-    return _decide(list(assumptions), pending, {})
+    return _decide(frozenset(assumptions), pending, {}, {})
 
 
 def _lit_branches(f: Atom) -> List[List[Union[LinAtom, bool]]]:
@@ -909,16 +983,52 @@ def _holds(model: ScaledModel, atoms: Iterable[LinAtom]) -> bool:
     return True
 
 
-def _refuted(units: List[LinAtom], extra: List[LinAtom], model: Optional[ScaledModel]) -> bool:
-    """not is_sat(units + extra); False without an is_sat call when the
-    model of the units satisfies the extra atoms."""
-    if model is not None and _holds(model, extra):
+# unit set -> [its elimination steps (None: unsatisfiable), its witness
+# (None until built), {probe atom: is_sat(units + [atom])}]
+UnitRecords = Dict[frozenset, list]
+
+
+def _unit_record(units: frozenset, records: UnitRecords) -> list:
+    """The units' record; their elimination runs once per decide call,
+    in the order model_of uses."""
+    record = records.get(units)
+    if record is None:
+        record = records[units] = [_fm_steps(sorted(units, key=_atom_order)), None, {}]
+    return record
+
+
+def _unit_model(units: frozenset, records: UnitRecords) -> Optional[Dict[str, Fraction]]:
+    """model_of(units), from the units' record."""
+    record = _unit_record(units, records)
+    if record[0] is None:
+        return None
+    if record[1] is None:
+        record[1] = _witness(record[0], sorted(units, key=_atom_order))
+    return record[1]
+
+
+def _refuted(units: frozenset, a: Union[LinAtom, bool], model: Optional[ScaledModel], records: UnitRecords) -> bool:
+    """not is_sat(units + [a]), where a True atom adds nothing.  Answered
+    without elimination when the model of the units satisfies a, else
+    by replaying a through the units' elimination steps."""
+    if model is not None and (a is True or _holds(model, (a,))):
         return False
-    return not is_sat(units + extra)
+    steps, _, verdicts = _unit_record(units, records)
+    if steps is None:
+        return True
+    if a is True:
+        return False
+    sat = verdicts.get(a)
+    if sat is None:
+        sat = verdicts[a] = _probe_sat(steps, a)
+    return not sat
 
 
-def _decide(units: List[LinAtom], pending: List[Formula], memo: LiteralMemo) -> Optional[Dict[str, Fraction]]:
+def _decide(
+    units: frozenset, pending: List[Formula], memo: LiteralMemo, records: UnitRecords
+) -> Optional[Dict[str, Fraction]]:
     complexes: List[Formula] = []
+    new_units: List[LinAtom] = []
     stack = list(pending)
     while stack:
         f = stack.pop()
@@ -932,15 +1042,16 @@ def _decide(units: List[LinAtom], pending: List[Formula], memo: LiteralMemo) -> 
                 if a is False:
                     return None
                 if a is not True:
-                    units.append(a)
+                    new_units.append(a)
         elif isinstance(f, Or):
             if not f.parts:
                 return None
             complexes.append(f)
         else:
             raise SortError("decide expects ground clause structure, found %s" % type(f).__name__)
+    units = units.union(new_units)
     # a scaled model of every atom in units, or None after a unit it violates
-    witness = model_of(units)
+    witness = _unit_model(units, records)
     if witness is None:
         return None
     model = _scaled(witness)
@@ -956,16 +1067,13 @@ def _decide(units: List[LinAtom], pending: List[Formula], memo: LiteralMemo) -> 
             for lit in lits:
                 if isinstance(lit, Atom):
                     entry = _translated(lit, memo)
-                    if all(
-                        any(a is False for a in b) or _refuted(units, [a for a in b if a is not True], model)
-                        for b in entry[0]
-                    ):
+                    if all(a is False or _refuted(units, a, model, records) for (a,) in entry[0]):
                         continue  # literal cannot hold
                     negated = entry[1]
                     if negated is None:
                         negated = entry[1] = [x for b in _lit_branches(negate_atom(lit)) for x in b]
                     if all(a is not True for a in negated) and all(
-                        _refuted(units, [a], model) for a in negated if a is not False
+                        _refuted(units, a, model, records) for a in negated if a is not False
                     ):
                         satisfied = True
                         break
@@ -980,7 +1088,7 @@ def _decide(units: List[LinAtom], pending: List[Formula], memo: LiteralMemo) -> 
                     if a is False:
                         return None
                     if a is not True:
-                        units.append(a)
+                        units = units.union((a,))
                         if model is not None and not _holds(model, (a,)):
                             model = None
                 changed = True
@@ -992,12 +1100,13 @@ def _decide(units: List[LinAtom], pending: List[Formula], memo: LiteralMemo) -> 
                 remaining.append(f)
         complexes = remaining
         if changed:
-            witness = model_of(units)
+            witness = _unit_model(units, records)
             if witness is None:
                 return None
             model = _scaled(witness)
     if not complexes:
-        return model_of(units)
+        witness = _unit_model(units, records)
+        return None if witness is None else dict(witness)
     complexes.sort(key=lambda f: len(f.parts) if isinstance(f, Or) else 2)
     first = complexes[0]
     rest = complexes[1:]
@@ -1006,7 +1115,7 @@ def _decide(units: List[LinAtom], pending: List[Formula], memo: LiteralMemo) -> 
     else:
         branches = list(first.parts)
     for b in branches:
-        w = _decide(list(units), [b] + rest, memo)
+        w = _decide(units, [b] + rest, memo, records)
         if w is not None:
             return w
     return None

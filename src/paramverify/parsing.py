@@ -40,6 +40,11 @@ from .terms import (
     check_term,
 )
 
+# The engine walks terms recursively, so a term nested deeper than this
+# is a parse error: at this depth every mode still runs within Python's
+# default recursion limit.
+MAX_TERM_DEPTH = 200
+
 SECTION_NAMES = ("Base_functions", "Extension_functions", "Relations", "Clauses", "Query")
 
 _OPERATORS = [
@@ -196,6 +201,7 @@ class Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.sig = sig if sig is not None else Signature()
+        self.nesting = 0  # parentheses and argument lists open around the current term
 
     # -- token plumbing
 
@@ -265,56 +271,76 @@ class Parser:
     # -- terms and formulas
 
     def parse_term(self, scope: Tuple[str, ...]) -> Term:
-        left = self.parse_factor(scope)
+        return self._term(scope)[0]
+
+    # Each term comes with its nesting depth: every operator or function
+    # application and every pair of parentheses adds a level.
+
+    def _deeper(self, depth: int, tok: Token) -> int:
+        if depth >= MAX_TERM_DEPTH:
+            raise ParseError("term nested deeper than %d levels" % MAX_TERM_DEPTH, tok.line, tok.column)
+        return depth + 1
+
+    def _term(self, scope: Tuple[str, ...]) -> Tuple[Term, int]:
+        left, depth = self._factor(scope)
         while self.peek().text in ("+", "-") and self.peek().kind == "OP":
-            op = self.next().text
-            right = self.parse_factor(scope)
-            left = App(op, (left, right))
-        return left
+            tok = self.next()
+            right, rdepth = self._factor(scope)
+            left, depth = App(tok.text, (left, right)), self._deeper(max(depth, rdepth), tok)
+        return left, depth
 
-    def parse_factor(self, scope: Tuple[str, ...]) -> Term:
-        left = self.parse_unary(scope)
+    def _factor(self, scope: Tuple[str, ...]) -> Tuple[Term, int]:
+        left, depth = self._unary(scope)
         while self.peek().text == "*" and self.peek().kind == "OP":
-            self.next()
-            right = self.parse_unary(scope)
-            left = App("*", (left, right))
-        return left
+            tok = self.next()
+            right, rdepth = self._unary(scope)
+            left, depth = App("*", (left, right)), self._deeper(max(depth, rdepth), tok)
+        return left, depth
 
-    def parse_unary(self, scope: Tuple[str, ...]) -> Term:
-        if self.peek().text == "-" and self.peek().kind == "OP":
-            self.next()
-            return App("-", (self.parse_unary(scope),))
-        return self.parse_primary(scope)
+    def _unary(self, scope: Tuple[str, ...]) -> Tuple[Term, int]:
+        signs: List[Token] = []
+        while self.peek().text == "-" and self.peek().kind == "OP":
+            signs.append(self.next())
+        term, depth = self._primary(scope)
+        for tok in reversed(signs):
+            term, depth = App("-", (term,)), self._deeper(depth, tok)
+        return term, depth
 
-    def parse_primary(self, scope: Tuple[str, ...]) -> Term:
+    def _primary(self, scope: Tuple[str, ...]) -> Tuple[Term, int]:
         tok = self.peek()
         if tok.kind == "NUMERAL":
             self.next()
-            return Num(Fraction(tok.text[1:]))
+            return Num(Fraction(tok.text[1:])), 0
         if tok.text == "(":
             self.next()
-            inner = self.parse_term(scope)
+            self.nesting = self._deeper(self.nesting, tok)
+            inner, depth = self._term(scope)
+            self.nesting -= 1
             self.expect(")")
-            return inner
+            return inner, self._deeper(depth, tok)
         if tok.kind == "IDENT":
             self.next()
+            depth = 0
             if self.peek().text == "(":
                 self.next()
-                args = [self.parse_term(scope)]
+                self.nesting = self._deeper(self.nesting, tok)
+                args = [self._term(scope)]
                 while self.peek().text == ",":
                     self.next()
-                    args.append(self.parse_term(scope))
+                    args.append(self._term(scope))
+                self.nesting -= 1
                 self.expect(")")
-                term: Term = App(tok.text, tuple(args))
+                term: Term = App(tok.text, tuple(t for t, _ in args))
+                depth = self._deeper(max(d for _, d in args), tok)
             elif tok.text in scope:
-                return Var(tok.text)
+                return Var(tok.text), 0
             else:
                 term = App(tok.text, ())
             try:
                 check_term(self.sig, term, set(scope))
             except SignatureError as exc:
                 raise ParseError(str(exc), tok.line, tok.column)
-            return term
+            return term, depth
         raise ParseError("expected a term, found %r" % (tok.text or "end of input"), tok.line, tok.column)
 
     def parse_formula(self, scope: Tuple[str, ...]) -> Formula:

@@ -41,7 +41,6 @@ class RunFlags:
     seed_closure: Optional[str] = None
     dump_smtlib: Optional[str] = None
     dump_reduction: bool = False
-    parallel: bool = False
 
 
 @dataclass
@@ -400,17 +399,6 @@ def run_task_file(text: str, flags: Optional[RunFlags] = None) -> Tuple[str, int
             seed_text = fh.read()
     runner = TaskRunner(flags, seed_text)
     print_steps_default = bool(task_file.task_options.get("print_steps", False))
-
-    def execute(task: TaskSpec) -> TaskOutcome:
-        print_steps = bool(task.options.get("print_steps", print_steps_default))
-        return runner.run(task, print_steps)
-
-    if flags.parallel and len(selected) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # only --parallel runs load it
-
-        with ThreadPoolExecutor(max_workers=min(8, len(selected))) as pool:
-            outcomes = list(pool.map(execute, selected))
-    else:
-        outcomes = [execute(t) for t in selected]
+    outcomes = [runner.run(t, bool(t.options.get("print_steps", print_steps_default))) for t in selected]
     report = format_report(outcomes)
     return report, 0, outcomes

@@ -4,7 +4,7 @@ These deliberately avoid the code paths they check: the projection
 oracle decides one-variable satisfiability by direct interval
 reasoning, the reference Fourier-Motzkin decides conjunctions with
 Fraction rows, the reference decide() runs DPLL without the engine's
-literal memo and model shortcut, the grid oracle compares formulas by
+literal memo, model shortcut and probe replay, the grid oracle compares formulas by
 evaluating them at sample points, and the full-instantiation oracle
 grounds extension axioms by brute force over all terms up to a fixed
 depth.
@@ -308,11 +308,11 @@ def reference_is_sat(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
 # ---------------------------------------------------------------------------
 # Reference ground decision procedure
 
-# The engine's decide() before it translated each literal once per call
-# and answered feasibility probes from the current model, kept as the
-# oracle for that version: on the same input both must return the same
-# witness, and the engine's is_sat and model_of calls must be a
-# subsequence of the reference's.  It calls model_of wherever that
+# The engine's decide() before it translated each literal once per call,
+# answered feasibility probes from the current model and replayed the
+# rest through the recorded elimination of the units, kept as the oracle
+# for that version: on the same input both must return the same witness.
+# It calls model_of on every unit set and every probe, wherever that
 # version called the witness-building is_sat.
 
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import DATA, mask_report
 from paramverify.cli import main
 from paramverify.errors import ParseError
-from paramverify.parsing import parse_formula
+from paramverify.parsing import MAX_TERM_DEPTH, parse_formula
 from paramverify.runner import RunFlags, run_task_file
 from paramverify.symelim import check_unsat_with_constraint
 from paramverify.parsing import parse_spec
@@ -83,6 +83,30 @@ def test_parse_error_exit_two(tmp_path):
     assert main([str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "nested",
+    [
+        lambda depth: " + ".join(["d1"] * (depth + 1)),  # a sum of depth + 1 terms
+        lambda depth: "(" * depth + "d1" + ")" * depth,
+        lambda depth: "-" * depth + "d1",
+    ],
+    ids=["sum", "parentheses", "negations"],
+)
+def test_term_nesting_limit(tmp_path, capsys, nested):
+    """A query term nested MAX_TERM_DEPTH levels deep runs through the
+    CLI; one level deeper is a parse error with its position, exit 2."""
+    base = (DATA / "pts_check_unsorted.yaml").read_text()
+    for depth, code in ((MAX_TERM_DEPTH, 0), (MAX_TERM_DEPTH + 1, 2)):
+        path = tmp_path / ("depth%d.yaml" % depth)
+        path.write_text(base.replace("d1 <= d2;", nested(depth) + " <= d2;"))
+        assert main([str(path)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert re.fullmatch(r"parse error: 1:\d+: term nested deeper than %d levels\n" % MAX_TERM_DEPTH, err)
+        else:
+            assert "Result: " in out and not err
+
+
 def test_engine_error_exit_one(tmp_path):
     nonlinear = tmp_path / "nl.yaml"
     nonlinear.write_text(
@@ -157,16 +181,6 @@ def test_result_formula_closes_problem():
     assert check_unsat_with_constraint(spec.sig, spec.statements(), constraint)
 
 
-def test_parallel_matches_sequential():
-    multi = (
-        (DATA / "ex1_constraint.yaml").read_text()
-        + (DATA / "chem_mode1.yaml").read_text().replace("tasks:\n", "")
-    )
-    seq, _, _ = run_task_file(multi, RunFlags())
-    par, _, _ = run_task_file(multi, RunFlags(parallel=True))
-    assert mask_report(seq) == mask_report(par)
-
-
 def test_determinism_across_hash_seeds():
     """Reports match byte for byte even under different interpreter
     hash randomization, after masking time fields.  The PTS task's
@@ -200,8 +214,8 @@ def test_determinism_across_hash_seeds():
 
 
 def test_imports_load_neither_yaml_nor_thread_pool():
-    """yaml is loaded by parse_task_file and the thread pool by
-    --parallel runs, not by importing the library or the CLI."""
+    """yaml is loaded by parse_task_file, not by importing the library
+    or the CLI, and no module loads a thread pool."""
     import subprocess
     import sys
 

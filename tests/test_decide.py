@@ -1,48 +1,49 @@
-"""decide() against the reference DPLL in tests/oracles.py.
+"""decide() against the reference DPLL in tests/oracles.py, and its
+probe replay against the reference Fourier-Motzkin.
 
-The engine translates each literal once per call and answers a
+The engine translates each literal once per call, answers a
 feasibility probe from the model of the current unit atoms when the
-probe's atoms hold there.  Neither may change the search: the verdict
-and the witness must be the reference's, and the engine's is_sat and
-model_of calls must be a subsequence of the reference's.
+probe's atoms hold there, and otherwise replays the probe atom through
+the recorded elimination of the units.  None of it may change the
+search: the verdict and the witness must be the reference's, decide
+makes no is_sat or model_of call, and it runs at most as many
+eliminations as the reference makes satisfiability calls.
 """
 
 import random
 from fractions import Fraction
 
 import oracles
-from oracles import evaluate, reference_decide
+from oracles import evaluate, random_conjunct, reference_decide, reference_is_sat
 from paramverify import linear
-from paramverify.linear import decide
+from paramverify.linear import decide, make_atom
 from paramverify.parsing import parse_statements, parse_term_string
 from paramverify.reduction import reduce_chain
 from paramverify.terms import App, Atom, Or, Signature, const, formula_terms, num, subterms
+from test_linarith import equation_heavy_conjunct, row_table_conjunct
 from test_reduction import random_definitional_instance
 
 
 def recorded_calls(monkeypatch):
     """Route every ground satisfiability call of the engine and the
-    reference (is_sat and model_of) through one recorder, in order."""
+    reference (is_sat and model_of) and every elimination (_fm_steps)
+    through one recorder, in order, as (kind, atom set) pairs."""
     calls = []
 
-    def recorder(real):
+    def recorder(kind, real):
         def recording(atoms):
             atoms = list(atoms)
-            calls.append(frozenset(atoms))
+            calls.append((kind, frozenset(atoms)))
             return real(atoms)
 
         return recording
 
-    monkeypatch.setattr(linear, "is_sat", recorder(linear.is_sat))
-    recording_model_of = recorder(linear.model_of)
+    monkeypatch.setattr(linear, "is_sat", recorder("is_sat", linear.is_sat))
+    recording_model_of = recorder("model_of", linear.model_of)
     monkeypatch.setattr(linear, "model_of", recording_model_of)
     monkeypatch.setattr(oracles, "model_of", recording_model_of)
+    monkeypatch.setattr(linear, "_fm_steps", recorder("fm", linear._fm_steps))
     return calls
-
-
-def is_subsequence(short, long):
-    rest = iter(long)
-    return all(any(call == other for other in rest) for call in short)
 
 
 def constants_of(formulas):
@@ -50,9 +51,11 @@ def constants_of(formulas):
 
 
 def check_against_reference(formulas, calls):
+    """decide's witness, and how many fewer eliminations it ran than
+    the reference made satisfiability calls."""
     del calls[:]
     expected = reference_decide(formulas)
-    reference_calls = list(calls)
+    reference_calls = sum(kind != "fm" for kind, _ in calls)
     del calls[:]
     got = decide(formulas)
     assert got == expected
@@ -60,8 +63,9 @@ def check_against_reference(formulas, calls):
         assert list(got) == list(expected)
         point = {s: got.get(s, Fraction(0)) for s in constants_of(formulas)}
         assert all(evaluate(f, point) for f in formulas)
-    assert is_subsequence(calls, reference_calls)
-    return got, len(reference_calls) - len(calls)
+    assert all(kind == "fm" for kind, _ in calls)
+    assert len(calls) <= reference_calls
+    return got, reference_calls - len(calls)
 
 
 def with_disequalities(rng, formulas):
@@ -109,3 +113,66 @@ def test_unit_violating_the_model_drops_it(monkeypatch):
     formulas = parse_statements("OR(x <= _2, y = _3); OR(x <= -_1, x >= _5); x >= _0;", sig)
     witness, _ = check_against_reference(formulas, calls)
     assert witness is not None and witness["x"] >= 5 and witness["y"] == 3
+
+
+def negations(a):
+    """The atoms whose disjunction is the negation of a."""
+    if a.rel != "=":
+        return [a.negated()]
+    p = a.poly_dict()
+    return [make_atom("<", p), make_atom("<", {m: -c for m, c in p.items()})]
+
+
+def probe_pairs(rng):
+    """(units, probe) pairs: one atom held out of a random conjunct and
+    probed, then its negation.  Every fourth conjunct's probes also get a
+    symbol that no unit has."""
+    symbols = ["x", "y", "z", "w", "v"]
+    conjuncts = [random_conjunct(rng, symbols[:4], max_atoms=8) for _ in range(150)]
+    conjuncts += [equation_heavy_conjunct(rng, symbols) for _ in range(150)]
+    conjuncts += [row_table_conjunct(rng) for _ in range(60)]
+    for k, atoms in enumerate(conjuncts):
+        held = rng.randrange(len(atoms))
+        units = atoms[:held] + atoms[held + 1 :]
+        probe = atoms[held]
+        if k % 4 == 0:
+            probe = make_atom(probe.rel, {**probe.poly_dict(), ("p",): Fraction(rng.choice([-2, 1]))})
+        for a in [probe] + negations(probe):
+            yield units, a
+
+
+def test_probe_replay_matches_reference():
+    """A probe replayed through the recorded elimination of its units
+    gets the verdict of the reference FM on the units and the probe."""
+    rng = random.Random(20231020)
+    seen = {"sat": 0, "unsat": 0, "equation": 0, "strict": 0, "fresh symbol": 0, "unsatisfiable units": 0}
+    for units, probe in probe_pairs(rng):
+        expected = reference_is_sat(list(units) + [probe]) is not None
+        assert linear._refuted(frozenset(units), probe, None, {}) is not expected, (units, probe)
+        seen["sat" if expected else "unsat"] += 1
+        seen["equation"] += probe.rel == "="
+        seen["strict"] += probe.rel == "<"
+        seen["fresh symbol"] += bool(probe.symbols() - {s for a in units for s in a.symbols()})
+        seen["unsatisfiable units"] += reference_is_sat(units) is None
+    assert min(seen.values()) >= 50, seen
+
+
+def test_probe_rows_combine_with_each_other():
+    """x >= y and x >= 1 - y are the units' only bounds on x, which goes
+    first, so the probe x <= 0 yields two rows at that step: y <= 0 and
+    y >= 1.  At y's step the units hold only y <= 5; the probe is
+    refuted by combining its two rows with each other."""
+
+    def atom(rel, poly):
+        return make_atom(rel, {((s,) if s else ()): Fraction(c) for s, c in poly.items()})
+
+    units = [atom("<=", {"y": 1, "x": -1}), atom("<=", {"y": -1, "x": -1, "": 1}), atom("<=", {"y": 1, "": -5})]
+    steps = linear._fm_steps(sorted(units, key=linear._atom_order))
+    assert [(v, pivot, len(lowers), len(uppers)) for v, pivot, lowers, uppers in steps] == [
+        ("x", None, 2, 0),
+        ("y", None, 0, 1),
+    ]
+    for bound, expected in ((0, False), (Fraction(1, 2), True)):
+        probe = atom("<=", {"x": 1, "": -bound})
+        assert (reference_is_sat(units + [probe]) is not None) is expected
+        assert linear._probe_sat(steps, probe) is expected
