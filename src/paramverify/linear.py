@@ -9,6 +9,28 @@ combining lower and upper bounds; when the coefficient of an eliminated
 symbol is a parameter polynomial of unknown sign the conjunct splits
 into the three sign cases, each tagged with its case literal.
 
+The eliminator drops redundant combinations as it makes them, by
+Chernikov's rule (S. N. Chernikov, "The convolution of finite systems
+of linear inequalities", 1965; J.-L. Imbert's first acceleration
+theorem, "Fourier's elimination: which to choose?", PPCP 1993).  Each
+atom carries its history, the set of input atoms it was derived from,
+and k counts the elimination steps since the last fresh start.  A
+lower x upper combination whose history has more than k + 1 elements
+is implied by the atoms kept, and is not built.  Within one sign case
+every coefficient has a fixed sign, so the rule holds at every
+parameter point of the case.  Three rules keep it exact:
+  - fresh start: a conjunct entering elimination, each sign case and the
+    output of an exact prune start from singleton histories and k = 0;
+  - pivots count: a Gaussian pivot substitution is a step of k too, and
+    a substituted atom's history joins the pivot's;
+  - merges intersect: when bound pruning keeps the tighter of two
+    bounds, the survivor's history is the intersection of theirs.  A
+    history smaller than the true one only keeps more atoms.
+An atom whose coefficient of the eliminated symbol is zero in the case
+keeps its history.  The per-atom bound of Imbert's later theorems, which
+counts the symbols each atom has lost, is not used: a parametric
+coefficient that vanishes at some parameter points breaks its proof.
+
 Ground satisfiability runs the same elimination on integer rows: each
 atom is cleared of denominators once (the row is cached on the atom)
 and every row is kept divided by the gcd of its entries.  One
@@ -17,27 +39,22 @@ pops the rows holding the eliminated variable and admits the rows it
 produces, so duplicate equations and slack bounds are found by one
 dictionary lookup per new row, and occurrence counts are kept up to
 date instead of recounted.  The atoms are ordered by LinAtom.key first.
-
-Most callers need only a verdict.  is_sat returns a bool and runs the
-forward elimination alone; model_of also back-substitutes a rational
-witness, which does not depend on the interpreter's hash seed, and
-checks it against every atom.  Both share one cache from atom sets to
-False (unsatisfiable), True (satisfiable, no witness built yet) or the
-witness; model_of on a True entry eliminates once more and stores the
-witness in place.
+is_sat returns a bool, runs the forward elimination alone and caches
+the verdict per atom set.
 
 The ground decision procedure (decide) is DPLL over clauses with
 Fourier-Motzkin at the leaves.  It translates each literal once per
 call, and eliminates each distinct set of unit atoms once per call, in
-model_of's order, keeping the steps: they give the units' model, the
-witness model_of would return, scaled once to integers.  Every probe
-is the units plus one atom.  A probe whose atom holds at the model is
-satisfiable; otherwise the atom's row is carried through the recorded
-steps (_probe_sat), which share the pivot substitution and the bound
-combination with the elimination itself, and the verdict is memoised
-with the units' steps.  A unit the model violates drops the model
-until the round's model of the units.  decide makes no is_sat call
-and does not use the cache.
+LinAtom.key order, keeping the steps: back-substituted, they give the
+units' witness, which does not depend on the interpreter's hash seed;
+it is checked against every unit and scaled once to integers.  Every
+probe is the units plus one atom.  A probe whose atom holds at the
+model is satisfiable; otherwise the atom's row is carried through the
+recorded steps (_probe_sat), which share the pivot substitution and
+the bound combination with the elimination itself, and the verdict is
+memoised with the units' steps.  A unit the model violates drops the
+model until the round's model of the units.  decide makes no is_sat
+call and does not use the cache.
 """
 
 from dataclasses import dataclass, field
@@ -328,14 +345,13 @@ def _atom_order(a: LinAtom):
     return order
 
 
-# atom set -> False (unsatisfiable), True (satisfiable, no witness
-# built yet) or its witness
-_SAT_CACHE: Dict[frozenset, Union[bool, Dict[str, Fraction]]] = {}
+# atom set -> is_sat(atoms)
+_SAT_CACHE: Dict[frozenset, bool] = {}
 _SAT_CACHE_LIMIT = 200000
 
 
 def is_sat(atoms: Iterable[LinAtom]) -> bool:
-    """Decide a conjunction.  Builds no witness; model_of does.
+    """Decide a conjunction.  Builds no witness.
 
     Product monomials are treated as fresh symbols, which is exact for
     linear input (the documented contract) and refutation-sound
@@ -344,34 +360,11 @@ def is_sat(atoms: Iterable[LinAtom]) -> bool:
     key = frozenset(atoms)
     cached = _SAT_CACHE.get(key)
     if cached is not None:
-        return cached is not False
+        return cached
     sat = _fm_steps(sorted(key, key=_atom_order)) is not None
     if len(_SAT_CACHE) < _SAT_CACHE_LIMIT:
         _SAT_CACHE[key] = sat
     return sat
-
-
-def model_of(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
-    """A rational witness of a conjunction, or None when it is
-    unsatisfiable.  The atoms are eliminated in LinAtom.key order, so the
-    witness does not depend on the order they are given in.  Every
-    witness built is checked against every atom; a violated atom raises
-    EngineError."""
-    key = frozenset(atoms)
-    cached = _SAT_CACHE.get(key)
-    if cached is False:
-        return None
-    if cached is None or cached is True:
-        ordered = sorted(key, key=_atom_order)
-        steps = _fm_steps(ordered)
-        if steps is None:
-            if len(_SAT_CACHE) < _SAT_CACHE_LIMIT:
-                _SAT_CACHE[key] = False
-            return None
-        cached = _witness(steps, ordered)
-        if key in _SAT_CACHE or len(_SAT_CACHE) < _SAT_CACHE_LIMIT:
-            _SAT_CACHE[key] = cached
-    return dict(cached)
 
 
 def _witness(steps: Steps, atoms: Iterable[LinAtom]) -> Dict[str, Fraction]:
@@ -634,7 +627,7 @@ def _complexity(a: LinAtom):
 def simplify_conjunct(conj: Conjunct, assumptions: Sequence[LinAtom]) -> Optional[Conjunct]:
     """Drop atoms entailed by the rest; None when unsatisfiable with the
     assumptions.  A single sequential pass yields an irredundant set."""
-    atoms = _bound_prune(list(conj))
+    atoms = _bound_prune(list(conj), [0] * len(conj))[0]
     if not is_sat(atoms + list(assumptions)):
         return None
     for a in sorted(atoms, key=_complexity, reverse=True):
@@ -661,27 +654,35 @@ def simplify(dnf: DNF, assumptions: Sequence[LinAtom] = ()) -> DNF:
     return out
 
 
-def _bound_prune(atoms: List[LinAtom]) -> List[LinAtom]:
+def _bound_prune(atoms: List[LinAtom], histories: List[int]) -> Tuple[List[LinAtom], List[int]]:
     """Keep only the tightest bound among atoms sharing a non-constant
-    part (cheap dominance check applied between elimination rounds)."""
-    best: Dict[tuple, LinAtom] = {}
+    part (cheap dominance check applied between elimination rounds).
+    histories holds one history per atom (see _Eliminator._step); the
+    bound kept for a non-constant part takes the intersection of the
+    histories of all bounds with that part."""
+    kept: List[LinAtom] = []
+    kept_histories: List[int] = []
+    slot: Dict[tuple, int] = {}
     rest: List[LinAtom] = []
-    order: List[tuple] = []
-    for a in atoms:
+    rest_histories: List[int] = []
+    for a, h in zip(atoms, histories):
         if a.rel == "=":
             rest.append(a)
+            rest_histories.append(h)
             continue
         nc = tuple((m, c) for m, c in a.poly if m)
-        const = next((c for m, c in a.poly if not m), ZERO)
-        cur = best.get(nc)
-        if cur is None:
-            best[nc] = a
-            order.append(nc)
+        i = slot.get(nc)
+        if i is None:
+            slot[nc] = len(kept)
+            kept.append(a)
+            kept_histories.append(h)
             continue
-        cur_const = next((c for m, c in cur.poly if not m), ZERO)
+        const = next((c for m, c in a.poly if not m), ZERO)
+        cur_const = next((c for m, c in kept[i].poly if not m), ZERO)
         if const > cur_const or (const == cur_const and a.rel == "<"):
-            best[nc] = a
-    return [best[nc] for nc in order] + rest
+            kept[i] = a
+        kept_histories[i] &= h
+    return kept + rest, kept_histories + rest_histories
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +730,15 @@ class _Eliminator:
 
     def _step(self, atoms: List[LinAtom]):
         """Eliminate symbols from one conjunct.  Returns ("done", atoms),
-        ("split", conjuncts) after a sign case split, or ("drop", None)."""
+        ("split", conjuncts) after a sign case split, or ("drop", None).
+
+        Each atom carries its history, a bit set of the atoms of the
+        last fresh start it was derived from; steps counts the
+        eliminations since then.  The conjunct starts fresh (one bit per
+        atom, no steps) here, so each sign case does too, and after an
+        exact prune."""
+        history = [1 << i for i in range(len(atoms))]
+        steps = 0
         while True:
             live = self._live_symbols(atoms)
             if not live:
@@ -741,15 +750,18 @@ class _Eliminator:
                 return "drop", None
             if split is not None:
                 return "split", split
-            atoms = self._eliminate_one(atoms, x)
-            if atoms is None:
+            steps += 1
+            eliminated = self._eliminate_one(atoms, history, x, steps)
+            if eliminated is None:
                 return "drop", None
-            atoms = _bound_prune(atoms)
+            atoms, history = _bound_prune(*eliminated)
             if len(atoms) > self.prune_threshold:
                 pruned = simplify_conjunct(tuple(atoms), self.assumptions)
                 if pruned is None:
                     return "drop", None
                 atoms = list(pruned)
+                history = [1 << i for i in range(len(atoms))]
+                steps = 0
 
     def _pick_pivot_symbol(self, atoms: List[LinAtom], live: List[str]) -> str:
         """Prefer a symbol with a rational equation pivot (substitution
@@ -826,7 +838,7 @@ class _Eliminator:
             zero_atoms = [self._drop_x_part(b, x) if b == a else b for b in atoms]
             cases = []
             for extra, base in ((pos, atoms), (neg, atoms), (zero, zero_atoms)):
-                if extra is False:
+                if extra is False or any(b is False for b in base):
                     continue
                 case = [b for b in base if b is not True]
                 if extra is not True:
@@ -839,23 +851,36 @@ class _Eliminator:
         p = {m: c for m, c in a.poly if x not in m}
         return make_atom(a.rel, p)
 
-    def _eliminate_one(self, atoms: List[LinAtom], x: str) -> Optional[List[LinAtom]]:
+    def _eliminate_one(
+        self, atoms: List[LinAtom], history: List[int], x: str, steps: int
+    ) -> Optional[Tuple[List[LinAtom], List[int]]]:
+        """Eliminate x, the steps-th elimination since the conjunct's last
+        fresh start: the atoms left and their histories, or None when a
+        produced atom is false.  A substituted atom's history joins the
+        pivot's; a combination joins the histories of its bounds and is
+        dropped, unbuilt, when that has more than steps + 1 elements."""
         ctx = self._context(atoms)
-        with_x = [a for a in atoms if x in a.symbols()]
-        others = [a for a in atoms if x not in a.symbols()]
+        with_x = []
+        others = []
+        others_history = []
+        for a, h in zip(atoms, history):
+            if x in a.symbols():
+                with_x.append((a, h))
+            else:
+                others.append(a)
+                others_history.append(h)
         pivot = None
-        for a in with_x:
+        for a, h in with_x:
             if a.rel == "=":
                 c = self._coeff(a, x)
                 if list(c) == [()]:
-                    pivot = (a, c[()])
+                    pivot = (a, h, c[()])
                     break
         if pivot is not None:
-            a, c = pivot
+            a, ha, c = pivot
             rest = {m: q for m, q in a.poly if x not in m}
             expr = poly_scale(rest, Fraction(-1) / c)  # x = expr
-            out = list(others)
-            for b in with_x:
+            for b, hb in with_x:
                 if b is a:
                     continue
                 coeff_b = self._coeff(b, x)
@@ -865,11 +890,12 @@ class _Eliminator:
                 if na is False:
                     return None
                 if na is not True:
-                    out.append(na)
-            return out
+                    others.append(na)
+                    others_history.append(hb | ha)
+            return others, others_history
         lowers = []
         uppers = []
-        for a in with_x:
+        for a, h in with_x:
             coeff = self._coeff(a, x)
             sign = self._sign(coeff, ctx)
             rest = {m: q for m, q in a.poly if x not in m}
@@ -879,6 +905,7 @@ class _Eliminator:
                     return None
                 if na is not True:
                     others.append(na)
+                    others_history.append(h)
                 continue
             rows = [(a.rel, coeff, rest)]
             if a.rel == "=":
@@ -891,12 +918,14 @@ class _Eliminator:
                 if s not in ("+", "-"):
                     raise NonLinearError("coefficient sign of %s became undetermined" % x)
                 if s == "+":
-                    uppers.append((rel, c, p))
+                    uppers.append((rel, c, p, h))
                 else:
-                    lowers.append((rel, c, p))
-        out = list(others)
-        for lrel, lc, lp in lowers:
-            for urel, uc, up in uppers:
+                    lowers.append((rel, c, p, h))
+        for lrel, lc, lp, lh in lowers:
+            for urel, uc, up, uh in uppers:
+                h = lh | uh
+                if h.bit_count() > steps + 1:
+                    continue  # Chernikov: implied by the rows kept
                 # lc*x + lp <= 0 (lc<0), uc*x + up <= 0 (uc>0)
                 p = poly_sub(poly_mul(uc, lp), poly_mul(lc, up))
                 rel = "<" if "<" in (lrel, urel) else "<="
@@ -904,8 +933,9 @@ class _Eliminator:
                 if na is False:
                     return None
                 if na is not True:
-                    out.append(na)
-        return out
+                    others.append(na)
+                    others_history.append(h)
+        return others, others_history
 
 
 def _maybe_sat(ctx: List[LinAtom], atom: Union[LinAtom, bool]) -> bool:
@@ -990,7 +1020,7 @@ UnitRecords = Dict[frozenset, list]
 
 def _unit_record(units: frozenset, records: UnitRecords) -> list:
     """The units' record; their elimination runs once per decide call,
-    in the order model_of uses."""
+    in LinAtom.key order."""
     record = records.get(units)
     if record is None:
         record = records[units] = [_fm_steps(sorted(units, key=_atom_order)), None, {}]
@@ -998,7 +1028,8 @@ def _unit_record(units: frozenset, records: UnitRecords) -> list:
 
 
 def _unit_model(units: frozenset, records: UnitRecords) -> Optional[Dict[str, Fraction]]:
-    """model_of(units), from the units' record."""
+    """A checked witness of the units, or None when they are
+    unsatisfiable, from the units' record."""
     record = _unit_record(units, records)
     if record[0] is None:
         return None

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from paramverify.errors import EngineError, SortError
-from paramverify.linear import ZERO, LinAtom, _mono_var, atom_to_lin, make_atom, model_of
+from paramverify.linear import ZERO, LinAtom, _atom_order, _fm_steps, _mono_var, _witness, atom_to_lin, make_atom
 from paramverify.terms import (
     And,
     App,
@@ -129,6 +129,17 @@ def random_conjunct(rng: random.Random, symbols: Sequence[str], max_atoms: int =
     if not atoms:
         atoms = [make_atom("<=", {(symbols[0],): Fraction(1)})]
     return tuple(atoms)
+
+
+def model_of(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
+    """A rational witness of a conjunction, or None when it is
+    unsatisfiable, built from the engine's integer-row elimination.  The
+    atoms are eliminated in LinAtom.key order, so the witness does not
+    depend on the order they are given in.  The witness is checked
+    against every atom; a violated atom raises EngineError."""
+    ordered = sorted(set(atoms), key=_atom_order)
+    steps = _fm_steps(ordered)
+    return None if steps is None else _witness(steps, ordered)
 
 
 # ---------------------------------------------------------------------------

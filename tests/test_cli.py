@@ -6,7 +6,7 @@ import pytest
 from conftest import DATA, mask_report
 from paramverify.cli import main
 from paramverify.errors import ParseError
-from paramverify.parsing import MAX_TERM_DEPTH, parse_formula
+from paramverify.parsing import MAX_FORMULA_DEPTH, MAX_TERM_DEPTH, parse_formula
 from paramverify.runner import RunFlags, run_task_file
 from paramverify.symelim import check_unsat_with_constraint
 from paramverify.parsing import parse_spec
@@ -103,6 +103,33 @@ def test_term_nesting_limit(tmp_path, capsys, nested):
         out, err = capsys.readouterr()
         if code:
             assert re.fullmatch(r"parse error: 1:\d+: term nested deeper than %d levels\n" % MAX_TERM_DEPTH, err)
+        else:
+            assert "Result: " in out and not err
+
+
+@pytest.mark.parametrize(
+    "nested",
+    [
+        lambda depth: "OR(" * depth + "d1 <= d2" + ")" * depth,
+        lambda depth: "NOT(" * depth + "d1 > d2" + ")" * depth,
+        lambda depth: "AND(d1 <= d2, " * depth + "d1 <= d2" + ")" * depth,
+        lambda depth: "d1 > d2 --> " * depth + "d1 <= d2",  # depth implications, nested rightwards
+    ],
+    ids=["or", "not", "and", "implications"],
+)
+def test_formula_nesting_limit(tmp_path, capsys, nested):
+    """A query formula nested MAX_FORMULA_DEPTH levels deep runs through
+    the CLI; one level deeper is a parse error with its position, exit 2."""
+    base = (DATA / "pts_check_unsorted.yaml").read_text()
+    for depth, code in ((MAX_FORMULA_DEPTH, 0), (MAX_FORMULA_DEPTH + 1, 2)):
+        path = tmp_path / ("depth%d.yaml" % depth)
+        path.write_text(base.replace("d1 <= d2;", nested(depth) + ";"))
+        assert main([str(path)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert re.fullmatch(
+                r"parse error: 1:\d+: formula nested deeper than %d levels\n" % MAX_FORMULA_DEPTH, err
+            )
         else:
             assert "Result: " in out and not err
 

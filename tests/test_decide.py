@@ -6,7 +6,7 @@ feasibility probe from the model of the current unit atoms when the
 probe's atoms hold there, and otherwise replays the probe atom through
 the recorded elimination of the units.  None of it may change the
 search: the verdict and the witness must be the reference's, decide
-makes no is_sat or model_of call, and it runs at most as many
+makes no is_sat call, and it runs at most as many
 eliminations as the reference makes satisfiability calls.
 """
 
@@ -25,9 +25,10 @@ from test_reduction import random_definitional_instance
 
 
 def recorded_calls(monkeypatch):
-    """Route every ground satisfiability call of the engine and the
-    reference (is_sat and model_of) and every elimination (_fm_steps)
-    through one recorder, in order, as (kind, atom set) pairs."""
+    """Route every ground satisfiability call (the engine's is_sat and
+    the reference's model_of) and every elimination of the engine
+    (_fm_steps) through one recorder, in order, as (kind, atom set)
+    pairs."""
     calls = []
 
     def recorder(kind, real):
@@ -39,9 +40,7 @@ def recorded_calls(monkeypatch):
         return recording
 
     monkeypatch.setattr(linear, "is_sat", recorder("is_sat", linear.is_sat))
-    recording_model_of = recorder("model_of", linear.model_of)
-    monkeypatch.setattr(linear, "model_of", recording_model_of)
-    monkeypatch.setattr(oracles, "model_of", recording_model_of)
+    monkeypatch.setattr(oracles, "model_of", recorder("model_of", oracles.model_of))
     monkeypatch.setattr(linear, "_fm_steps", recorder("fm", linear._fm_steps))
     return calls
 

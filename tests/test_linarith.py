@@ -14,6 +14,7 @@ from oracles import (
     eval_dnf,
     evaluate,
     exists_extension,
+    model_of,
     random_conjunct,
     reference_is_sat,
 )
@@ -30,7 +31,6 @@ from paramverify.linear import (
     eliminate,
     is_sat,
     make_atom,
-    model_of,
     simplify,
     to_linear,
 )
@@ -194,10 +194,9 @@ def row_table_conjunct(rng):
 def test_integer_fm_matches_fraction_reference(monkeypatch):
     """The integer-row FM returns the reference FM's verdict and witness
     (same values, same insertion order) for atoms given in one order.
-    From an empty cache, is_sat returns the reference's verdict and
-    model_of its witness on LinAtom.key order, whether model_of runs
-    first or upgrades the entry is_sat left.  No call changes the
-    integer row cached on an atom."""
+    is_sat, from an empty cache and from its own entry, returns the
+    reference's verdict, and model_of its witness on LinAtom.key order.
+    No call changes the integer row cached on an atom."""
     rng = random.Random(20231018)
     symbols = ["x", "y", "z", "w", "v", "t"]
     cases = [random_conjunct(rng, symbols[:4], max_atoms=8) for _ in range(300)]
@@ -216,15 +215,14 @@ def test_integer_fm_matches_fraction_reference(monkeypatch):
             assert list(got) == list(expected)
             assert eval_conjunct(atoms, {s: got.get(s, Fraction(0)) for s in symbols})
         keyed = reference_is_sat(sorted(set(atoms), key=LinAtom.key))
-        for verdict_first in (True, False):
-            monkeypatch.setattr(linear, "_SAT_CACHE", {})
-            if verdict_first:
-                assert is_sat(atoms) == (keyed is not None)
-            witness = model_of(atoms)
-            assert witness == keyed
-            if witness is not None:
-                assert list(witness) == list(keyed)
-            assert is_sat(atoms) == (keyed is not None)
+        monkeypatch.setattr(linear, "_SAT_CACHE", {})
+        assert is_sat(atoms) == (keyed is not None)
+        assert linear._SAT_CACHE == {frozenset(atoms): keyed is not None}
+        witness = model_of(atoms)
+        assert witness == keyed
+        if witness is not None:
+            assert list(witness) == list(keyed)
+        assert is_sat(atoms) == (keyed is not None)
         assert all(_atom_row(a) == row for a, row in rows.items())
     assert verdicts == {True, False}
 
@@ -248,7 +246,8 @@ def test_holds_on_scaled_model_matches_evaluation():
 
 
 def test_model_of_rejects_a_wrong_witness(monkeypatch):
-    """model_of checks every witness it builds against every atom."""
+    """Every witness built from the elimination steps is checked against
+    every atom."""
     real = linear._back_substitute
 
     def off_by_one(steps):
@@ -256,13 +255,13 @@ def test_model_of_rejects_a_wrong_witness(monkeypatch):
         witness["x"] += 1
         return witness
 
-    monkeypatch.setattr(linear, "_SAT_CACHE", {})
     monkeypatch.setattr(linear, "_back_substitute", off_by_one)
     atoms = dnf("x = _2; y >= x;")[0]
     assert is_sat(atoms)
     with pytest.raises(EngineError, match="violates x = _2"):
         model_of(atoms)
-    assert linear._SAT_CACHE[frozenset(atoms)] is True
+    with pytest.raises(EngineError, match="violates x = _2"):
+        decide(parse_statements("x = _2; y >= x;", Signature()))
 
 
 def test_simplify_contradicted_disjuncts():
@@ -292,16 +291,16 @@ def test_simplify_drops_entailed_atom():
 
 def test_case_split_matches_sign_instantiation():
     """The union of the three sign cases agrees with substituting the
-    parameter by representatives of each sign."""
-    sig = Signature()
-    base = "p * x <= y; x >= _1; y <= _3;"
-    split = eliminate(["x"], dnf(base, sig.copy()))
-    for value in (-1, 0, 1):
-        inst_text = base.replace("p", "_%d" % value)
-        direct = eliminate(["x"], dnf(inst_text, Signature()))
-        for yv in GRID7:
-            point = {"y": yv, "p": Fraction(value)}
-            assert eval_dnf(split, point) == eval_dnf(direct, {"y": yv})
+    parameter by representatives of each sign.  In the second conjunct
+    the zero case makes an atom false (1 <= 0), which drops the case."""
+    for base in ("p * x <= y; x >= _1; y <= _3;", "p * x + _1 <= _0; x >= _0; y <= _3;"):
+        split = eliminate(["x"], dnf(base, Signature()))
+        for value in (-1, 0, 1):
+            inst_text = base.replace("p", "_%d" % value)
+            direct = eliminate(["x"], dnf(inst_text, Signature()))
+            for yv in GRID7:
+                point = {"y": yv, "p": Fraction(value)}
+                assert eval_dnf(split, point) == eval_dnf(direct, {"y": yv})
 
 
 def test_case_explosion_guard():
@@ -400,3 +399,138 @@ def test_cascading_sign_splits_two_parameters():
 def test_eliminating_absent_symbol_is_identity():
     d = dnf("a <= b;")
     assert eliminate(["z"], d) == d
+
+
+# ---------------------------------------------------------------------------
+# History-tagged elimination (Chernikov's rule)
+
+# five values, half-integers among them: three kept symbols make 125 points
+HALF_GRID = [Fraction(q) for q in (-1, Fraction(-1, 2), 0, Fraction(1, 2), 2)]
+
+
+def parametric_conjunct(rng, eliminated, kept):
+    """8-14 atoms over the eliminated and the kept symbols.  One or two
+    coefficients of eliminated symbols get a term p*x with p the first
+    kept symbol, so eliminating x splits on the sign of that
+    coefficient."""
+    atoms = []
+    products = rng.randint(1, 2)
+    size = rng.randint(8, 14)
+    while len(atoms) < size:
+        poly = {}
+        for x in rng.sample(eliminated, rng.randint(1, 2)):
+            poly[(x,)] = Fraction(rng.choice([-2, -1, 1, 2]))
+            if products and rng.random() < 0.2:
+                products -= 1
+                poly[tuple(sorted((x, kept[0])))] = Fraction(rng.choice([-1, 1]))
+        if rng.random() < 0.4:
+            poly[(rng.choice(kept),)] = Fraction(rng.choice([-1, 1]))
+        poly[()] = Fraction(rng.randint(-3, 3))
+        a = make_atom(rng.choices(["<=", "<", "="], weights=[6, 3, 1])[0], poly)
+        if isinstance(a, LinAtom):
+            atoms.append(a)
+    return tuple(atoms)
+
+
+def instantiate(conjunct, point):
+    """The conjunct with the point's symbols replaced by their values;
+    None when an atom becomes false."""
+    out = []
+    for a in conjunct:
+        poly = {}
+        for mono, c in a.poly:
+            for s in mono:
+                if s in point:
+                    c *= point[s]
+            rest = tuple(s for s in mono if s not in point)
+            poly[rest] = poly.get(rest, Fraction(0)) + c
+        b = make_atom(a.rel, poly)
+        if b is False:
+            return None
+        if b is not True:
+            out.append(b)
+    return out
+
+
+def test_multi_symbol_elimination_against_reference(monkeypatch):
+    """Eliminating 2-4 of 4-6 symbols from random parametric conjuncts:
+    at every point of a half-integer grid over the kept symbols, the
+    projection holds exactly when the reference FM finds the conjunct
+    satisfiable there.  Sign splits happen along the way."""
+    splits = []
+    check = linear._Eliminator._check_coefficients
+
+    def recording(self, atoms, x):
+        split = check(self, atoms, x)
+        splits.append(isinstance(split, list))
+        return split
+
+    monkeypatch.setattr(linear._Eliminator, "_check_coefficients", recording)
+    rng = random.Random(20261018)
+    for _ in range(40):
+        n = rng.randint(4, 6)
+        symbols = ["s%d" % i for i in range(n)]
+        m = rng.randint(max(2, n - 3), min(4, n - 1))
+        eliminated, kept = symbols[:m], symbols[m:]
+        conjunct = parametric_conjunct(rng, eliminated, kept)
+        projected = eliminate(eliminated, [conjunct])
+        for values in product(HALF_GRID, repeat=len(kept)):
+            point = dict(zip(kept, values))
+            ground = instantiate(conjunct, point)
+            expected = ground is not None and reference_is_sat(ground) is not None
+            assert eval_dnf(projected, point) == expected, (conjunct, point)
+    assert sum(splits) >= 10
+
+
+def test_pivot_substitution_counts_as_a_step():
+    """Substituting x = y makes y <= p from two atoms; combined with
+    y >= _3 its history has three atoms after two steps, which is kept."""
+    out = eliminate(["x", "y"], dnf("x = y; x <= p; y >= _3;"))
+    assert print_canonical(dnf_formula(out)) == "p >= _3"
+
+
+def test_redundant_combination_is_not_built():
+    """y goes first: its four combinations bound x by q and r on either
+    side, each from two atoms.  Of the nine combinations on x, the two
+    from four atoms (q + r >= 0) are implied by q >= 0 and r >= 0 and are
+    not built."""
+    out = eliminate(["y", "x"], dnf("y >= x; y >= - x; y <= q; y <= r; x <= _1; - x <= _1;"))
+    assert print_canonical(dnf_formula(out)) == "AND(r >= _0, q >= _0)"
+
+
+def test_bound_prune_survivor_takes_the_intersection_of_histories():
+    """A tighter bound replaces a looser one in its slot, and the
+    survivor's history is the intersection of both, also for a
+    duplicate; equations pass through with their own."""
+    tight = make_atom("<=", {("x",): Fraction(1), (): Fraction(1)})
+    loose = make_atom("<=", {("x",): Fraction(1)})
+    other = make_atom("<", {("x",): Fraction(-1), ("y",): Fraction(1)})
+    eq = make_atom("=", {("y",): Fraction(1), (): Fraction(1)})
+    atoms, histories = linear._bound_prune([loose, eq, other, tight, other], [0b0011, 0b1000, 0b0100, 0b0110, 0b1100])
+    assert atoms == [tight, other, eq]
+    assert histories == [0b0010, 0b0100, 0b1000]
+
+
+def test_bound_prune_survivor_history_decides_the_result():
+    """An unsatisfiable conjunct (the atoms times 1, 2, 1, 1, 2, 1 sum to
+    9 < 0) whose elimination keeps a tighter bound derived from more
+    atoms than the bound it replaces.  Were the survivor to keep its own
+    history, the combinations that refute the conjunct would have too
+    many atoms and the projection would be true."""
+    text = (
+        "p + x0 + x1 - x3 < _2; x0 + x2 - p < _-1; p - x0 - x1 - x3 <= _-1;"
+        " x0 - x1 - x2 + x3 < _-2; x1 - x0 - x2 + x3 <= _-3; x2 - x0 - x1 - x3 <= _0;"
+    )
+    assert eliminate(["x0", "x1", "x2", "x3"], dnf(text)) == []
+
+
+def test_sign_split_cases_start_afresh():
+    """Eliminating x splits on the sign of p after y is gone; each case
+    eliminates x from the atoms it inherits.  At each p the projection
+    agrees with eliminating from the instantiated conjunct."""
+    text = "y >= p * x; y >= - x; y <= q; y <= r; x <= _1; - x <= _1;"
+    out = eliminate(["y", "x"], dnf(text))
+    for p in (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(2)):
+        direct = eliminate(["y", "x"], dnf(text.replace("p *", "_%s *" % p)))
+        for q, r in product(HALF_GRID, repeat=2):
+            assert eval_dnf(out, {"p": p, "q": q, "r": r}) == eval_dnf(direct, {"q": q, "r": r}), (p, q, r)

@@ -1,6 +1,7 @@
 import re
 
 import pytest
+import yaml
 
 from conftest import DATA, EX1_SPEC, PLANT_LHA
 from paramverify.errors import ParseError
@@ -156,3 +157,29 @@ def test_empty_quantifier_list_rejected():
 def test_levelless_extension_declaration_defaults_invalid():
     with pytest.raises(ParseError, match="level"):
         parse_spec(EX1_SPEC.replace("(a, 1, 2)", "(a, 1)"))
+
+
+def test_yaml_loaders_agree_on_task_files():
+    """libyaml's loader, which parse_task_file uses when it is built in,
+    and the pure-Python loader give equal documents."""
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    paths = sorted(DATA.glob("*.yaml"))
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader), path.name
+
+
+def test_yaml_error_position_does_not_depend_on_the_loader(monkeypatch):
+    """A malformed task file is a ParseError at the same line:col with
+    libyaml's loader and with the pure-Python one."""
+    bad = (DATA / "ex1_constraint.yaml").read_text().replace("mode: GENERATE_CONSTRAINTS", "mode: [GENERATE_CONSTRAINTS")
+    positions = []
+    for python_only in (False, True):
+        if python_only:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        with pytest.raises(ParseError, match="invalid task file") as info:
+            parse_task_file(bad)
+        positions.append((info.value.line, info.value.column))
+    assert positions[0] == positions[1] and positions[0][0] is not None

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import GRID7, eval_conjunct, random_conjunct
+from oracles import GRID7, eval_conjunct, model_of, random_conjunct
 from paramverify.errors import SortError
-from paramverify.linear import conjunct_formula, model_of
+from paramverify.linear import conjunct_formula
 from paramverify.parsing import parse_statements
 from paramverify.reduction import reduce_chain
 from paramverify.smtlib import export_smtlib
