@@ -34,11 +34,14 @@ def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
+def _warn(message: str) -> None:
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     flags = RunFlags(
         tasks=args.task,
-        out=args.out,
         assume=args.assume,
         max_cases=args.max_cases,
         seed_closure=args.seed_closure,
@@ -48,7 +51,7 @@ def main(argv=None) -> int:
     try:
         with open(args.taskfile, "r", encoding="utf-8") as fh:
             text = fh.read()
-        report, code, outcomes = run_task_file(text, flags)
+        report, code, outcomes = run_task_file(text, flags, warn=_warn)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2

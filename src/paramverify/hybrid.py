@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EngineError, SortError
 from .parsing import LhaSpec
-from .printing import print_term
+from .linear import poly_sub
+from .printing import print_term, term_poly
 from .terms import (
     App,
     Atom,
@@ -146,18 +147,17 @@ def _check_state_atom(f: Formula, variables: Sequence[str], where: str, allow_pr
 
 def _flow_combination(atom: Atom) -> Tuple[Dict[str, Fraction], Dict[Tuple[str, ...], Fraction]]:
     """Split lhs - rhs into derivative coefficients and the rest."""
-    from .printing import _combine
-
-    combo = _combine(App("-", (atom.lhs, atom.rhs)))
+    leaves: Dict[str, Term] = {}
+    combo = poly_sub(term_poly(atom.lhs, leaves), term_poly(atom.rhs, leaves))
     derivatives: Dict[str, Fraction] = {}
     rest: Dict[Tuple[str, ...], Fraction] = {}
     for mono, coeff in combo.items():
-        d_factors = [t for t in mono if isinstance(t, App) and t.fn == "d"]
+        d_factors = [t for t in map(leaves.get, mono) if isinstance(t, App) and t.fn == "d"]
         if not d_factors:
-            rest[tuple(print_term(t) for t in mono)] = coeff
+            rest[mono] = coeff
             continue
         if len(mono) > 1:
-            raise SortError("derivative term scaled by a symbol in %s" % print_term(atom.lhs))
+            raise SortError("derivative term scaled by a symbol in %s" % " * ".join(mono))
         x = d_factors[0].args[0].fn
         derivatives[x] = derivatives.get(x, Fraction(0)) + coeff
     return derivatives, rest

@@ -3,11 +3,18 @@
 Atoms are polynomials compared against zero.  A polynomial maps
 monomials (sorted tuples of symbol names) to rational coefficients, so
 "dmin * t <= x1p - x1" becomes a single atom whose t-coefficient is the
-parameter dmin.  Quantifier elimination is Fourier-Motzkin: equations
-with rational pivots are eliminated by substitution, inequalities by
-combining lower and upper bounds; when the coefficient of an eliminated
-symbol is a parameter polynomial of unknown sign the conjunct splits
-into the three sign cases, each tagged with its case literal.
+parameter dmin.  This is the package's one polynomial type: the printed
+canonical form and the flow relaxation of hybrid automata read terms
+through term_to_poly too (printing.term_poly names each atomic summand
+by its printed form), and write monomials back with monomial_term.  A
+literal becomes atoms in one place (atom_to_lin, with strict_halves for
+the two halves of p != 0), which to_linear and decide share.
+
+Quantifier elimination is Fourier-Motzkin: equations with rational
+pivots are eliminated by substitution, inequalities by combining lower
+and upper bounds; when the coefficient of an eliminated symbol is a
+parameter polynomial of unknown sign the conjunct splits into the three
+sign cases, each tagged with its case literal.
 
 The eliminator drops redundant combinations as it makes them, by
 Chernikov's rule (S. N. Chernikov, "The convolution of finite systems
@@ -63,7 +70,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import CaseExplosionError, EngineError, NonLinearError, SortError
-from .terms import And, Atom, App, Exists, Forall, Formula, Implies, Not, Num, Or, Var, negate_atom, nnf
+from .terms import And, Atom, App, Exists, Forall, Formula, Implies, Not, Num, Or, Term, Var, negate_atom, nnf
 
 Monomial = Tuple[str, ...]
 Poly = Dict[Monomial, Fraction]
@@ -252,9 +259,19 @@ def atom_to_lin(a: Atom) -> List[Union[LinAtom, bool]]:
         return [make_atom("<", poly_scale(p, Fraction(-1)))]
     if a.rel == "=":
         return [make_atom("=", p)]
-    lt = make_atom("<", p)
-    gt = make_atom("<", poly_scale(p, Fraction(-1)))
-    return [lt, gt]
+    return strict_halves(p)
+
+
+def strict_halves(p: Poly) -> List[Union[LinAtom, bool]]:
+    """p < 0 and -p < 0, the two halves of p != 0."""
+    return [make_atom("<", p), make_atom("<", poly_scale(p, Fraction(-1)))]
+
+
+def _lit_branches(f: Atom) -> List[List[Union[LinAtom, bool]]]:
+    """The conjuncts of a literal: one, or one per half of a !=."""
+    if f.rel == "!=":
+        return [[half] for half in atom_to_lin(f)]
+    return [atom_to_lin(f)]
 
 
 def to_linear(f: Formula, max_conjuncts: int = 100000) -> DNF:
@@ -270,10 +287,7 @@ def to_linear(f: Formula, max_conjuncts: int = 100000) -> DNF:
 
 def _dnf(f: Formula, cap: int) -> List[List[Union[LinAtom, bool]]]:
     if isinstance(f, Atom):
-        if f.rel == "!=":
-            halves = atom_to_lin(f)
-            return [[halves[0]], [halves[1]]]
-        return [atom_to_lin(f)]
+        return _lit_branches(f)
     if isinstance(f, Or):
         out: List[List[Union[LinAtom, bool]]] = []
         for p in f.parts:
@@ -605,19 +619,8 @@ def _back_substitute(steps: Steps) -> Dict[str, Fraction]:
 def entails(context: Sequence[LinAtom], atom: LinAtom) -> bool:
     """context |= atom over ordered fields (refutation of the negation)."""
     if atom.rel == "=":
-        p = atom.poly_dict()
-        lt = make_atom("<", p)
-        gt = make_atom("<", poly_scale(p, Fraction(-1)))
-        for side in (lt, gt):
-            if side is True:
-                return False
-            if side is False:
-                continue
-            if is_sat(list(context) + [side]):
-                return False
-        return True
-    neg = atom.negated()
-    return not is_sat(list(context) + [neg])
+        return not any(is_sat(list(context) + [side]) for side in strict_halves(atom.poly_dict()))
+    return not is_sat(list(context) + [atom.negated()])
 
 
 def _complexity(a: LinAtom):
@@ -689,18 +692,22 @@ def _bound_prune(atoms: List[LinAtom], histories: List[int]) -> Tuple[List[LinAt
 # Quantifier elimination
 
 
+# a conjunct that elimination grows past this many atoms gets an exact prune
+PRUNE_THRESHOLD = 24
+
+
+def _sign_cases(coeff: Poly) -> Tuple[LinAtom, LinAtom, LinAtom]:
+    """coeff > 0, coeff < 0 and coeff = 0, for a coefficient that is not
+    constant."""
+    neg, pos = strict_halves(coeff)
+    return pos, neg, make_atom("=", coeff)
+
+
 class _Eliminator:
-    def __init__(
-        self,
-        symbols: Sequence[str],
-        assumptions: Sequence[LinAtom],
-        max_cases: int,
-        prune_threshold: int = 24,
-    ):
+    def __init__(self, symbols: Sequence[str], assumptions: Sequence[LinAtom], max_cases: int):
         self.symbols = list(symbols)
         self.assumptions = list(assumptions)
         self.max_cases = max_cases
-        self.prune_threshold = prune_threshold
         self._sign_cache: Dict[tuple, str] = {}
 
     def run(self, dnf: DNF) -> DNF:
@@ -755,7 +762,7 @@ class _Eliminator:
             if eliminated is None:
                 return "drop", None
             atoms, history = _bound_prune(*eliminated)
-            if len(atoms) > self.prune_threshold:
+            if len(atoms) > PRUNE_THRESHOLD:
                 pruned = simplify_conjunct(tuple(atoms), self.assumptions)
                 if pruned is None:
                     return "drop", None
@@ -804,9 +811,7 @@ class _Eliminator:
         cached = self._sign_cache.get(key)
         if cached is not None:
             return cached
-        pos_possible = _maybe_sat(ctx, make_atom("<", poly_scale(coeff, Fraction(-1))))
-        neg_possible = _maybe_sat(ctx, make_atom("<", dict(coeff)))
-        zero_possible = _maybe_sat(ctx, make_atom("=", dict(coeff)))
+        pos_possible, neg_possible, zero_possible = (is_sat(ctx + [a]) for a in _sign_cases(coeff))
         sign = "?"
         if not (pos_possible or neg_possible or zero_possible):
             sign = "dead"
@@ -832,18 +837,12 @@ class _Eliminator:
                 return "dead"
             if sign != "?":
                 continue
-            pos = make_atom("<", poly_scale(coeff, Fraction(-1)))
-            neg = make_atom("<", dict(coeff))
-            zero = make_atom("=", dict(coeff))
+            pos, neg, zero = _sign_cases(coeff)
             zero_atoms = [self._drop_x_part(b, x) if b == a else b for b in atoms]
             cases = []
             for extra, base in ((pos, atoms), (neg, atoms), (zero, zero_atoms)):
-                if extra is False or any(b is False for b in base):
-                    continue
-                case = [b for b in base if b is not True]
-                if extra is not True:
-                    case = case + [extra]
-                cases.append(case)
+                if not any(b is False for b in base):
+                    cases.append([b for b in base if b is not True] + [extra])
             return cases
         return None
 
@@ -938,14 +937,6 @@ class _Eliminator:
         return others, others_history
 
 
-def _maybe_sat(ctx: List[LinAtom], atom: Union[LinAtom, bool]) -> bool:
-    if atom is True:
-        return is_sat(ctx)
-    if atom is False:
-        return False
-    return is_sat(ctx + [atom])
-
-
 def eliminate(
     symbols: Sequence[str],
     dnf: DNF,
@@ -968,13 +959,6 @@ def decide(formulas, assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, 
         formulas = [formulas]
     pending = [nnf(f) for f in formulas]
     return _decide(frozenset(assumptions), pending, {}, {})
-
-
-def _lit_branches(f: Atom) -> List[List[Union[LinAtom, bool]]]:
-    if f.rel == "!=":
-        halves = atom_to_lin(f)
-        return [[halves[0]], [halves[1]]]
-    return [atom_to_lin(f)]
 
 
 # literal -> [its branches, the atoms of its negation (None until needed)]
@@ -1156,7 +1140,18 @@ def _decide(
 # Conversions back to term formulas
 
 
-def poly_term(p: Poly):
+def monomial_term(factors: Sequence[Term], coeff: Fraction) -> Term:
+    """coeff * f1 * f2 ..., nested to the left; a coefficient 1 is left
+    out unless there is no factor."""
+    if coeff != 1 or not factors:
+        factors = [Num(coeff)] + list(factors)
+    expr = factors[0]
+    for f in factors[1:]:
+        expr = App("*", (expr, f))
+    return expr
+
+
+def poly_term(p: Poly) -> Term:
     """Rebuild a term from a polynomial (canonical monomial order)."""
     from .terms import num
 
@@ -1166,12 +1161,7 @@ def poly_term(p: Poly):
         return num(const)
     expr = None
     for m, c in items:
-        factors = [App(s, ()) for s in m]
-        if c != 1 or not factors:
-            factors = [Num(c)] + factors
-        t = factors[0]
-        for fac in factors[1:]:
-            t = App("*", (t, fac))
+        t = monomial_term([App(s, ()) for s in m], c)
         expr = t if expr is None else App("+", (expr, t))
     if const:
         expr = App("+", (expr, Num(const)))

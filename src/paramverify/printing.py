@@ -1,16 +1,18 @@
 """Concrete-syntax printer and canonical formula normalization.
 
 Atoms are canonicalized into moved-to-left-hand-side form: all symbol
-terms on the left (sorted, leading coefficient +1), a numeral on the
-right.  Disjunction/conjunction members are ordered with atoms that
-apply a proper function first, then descending by printed form, which
-keeps printed results stable across runs.
+terms on the left (sorted by printed form, leading coefficient +1), a
+numeral on the right.  The arithmetic is linear's: term_poly reads a
+term as a linear polynomial whose symbols are the printed forms of its
+atomic summands.  Disjunction/conjunction members are ordered with
+atoms that apply a proper function first, then descending by printed
+form, which keeps printed results stable across runs.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
-from .errors import SortError
+from .linear import Poly, make_atom, monomial_term, poly_const, poly_scale, poly_sub, term_to_poly
 from .terms import (
     App,
     Atom,
@@ -87,69 +89,23 @@ def print_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Linear canonical form over symbolic terms
 
-Monomial = Tuple[Term, ...]  # sorted atomic factors; () is the constant part
+
+def term_poly(t: Term, leaves: Dict[str, Term]) -> Poly:
+    """t as a polynomial of linear's type.  Each atomic summand (a
+    variable, or an application of a non-arithmetic function such as
+    a(i + _1)) becomes the symbol named by its printed form; leaves maps
+    each name to its term."""
+    return term_to_poly(_named_leaves(t, leaves))
 
 
-def _term_key(t: Term) -> str:
-    return print_term(t)
-
-
-def _combine(t: Term) -> Dict[Monomial, Fraction]:
-    """Interpret +, - and * over atomic summands (variables, numerals,
-    applications of non-arithmetic functions)."""
+def _named_leaves(t: Term, leaves: Dict[str, Term]) -> Term:
     if isinstance(t, Num):
-        return {(): t.value}
-    if isinstance(t, Var) or isinstance(t, App) and t.fn not in ARITH:
-        return {(t,): Fraction(1)}
-    if t.fn == "-" and len(t.args) == 1:
-        return _scale(_combine(t.args[0]), Fraction(-1))
-    if t.fn == "+":
-        return _add(_combine(t.args[0]), _combine(t.args[1]))
-    if t.fn == "-":
-        return _add(_combine(t.args[0]), _scale(_combine(t.args[1]), Fraction(-1)))
-    if t.fn == "*":
-        return _mul(_combine(t.args[0]), _combine(t.args[1]))
-    raise SortError("cannot linearize term %s" % print_term(t))
-
-
-def _add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        c2 = out.get(m, Fraction(0)) + c
-        if c2:
-            out[m] = c2
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _scale(a, q: Fraction):
-    if not q:
-        return {}
-    return {m: c * q for m, c in a.items()}
-
-
-def _mul(a, b):
-    out: Dict[Monomial, Fraction] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(sorted(m1 + m2, key=_term_key))
-            c = out.get(m, Fraction(0)) + c1 * c2
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _monomial_term(m: Monomial, coeff: Fraction) -> Term:
-    factors: List[Term] = list(m)
-    if coeff != 1 or not factors:
-        factors = [Num(coeff)] + factors
-    expr = factors[0]
-    for f in factors[1:]:
-        expr = App("*", (expr, f))
-    return expr
+        return t
+    if isinstance(t, App) and t.fn in ARITH:
+        return App(t.fn, tuple(_named_leaves(a, leaves) for a in t.args))
+    name = print_term(t)
+    leaves[name] = t
+    return App(name, ())
 
 
 _FLIP = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "=": "=", "!=": "!="}
@@ -158,42 +114,25 @@ _FLIP = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "=": "=", "!=": "!="}
 def normalize_atom(a: Atom) -> Union[Atom, Formula]:
     """Moved-to-left-hand-side form with sorted terms and leading
     coefficient +1; constant atoms collapse to true/false."""
-    combo = _add(_combine(a.lhs), _scale(_combine(a.rhs), Fraction(-1)))
+    leaves: Dict[str, Term] = {}
+    combo = poly_sub(term_poly(a.lhs, leaves), term_poly(a.rhs, leaves))
+    rel = a.rel
+    if rel in (">=", ">"):  # as linear's atoms: p <= 0, p < 0, p = 0 or p != 0
+        combo, rel = poly_scale(combo, Fraction(-1)), _FLIP[rel]
     constant = combo.pop((), Fraction(0))
     if not combo:
-        value = _eval_rel(a.rel, constant)
-        return TRUE if value else FALSE
-    monos = sorted(combo, key=lambda m: " * ".join(_term_key(f) for f in m))
-    rel = a.rel
+        return TRUE if make_atom(rel, poly_const(constant)) else FALSE
+    monos = sorted(combo, key=" * ".join)
     lead = combo[monos[0]]
-    scale = abs(lead)
     if lead < 0:
-        scale = -scale
         rel = _FLIP[rel]
-    combo = {m: c / scale for m, c in combo.items()}
-    rhs = -constant / scale
-    lhs: Term = _monomial_term(monos[0], combo[monos[0]])
+    combo = {m: c / lead for m, c in combo.items()}
+    rhs = -constant / lead
+    lhs: Term = monomial_term([leaves[n] for n in monos[0]], combo[monos[0]])
     for m in monos[1:]:
         c = combo[m]
-        if c < 0:
-            lhs = App("-", (lhs, _monomial_term(m, -c)))
-        else:
-            lhs = App("+", (lhs, _monomial_term(m, c)))
+        lhs = App("-" if c < 0 else "+", (lhs, monomial_term([leaves[n] for n in m], abs(c))))
     return Atom(rel, lhs, Num(rhs))
-
-
-def _eval_rel(rel: str, value: Fraction) -> bool:
-    if rel == "=":
-        return value == 0
-    if rel == "!=":
-        return value != 0
-    if rel == "<=":
-        return value <= 0
-    if rel == "<":
-        return value < 0
-    if rel == ">=":
-        return value >= 0
-    return value > 0
 
 
 def _has_proper_app(f: Formula) -> bool:

@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import EngineError, ParseError
 from .hybrid import HybridAutomaton, primed, vcs_chatterfree, vcs_invariant
@@ -27,7 +27,7 @@ from .parsing import (
 from .printing import print_formula
 from .reduction import reduce_chain
 from .smtlib import export_smtlib
-from .symelim import generate_constraint
+from .symelim import constraint_statements, generate_constraint
 from .terms import Formula, Num, Signature
 from .transition import TransitionSystem, bmc, check_inductive, strengthen
 
@@ -35,7 +35,6 @@ from .transition import TransitionSystem, bmc, check_inductive, strengthen
 @dataclass
 class RunFlags:
     tasks: Optional[Sequence[str]] = None
-    out: Optional[str] = None
     assume: str = ""
     max_cases: int = 10000
     seed_closure: Optional[str] = None
@@ -155,8 +154,6 @@ class TaskRunner:
     ) -> TaskOutcome:
         if parameters is None and eliminate is None:
             eliminate = self._default_eliminate(automaton)
-        from .symelim import _constraint_statements
-
         extra: List[Tuple[int, str]] = []
         results = []
         for vc in vcs:
@@ -178,7 +175,7 @@ class TaskRunner:
             _set_constraint_result(outcome, results[0][1])
         else:
             for name, constraint in results:
-                clauses = _constraint_statements(constraint)
+                clauses = constraint_statements(constraint)
                 if len(clauses) <= 1:
                     outcome.result.append((0, "%s: %s" % (name, print_formula(constraint))))
                 else:
@@ -304,11 +301,7 @@ class TaskRunner:
         else:
             eps = parse_term_string(str(eps_opt), automaton.sig)
         vcs = vcs_chatterfree(automaton, eps, edges=task.options.get("vcs"))
-        parameters, eliminate, full = (
-            task.options.get("parameter"),
-            task.options.get("eliminate"),
-            bool(task.options.get("slfq_query", False)),
-        )
+        parameters, eliminate, full = self._gen_options(task)
         return self._constraints_for_vcs(
             task, vcs, parameters, eliminate, assumptions, full, automaton, print_steps
         )
@@ -336,9 +329,7 @@ _INSTANTIATION_NOTE = "(step) satisfiable under the complete-instantiation assum
 def _set_constraint_result(outcome: TaskOutcome, constraint: Formula) -> None:
     """Single clauses print inline; conjunctions print one clause per
     line so quantified statements stay re-parseable."""
-    from .symelim import _constraint_statements
-
-    clauses = _constraint_statements(constraint)
+    clauses = constraint_statements(constraint)
     if len(clauses) <= 1:
         outcome.inline_result = print_formula(constraint)
         return
@@ -383,10 +374,17 @@ def format_report(outcomes: List[TaskOutcome], date: Optional[str] = None) -> st
     return "\n".join(lines) + "\n"
 
 
-def run_task_file(text: str, flags: Optional[RunFlags] = None) -> Tuple[str, int, List[TaskOutcome]]:
-    """Execute a task file; returns (report text, exit code, outcomes)."""
+def run_task_file(
+    text: str, flags: Optional[RunFlags] = None, warn: Optional[Callable[[str], None]] = None
+) -> Tuple[str, int, List[TaskOutcome]]:
+    """Execute a task file; returns (report text, exit code, outcomes).
+    warn, when given, receives each warning of the task file's parse
+    (unknown keys and options, which are ignored)."""
     flags = flags or RunFlags()
     task_file = parse_task_file(text)
+    if warn:
+        for message in task_file.warnings:
+            warn(message)
     selected = list(task_file.tasks.values())
     if flags.tasks:
         wanted = set(flags.tasks)

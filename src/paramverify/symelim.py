@@ -17,9 +17,8 @@ from .linear import (
     eliminate,
     is_sat,
     lin_to_atom,
-    make_atom,
-    poly_scale,
     simplify,
+    strict_halves,
     to_linear,
 )
 from .printing import canonical, print_formula, print_term
@@ -202,20 +201,11 @@ def _negate_dnf(dnf, lin_assumptions: Sequence[LinAtom]) -> List[Formula]:
 
 def _lit_possible(ctx: Sequence[LinAtom], lit: LinAtom) -> bool:
     if lit.rel == "!=":
-        lt = make_atom("<", lit.poly_dict())
-        gt = make_atom("<", poly_scale(lit.poly_dict(), -1))
-        return any(a is True or (a is not False and is_sat(list(ctx) + [a])) for a in (lt, gt))
+        return any(is_sat(list(ctx) + [half]) for half in strict_halves(lit.poly_dict()))
     return is_sat(list(ctx) + [lit])
 
 
 def _lit_entailed(ctx: Sequence[LinAtom], lit: LinAtom) -> bool:
-    if lit.rel == "!=":
-        eq = make_atom("=", lit.poly_dict())
-        if eq is True:
-            return False
-        if eq is False:
-            return True
-        return not is_sat(list(ctx) + [eq])
     return not is_sat(list(ctx) + [lit.negated()])
 
 
@@ -361,18 +351,19 @@ def check_unsat_with_constraint(sig: Signature, statements: Sequence[Formula], c
     """True iff the problem together with the constraint reduces to an
     unsatisfiable ground formula."""
     work_sig = sig.copy()
-    extra = [f for f in _constraint_statements(constraint)]
-    reduced = reduce_chain(work_sig, list(statements) + extra)
+    reduced = reduce_chain(work_sig, list(statements) + constraint_statements(constraint))
     return decide(reduced.ground) is None
 
 
-def _constraint_statements(constraint: Formula) -> List[Formula]:
+def constraint_statements(constraint: Formula) -> List[Formula]:
+    """The clauses of a generated constraint, its nested conjunctions
+    flattened; none for true."""
     if constraint == TRUE:
         return []
     if isinstance(constraint, And):
         out: List[Formula] = []
         for p in constraint.parts:
-            out.extend(_constraint_statements(p))
+            out.extend(constraint_statements(p))
         return out
     return [constraint]
 
@@ -385,6 +376,6 @@ def entails_constraint(sig: Signature, stronger: Formula, weaker: Formula) -> bo
     for name in sorted(formula_symbols(negated)):
         if work_sig.arity_of(name) is None:
             work_sig.declare_constant(name)
-    statements = _constraint_statements(stronger) + [negated]
+    statements = constraint_statements(stronger) + [negated]
     reduced = reduce_chain(work_sig, statements)
     return decide(reduced.ground) is None

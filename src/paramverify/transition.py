@@ -15,7 +15,7 @@ from .linear import LinAtom, atom_to_lin, decide, is_sat
 from .parsing import PTSSpec
 from .printing import canonical, print_formula
 from .reduction import ReducedProblem, reduce_chain
-from .symelim import ConstraintResult, _constraint_statements, generate_constraint
+from .symelim import ConstraintResult, constraint_statements, generate_constraint
 from .terms import (
     Atom,
     FALSE,
@@ -188,7 +188,7 @@ def _conjoin_constraint(candidate: List[Formula], constraint: Formula) -> List[F
 
     units = _ground_unit_atoms(candidate)
     out = list(candidate)
-    for clause in _constraint_statements(constraint):
+    for clause in constraint_statements(constraint):
         body = clause.body if isinstance(clause, Forall) else clause
         variables = clause.variables if isinstance(clause, Forall) else ()
         literals = list(body.parts) if isinstance(body, Or) else [body]

@@ -262,3 +262,32 @@ def test_imports_load_neither_yaml_nor_thread_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_unknown_option_warns_on_stderr(tmp_path, capsys):
+    """A misspelled option is ignored with a warning on stderr; the exit
+    code and the report are those of the file without it."""
+    plain = DATA / "ex1_constraint.yaml"
+    misspelled = tmp_path / "misspelled.yaml"
+    text = plain.read_text().replace("slfq_query: true", "slfq_query: true\n            slfq_querry: true")
+    misspelled.write_text(text)
+    assert main([str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert main([str(misspelled)]) == 0
+    out, err = capsys.readouterr()
+    assert not expected.err
+    assert err == "warning: task example constraint generation: unknown option 'slfq_querry' ignored\n"
+    assert mask_report(out) == mask_report(expected.out)
+
+
+def test_readme_example_result(tmp_path, capsys):
+    """The README's example task file gives the Result line the README
+    shows for it."""
+    readme = (DATA.parent.parent / "README.md").read_text()
+    task_text = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    shown = readme.split("Running it prints", 1)[1].split("```", 2)[1]
+    (result,) = [line for line in shown.splitlines() if line.startswith("    Result: ")]
+    path = tmp_path / "readme.yaml"
+    path.write_text(task_text)
+    assert main([str(path)]) == 0
+    assert result in capsys.readouterr().out.splitlines()

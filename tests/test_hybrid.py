@@ -46,9 +46,11 @@ def test_flow_without_derivative_rejected():
 
 
 def test_derivative_scaled_by_parameter_rejected():
-    automaton = lha(MINI % "c * d(x) <= _1;")
-    with pytest.raises(SortError, match="scaled"):
-        flow_relax(automaton.modes["a"], Num(Fraction(0)), App("t", ()))
+    """The error names the scaled derivative, on either side."""
+    for flow in ("c * d(x) <= _1;", "_1 <= d(x) * c;"):
+        automaton = lha(MINI % flow)
+        with pytest.raises(SortError, match=r"scaled by a symbol in c \* d\(x\)$"):
+            flow_relax(automaton.modes["a"], Num(Fraction(0)), App("t", ()))
 
 
 def test_inv_with_derivative_rejected():
@@ -287,3 +289,11 @@ def test_chatterfree_symbolic_rates_matches_handbuilt_problem():
         ["lsafe", "esafe", "ea", "epsilon", "min", "lf"],
         assumptions=conj(guard),
     )
+
+
+def test_flow_relax_zero_rate_is_a_zero_numeral():
+    """A rate constant that is a literal _0 on the left relaxes to _0, as
+    it does on the right, not to _0 * t."""
+    for flow, expected in (("_0 <= d(x);", "-(xp - x) <= _0"), ("d(x) >= _0;", "xp - x >= _0")):
+        relaxed = flow_relax(lha(MINI % flow).modes["a"], Num(Fraction(0)), App("t", ()))
+        assert [print_formula(f) for f in relaxed] == [expected]
