@@ -14,7 +14,9 @@ Quantifier elimination is Fourier-Motzkin: equations with rational
 pivots are eliminated by substitution, inequalities by combining lower
 and upper bounds; when the coefficient of an eliminated symbol is a
 parameter polynomial of unknown sign the conjunct splits into the three
-sign cases, each tagged with its case literal.
+sign cases, each tagged with its case literal.  A step splits each atom
+that holds the eliminated symbol into (rel, coefficient, rest) once and
+decides each distinct coefficient's sign once.
 
 The eliminator drops redundant combinations as it makes them, by
 Chernikov's rule (S. N. Chernikov, "The convolution of finite systems
@@ -703,12 +705,68 @@ def _sign_cases(coeff: Poly) -> Tuple[LinAtom, LinAtom, LinAtom]:
     return pos, neg, make_atom("=", coeff)
 
 
+def _sign(coeff: Poly, ctx: List[LinAtom]) -> str:
+    """Sign of a coefficient polynomial entailed by the context:
+    "+", "-", "0", "?" (unknown) or "dead" (context unsatisfiable)."""
+    if list(coeff) == [()]:
+        return "+" if coeff[()] > 0 else "-"
+    possible = [is_sat(ctx + [a]) for a in _sign_cases(coeff)]
+    if not any(possible):
+        return "dead"
+    return "+-0"[possible.index(True)] if sum(possible) == 1 else "?"
+
+
+# an atom holding the eliminated symbol x, split as coefficient * x + rest:
+# (atom, history, coefficient, rest, sign of the coefficient)
+SignedRow = Tuple[LinAtom, int, Poly, Poly, str]
+
+
+def _eliminate_one(rows: List[SignedRow], steps: int):
+    """Eliminate x from its rows, the steps-th elimination since the
+    conjunct's last fresh start: yields (rel, polynomial, history) of
+    each atom produced, lazily, so that the caller can stop at the first
+    false one.  With a pivot (the first equation whose coefficient is a
+    rational constant) x is substituted, and a substituted atom's
+    history joins the pivot's.  Otherwise an atom whose coefficient is
+    zero loses its x part, an equation enters as two bounds (the negated
+    one with the flipped sign), and each lower bound is combined with
+    each upper bound; a combination joins the histories of its bounds
+    and is dropped, unbuilt, when that has more than steps + 1
+    elements."""
+    pivot = next((r for r in rows if r[0].rel == "=" and list(r[2]) == [()]), None)
+    if pivot is not None:
+        a, ha, c, rest, _ = pivot
+        expr = poly_scale(rest, Fraction(-1) / c[()])  # x = expr
+        for b, hb, coeff, rest_b, _ in rows:
+            if b is not a:
+                yield b.rel, poly_add(rest_b, poly_mul(coeff, expr)), hb | ha
+        return
+    lowers = []
+    uppers = []
+    for a, h, coeff, rest, sign in rows:
+        if sign == "0":
+            yield a.rel, rest, h
+            continue
+        upper, lower = (uppers, lowers) if sign == "+" else (lowers, uppers)
+        if a.rel == "=":
+            upper.append(("<=", coeff, rest, h))
+            lower.append(("<=", poly_scale(coeff, Fraction(-1)), poly_scale(rest, Fraction(-1)), h))
+        else:
+            upper.append((a.rel, coeff, rest, h))
+    for lrel, lc, lp, lh in lowers:
+        for urel, uc, up, uh in uppers:
+            h = lh | uh
+            if h.bit_count() > steps + 1:
+                continue  # Chernikov: implied by the rows kept
+            # lc*x + lp <= 0 (lc<0), uc*x + up <= 0 (uc>0)
+            yield "<" if "<" in (lrel, urel) else "<=", poly_sub(poly_mul(uc, lp), poly_mul(lc, up)), h
+
+
 class _Eliminator:
     def __init__(self, symbols: Sequence[str], assumptions: Sequence[LinAtom], max_cases: int):
         self.symbols = list(symbols)
         self.assumptions = list(assumptions)
         self.max_cases = max_cases
-        self._sign_cache: Dict[tuple, str] = {}
 
     def run(self, dnf: DNF) -> DNF:
         work = [list(c) for c in dnf]
@@ -729,39 +787,69 @@ class _Eliminator:
         done.sort(key=lambda c: tuple(a.key() for a in c))
         return done
 
-    def _live_symbols(self, atoms: List[LinAtom]) -> List[str]:
-        used: Set[str] = set()
-        for a in atoms:
-            used |= a.symbols()
-        return [s for s in self.symbols if s in used]
-
     def _step(self, atoms: List[LinAtom]):
         """Eliminate symbols from one conjunct.  Returns ("done", atoms),
         ("split", conjuncts) after a sign case split, or ("drop", None).
+
+        Each elimination is one pass over the atoms: it splits each atom
+        that holds the eliminated symbol x into x's coefficient and the
+        rest once, and decides each distinct coefficient's sign once, in
+        atom order, stopping at the first that the context leaves open
+        or refutes.
 
         Each atom carries its history, a bit set of the atoms of the
         last fresh start it was derived from; steps counts the
         eliminations since then.  The conjunct starts fresh (one bit per
         atom, no steps) here, so each sign case does too, and after an
         exact prune."""
+        eliminated = set(self.symbols)
         history = [1 << i for i in range(len(atoms))]
         steps = 0
         while True:
-            live = self._live_symbols(atoms)
-            if not live:
+            # occurrences of each eliminated symbol; the context is the
+            # assumptions and the atoms that hold none
+            counts: Dict[str, int] = {}
+            held = []
+            ctx = list(self.assumptions)
+            for a in atoms:
+                symbols = a.symbols() & eliminated
+                held.append(symbols)
+                for s in symbols:
+                    counts[s] = counts.get(s, 0) + 1
+                if not symbols:
+                    ctx.append(a)
+            if not counts:
                 return "done", atoms
-            live.sort(key=lambda s: (sum(1 for a in atoms if s in a.symbols()), self.symbols.index(s)))
-            x = self._pick_pivot_symbol(atoms, live)
-            split = self._check_coefficients(atoms, x)
-            if split == "dead":
-                return "drop", None
-            if split is not None:
-                return "split", split
+            live = sorted(counts, key=lambda s: (counts[s], self.symbols.index(s)))
+            x, splits = self._pick_pivot_symbol(atoms, live)
+            rows: List[SignedRow] = []
+            signs: Dict[frozenset, str] = {}
+            others = []
+            others_history = []
+            for i, (a, h) in enumerate(zip(atoms, history)):
+                if x not in held[i]:
+                    others.append(a)
+                    others_history.append(h)
+                    continue
+                coeff, rest = splits[i] if i in splits else self._split(a, x)
+                key = frozenset(coeff.items())
+                sign = signs.get(key)
+                if sign is None:
+                    sign = signs[key] = _sign(coeff, ctx)
+                if sign == "dead":
+                    return "drop", None
+                if sign == "?":
+                    return "split", self._sign_split(atoms, a, coeff, rest)
+                rows.append((a, h, coeff, rest, sign))
             steps += 1
-            eliminated = self._eliminate_one(atoms, history, x, steps)
-            if eliminated is None:
-                return "drop", None
-            atoms, history = _bound_prune(*eliminated)
+            for rel, p, h in _eliminate_one(rows, steps):
+                na = make_atom(rel, p)
+                if na is False:
+                    return "drop", None
+                if na is not True:
+                    others.append(na)
+                    others_history.append(h)
+            atoms, history = _bound_prune(others, others_history)
             if len(atoms) > PRUNE_THRESHOLD:
                 pruned = simplify_conjunct(tuple(atoms), self.assumptions)
                 if pruned is None:
@@ -770,171 +858,50 @@ class _Eliminator:
                 history = [1 << i for i in range(len(atoms))]
                 steps = 0
 
-    def _pick_pivot_symbol(self, atoms: List[LinAtom], live: List[str]) -> str:
+    def _pick_pivot_symbol(self, atoms: List[LinAtom], live: List[str]) -> Tuple[str, Dict[int, Tuple[Poly, Poly]]]:
         """Prefer a symbol with a rational equation pivot (substitution
-        does not grow the conjunct), otherwise fewest occurrences."""
+        does not grow the conjunct), otherwise fewest occurrences.  Also
+        returns the splits of the symbol's equations that the scan made,
+        by atom index."""
         for s in live:
-            for a in atoms:
+            splits = {}
+            for i, a in enumerate(atoms):
                 if a.rel == "=" and s in a.symbols():
-                    coeff = self._coeff(a, s)
+                    coeff, _ = splits[i] = self._split(a, s)
                     if list(coeff) == [()]:
-                        return s
-        return live[0]
+                        return s, splits
+        return live[0], {}
 
-    def _coeff(self, a: LinAtom, x: str) -> Poly:
-        out: Poly = {}
+    def _split(self, a: LinAtom, x: str) -> Tuple[Poly, Poly]:
+        """The atom's polynomial as coefficient * x + rest."""
+        coeff: Poly = {}
+        rest: Poly = {}
         for m, c in a.poly:
             if x not in m:
+                rest[m] = c
                 continue
             if m.count(x) > 1:
                 raise NonLinearError("symbol %s occurs with degree >= 2" % x)
-            rest = list(m)
-            rest.remove(x)
-            if any(s in self.symbols for s in rest):
+            factors = list(m)
+            factors.remove(x)
+            if any(s in self.symbols for s in factors):
                 raise NonLinearError("eliminated symbols multiplied together: %s" % _PROD_SEP.join(m))
-            out[tuple(rest)] = c
-        return out
+            coeff[tuple(factors)] = c
+        return coeff, rest
 
-    def _context(self, atoms: List[LinAtom]) -> List[LinAtom]:
-        ctx = list(self.assumptions)
-        for a in atoms:
-            if not (a.symbols() & set(self.symbols)):
-                ctx.append(a)
-        return ctx
-
-    def _sign(self, coeff: Poly, ctx: List[LinAtom]) -> str:
-        """Sign of a coefficient polynomial entailed by the context:
-        "+", "-", "0", "?" (unknown) or "dead" (context unsatisfiable)."""
-        if list(coeff) == [()]:
-            return "+" if coeff[()] > 0 else "-"
-        key = (_canonical_items(coeff), tuple(a.key() for a in ctx))
-        cached = self._sign_cache.get(key)
-        if cached is not None:
-            return cached
-        pos_possible, neg_possible, zero_possible = (is_sat(ctx + [a]) for a in _sign_cases(coeff))
-        sign = "?"
-        if not (pos_possible or neg_possible or zero_possible):
-            sign = "dead"
-        elif pos_possible and not neg_possible and not zero_possible:
-            sign = "+"
-        elif neg_possible and not pos_possible and not zero_possible:
-            sign = "-"
-        elif zero_possible and not pos_possible and not neg_possible:
-            sign = "0"
-        self._sign_cache[key] = sign
-        return sign
-
-    def _check_coefficients(self, atoms: List[LinAtom], x: str):
-        """Split the conjunct three ways on the first coefficient of x
-        whose sign is not entailed; None when all signs are known."""
-        ctx = self._context(atoms)
-        for a in atoms:
-            if x not in a.symbols():
-                continue
-            coeff = self._coeff(a, x)
-            sign = self._sign(coeff, ctx)
-            if sign == "dead":
-                return "dead"
-            if sign != "?":
-                continue
-            pos, neg, zero = _sign_cases(coeff)
-            zero_atoms = [self._drop_x_part(b, x) if b == a else b for b in atoms]
-            cases = []
-            for extra, base in ((pos, atoms), (neg, atoms), (zero, zero_atoms)):
-                if not any(b is False for b in base):
-                    cases.append([b for b in base if b is not True] + [extra])
-            return cases
-        return None
-
-    def _drop_x_part(self, a: LinAtom, x: str) -> Union[LinAtom, bool]:
-        p = {m: c for m, c in a.poly if x not in m}
-        return make_atom(a.rel, p)
-
-    def _eliminate_one(
-        self, atoms: List[LinAtom], history: List[int], x: str, steps: int
-    ) -> Optional[Tuple[List[LinAtom], List[int]]]:
-        """Eliminate x, the steps-th elimination since the conjunct's last
-        fresh start: the atoms left and their histories, or None when a
-        produced atom is false.  A substituted atom's history joins the
-        pivot's; a combination joins the histories of its bounds and is
-        dropped, unbuilt, when that has more than steps + 1 elements."""
-        ctx = self._context(atoms)
-        with_x = []
-        others = []
-        others_history = []
-        for a, h in zip(atoms, history):
-            if x in a.symbols():
-                with_x.append((a, h))
-            else:
-                others.append(a)
-                others_history.append(h)
-        pivot = None
-        for a, h in with_x:
-            if a.rel == "=":
-                c = self._coeff(a, x)
-                if list(c) == [()]:
-                    pivot = (a, h, c[()])
-                    break
-        if pivot is not None:
-            a, ha, c = pivot
-            rest = {m: q for m, q in a.poly if x not in m}
-            expr = poly_scale(rest, Fraction(-1) / c)  # x = expr
-            for b, hb in with_x:
-                if b is a:
-                    continue
-                coeff_b = self._coeff(b, x)
-                p = {m: q for m, q in b.poly if x not in m}
-                p = poly_add(p, poly_mul(coeff_b, expr))
-                na = make_atom(b.rel, p)
-                if na is False:
-                    return None
-                if na is not True:
-                    others.append(na)
-                    others_history.append(hb | ha)
-            return others, others_history
-        lowers = []
-        uppers = []
-        for a, h in with_x:
-            coeff = self._coeff(a, x)
-            sign = self._sign(coeff, ctx)
-            rest = {m: q for m, q in a.poly if x not in m}
-            if sign == "0":
-                na = make_atom(a.rel, rest)
-                if na is False:
-                    return None
-                if na is not True:
-                    others.append(na)
-                    others_history.append(h)
-                continue
-            rows = [(a.rel, coeff, rest)]
-            if a.rel == "=":
-                rows = [
-                    ("<=", coeff, rest),
-                    ("<=", poly_scale(coeff, Fraction(-1)), poly_scale(rest, Fraction(-1))),
-                ]
-            for rel, c, p in rows:
-                s = self._sign(c, ctx)
-                if s not in ("+", "-"):
-                    raise NonLinearError("coefficient sign of %s became undetermined" % x)
-                if s == "+":
-                    uppers.append((rel, c, p, h))
-                else:
-                    lowers.append((rel, c, p, h))
-        for lrel, lc, lp, lh in lowers:
-            for urel, uc, up, uh in uppers:
-                h = lh | uh
-                if h.bit_count() > steps + 1:
-                    continue  # Chernikov: implied by the rows kept
-                # lc*x + lp <= 0 (lc<0), uc*x + up <= 0 (uc>0)
-                p = poly_sub(poly_mul(uc, lp), poly_mul(lc, up))
-                rel = "<" if "<" in (lrel, urel) else "<="
-                na = make_atom(rel, p)
-                if na is False:
-                    return None
-                if na is not True:
-                    others.append(na)
-                    others_history.append(h)
-        return others, others_history
+    def _sign_split(self, atoms: List[LinAtom], a: LinAtom, coeff: Poly, rest: Poly) -> List[List[LinAtom]]:
+        """The three cases of the sign of a's coefficient: the conjunct
+        with coeff > 0, with coeff < 0, and with coeff = 0, where every
+        atom equal to a is replaced by its rest (a false rest drops the
+        case)."""
+        pos, neg, zero = _sign_cases(coeff)
+        cases = [atoms + [pos], atoms + [neg]]
+        without_x = make_atom(a.rel, rest)
+        if without_x is True:
+            cases.append([b for b in atoms if b != a] + [zero])
+        elif without_x is not False:
+            cases.append([without_x if b == a else b for b in atoms] + [zero])
+        return cases
 
 
 def eliminate(

@@ -15,10 +15,9 @@ from .linear import (
     assumptions_from,
     decide,
     eliminate,
-    is_sat,
+    entails,
     lin_to_atom,
     simplify,
-    strict_halves,
     to_linear,
 )
 from .printing import canonical, print_formula, print_term
@@ -181,8 +180,8 @@ def _negate_dnf(dnf, lin_assumptions: Sequence[LinAtom]) -> List[Formula]:
         clauses.append([a.negated() for a in conjunct])
     out: List[Formula] = []
     for lits in clauses:
-        lits = [l for l in lits if _lit_possible(lin_assumptions, l)]
-        if any(_lit_entailed(lin_assumptions, l) for l in lits):
+        lits = [l for l in lits if not entails(lin_assumptions, l.negated())]
+        if any(entails(lin_assumptions, l) for l in lits):
             continue
         if _is_tautology(lits):
             continue
@@ -197,16 +196,6 @@ def _negate_dnf(dnf, lin_assumptions: Sequence[LinAtom]) -> List[Formula]:
             continue
         kept.append(c)
     return kept
-
-
-def _lit_possible(ctx: Sequence[LinAtom], lit: LinAtom) -> bool:
-    if lit.rel == "!=":
-        return any(is_sat(list(ctx) + [half]) for half in strict_halves(lit.poly_dict()))
-    return is_sat(list(ctx) + [lit])
-
-
-def _lit_entailed(ctx: Sequence[LinAtom], lit: LinAtom) -> bool:
-    return not is_sat(list(ctx) + [lit.negated()])
 
 
 def _is_tautology(lits: Sequence[LinAtom]) -> bool:

@@ -15,7 +15,7 @@ from .linear import LinAtom, atom_to_lin, decide, is_sat
 from .parsing import PTSSpec
 from .printing import canonical, print_formula
 from .reduction import ReducedProblem, reduce_chain
-from .symelim import ConstraintResult, constraint_statements, generate_constraint
+from .symelim import constraint_statements, generate_constraint
 from .terms import (
     Atom,
     FALSE,
@@ -223,7 +223,6 @@ def strengthen(
     current: List[Formula] = list(candidate)
     log: List[Tuple[int, str]] = []
     weakest_flags: List[bool] = []
-    last_result: Optional[ConstraintResult] = None
     for iteration in range(1, max_iter + 1):
         log.append((0, "%d. Iteration:" % iteration))
         _log_candidate(log, "current candidate", current)
@@ -232,12 +231,11 @@ def strengthen(
         negated = canonical(negate_universal(current, avoid=sig.all_symbols()))
         log.append((1, "(step) negated candidate: %s;" % print_formula(negated)))
         primed = [rename_symbols(c, system.renaming()) for c in current]
-        negated_primed = canonical(negate_universal(primed, avoid=sig.all_symbols()))
-        log.append((1, "(step) negated and updated candidate: %s;" % print_formula(negated_primed)))
+        negated_primed = negate_universal(primed, avoid=sig.all_symbols())
+        log.append((1, "(step) negated and updated candidate: %s;" % print_formula(canonical(negated_primed))))
 
         init_ok = decide(vc_initiation(system, current).ground) is None
-        consec_reduced = vc_consecution(system, current)
-        consec_ok = decide(consec_reduced.ground) is None
+        consec_ok = decide(vc_consecution(system, current).ground) is None
 
         if not consec_ok:
             subtask = "%s_ST_strengthening_%d_" % (task_name, iteration)
@@ -259,17 +257,12 @@ def strengthen(
         if consec_ok:
             return StrengthenResult("Invariant", current, iteration, log)
 
-        sig = system.sig.copy()
-        primed = [rename_symbols(c, system.renaming()) for c in current]
-        negated_primed_raw = negate_universal(primed, avoid=sig.all_symbols())
-        _register_symbols(sig, negated_primed_raw)
-        statements = list(current) + list(system.update) + [negated_primed_raw]
-        last_result = generate_constraint(
-            sig, statements, parameters=list(parameters), max_cases=max_cases
-        )
-        weakest_flags.append(last_result.weakest)
+        _register_symbols(sig, negated_primed)
+        statements = list(current) + list(system.update) + [negated_primed]
+        result = generate_constraint(sig, statements, parameters=list(parameters), max_cases=max_cases)
+        weakest_flags.append(result.weakest)
         current = [canonical(c) for c in current]
-        current = _conjoin_constraint(current, last_result.constraint)
+        current = _conjoin_constraint(current, result.constraint)
         # a false candidate fails the initiation check on the next pass
         _log_candidate(log, "new candidate", current)
     return StrengthenResult("Exhausted", current, max_iter, log)

@@ -60,9 +60,23 @@ def test_to_linear_parametric_coefficient():
 
 
 def test_nonlinear_elimination_rejected():
-    d = dnf("x * x <= _1;")
+    with pytest.raises(NonLinearError, match="symbol x occurs with degree >= 2"):
+        eliminate(["x"], dnf("x * x <= _1;"))
+    with pytest.raises(NonLinearError, match=r"eliminated symbols multiplied together: x\*y"):
+        eliminate(["x", "y"], dnf("x * y <= _1;"))
+
+
+def test_nonlinear_atom_behind_a_refuted_sign_is_not_split():
+    """The coefficient p of the first atom has no sign under p > 0 and
+    p <= -1, so the conjunct is dropped before x * x is reached."""
+    atoms = (
+        make_atom("<=", {("p", "x"): Fraction(1), (): Fraction(-1)}),
+        make_atom("<=", {("x", "x"): Fraction(1), (): Fraction(-1)}),
+        make_atom("<=", {("p",): Fraction(1), (): Fraction(1)}),
+    )
+    assert eliminate(["x"], [atoms], dnf("p > _0;")[0]) == []
     with pytest.raises(NonLinearError):
-        eliminate(["x"], d)
+        eliminate(["x"], [atoms])
 
 
 def test_eliminate_two_bounds():
@@ -458,14 +472,13 @@ def test_multi_symbol_elimination_against_reference(monkeypatch):
     projection holds exactly when the reference FM finds the conjunct
     satisfiable there.  Sign splits happen along the way."""
     splits = []
-    check = linear._Eliminator._check_coefficients
+    sign_split = linear._Eliminator._sign_split
 
-    def recording(self, atoms, x):
-        split = check(self, atoms, x)
-        splits.append(isinstance(split, list))
-        return split
+    def recording(self, atoms, a, coeff, rest):
+        splits.append(True)
+        return sign_split(self, atoms, a, coeff, rest)
 
-    monkeypatch.setattr(linear._Eliminator, "_check_coefficients", recording)
+    monkeypatch.setattr(linear._Eliminator, "_sign_split", recording)
     rng = random.Random(20261018)
     for _ in range(40):
         n = rng.randint(4, 6)
