@@ -1,14 +1,26 @@
 """Exact linear arithmetic over the rationals.
 
 Atoms are polynomials compared against zero.  A polynomial maps
-monomials (sorted tuples of symbol names) to rational coefficients, so
+monomials (sorted tuples of symbol names) to coefficients, so
 "dmin * t <= x1p - x1" becomes a single atom whose t-coefficient is the
-parameter dmin.  This is the package's one polynomial type: the printed
-canonical form and the flow relaxation of hybrid automata read terms
-through term_to_poly too (printing.term_poly names each atomic summand
-by its printed form), and write monomials back with monomial_term.  A
-literal becomes atoms in one place (atom_to_lin, with strict_halves for
-the two halves of p != 0), which to_linear and decide share.
+parameter dmin.  Terms are read as rational polynomials (term_to_poly),
+the package's one polynomial type: the printed canonical form and the
+flow relaxation of hybrid automata read terms through it too
+(printing.term_poly names each atomic summand by its printed form), and
+write monomials back with monomial_term.  A literal becomes atoms in one
+place (atom_to_lin, with strict_halves for the two halves of p != 0),
+which to_linear and decide share.
+
+An atom is stored as its integer row (LinAtom.terms): make_atom clears
+the denominators and divides by the gcd of the coefficients, and an
+equation's leading coefficient is made positive, so two atoms are equal
+exactly when their polynomials are positive multiples of each other
+(any nonzero multiple, for = and !=).  Every operation on atoms, in
+elimination, simplification and satisfiability, is integer arithmetic
+on these rows.  The printed polynomial (LinAtom.poly, Fraction
+coefficients) is a view made on demand for printing; the sort key of
+atoms (LinAtom.key), which fixes the order of every output, compares
+the printed polynomials but keeps their integral coefficients as ints.
 
 Quantifier elimination is Fourier-Motzkin: equations with rational
 pivots are eliminated by substitution, inequalities by combining lower
@@ -16,7 +28,9 @@ and upper bounds; when the coefficient of an eliminated symbol is a
 parameter polynomial of unknown sign the conjunct splits into the three
 sign cases, each tagged with its case literal.  A step splits each atom
 that holds the eliminated symbol into (rel, coefficient, rest) once and
-decides each distinct coefficient's sign once.
+decides each distinct coefficient's sign once.  A pivot substitution
+and a bound combination cross-multiply integer polynomials whose
+coefficients are polynomials over the parameters.
 
 The eliminator drops redundant combinations as it makes them, by
 Chernikov's rule (S. N. Chernikov, "The convolution of finite systems
@@ -40,9 +54,10 @@ keeps its history.  The per-atom bound of Imbert's later theorems, which
 counts the symbols each atom has lost, is not used: a parametric
 coefficient that vanishes at some parameter points breaks its proof.
 
-Ground satisfiability runs the same elimination on integer rows: each
-atom is cleared of denominators once (the row is cached on the atom)
-and every row is kept divided by the gcd of its entries.  One
+Ground satisfiability runs the same elimination on integer rows whose
+coefficients are integers: an atom's row names each monomial as one
+variable (the row is cached on the atom), and every row is kept divided
+by the gcd of its entries.  One
 insertion-ordered row table lives for the whole elimination: a step
 pops the rows holding the eliminated variable and admits the rows it
 produces, so duplicate equations and slack bounds are found by one
@@ -77,6 +92,8 @@ from .terms import And, Atom, App, Exists, Forall, Formula, Implies, Not, Num, O
 Monomial = Tuple[str, ...]
 Poly = Dict[Monomial, Fraction]
 PolyItems = Tuple[Tuple[Monomial, Fraction], ...]
+IntPoly = Dict[Monomial, int]
+Terms = Tuple[Tuple[Monomial, int], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -125,90 +142,111 @@ def poly_var(name: str) -> Poly:
     return {(name,): ONE}
 
 
-def _mono_key(m: Monomial):
-    return (len(m), m)
-
-
 @dataclass(frozen=True, slots=True)
 class LinAtom:
-    """poly rel 0, with rel one of <=, <, = (and != transiently).
+    """terms rel 0, with rel one of <=, <, = (and != transiently).
 
-    The hash is computed once; the integer row and the sort key that
-    is_sat uses are filled in on first use (_atom_row, _atom_order).
-    None of the three takes part in equality or repr."""
+    terms is the atom's identity: a primitive integer polynomial (the
+    gcd of its coefficients is 1, and the leading coefficient of an = or
+    != atom is positive) as (monomial, int) items in monomial order.
+    The printed polynomial is terms over the absolute value of the
+    leading coefficient when no monomial is a product, else terms
+    itself; key holds it with integral coefficients as ints, and poly
+    with Fraction coefficients.  The hash is computed once; the sort
+    key, poly and the integer row are filled in on first use (key,
+    poly, _atom_row).  None of them takes part in equality or repr."""
 
     rel: str
-    poly: PolyItems
+    terms: Terms
     _hash: int = field(init=False, compare=False, repr=False)
+    _poly: Optional[PolyItems] = field(default=None, init=False, compare=False, repr=False)
     _row: Optional["Row"] = field(default=None, init=False, compare=False, repr=False)
     _order: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.rel, self.poly)))
+        object.__setattr__(self, "_hash", hash((self.rel, self.terms)))
 
     def __hash__(self):
         return self._hash
+
+    @property
+    def poly(self) -> PolyItems:
+        p = self._poly
+        if p is None:
+            p = tuple((m, Fraction(c)) for m, c in self.key()[0])
+            object.__setattr__(self, "_poly", p)
+        return p
 
     def poly_dict(self) -> Poly:
         return dict(self.poly)
 
     def symbols(self) -> Set[str]:
         out: Set[str] = set()
-        for m, _ in self.poly:
+        for m, _ in self.terms:
             out.update(m)
         return out
 
     def key(self):
-        return (self.poly, self.rel)
+        """The sort key of atoms: the printed polynomial, whose integral
+        coefficients stay ints (they compare faster than Fractions and in
+        the same order), then rel.  Computed once per atom."""
+        order = self._order
+        if order is None:
+            terms = self.terms
+            d = abs(_lead(terms)) if all(len(m) <= 1 for m, _ in terms) else 1
+            if d != 1:
+                terms = tuple((m, c // d if c % d == 0 else Fraction(c, d)) for m, c in terms)
+            order = terms, self.rel
+            object.__setattr__(self, "_order", order)
+        return order
 
     def negated(self) -> "LinAtom":
-        p = self.poly_dict()
         if self.rel == "<=":
-            return LinAtom("<", _canonical_items(poly_scale(p, Fraction(-1))))
+            return LinAtom("<", _neg_terms(self.terms))
         if self.rel == "<":
-            return LinAtom("<=", _canonical_items(poly_scale(p, Fraction(-1))))
+            return LinAtom("<=", _neg_terms(self.terms))
         if self.rel == "=":
-            return LinAtom("!=", self.poly)
-        return LinAtom("=", self.poly)
+            return LinAtom("!=", self.terms)
+        return LinAtom("=", self.terms)
 
 
 Conjunct = Tuple[LinAtom, ...]
 DNF = List[Conjunct]
 
 
-def _canonical_items(p: Poly) -> PolyItems:
-    return tuple(sorted(p.items(), key=lambda kv: _mono_key(kv[0])))
+def _lead(terms: Sequence[Tuple[Monomial, int]]) -> int:
+    """The coefficient of the first non-constant monomial."""
+    return terms[1][1] if not terms[0][0] else terms[0][1]
+
+
+def _neg_terms(terms: Terms) -> Terms:
+    return tuple((m, -c) for m, c in terms)
+
+
+def _term_key(item: Tuple[Monomial, object]):
+    """Monomial order: by degree, then by symbols."""
+    return (len(item[0]), item[0])
 
 
 def make_atom(rel: str, p: Poly) -> Union[LinAtom, bool]:
-    """Canonical atom; constant polynomials decide to True/False."""
-    p = {m: c for m, c in p.items() if c}
-    nonconst = sorted((m for m in p if m), key=_mono_key)
-    if not nonconst:
-        c = p.get((), ZERO)
-        if rel == "<=":
-            return c <= 0
-        if rel == "<":
-            return c < 0
-        if rel == "=":
-            return c == 0
-        return c != 0
-    if all(len(m) <= 1 for m in p):
-        scale = abs(p[nonconst[0]])
-    else:
-        nums = [abs(c.numerator) for c in p.values()]
-        dens = [c.denominator for c in p.values()]
-        g = 0
-        for x in nums:
-            g = gcd(g, x)
-        l = 1
-        for x in dens:
-            l = l * x // gcd(l, x)
-        scale = Fraction(g, l)
-    if rel in ("=", "!=") and p[nonconst[0]] < 0:
-        scale = -scale
-    p = {m: c / scale for m, c in p.items()}
-    return LinAtom(rel, _canonical_items(p))
+    """Canonical atom of p rel 0; constant polynomials decide to True/False."""
+    den = lcm(*(c.denominator for c in p.values()))
+    return _atom_of(rel, {m: c.numerator * (den // c.denominator) for m, c in p.items() if c})
+
+
+def _atom_of(rel: str, p: IntPoly) -> Union[LinAtom, bool]:
+    """Canonical atom of p rel 0, for an integer polynomial without zero
+    coefficients: p over the gcd of its coefficients, negated as well
+    when it is an equation whose leading coefficient is negative.  A
+    constant polynomial decides to True/False."""
+    terms = sorted(p.items(), key=_term_key)
+    if not terms or not terms[-1][0]:
+        c = terms[0][1] if terms else 0
+        return c <= 0 if rel == "<=" else c < 0 if rel == "<" else c == 0 if rel == "=" else c != 0
+    g = gcd(*p.values())
+    if rel in ("=", "!=") and _lead(terms) < 0:
+        g = -g
+    return LinAtom(rel, tuple(terms) if g == 1 else tuple((m, c // g) for m, c in terms))
 
 
 def conjunct_of(atoms: Iterable[Union[LinAtom, bool]]) -> Optional[Conjunct]:
@@ -221,7 +259,7 @@ def conjunct_of(atoms: Iterable[Union[LinAtom, bool]]) -> Optional[Conjunct]:
             return None
         if a not in seen:
             seen.append(a)
-    return tuple(sorted(seen, key=lambda a: a.key()))
+    return tuple(sorted(seen, key=LinAtom.key))
 
 
 # ---------------------------------------------------------------------------
@@ -327,38 +365,24 @@ Steps = List[Tuple[str, Optional[Row], Sequence[Row], Sequence[Row]]]
 
 
 def _atom_row(a: LinAtom) -> Row:
-    """The atom as an integer row: coefficients and constant times the
-    least common denominator.  Computed once per atom; callers must not
-    mutate it."""
+    """The atom as an integer row: its terms with each monomial named as
+    one variable.  Computed once per atom; callers must not mutate it."""
     row = a._row
     if row is not None:
         return row
     if a.rel == "!=":
         raise SortError("is_sat expects atoms without !=")
-    den = lcm(*(c.denominator for _, c in a.poly))
     coeffs: Dict[str, int] = {}
     const = 0
-    for m, c in a.poly:
-        q = c.numerator if den == 1 else c.numerator * (den // c.denominator)
+    for m, c in a.terms:
         if m:
             v = _mono_var(m)
-            coeffs[v] = coeffs.get(v, 0) + q
+            coeffs[v] = coeffs.get(v, 0) + c
         else:
-            const += q
+            const = c
     row = (a.rel, coeffs, const)
     object.__setattr__(a, "_row", row)
     return row
-
-
-def _atom_order(a: LinAtom):
-    """Sorts atoms as LinAtom.key does; integral coefficients become
-    ints, which compare faster than Fractions and in the same order.
-    Computed once per atom."""
-    order = a._order
-    if order is None:
-        order = tuple((m, c.numerator if c.denominator == 1 else c) for m, c in a.poly), a.rel
-        object.__setattr__(a, "_order", order)
-    return order
 
 
 # atom set -> is_sat(atoms)
@@ -377,7 +401,7 @@ def is_sat(atoms: Iterable[LinAtom]) -> bool:
     cached = _SAT_CACHE.get(key)
     if cached is not None:
         return cached
-    sat = _fm_steps(sorted(key, key=_atom_order)) is not None
+    sat = _fm_steps(sorted(key, key=LinAtom.key)) is not None
     if len(_SAT_CACHE) < _SAT_CACHE_LIMIT:
         _SAT_CACHE[key] = sat
     return sat
@@ -621,12 +645,13 @@ def _back_substitute(steps: Steps) -> Dict[str, Fraction]:
 def entails(context: Sequence[LinAtom], atom: LinAtom) -> bool:
     """context |= atom over ordered fields (refutation of the negation)."""
     if atom.rel == "=":
-        return not any(is_sat(list(context) + [side]) for side in strict_halves(atom.poly_dict()))
+        halves = (LinAtom("<", atom.terms), LinAtom("<", _neg_terms(atom.terms)))
+        return not any(is_sat(list(context) + [side]) for side in halves)
     return not is_sat(list(context) + [atom.negated()])
 
 
 def _complexity(a: LinAtom):
-    return (len(a.poly), a.poly, a.rel)
+    return (len(a.terms), a.key())
 
 
 def simplify_conjunct(conj: Conjunct, assumptions: Sequence[LinAtom]) -> Optional[Conjunct]:
@@ -661,13 +686,16 @@ def simplify(dnf: DNF, assumptions: Sequence[LinAtom] = ()) -> DNF:
 
 def _bound_prune(atoms: List[LinAtom], histories: List[int]) -> Tuple[List[LinAtom], List[int]]:
     """Keep only the tightest bound among atoms sharing a non-constant
-    part (cheap dominance check applied between elimination rounds).
-    histories holds one history per atom (see _Eliminator._step); the
-    bound kept for a non-constant part takes the intersection of the
-    histories of all bounds with that part."""
+    part as printed (cheap dominance check applied between elimination
+    rounds): without a product monomial that is the part over the gcd of
+    its coefficients, else the part itself.  histories holds one history
+    per atom (see _Eliminator._step); the bound kept for a non-constant
+    part takes the intersection of the histories of all bounds with that
+    part."""
     kept: List[LinAtom] = []
     kept_histories: List[int] = []
-    slot: Dict[tuple, int] = {}
+    # non-constant part -> (index in kept, constant, divisor of the part)
+    slot: Dict[Terms, Tuple[int, int, int]] = {}
     rest: List[LinAtom] = []
     rest_histories: List[int] = []
     for a, h in zip(atoms, histories):
@@ -675,17 +703,28 @@ def _bound_prune(atoms: List[LinAtom], histories: List[int]) -> Tuple[List[LinAt
             rest.append(a)
             rest_histories.append(h)
             continue
-        nc = tuple((m, c) for m, c in a.poly if m)
-        i = slot.get(nc)
-        if i is None:
-            slot[nc] = len(kept)
+        terms = a.terms
+        const = 0
+        if not terms[0][0]:
+            const = terms[0][1]
+            terms = terms[1:]
+        g = 1
+        if all(len(m) == 1 for m, _ in terms):
+            g = gcd(*(c for _, c in terms))
+            if g != 1:
+                terms = tuple((m, c // g) for m, c in terms)
+        seen = slot.get(terms)
+        if seen is None:
+            slot[terms] = (len(kept), const, g)
             kept.append(a)
             kept_histories.append(h)
             continue
-        const = next((c for m, c in a.poly if not m), ZERO)
-        cur_const = next((c for m, c in kept[i].poly if not m), ZERO)
-        if const > cur_const or (const == cur_const and a.rel == "<"):
+        # compare const / g against the kept bound's
+        i, cur_const, cur_g = seen
+        lhs, rhs = const * cur_g, cur_const * g
+        if lhs > rhs or (lhs == rhs and a.rel == "<"):
             kept[i] = a
+            slot[terms] = (i, const, g)
         kept_histories[i] &= h
     return kept + rest, kept_histories + rest_histories
 
@@ -698,14 +737,13 @@ def _bound_prune(atoms: List[LinAtom], histories: List[int]) -> Tuple[List[LinAt
 PRUNE_THRESHOLD = 24
 
 
-def _sign_cases(coeff: Poly) -> Tuple[LinAtom, LinAtom, LinAtom]:
+def _sign_cases(coeff: IntPoly) -> Tuple[LinAtom, LinAtom, LinAtom]:
     """coeff > 0, coeff < 0 and coeff = 0, for a coefficient that is not
     constant."""
-    neg, pos = strict_halves(coeff)
-    return pos, neg, make_atom("=", coeff)
+    return _atom_of("<", _neg(coeff)), _atom_of("<", coeff), _atom_of("=", coeff)
 
 
-def _sign(coeff: Poly, ctx: List[LinAtom]) -> str:
+def _sign(coeff: IntPoly, ctx: List[LinAtom]) -> str:
     """Sign of a coefficient polynomial entailed by the context:
     "+", "-", "0", "?" (unknown) or "dead" (context unsatisfiable)."""
     if list(coeff) == [()]:
@@ -718,28 +756,54 @@ def _sign(coeff: Poly, ctx: List[LinAtom]) -> str:
 
 # an atom holding the eliminated symbol x, split as coefficient * x + rest:
 # (atom, history, coefficient, rest, sign of the coefficient)
-SignedRow = Tuple[LinAtom, int, Poly, Poly, str]
+SignedRow = Tuple[LinAtom, int, IntPoly, IntPoly, str]
+
+
+def _neg(p: IntPoly) -> IntPoly:
+    return {m: -c for m, c in p.items()}
+
+
+def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(sorted(a + b)) if a and b else a or b
+
+
+def _cross(f: IntPoly, p: IntPoly, g: IntPoly, q: IntPoly) -> IntPoly:
+    """f * p - g * q, without zero coefficients."""
+    out: IntPoly = {}
+    for fm, fc in f.items():
+        for pm, pc in p.items():
+            m = _mono_mul(fm, pm)
+            out[m] = out.get(m, 0) + fc * pc
+    for gm, gc in g.items():
+        for qm, qc in q.items():
+            m = _mono_mul(gm, qm)
+            out[m] = out.get(m, 0) - gc * qc
+    return {m: c for m, c in out.items() if c}
 
 
 def _eliminate_one(rows: List[SignedRow], steps: int):
     """Eliminate x from its rows, the steps-th elimination since the
-    conjunct's last fresh start: yields (rel, polynomial, history) of
-    each atom produced, lazily, so that the caller can stop at the first
-    false one.  With a pivot (the first equation whose coefficient is a
-    rational constant) x is substituted, and a substituted atom's
-    history joins the pivot's.  Otherwise an atom whose coefficient is
-    zero loses its x part, an equation enters as two bounds (the negated
-    one with the flipped sign), and each lower bound is combined with
-    each upper bound; a combination joins the histories of its bounds
-    and is dropped, unbuilt, when that has more than steps + 1
-    elements."""
+    conjunct's last fresh start: yields (rel, integer polynomial,
+    history) of each atom produced, lazily, so that the caller can stop
+    at the first false one.  With a pivot (the first equation whose
+    coefficient is a constant c) x is substituted: an atom
+    coeff * x + rest_b becomes |c| * rest_b - sgn(c) * coeff * rest, and
+    its history joins the pivot's.  Otherwise an atom whose coefficient
+    is zero loses its x part, an equation enters as two bounds (the
+    negated one with the flipped sign), and each lower bound is combined
+    with each upper bound; a combination joins the histories of its
+    bounds and is dropped, unbuilt, when that has more than steps + 1
+    elements.  Each produced polynomial is a positive multiple of the
+    one rational arithmetic would give, so the canonical atom is the
+    same."""
     pivot = next((r for r in rows if r[0].rel == "=" and list(r[2]) == [()]), None)
     if pivot is not None:
         a, ha, c, rest, _ = pivot
-        expr = poly_scale(rest, Fraction(-1) / c[()])  # x = expr
+        c = c[()]
+        scale = {(): abs(c)}
         for b, hb, coeff, rest_b, _ in rows:
             if b is not a:
-                yield b.rel, poly_add(rest_b, poly_mul(coeff, expr)), hb | ha
+                yield b.rel, _cross(scale, rest_b, coeff if c > 0 else _neg(coeff), rest), hb | ha
         return
     lowers = []
     uppers = []
@@ -750,7 +814,7 @@ def _eliminate_one(rows: List[SignedRow], steps: int):
         upper, lower = (uppers, lowers) if sign == "+" else (lowers, uppers)
         if a.rel == "=":
             upper.append(("<=", coeff, rest, h))
-            lower.append(("<=", poly_scale(coeff, Fraction(-1)), poly_scale(rest, Fraction(-1)), h))
+            lower.append(("<=", _neg(coeff), _neg(rest), h))
         else:
             upper.append((a.rel, coeff, rest, h))
     for lrel, lc, lp, lh in lowers:
@@ -759,7 +823,7 @@ def _eliminate_one(rows: List[SignedRow], steps: int):
             if h.bit_count() > steps + 1:
                 continue  # Chernikov: implied by the rows kept
             # lc*x + lp <= 0 (lc<0), uc*x + up <= 0 (uc>0)
-            yield "<" if "<" in (lrel, urel) else "<=", poly_sub(poly_mul(uc, lp), poly_mul(lc, up)), h
+            yield "<" if "<" in (lrel, urel) else "<=", _cross(uc, lp, lc, up), h
 
 
 class _Eliminator:
@@ -843,7 +907,7 @@ class _Eliminator:
                 rows.append((a, h, coeff, rest, sign))
             steps += 1
             for rel, p, h in _eliminate_one(rows, steps):
-                na = make_atom(rel, p)
+                na = _atom_of(rel, p)
                 if na is False:
                     return "drop", None
                 if na is not True:
@@ -858,7 +922,7 @@ class _Eliminator:
                 history = [1 << i for i in range(len(atoms))]
                 steps = 0
 
-    def _pick_pivot_symbol(self, atoms: List[LinAtom], live: List[str]) -> Tuple[str, Dict[int, Tuple[Poly, Poly]]]:
+    def _pick_pivot_symbol(self, atoms: List[LinAtom], live: List[str]) -> Tuple[str, Dict[int, Tuple[IntPoly, IntPoly]]]:
         """Prefer a symbol with a rational equation pivot (substitution
         does not grow the conjunct), otherwise fewest occurrences.  Also
         returns the splits of the symbol's equations that the scan made,
@@ -872,11 +936,11 @@ class _Eliminator:
                         return s, splits
         return live[0], {}
 
-    def _split(self, a: LinAtom, x: str) -> Tuple[Poly, Poly]:
-        """The atom's polynomial as coefficient * x + rest."""
-        coeff: Poly = {}
-        rest: Poly = {}
-        for m, c in a.poly:
+    def _split(self, a: LinAtom, x: str) -> Tuple[IntPoly, IntPoly]:
+        """The atom's terms as coefficient * x + rest."""
+        coeff: IntPoly = {}
+        rest: IntPoly = {}
+        for m, c in a.terms:
             if x not in m:
                 rest[m] = c
                 continue
@@ -889,14 +953,14 @@ class _Eliminator:
             coeff[tuple(factors)] = c
         return coeff, rest
 
-    def _sign_split(self, atoms: List[LinAtom], a: LinAtom, coeff: Poly, rest: Poly) -> List[List[LinAtom]]:
+    def _sign_split(self, atoms: List[LinAtom], a: LinAtom, coeff: IntPoly, rest: IntPoly) -> List[List[LinAtom]]:
         """The three cases of the sign of a's coefficient: the conjunct
         with coeff > 0, with coeff < 0, and with coeff = 0, where every
         atom equal to a is replaced by its rest (a false rest drops the
         case)."""
         pos, neg, zero = _sign_cases(coeff)
         cases = [atoms + [pos], atoms + [neg]]
-        without_x = make_atom(a.rel, rest)
+        without_x = _atom_of(a.rel, rest)
         if without_x is True:
             cases.append([b for b in atoms if b != a] + [zero])
         elif without_x is not False:
@@ -974,7 +1038,7 @@ def _unit_record(units: frozenset, records: UnitRecords) -> list:
     in LinAtom.key order."""
     record = records.get(units)
     if record is None:
-        record = records[units] = [_fm_steps(sorted(units, key=_atom_order)), None, {}]
+        record = records[units] = [_fm_steps(sorted(units, key=LinAtom.key)), None, {}]
     return record
 
 
@@ -985,7 +1049,7 @@ def _unit_model(units: frozenset, records: UnitRecords) -> Optional[Dict[str, Fr
     if record[0] is None:
         return None
     if record[1] is None:
-        record[1] = _witness(record[0], sorted(units, key=_atom_order))
+        record[1] = _witness(record[0], sorted(units, key=LinAtom.key))
     return record[1]
 
 
@@ -1122,7 +1186,7 @@ def poly_term(p: Poly) -> Term:
     """Rebuild a term from a polynomial (canonical monomial order)."""
     from .terms import num
 
-    items = sorted(((m, c) for m, c in p.items() if m), key=lambda kv: _mono_key(kv[0]))
+    items = sorted(((m, c) for m, c in p.items() if m), key=_term_key)
     const = p.get((), ZERO)
     if not items:
         return num(const)
@@ -1158,9 +1222,16 @@ def dnf_formula(d: DNF) -> Formula:
 
 
 def assumptions_from(formulas) -> List[LinAtom]:
+    """The linear atoms of a conjunction of assumed atoms.  A != atom is
+    rejected: it is a disjunction, and its two strict halves together
+    are unsatisfiable."""
     out: List[LinAtom] = []
     for f in formulas or ():
         if isinstance(f, Atom):
+            if f.rel == "!=":
+                from .printing import print_formula
+
+                raise SortError("assumption %s is a disjunction; assume one side of it" % print_formula(f))
             for a in atom_to_lin(f):
                 if a is False:
                     raise SortError("assumption is trivially false")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from paramverify.errors import EngineError, SortError
-from paramverify.linear import ZERO, LinAtom, _atom_order, _fm_steps, _mono_var, _witness, atom_to_lin, make_atom
+from paramverify.linear import ZERO, LinAtom, _fm_steps, _mono_var, _witness, atom_to_lin, make_atom
 from paramverify.terms import (
     And,
     App,
@@ -137,7 +137,7 @@ def model_of(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
     atoms are eliminated in LinAtom.key order, so the witness does not
     depend on the order they are given in.  The witness is checked
     against every atom; a violated atom raises EngineError."""
-    ordered = sorted(set(atoms), key=_atom_order)
+    ordered = sorted(set(atoms), key=LinAtom.key)
     steps = _fm_steps(ordered)
     return None if steps is None else _witness(steps, ordered)
 

@@ -156,6 +156,23 @@ tasks:
     assert main([str(nonlinear)]) == 1
 
 
+DISEQUALITY_ERROR = "engine error: assumption d1 != _5 is a disjunction; assume one side of it"
+
+
+def test_disequality_assumption_rejected(tmp_path, capsys):
+    """p != c cannot be assumed: it is p < c or p > c, and reading it as
+    both halves at once would make every result vacuously true."""
+    assert main([str(DATA / "ex1_constraint.yaml"), "--assume", "d1 != _5"]) == 1
+    assert capsys.readouterr().err.strip() == DISEQUALITY_ERROR
+    task_file = tmp_path / "assumed.yaml"
+    text = (DATA / "ex1_constraint.yaml").read_text()
+    task_file.write_text(text.replace("            slfq_query: true\n", "            slfq_query: true\n            assumptions: [d1 != _5]\n"))
+    assert main([str(task_file)]) == 1
+    assert capsys.readouterr().err.strip() == DISEQUALITY_ERROR
+    assert main([str(DATA / "ex1_constraint.yaml"), "--assume", "d1 <= _5"]) == 0
+    assert "    Result: (FORALL i). OR(a(i + _1) - a(i) >= _0, d1 - d2 > _0)" in capsys.readouterr().out.splitlines()
+
+
 def test_missing_file_exit_two(tmp_path):
     assert main([str(tmp_path / "missing.yaml")]) == 2
 

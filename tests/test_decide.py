@@ -166,7 +166,7 @@ def test_probe_rows_combine_with_each_other():
         return make_atom(rel, {((s,) if s else ()): Fraction(c) for s, c in poly.items()})
 
     units = [atom("<=", {"y": 1, "x": -1}), atom("<=", {"y": -1, "x": -1, "": 1}), atom("<=", {"y": 1, "": -5})]
-    steps = linear._fm_steps(sorted(units, key=linear._atom_order))
+    steps = linear._fm_steps(sorted(units, key=linear.LinAtom.key))
     assert [(v, pivot, len(lowers), len(uppers)) for v, pivot, lowers, uppers in steps] == [
         ("x", None, 2, 0),
         ("y", None, 0, 1),

@@ -18,7 +18,7 @@ from oracles import (
     random_conjunct,
     reference_is_sat,
 )
-from paramverify.errors import CaseExplosionError, EngineError, NonLinearError
+from paramverify.errors import CaseExplosionError, EngineError, NonLinearError, SortError
 from paramverify import linear
 from paramverify.linear import (
     LinAtom,
@@ -30,6 +30,7 @@ from paramverify.linear import (
     dnf_formula,
     eliminate,
     is_sat,
+    lin_to_atom,
     make_atom,
     simplify,
     to_linear,
@@ -64,6 +65,15 @@ def test_nonlinear_elimination_rejected():
         eliminate(["x"], dnf("x * x <= _1;"))
     with pytest.raises(NonLinearError, match=r"eliminated symbols multiplied together: x\*y"):
         eliminate(["x", "y"], dnf("x * y <= _1;"))
+
+
+def test_disequality_assumption_is_an_error():
+    """A != assumption is a disjunction; as both strict halves it would
+    be unsatisfiable and make every projection under it true."""
+    with pytest.raises(SortError, match="assumption d1 != _5 is a disjunction"):
+        assumptions_from(parse_statements("d1 >= _0; d1 != _5;", Signature()))
+    (a,) = assumptions_from(parse_statements("d1 <= _5;", Signature()))
+    assert print_formula(lin_to_atom(a)) == "d1 <= _5"
 
 
 def test_nonlinear_atom_behind_a_refuted_sign_is_not_split():
@@ -522,6 +532,18 @@ def test_bound_prune_survivor_takes_the_intersection_of_histories():
     atoms, histories = linear._bound_prune([loose, eq, other, tight, other], [0b0011, 0b1000, 0b0100, 0b0110, 0b1100])
     assert atoms == [tight, other, eq]
     assert histories == [0b0010, 0b0100, 0b1000]
+
+
+def test_bound_prune_groups_bounds_by_their_printed_variable_part():
+    """Linear bounds share a slot when their variable parts are positive
+    multiples of each other, and the tighter survives; bounds with a
+    product monomial share one only when their integer variable parts
+    are equal, so these two are both kept."""
+    (half,), (three,) = dnf("_2 * x + _2 * y + _1 <= _0;")[0], dnf("x + y + _3 <= _0;")[0]
+    assert linear._bound_prune([half, three], [0b01, 0b10]) == ([three], [0b00])
+    assert linear._bound_prune([three, half], [0b10, 0b01]) == ([three], [0b00])
+    (half,), (three,) = dnf("_2 * p * x + _2 * y + _1 <= _0;")[0], dnf("p * x + y + _3 <= _0;")[0]
+    assert linear._bound_prune([half, three], [0b01, 0b10]) == ([half, three], [0b01, 0b10])
 
 
 def test_bound_prune_survivor_history_decides_the_result():
