@@ -24,6 +24,7 @@ from .terms import (
     Signature,
     SymbolRenaming,
     Term,
+    formula_subterms,
     negate_universal,
     rename_symbols,
 )
@@ -89,14 +90,6 @@ class HybridAutomaton:
         return SymbolRenaming({x: primed(x) for x in self.variables})
 
 
-def _term_symbols_with_d(f: Formula):
-    from .terms import formula_terms, subterms
-
-    for t in formula_terms(f):
-        for s in subterms(t):
-            yield s
-
-
 def _walk_outside_derivatives(t: Term):
     """Subterms of t, treating derivative applications as leaves."""
     if isinstance(t, App) and t.fn == "d":
@@ -134,7 +127,7 @@ def _check_state_atom(f: Formula, variables: Sequence[str], where: str, allow_pr
     if not isinstance(f, Atom):
         raise SortError("%s predicates must be conjunctions of atoms" % where)
     primed_names = [primed(x) for x in variables]
-    for s in _term_symbols_with_d(f):
+    for s in formula_subterms(f):
         if isinstance(s, App) and s.fn == "d":
             raise SortError("%s predicate mentions a derivative" % where)
         if not allow_primed and isinstance(s, App) and not s.args and s.fn in primed_names:

@@ -1205,22 +1205,6 @@ def lin_to_atom(a: LinAtom) -> Atom:
     return Atom(a.rel, poly_term(p), Num(-const))
 
 
-def conjunct_formula(c: Conjunct) -> Formula:
-    from .terms import conj as conj_f
-
-    if not c:
-        return And(())
-    return conj_f([lin_to_atom(a) for a in c])
-
-
-def dnf_formula(d: DNF) -> Formula:
-    from .terms import disj
-
-    if not d:
-        return Or(())
-    return disj([conjunct_formula(c) for c in d])
-
-
 def assumptions_from(formulas) -> List[LinAtom]:
     """The linear atoms of a conjunction of assumed atoms.  A != atom is
     rejected: it is a disjunction, and its two strict halves together

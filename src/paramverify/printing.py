@@ -28,6 +28,9 @@ from .terms import (
     TRUE,
     Term,
     Var,
+    formula_subterms,
+    free_variables,
+    nnf,
 )
 
 ARITH = {"+", "-", "*"}
@@ -136,13 +139,7 @@ def normalize_atom(a: Atom) -> Union[Atom, Formula]:
 
 
 def _has_proper_app(f: Formula) -> bool:
-    from .terms import formula_terms, subterms
-
-    for t in formula_terms(f):
-        for s in subterms(t):
-            if isinstance(s, App) and s.args and s.fn not in ARITH:
-                return True
-    return False
+    return any(isinstance(s, App) and s.args and s.fn not in ARITH for s in formula_subterms(f))
 
 
 def _ordered(parts: List[Formula]) -> Tuple[Formula, ...]:
@@ -155,51 +152,27 @@ def canonical(f: Formula) -> Formula:
     structural comparison of equivalent outputs."""
     if isinstance(f, Atom):
         return normalize_atom(f)
-    if isinstance(f, Not):
-        from .terms import nnf
-
+    if isinstance(f, (Not, Implies)):
         return canonical(nnf(f))
-    if isinstance(f, Implies):
-        from .terms import nnf
-
-        return canonical(nnf(f))
-    if isinstance(f, And):
+    if isinstance(f, (And, Or)):
+        # TRUE is And's unit and Or's zero; FALSE the other way round
+        unit, zero = (TRUE, FALSE) if isinstance(f, And) else (FALSE, TRUE)
         parts: List[Formula] = []
         for p in f.parts:
             q = canonical(p)
-            if q == TRUE:
+            if q == unit:
                 continue
-            if q == FALSE:
-                return FALSE
-            sub = q.parts if isinstance(q, And) else (q,)
-            for s in sub:
+            if q == zero:
+                return zero
+            for s in q.parts if isinstance(q, type(f)) else (q,):
                 if s not in parts:
                     parts.append(s)
         if not parts:
-            return TRUE
+            return unit
         if len(parts) == 1:
             return parts[0]
-        return And(_ordered(parts))
-    if isinstance(f, Or):
-        parts = []
-        for p in f.parts:
-            q = canonical(p)
-            if q == FALSE:
-                continue
-            if q == TRUE:
-                return TRUE
-            sub = q.parts if isinstance(q, Or) else (q,)
-            for s in sub:
-                if s not in parts:
-                    parts.append(s)
-        if not parts:
-            return FALSE
-        if len(parts) == 1:
-            return parts[0]
-        return Or(_ordered(parts))
+        return type(f)(_ordered(parts))
     if isinstance(f, (Forall, Exists)):
-        from .terms import free_variables
-
         body = canonical(f.body)
         used = tuple(v for v in f.variables if v in free_variables(body))
         if not used:

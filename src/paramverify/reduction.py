@@ -15,9 +15,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import NonGroundableError, SortError
 from .terms import (
-    And,
     App,
     Atom,
+    Exists,
     Forall,
     Formula,
     Implies,
@@ -26,9 +26,11 @@ from .terms import (
     Term,
     Var,
     conj,
-    formula_terms,
+    formula_subterms,
     free_variables,
     is_ground,
+    map_terms,
+    subformulas,
     substitute,
     subterms,
 )
@@ -58,12 +60,8 @@ def extension_heads(sig: Signature, level: Optional[int] = None) -> Set[str]:
 
 
 def clause_level(sig: Signature, clause: Formula) -> int:
-    level = 0
-    for t in formula_terms(clause):
-        for s in subterms(t):
-            if isinstance(s, App) and sig.is_extension(s.fn):
-                level = max(level, sig.level_of(s.fn))
-    return level
+    levels = (sig.level_of(s.fn) for s in formula_subterms(clause) if isinstance(s, App) and sig.is_extension(s.fn))
+    return max(levels, default=0)
 
 
 def ground_extension_subterms(
@@ -75,10 +73,9 @@ def ground_extension_subterms(
         heads = extension_heads(sig)
     out: List[Term] = []
     for s in statements:
-        for t in formula_terms(s):
-            for sub in subterms(t):
-                if isinstance(sub, App) and sub.fn in heads and is_ground(sub) and sub not in out:
-                    out.append(sub)
+        for sub in formula_subterms(s):
+            if isinstance(sub, App) and sub.fn in heads and is_ground(sub) and sub not in out:
+                out.append(sub)
     return out
 
 
@@ -98,7 +95,7 @@ def closure(
         for sub in subterms(t):
             if isinstance(sub, App) and sub.fn in heads and is_ground(sub) and sub not in out:
                 out.append(sub)
-    for t in list(terms) + list(seeds):
+    for t in seeds:
         if isinstance(t, App) and t.fn in heads and is_ground(t) and t not in out:
             out.append(t)
     return out
@@ -126,10 +123,9 @@ def _match(pattern: Term, ground: Term, binding: Dict[str, Term]) -> bool:
 
 def _patterns(clause: Formula, heads: Set[str]) -> List[Term]:
     out: List[Term] = []
-    for t in formula_terms(clause):
-        for sub in subterms(t):
-            if isinstance(sub, App) and sub.fn in heads and sub not in out:
-                out.append(sub)
+    for sub in formula_subterms(clause):
+        if isinstance(sub, App) and sub.fn in heads and sub not in out:
+            out.append(sub)
     return out
 
 
@@ -231,22 +227,13 @@ def flatten_purify(
             return App(name_for(t, args), ())
         return App(t.fn, args)
 
-    def purify_formula(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(f.rel, purify_term(f.lhs), purify_term(f.rhs))
-        if isinstance(f, And):
-            return And(tuple(purify_formula(p) for p in f.parts))
-        if isinstance(f, Implies):
-            return Implies(purify_formula(f.left), purify_formula(f.right))
-        from .terms import Not, Or
+    def purify(f: Formula) -> Formula:
+        for g in subformulas(f):
+            if isinstance(g, (Forall, Exists)):
+                raise SortError("cannot purify %s" % type(g).__name__)
+        return map_terms(f, purify_term)
 
-        if isinstance(f, Or):
-            return Or(tuple(purify_formula(p) for p in f.parts))
-        if isinstance(f, Not):
-            return Not(purify_formula(f.body))
-        raise SortError("cannot purify %s" % type(f).__name__)
-
-    clauses = [purify_formula(s) for s in statements]
+    clauses = [purify(s) for s in statements]
     congruence: List[Formula] = []
     for i in range(len(defs)):
         for j in range(i + 1, len(defs)):

@@ -34,6 +34,7 @@ from .terms import (
     FALSE,
     Forall,
     Formula,
+    Implies,
     Or,
     Signature,
     TRUE,
@@ -41,9 +42,11 @@ from .terms import (
     Var,
     conj,
     disj,
+    formula_subterms,
     formula_symbols,
+    map_terms,
     negate_atom,
-    negate_universal,
+    nnf,
     subterms,
     substitute,
 )
@@ -56,34 +59,9 @@ class ConstraintResult:
     steps: List[str] = field(default_factory=list)
 
 
-def _occurring_constants(formulas: Iterable[Formula], sig: Signature) -> List[str]:
-    """Constants of the formulas in first-occurrence order."""
-    from .terms import formula_terms
-
-    out: List[str] = []
-    for f in formulas:
-        for t in formula_terms(f):
-            for s in subterms(t):
-                if isinstance(s, App) and not s.args and s.fn in sig.constants and s.fn not in out:
-                    out.append(s.fn)
-    return out
-
-
-def _register_constants(sig: Signature, f: Formula) -> None:
-    from .terms import formula_terms
-
-    for t in formula_terms(f):
-        for s in subterms(t):
-            if isinstance(s, App) and not s.args and sig.arity_of(s.fn) is None:
-                sig.declare_constant(s.fn)
-
-
-def _constants_in(term: Term, sig: Signature) -> List[str]:
-    out: List[str] = []
-    for s in subterms(term):
-        if isinstance(s, App) and not s.args and s.fn in sig.constants and s.fn not in out:
-            out.append(s.fn)
-    return out
+def _constants(terms: Iterable[Term], sig: Signature) -> List[str]:
+    """The constants among the terms, in first-occurrence order."""
+    return list(dict.fromkeys(s.fn for s in terms if isinstance(s, App) and not s.args and s.fn in sig.constants))
 
 
 def generate_constraint(
@@ -103,7 +81,7 @@ def generate_constraint(
         raise EngineError("exactly one of parameters/eliminate must be given")
     work_sig = sig.copy()
     for f in statements:
-        _register_constants(work_sig, f)
+        work_sig.declare_constants_of(f)
     steps: List[str] = []
 
     def is_param(symbol: str) -> bool:
@@ -131,24 +109,18 @@ def generate_constraint(
                 "argument of parameter application %s contains eliminated symbol %s"
                 % (print_term(d.term), bad[0])
             )
-    kept: List[str] = []
-    for name in _occurring_constants(reduced.ground, work_sig):
-        if is_param(name):
-            kept.append(name)
+    occurring = _constants((s for f in reduced.ground for s in formula_subterms(f)), work_sig)
+    kept = [name for name in occurring if is_param(name)]
     for d in kept_defs:
         if d.constant not in kept:
             kept.append(d.constant)
     arg_constants: List[str] = []
     for d in kept_defs:
         for arg in d.term.args:
-            for name in _constants_in(arg, work_sig):
+            for name in _constants(subterms(arg), work_sig):
                 if not is_param(name) and name not in kept and name not in arg_constants:
                     arg_constants.append(name)
-    eliminated = [
-        name
-        for name in _occurring_constants(reduced.ground, work_sig)
-        if name not in kept and name not in arg_constants
-    ]
+    eliminated = [name for name in occurring if name not in kept and name not in arg_constants]
     steps.append("kept %s; eliminating %s" % (kept + arg_constants, eliminated))
 
     lin_assumptions = assumptions_from(assumptions)
@@ -216,24 +188,7 @@ def substitute_constants(f: Formula, mapping: Dict[str, Term]) -> Formula:
             return App(t.fn, tuple(sub_term(a) for a in t.args))
         return t
 
-    def sub(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(f.rel, sub_term(f.lhs), sub_term(f.rhs))
-        if isinstance(f, And):
-            return And(tuple(sub(p) for p in f.parts))
-        if isinstance(f, Or):
-            return Or(tuple(sub(p) for p in f.parts))
-        from .terms import Implies, Not
-
-        if isinstance(f, Not):
-            return Not(sub(f.body))
-        if isinstance(f, Implies):
-            return Implies(sub(f.left), sub(f.right))
-        if isinstance(f, Forall):
-            return Forall(f.variables, sub(f.body))
-        raise TypeError(f)
-
-    return sub(f)
+    return map_terms(f, sub_term)
 
 
 def _constants_to_variables(f: Formula, names: Sequence[str]) -> Formula:
@@ -273,39 +228,25 @@ def definitional_shapes_ok(sig: Signature, statements: Sequence[Formula]) -> boo
 def _definition_parts(clause: Forall, heads) -> Optional[Tuple[str, Tuple[str, ...], Formula]]:
     body = clause.body
     lits = body.parts if isinstance(body, Or) else (body,)
-    from .terms import Implies, nnf
-
     if isinstance(body, Implies):
         lits = tuple(p for p in _flatten_disj(nnf(body)))
     if not all(isinstance(l, Atom) for l in lits):
         return None
-    patterns: List[App] = []
-    for l in lits:
-        for t in (l.lhs, l.rhs):
-            for s in subterms(t):
-                if isinstance(s, App) and s.fn in heads and s not in patterns:
-                    patterns.append(s)
+    patterns = {s for l in lits for s in formula_subterms(l) if isinstance(s, App) and s.fn in heads}
     if len(patterns) != 1:
         return None
-    p = patterns[0]
+    (p,) = patterns
     if not all(isinstance(a, Var) for a in p.args):
         return None
     names = tuple(a.name for a in p.args)
     if len(set(names)) != len(names) or set(names) != set(clause.variables):
         return None
-    guard_lits = [l for l in lits if p not in _atom_subterms(l)]
-    value_lits = [l for l in lits if p in _atom_subterms(l)]
+    guard_lits = [l for l in lits if p not in formula_subterms(l)]
+    value_lits = [l for l in lits if p in formula_subterms(l)]
     if not value_lits:
         return None
     guard = conj([negate_atom(l) for l in guard_lits]) if guard_lits else TRUE
     return p.fn, names, guard
-
-
-def _atom_subterms(a: Atom):
-    out = []
-    for t in (a.lhs, a.rhs):
-        out.extend(subterms(t))
-    return out
 
 
 def _flatten_disj(f: Formula):
@@ -355,16 +296,3 @@ def constraint_statements(constraint: Formula) -> List[Formula]:
             out.extend(constraint_statements(p))
         return out
     return [constraint]
-
-
-def entails_constraint(sig: Signature, stronger: Formula, weaker: Formula) -> bool:
-    """stronger |= weaker, decided by instantiating the negation of the
-    weaker constraint with fresh constants and reducing."""
-    work_sig = sig.copy()
-    negated = negate_universal(weaker, avoid=work_sig.all_symbols())
-    for name in sorted(formula_symbols(negated)):
-        if work_sig.arity_of(name) is None:
-            work_sig.declare_constant(name)
-    statements = constraint_statements(stronger) + [negated]
-    reduced = reduce_chain(work_sig, statements)
-    return decide(reduced.ground) is None

@@ -3,6 +3,18 @@
 Everything is an immutable dataclass; numeric constants are exact
 rationals.  Constants are nullary applications, so symbol renaming and
 substitution treat variables and constants uniformly.
+
+Two walkers own the walk over formulas.  subformulas lists a formula
+and everything below it in pre-order; formula_terms (atom sides, lhs
+before rhs), formula_subterms and formula_symbols are read through it.
+map_terms rebuilds a formula with each atom side replaced, keeping
+every connective and quantifier; rename_symbols, purification and
+symbol elimination's re-substitution of definition terms go through
+it.  Term walks (subterms, and the term cases of rename_symbols and
+substitute) stay direct recursions.  Walks that do their own work at
+each connective keep their own recursion: substitute and
+free_variables (binders), nnf (polarity), to_clauses, and outside this
+module print_formula, canonical, the SMT-LIB export and linear's DNF.
 """
 
 from dataclasses import dataclass, field
@@ -182,6 +194,12 @@ class Signature:
             raise SignatureError("%s is already a declared function" % name)
         self.constants.add(name)
 
+    def declare_constants_of(self, f: "Formula") -> None:
+        """Declare each undeclared nullary symbol of f as a constant."""
+        for s in formula_subterms(f):
+            if isinstance(s, App) and not s.args and self.arity_of(s.fn) is None:
+                self.declare_constant(s.fn)
+
     def all_symbols(self) -> Set[str]:
         return set(self.base_functions) | set(self.extension_functions) | set(self.constants)
 
@@ -236,42 +254,51 @@ def term_symbols(t: Term) -> Set[str]:
     return out
 
 
+def subformulas(f: Formula):
+    """f and every formula below it, in pre-order."""
+    yield f
+    if isinstance(f, Not):
+        yield from subformulas(f.body)
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            yield from subformulas(p)
+    elif isinstance(f, Implies):
+        yield from subformulas(f.left)
+        yield from subformulas(f.right)
+    elif isinstance(f, (Forall, Exists)):
+        yield from subformulas(f.body)
+
+
 def formula_terms(f: Formula):
-    if isinstance(f, Atom):
-        yield f.lhs
-        yield f.rhs
-    elif isinstance(f, Not):
-        yield from formula_terms(f.body)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from formula_terms(p)
-    elif isinstance(f, Implies):
-        yield from formula_terms(f.left)
-        yield from formula_terms(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from formula_terms(f.body)
+    """The atom sides of f in pre-order, lhs before rhs."""
+    for g in subformulas(f):
+        if isinstance(g, Atom):
+            yield g.lhs
+            yield g.rhs
 
 
-def formula_atoms(f: Formula):
-    if isinstance(f, Atom):
-        yield f
-    elif isinstance(f, Not):
-        yield from formula_atoms(f.body)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from formula_atoms(p)
-    elif isinstance(f, Implies):
-        yield from formula_atoms(f.left)
-        yield from formula_atoms(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from formula_atoms(f.body)
+def formula_subterms(f: Formula):
+    for t in formula_terms(f):
+        yield from subterms(t)
 
 
 def formula_symbols(f: Formula) -> Set[str]:
-    out: Set[str] = set()
-    for t in formula_terms(f):
-        out |= term_symbols(t)
-    return out
+    return {s.fn for s in formula_subterms(f) if isinstance(s, App)}
+
+
+def map_terms(f: Formula, fn) -> Formula:
+    """f with each atom side t replaced by fn(t)."""
+    if isinstance(f, Atom):
+        return Atom(f.rel, fn(f.lhs), fn(f.rhs))
+    if isinstance(f, Not):
+        return Not(map_terms(f.body, fn))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(map_terms(p, fn) for p in f.parts))
+    if isinstance(f, Implies):
+        return Implies(map_terms(f.left, fn), map_terms(f.right, fn))
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(f.variables, map_terms(f.body, fn))
+    raise TypeError(f)
 
 
 def free_variables(x: Union[Term, Formula]) -> Set[str]:
@@ -339,23 +366,13 @@ def substitute(x, mapping: Dict[str, Term]):
 
 def rename_symbols(x, renaming: SymbolRenaming):
     """Homomorphic renaming of function/constant symbols."""
-    if isinstance(x, (Var, Num)):
-        return x
-    if isinstance(x, App):
-        return App(renaming.target(x.fn), tuple(rename_symbols(a, renaming) for a in x.args))
-    if isinstance(x, Atom):
-        return Atom(x.rel, rename_symbols(x.lhs, renaming), rename_symbols(x.rhs, renaming))
-    if isinstance(x, Not):
-        return Not(rename_symbols(x.body, renaming))
-    if isinstance(x, And):
-        return And(tuple(rename_symbols(p, renaming) for p in x.parts))
-    if isinstance(x, Or):
-        return Or(tuple(rename_symbols(p, renaming) for p in x.parts))
-    if isinstance(x, Implies):
-        return Implies(rename_symbols(x.left, renaming), rename_symbols(x.right, renaming))
-    if isinstance(x, (Forall, Exists)):
-        return type(x)(x.variables, rename_symbols(x.body, renaming))
-    raise TypeError(x)
+
+    def term(t: Term) -> Term:
+        if isinstance(t, App):
+            return App(renaming.target(t.fn), tuple(term(a) for a in t.args))
+        return t
+
+    return term(x) if isinstance(x, (Var, Num, App)) else map_terms(x, term)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +464,7 @@ def negate_universal(f: Union[Formula, Iterable[Formula]], avoid: Iterable[str] 
         for part in f:
             clauses.extend(to_clauses(part))
     else:
-        if any(isinstance(g, Exists) for g in _walk(f)):
+        if any(isinstance(g, Exists) for g in subformulas(f)):
             raise SortError("cannot negate a formula with existential quantifiers")
         clauses = to_clauses(f)
     taken = set(avoid)
@@ -460,20 +477,6 @@ def negate_universal(f: Union[Formula, Iterable[Formula]], avoid: Iterable[str] 
         negated = [negate_atom(substitute(l, sk)) for l in c.literals]
         disjuncts.append(conj(negated) if negated else TRUE)
     return disj(disjuncts) if disjuncts else FALSE
-
-
-def _walk(f: Formula):
-    yield f
-    if isinstance(f, Not):
-        yield from _walk(f.body)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from _walk(p)
-    elif isinstance(f, Implies):
-        yield from _walk(f.left)
-        yield from _walk(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from _walk(f.body)
 
 
 def check_term(sig: Signature, t: Term, scope: Set[str] = frozenset(), auto_constants: bool = True) -> None:

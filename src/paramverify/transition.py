@@ -55,7 +55,7 @@ class Verdict:
 def vc_initiation(system: TransitionSystem, candidate: Sequence[Formula]) -> ReducedProblem:
     sig = system.sig.copy()
     negated = negate_universal(list(candidate), avoid=sig.all_symbols())
-    _register_symbols(sig, negated)
+    sig.declare_constants_of(negated)
     return reduce_chain(sig, list(system.init) + [negated])
 
 
@@ -63,16 +63,8 @@ def vc_consecution(system: TransitionSystem, candidate: Sequence[Formula]) -> Re
     sig = system.sig.copy()
     primed = [rename_symbols(c, system.renaming()) for c in candidate]
     negated = negate_universal(primed, avoid=sig.all_symbols())
-    _register_symbols(sig, negated)
+    sig.declare_constants_of(negated)
     return reduce_chain(sig, list(candidate) + list(system.update) + [negated])
-
-
-def _register_symbols(sig: Signature, f: Formula) -> None:
-    from .terms import formula_symbols
-
-    for name in sorted(formula_symbols(f)):
-        if sig.arity_of(name) is None:
-            sig.declare_constant(name)
 
 
 def check_inductive(system: TransitionSystem, candidate: Sequence[Formula]) -> Verdict:
@@ -139,7 +131,7 @@ def bmc(system: TransitionSystem, candidate: Sequence[Formula], k: int) -> List[
             statements.extend(rename_symbols(f, step_renaming(i)) for f in system.update)
         shifted = [rename_symbols(c, state_renaming(j)) for c in candidate]
         negated = negate_universal(shifted, avoid=work.all_symbols())
-        _register_symbols(work, negated)
+        work.declare_constants_of(negated)
         statements.append(negated)
         witness = decide(reduce_chain(work, statements).ground)
         results.append(BmcStep(j, witness is None, witness))
@@ -257,7 +249,7 @@ def strengthen(
         if consec_ok:
             return StrengthenResult("Invariant", current, iteration, log)
 
-        _register_symbols(sig, negated_primed)
+        sig.declare_constants_of(negated_primed)
         statements = list(current) + list(system.update) + [negated_primed]
         result = generate_constraint(sig, statements, parameters=list(parameters), max_cases=max_cases)
         weakest_flags.append(result.weakest)

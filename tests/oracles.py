@@ -8,6 +8,11 @@ literal memo, model shortcut and probe replay, the grid oracle compares formulas
 evaluating them at sample points, and the full-instantiation oracle
 grounds extension axioms by brute force over all terms up to a fixed
 depth.
+
+Two helpers here are called only by tests: dnf_formula, which turns a
+DNF of linear atoms back into a formula, and entails_constraint, which
+decides entailment between generated constraints through the engine's
+own reduction and decision procedure.
 """
 
 import random
@@ -15,7 +20,9 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from paramverify.errors import EngineError, SortError
-from paramverify.linear import ZERO, LinAtom, _fm_steps, _mono_var, _witness, atom_to_lin, make_atom
+from paramverify.linear import ZERO, LinAtom, _fm_steps, _mono_var, _witness, atom_to_lin, decide, lin_to_atom, make_atom
+from paramverify.reduction import reduce_chain
+from paramverify.symelim import constraint_statements
 from paramverify.terms import (
     And,
     App,
@@ -26,10 +33,14 @@ from paramverify.terms import (
     Not,
     Num,
     Or,
+    Signature,
     Term,
-    formula_atoms,
+    conj,
+    disj,
     negate_atom,
+    negate_universal,
     nnf,
+    subformulas,
     substitute,
 )
 
@@ -58,6 +69,12 @@ def eval_conjunct(conjunct: Sequence[LinAtom], point: Dict[str, Fraction]) -> bo
 
 def eval_dnf(dnf, point: Dict[str, Fraction]) -> bool:
     return any(eval_conjunct(c, point) for c in dnf)
+
+
+def dnf_formula(dnf) -> Formula:
+    """A DNF of linear atoms as a formula: false when empty, true for an
+    empty conjunct."""
+    return disj([conj([lin_to_atom(a) for a in c]) for c in dnf])
 
 
 def exists_extension(conjunct: Sequence[LinAtom], var: str, point: Dict[str, Fraction]) -> bool:
@@ -513,7 +530,9 @@ def _witness_points(formulas, symbols: Sequence[str], cap: int) -> List[Dict[str
     equality boundaries, and of atom pairs."""
     lin: List[LinAtom] = []
     for f in formulas:
-        for a in formula_atoms(f):
+        for a in subformulas(f):
+            if not isinstance(a, Atom):
+                continue
             for la in atom_to_lin(a):
                 if isinstance(la, LinAtom) and la not in lin:
                     lin.append(la)
@@ -638,3 +657,17 @@ def brute_force_ground(clauses: Sequence[Formula], goal: Sequence[Formula], fn: 
                 )
             )
     return ground
+
+
+# ---------------------------------------------------------------------------
+# Constraint entailment
+
+
+def entails_constraint(sig: Signature, stronger: Formula, weaker: Formula) -> bool:
+    """stronger |= weaker, decided by instantiating the negation of the
+    weaker constraint with fresh constants and reducing."""
+    work_sig = sig.copy()
+    negated = negate_universal(weaker, avoid=work_sig.all_symbols())
+    work_sig.declare_constants_of(negated)
+    reduced = reduce_chain(work_sig, constraint_statements(stronger) + [negated])
+    return decide(reduced.ground) is None

@@ -14,6 +14,7 @@ from conftest import DATA, PLANT_VARIANT_LHA, mask_report
 from oracles import (
     all_terms_to_depth,
     brute_force_ground,
+    entails_constraint,
     equiv_on_grid,
     eval_dnf,
     exists_extension,
@@ -32,7 +33,6 @@ from paramverify.reduction import closure, ground_extension_subterms, reduce_cha
 from paramverify.runner import RunFlags, run_task_file
 from paramverify.symelim import (
     check_unsat_with_constraint,
-    entails_constraint,
     generate_constraint,
     substitute_constants,
 )

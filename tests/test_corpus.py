@@ -5,8 +5,8 @@ instantiation seeding hook."""
 from pathlib import Path
 
 from conftest import mask_report
-from oracles import equiv_on_grid
-from paramverify.linear import assumptions_from, dnf_formula, simplify, to_linear
+from oracles import dnf_formula, equiv_on_grid
+from paramverify.linear import assumptions_from, simplify, to_linear
 from paramverify.parsing import (
     parse_formula,
     parse_spec,

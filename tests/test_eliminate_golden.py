@@ -18,8 +18,9 @@ import random
 from fractions import Fraction
 
 from conftest import DATA
+from oracles import dnf_formula
 from paramverify.errors import EngineError
-from paramverify.linear import LinAtom, assumptions_from, dnf_formula, eliminate, lin_to_atom, make_atom
+from paramverify.linear import LinAtom, assumptions_from, eliminate, lin_to_atom, make_atom
 from paramverify.parsing import parse_statements
 from paramverify.printing import print_formula
 from paramverify.terms import Signature, conj

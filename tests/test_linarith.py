@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     GRID7,
     GridError,
+    dnf_formula,
     equiv_on_grid,
     eval_conjunct,
     eval_dnf,
@@ -27,7 +28,6 @@ from paramverify.linear import (
     _fm_steps,
     assumptions_from,
     decide,
-    dnf_formula,
     eliminate,
     is_sat,
     lin_to_atom,

@@ -3,13 +3,8 @@
 import random
 from fractions import Fraction
 
-from oracles import equiv_on_grid, eval_dnf, random_conjunct
-from paramverify.linear import (
-    assumptions_from,
-    dnf_formula,
-    simplify,
-    to_linear,
-)
+from oracles import dnf_formula, equiv_on_grid, eval_dnf, random_conjunct
+from paramverify.linear import assumptions_from, simplify, to_linear
 from paramverify.parsing import parse_formula, parse_statements
 from paramverify.printing import canonical, print_formula
 from paramverify.symelim import check_unsat_with_constraint, generate_constraint

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import EX1_SPEC
 from oracles import all_terms_to_depth, brute_force_ground
-from paramverify.errors import NonGroundableError
+from paramverify.errors import NonGroundableError, SortError
 from paramverify.linear import decide
 from paramverify.parsing import parse_spec, parse_statements, parse_term_string
 from paramverify.printing import print_formula, print_term
@@ -16,7 +16,7 @@ from paramverify.reduction import (
     instantiate,
     reduce_chain,
 )
-from paramverify.terms import App, Num, Signature, rename_symbols, SymbolRenaming
+from paramverify.terms import And, App, Atom, Exists, Forall, Num, Signature, SymbolRenaming, Var, rename_symbols
 
 
 def make_sig():
@@ -98,6 +98,16 @@ def test_flatten_purify_base_only_unchanged():
     purified = flatten_purify(statements, sig)
     assert purified.definitions == [] and purified.congruence == []
     assert purified.clauses == statements
+
+
+@pytest.mark.parametrize("quantifier", [Forall, Exists])
+def test_purification_rejects_nested_quantifier(quantifier):
+    # the goal is ground, so it reaches purification with its quantifier
+    sig = make_sig()
+    inner = quantifier(("x",), Atom("<=", Var("x"), Num(Fraction(1))))
+    goal = And((Atom("<=", App("u", ()), Num(Fraction(0))), inner))
+    with pytest.raises(SortError, match="cannot purify %s" % quantifier.__name__):
+        reduce_chain(sig, [goal])
 
 
 def test_congruence_pair():

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import GRID7, eval_conjunct, model_of, random_conjunct
+from oracles import GRID7, dnf_formula, eval_conjunct, model_of, random_conjunct
 from paramverify.errors import SortError
-from paramverify.linear import conjunct_formula
 from paramverify.parsing import parse_statements
 from paramverify.reduction import reduce_chain
 from paramverify.smtlib import export_smtlib
@@ -134,7 +133,7 @@ def test_script_agrees_with_is_sat_on_grid_witnesses():
     symbols = ["x", "y"]
     for _ in range(60):
         conjunct = random_conjunct(rng, symbols, max_atoms=4)
-        script = export_smtlib([conjunct_formula(conjunct)])
+        script = export_smtlib([dnf_formula([conjunct])])
         witness = model_of(conjunct)
         found = None
         for xv in GRID7:

@@ -1,14 +1,14 @@
 import pytest
 
 from conftest import EX1_SPEC
+from oracles import dnf_formula, entails_constraint
 from paramverify.errors import EngineError
-from paramverify.linear import assumptions_from, simplify, to_linear, dnf_formula
+from paramverify.linear import assumptions_from, simplify, to_linear
 from paramverify.parsing import parse_formula, parse_spec, parse_statements
 from paramverify.printing import canonical, print_canonical, print_formula
 from paramverify.symelim import (
     check_unsat_with_constraint,
     definitional_shapes_ok,
-    entails_constraint,
     generate_constraint,
 )
 from paramverify.terms import FALSE, Signature, formula_symbols

@@ -6,14 +6,21 @@ import pytest
 from paramverify.errors import SortError
 from paramverify.parsing import parse_formula, parse_statements, parse_term_string
 from paramverify.printing import print_formula, print_term
+from paramverify.symelim import substitute_constants
 from paramverify.terms import (
+    And,
     App,
     Atom,
+    Exists,
     Forall,
+    Implies,
+    Not,
     Num,
     Or,
     Signature,
     SymbolRenaming,
+    formula_subterms,
+    formula_terms,
     free_variables,
     is_ground,
     negate_universal,
@@ -79,6 +86,39 @@ def test_rename_identity():
     sig = sig_with({"a": (1, 1)})
     f = parse_formula("(FORALL j). a(j) <= a(j + _1);", sig)
     assert rename_symbols(f, SymbolRenaming({})) == f
+    assert rename_symbols(every_connective("a", C, D), SymbolRenaming({})) == every_connective("a", C, D)
+
+
+C, D = App("c", ()), App("d", ())
+
+
+def every_connective(a, c, d):
+    """A formula with each connective and quantifier, over the unary
+    function a and the terms c and d."""
+    x, y = Var("x"), Var("y")
+    return Forall(
+        ("x",),
+        Implies(
+            Not(Atom("<=", App(a, (x,)), c)),
+            Or((Exists(("y",), Atom("=", App(a, (y,)), d)), And((Atom("<", c, App("+", (x, d))),)))),
+        ),
+    )
+
+
+def test_formula_terms_pre_order_lhs_first():
+    # this order fixes the order of constants in symbol elimination's step lines
+    f = every_connective("a", C, D)
+    x, y = Var("x"), Var("y")
+    assert list(formula_terms(f)) == [App("a", (x,)), C, App("a", (y,)), D, C, App("+", (x, D))]
+    assert [t for t in formula_subterms(f) if isinstance(t, Var)] == [x, y, x]
+
+
+def test_rename_and_substitute_rebuild_every_connective():
+    f = every_connective("a", C, D)
+    renaming = SymbolRenaming({"a": "ap", "c": "cp", "d": "dp"})
+    assert rename_symbols(f, renaming) == every_connective("ap", App("cp", ()), App("dp", ()))
+    one, two = Num(Fraction(1)), Num(Fraction(2))
+    assert substitute_constants(f, {"c": one, "d": two}) == every_connective("a", one, two)
 
 
 def test_rename_rejects_non_injective():
@@ -122,12 +162,7 @@ def test_negate_universal_skolem_collision():
 
 
 def _apps(f):
-    from paramverify.terms import formula_terms, subterms
-
-    for t in formula_terms(f):
-        for s in subterms(t):
-            if isinstance(s, App):
-                yield s
+    return [s for s in formula_subterms(f) if isinstance(s, App)]
 
 
 def test_negate_universal_rejects_existential():
