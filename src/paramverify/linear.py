@@ -22,49 +22,47 @@ coefficients) is a view made on demand for printing; the sort key of
 atoms (LinAtom.key), which fixes the order of every output, compares
 the printed polynomials but keeps their integral coefficients as ints.
 
-Quantifier elimination is Fourier-Motzkin: equations with rational
-pivots are eliminated by substitution, inequalities by combining lower
-and upper bounds; when the coefficient of an eliminated symbol is a
-parameter polynomial of unknown sign the conjunct splits into the three
-sign cases, each tagged with its case literal.  A step splits each atom
-that holds the eliminated symbol into (rel, coefficient, rest) once and
-decides each distinct coefficient's sign once.  A pivot substitution
-and a bound combination cross-multiply integer polynomials whose
-coefficients are polynomials over the parameters.
+Fourier-Motzkin has one core, which quantifier elimination (eliminate),
+ground satisfiability (is_sat) and the ground decision procedure
+(decide) share.  A row is an atom's integer row with each monomial named
+as one column (the constant as "").  Rows live in an insertion-ordered
+table (_admit) keyed by an equation's entries or a bound's coefficients
+(over their gcd unless a column is a product monomial), so a duplicate
+equation or a slack bound merges, by one lookup, into the slot it meets.
+Each table indexes its rows, in table order, under their columns
+(ground) or eliminated symbols (eliminate); a step takes its rows from
+the index (_take), never scanning the table.  One step (_fm_rows)
+substitutes an equation whose coefficient is a constant, or combines
+every lower with every upper bound; constant multipliers take an int
+fast path, parametric ones cross-multiply polynomials over parameters.
 
-The eliminator drops redundant combinations as it makes them, by
-Chernikov's rule (S. N. Chernikov, "The convolution of finite systems
-of linear inequalities", 1965; J.-L. Imbert's first acceleration
-theorem, "Fourier's elimination: which to choose?", PPCP 1993).  Each
-atom carries its history, the set of input atoms it was derived from,
-and k counts the elimination steps since the last fresh start.  A
-lower x upper combination whose history has more than k + 1 elements
-is implied by the atoms kept, and is not built.  Within one sign case
-every coefficient has a fixed sign, so the rule holds at every
-parameter point of the case.  Three rules keep it exact:
+The step drops redundant combinations by Chernikov's rule (S. N.
+Chernikov, "The convolution of finite systems of linear inequalities",
+1965; J.-L. Imbert's first acceleration theorem, "Fourier's elimination:
+which to choose?", PPCP 1993).  Each row carries its history, the set of
+input atoms it was derived from, and k counts the elimination steps
+since the last fresh start; a lower x upper combination whose history
+has more than k + 1 elements is implied by the rows kept, and is not
+built.  Three rules keep it exact:
   - fresh start: a conjunct entering elimination, each sign case and the
     output of an exact prune start from singleton histories and k = 0;
-  - pivots count: a Gaussian pivot substitution is a step of k too, and
-    a substituted atom's history joins the pivot's;
-  - merges intersect: when bound pruning keeps the tighter of two
-    bounds, the survivor's history is the intersection of theirs.  A
-    history smaller than the true one only keeps more atoms.
-An atom whose coefficient of the eliminated symbol is zero in the case
-keeps its history.  The per-atom bound of Imbert's later theorems, which
-counts the symbols each atom has lost, is not used: a parametric
-coefficient that vanishes at some parameter points breaks its proof.
+  - pivots count: a pivot substitution is a step of k too, and a
+    substituted row's history joins the pivot's;
+  - merges intersect: the survivor of a merge in the table takes the
+    intersection of both histories (a smaller history keeps more rows).
+Imbert's per-row bound is not used: a parametric coefficient that
+vanishes at some parameter points breaks its proof.
 
-Ground satisfiability runs the same elimination on integer rows whose
-coefficients are integers: an atom's row names each monomial as one
-variable (the row is cached on the atom), and every row is kept divided
-by the gcd of its entries.  One
-insertion-ordered row table lives for the whole elimination: a step
-pops the rows holding the eliminated variable and admits the rows it
-produces, so duplicate equations and slack bounds are found by one
-dictionary lookup per new row, and occurrence counts are kept up to
-date instead of recounted.  The atoms are ordered by LinAtom.key first.
-is_sat returns a bool, runs the forward elimination alone and caches
-the verdict per atom set.
+Quantifier elimination splits a conjunct into the three sign cases of
+an eliminated symbol's coefficient when that is a parameter polynomial
+of unknown sign, each tagged with its case literal; within a case every
+coefficient has a fixed sign, so the rule holds at every parameter point
+of the case.  A step splits each row that holds the eliminated symbol
+into (rel, coefficient, rest) and decides each distinct coefficient's
+sign once.  A fresh conjunct's atoms are keyed by position until its
+first step is done, so that each takes part in it.  Ground elimination
+takes the column with the fewest rows first; is_sat returns a bool,
+orders the atoms by LinAtom.key and caches the verdict per atom set.
 
 The ground decision procedure (decide) is DPLL over clauses with
 Fourier-Motzkin at the leaves.  It translates each literal once per
@@ -74,8 +72,7 @@ units' witness, which does not depend on the interpreter's hash seed;
 it is checked against every unit and scaled once to integers.  Every
 probe is the units plus one atom.  A probe whose atom holds at the
 model is satisfiable; otherwise the atom's row is carried through the
-recorded steps (_probe_sat), which share the pivot substitution and
-the bound combination with the elimination itself, and the verdict is
+recorded steps (_probe_sat) by the same step, and the verdict is
 memoised with the units' steps.  A unit the model violates drops the
 model until the round's model of the units.  decide makes no is_sat
 call and does not use the cache.
@@ -83,6 +80,7 @@ call and does not use the cache.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -160,7 +158,7 @@ class LinAtom:
     terms: Terms
     _hash: int = field(init=False, compare=False, repr=False)
     _poly: Optional[PolyItems] = field(default=None, init=False, compare=False, repr=False)
-    _row: Optional["Row"] = field(default=None, init=False, compare=False, repr=False)
+    _row: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     _order: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -349,39 +347,166 @@ def _dnf(f: Formula, cap: int) -> List[List[Union[LinAtom, bool]]]:
 
 
 # ---------------------------------------------------------------------------
-# Ground satisfiability by Fourier-Motzkin with witness back-substitution
+# The Fourier-Motzkin core: one row table and one elimination step
 
 _PROD_SEP = "*"
 
 
 def _mono_var(m: Monomial) -> str:
+    """A monomial as one column name; the constant monomial is ""."""
     return _PROD_SEP.join(m)
 
 
-Row = Tuple[str, Dict[str, int], int]
+# a row: column -> int coefficient, the constant under ""
+RowPoly = Dict[str, int]
+# row key (see _admit) -> (rel, row, history, divisor of the coefficients,
+# index names, the atom the row was read from or None)
+RowTable = Dict[object, tuple]
+# index name -> the keys of the rows indexed under it, in table order
+Index = Dict[object, List[object]]
+# a row holding the variable of a step: (rel, the variable's coefficient,
+# the row or its rest without the variable, history)
+StepRow = Tuple[str, Union[int, IntPoly], dict, int]
 # elimination steps, in order: (variable, pivot equation, (), ()) or
 # (variable, None, lower bounds, upper bounds)
-Steps = List[Tuple[str, Optional[Row], Sequence[Row], Sequence[Row]]]
+Steps = List[Tuple[str, Optional[StepRow], Sequence[StepRow], Sequence[StepRow]]]
 
 
-def _atom_row(a: LinAtom) -> Row:
-    """The atom as an integer row: its terms with each monomial named as
-    one variable.  Computed once per atom; callers must not mutate it."""
-    row = a._row
-    if row is not None:
-        return row
-    if a.rel == "!=":
-        raise SortError("is_sat expects atoms without !=")
-    coeffs: Dict[str, int] = {}
-    const = 0
-    for m, c in a.terms:
-        if m:
-            v = _mono_var(m)
-            coeffs[v] = coeffs.get(v, 0) + c
+def _admit(table: RowTable, index: Index, rel: str, p: RowPoly, h: int, names=None, atom=None, key=None) -> bool:
+    """Add the row p rel 0 with history h to the table, divided by the
+    gcd of its entries, and index it under names (default: its
+    columns).  A constant row is decided instead; False when it is
+    false.  p is not mutated.
+
+    An equation is keyed by its entries; a bound by its coefficients,
+    over their gcd unless a column is a product monomial.  A row whose
+    key is taken merges into that slot: a bound replaces a slacker one
+    and is dropped otherwise, a duplicate equation is dropped, and the
+    survivor's history is the intersection of both.  A row given its
+    own key meets no other."""
+    const = p.get("", 0)
+    coeffs = p
+    if const:
+        coeffs = p.copy()
+        del coeffs[""]
+    if not coeffs:
+        return const <= 0 if rel == "<=" else const < 0 if rel == "<" else const == 0
+    g = gcd(*coeffs.values())
+    e = gcd(g, const) if const else g
+    if e != 1:
+        p = {u: c // e for u, c in p.items()}
+        const //= e
+    if key is None:
+        if rel == "=":
+            key = ("=", frozenset(p.items()))
         else:
-            const = c
-    row = (a.rel, coeffs, const)
-    object.__setattr__(a, "_row", row)
+            if g != e and any(_PROD_SEP in u for u in coeffs):
+                g = e
+            key = frozenset(coeffs.items() if g == 1 else ((u, c // g) for u, c in coeffs.items()))
+    # the divisor of the kept row's coefficients in its key
+    g //= e
+    seen = table.get(key)
+    if seen is None:
+        if names is None:
+            names = coeffs
+        table[key] = (rel, p, h, g, names, atom)
+        for u in names:
+            if u in index:
+                index[u].append(key)
+            else:
+                index[u] = [key]
+        return True
+    orel, op, oh, og, names, oatom = seen
+    if rel != "=":
+        # same direction: compare const/g against the kept bound's
+        lhs, rhs = const * og, op.get("", 0) * g
+        if lhs > rhs or (lhs == rhs and rel == "<" and orel == "<="):
+            table[key] = (rel, p, oh & h, g, names, atom)
+            return True
+    table[key] = (orel, op, oh & h, og, names, oatom)
+    return True
+
+
+def _take(table: RowTable, index: Index, v) -> List[StepRow]:
+    """Remove the rows indexed under v from the table and the index, and
+    return them in table order as (rel, coefficient of v, row, history)."""
+    rows = []
+    for key in index.pop(v):
+        rel, p, h, _, names, _ = table.pop(key)
+        for u in names:
+            if u != v:
+                keys = index[u]
+                keys.remove(key)
+                if not keys:
+                    del index[u]
+        rows.append((rel, p.get(v), p, h))
+    return rows
+
+
+def _neg(p):
+    return -p if type(p) is int else {m: -c for m, c in p.items()}
+
+
+def _cross(f, p: dict, g, q: dict) -> dict:
+    """f * p - g * q without zero entries.  The multipliers f and g are
+    ints, or integer polynomials over the parameters (then p and q are
+    integer polynomials too)."""
+    if type(f) is int and type(g) is int:
+        out = p.copy() if f == 1 else {m: f * c for m, c in p.items()}
+        for m, c in q.items():
+            out[m] = out.get(m, 0) - g * c
+    else:
+        out = {}
+        for sign, mult, poly in ((1, f, p), (-1, g, q)):
+            for fm, fc in ({(): mult} if type(mult) is int else mult).items():
+                for pm, pc in poly.items():
+                    m = tuple(sorted(fm + pm)) if fm and pm else fm or pm
+                    out[m] = out.get(m, 0) + sign * fc * pc
+    return {m: c for m, c in out.items() if c}
+
+
+def _fm_rows(pivot: Optional[StepRow], lowers: Sequence[StepRow], uppers: Sequence[StepRow], steps: int, admit) -> bool:
+    """Make the rows of one elimination step, the steps-th since the last
+    fresh start, and pass each to admit(rel, row, history); False as
+    soon as admit returns False for one.  With a pivot (an equation whose
+    coefficient c is an int) the variable is substituted into each row
+    of lowers: coeff * x + rest becomes |c| * rest - sgn(c) * coeff *
+    rest_pivot, and its history joins the pivot's.  Otherwise each lower
+    bound (negative coefficient) is combined with each upper bound so
+    that the variable cancels; a combination joins the histories of its
+    bounds and is not built when that has more than steps + 1 elements.
+    A row may come whole (ground rows do): its terms in the variable
+    cancel too."""
+    if pivot is not None:
+        _, c, pp, hp = pivot
+        for rel, coeff, q, h in lowers:
+            if not admit(rel, _cross(abs(c), q, coeff if c > 0 else _neg(coeff), pp), h | hp):
+                return False
+        return True
+    for lrel, lc, lp, lh in lowers:
+        for urel, uc, up, uh in uppers:
+            h = lh | uh
+            if h.bit_count() > steps + 1:
+                continue  # Chernikov: implied by the rows kept
+            # lc*x + lp rel 0 (lc < 0), uc*x + up rel 0 (uc > 0)
+            if not admit("<" if "<" in (lrel, urel) else "<=", _cross(uc, lp, lc, up), h):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Ground satisfiability by Fourier-Motzkin with witness back-substitution
+
+
+def _atom_row(a: LinAtom) -> Tuple[str, RowPoly]:
+    """The atom as (rel, row): its terms with each monomial named as one
+    column.  Computed once per atom; callers must not mutate it."""
+    row = a._row
+    if row is None:
+        if a.rel == "!=":
+            raise SortError("is_sat expects atoms without !=")
+        row = a.rel, {_mono_var(m): c for m, c in a.terms}
+        object.__setattr__(a, "_row", row)
     return row
 
 
@@ -420,177 +545,85 @@ def _witness(steps: Steps, atoms: Iterable[LinAtom]) -> Dict[str, Fraction]:
     return witness
 
 
-# row key (see _admit) -> (row, gcd of the row's coefficients)
-RowTable = Dict[object, Tuple[Row, int]]
-
-
-def _admit(table: RowTable, counts: Dict[str, int], rel: str, coeffs: Dict[str, int], const: int) -> bool:
-    """Add a row to the table, divided by the gcd of its entries.  An
-    equation is keyed by its entries and dropped when already present;
-    a bound is keyed by its coefficients over their gcd and replaces, in
-    its slot, a slacker bound with that key, or is dropped.  counts
-    tracks the occurrences of each variable in the table.  A constant
-    row is decided instead; False when it is false."""
-    if not coeffs:
-        return const <= 0 if rel == "<=" else const < 0 if rel == "<" else const == 0
-    g = gcd(*coeffs.values())
-    h = gcd(g, const)
-    if h != 1:
-        coeffs = {v: c // h for v, c in coeffs.items()}
-        const //= h
-        g //= h
-    if rel == "=":
-        key = ("=", frozenset(coeffs.items()), const)
-        if key in table:
-            return True
-    else:
-        key = frozenset(coeffs.items() if g == 1 else ((v, c // g) for v, c in coeffs.items()))
-        seen = table.get(key)
-        if seen is not None:
-            # same direction: compare const/g against oconst/og
-            (orel, _, oconst), og = seen
-            lhs, rhs = const * og, oconst * g
-            if lhs > rhs or (lhs == rhs and rel == "<" and orel == "<="):
-                table[key] = ((rel, coeffs, const), g)
-            return True
-    table[key] = ((rel, coeffs, const), g)
-    for v in coeffs:
-        counts[v] = counts.get(v, 0) + 1
-    return True
-
-
-def _pop_rows(table: RowTable, counts: Dict[str, int], v: str) -> List[Row]:
-    """Remove the rows that hold v from the table, in table order."""
-    with_v = [table.pop(k)[0] for k in [k for k, (row, _) in table.items() if v in row[1]]]
-    for _, coeffs, _ in with_v:
-        for u in coeffs:
-            n = counts[u] - 1
-            if n:
-                counts[u] = n
-            else:
-                del counts[u]
-    return with_v
-
-
-def _substitute(table: RowTable, counts: Dict[str, int], v: str, pivot: Row, rows: Iterable[Row]) -> bool:
-    """Admit each row with v replaced by its value from the pivot
-    equation; False when a produced row is false."""
-    # v = -(pconst + sum pco[u] u) / pc; rows are scaled by |pc|
-    _, pco, pconst = pivot
-    pc = pco[v]
-    scale = abs(pc)
-    for rel, coeffs, const in rows:
-        f = coeffs[v] if pc > 0 else -coeffs[v]
-        merged = {u: scale * q for u, q in coeffs.items() if u != v}
-        for u, q in pco.items():
-            if u != v:
-                merged[u] = merged.get(u, 0) - f * q
-        merged = {u: q for u, q in merged.items() if q}
-        if not _admit(table, counts, rel, merged, scale * const - f * pconst):
-            return False
-    return True
-
-
-def _combine(table: RowTable, counts: Dict[str, int], v: str, lowers: Sequence[Row], uppers: Sequence[Row]) -> bool:
-    """Admit the sum of every lower bound on v (negative coefficient)
-    and every upper bound (positive), scaled so that v cancels; False
-    when a produced row is false."""
-    for lrel, lco, lconst in lowers:
-        lc = lco[v]
-        for urel, uco, uconst in uppers:
-            uc = uco[v]
-            merged = {}
-            for u, q in lco.items():
-                if u != v:
-                    merged[u] = merged.get(u, 0) + uc * q
-            for u, q in uco.items():
-                if u != v:
-                    merged[u] = merged.get(u, 0) - lc * q
-            merged = {u: q for u, q in merged.items() if q}
-            rel = "<" if "<" in (lrel, urel) else "<="
-            if not _admit(table, counts, rel, merged, uc * lconst - lc * uconst):
-                return False
-    return True
-
-
 def _fm_steps(atoms: Iterable[LinAtom]) -> Optional[Steps]:
-    """Fourier-Motzkin on primitive integer rows: the elimination steps,
-    which _back_substitute turns into a witness and _probe_sat replays,
-    or None when the atoms are unsatisfiable."""
+    """Fourier-Motzkin on the atoms' rows, each atom its own history: the
+    elimination steps, which _back_substitute turns into a witness and
+    _probe_sat replays, or None when the atoms are unsatisfiable."""
     table: RowTable = {}
-    counts: Dict[str, int] = {}
-    for a in atoms:
-        if not _admit(table, counts, *_atom_row(a)):
+    index: Index = {}
+    for i, a in enumerate(atoms):
+        if not _admit(table, index, *_atom_row(a), 1 << i):
             return None
-    return _eliminate_rows(table, counts)
+    return _eliminate_rows(table, index, 0)
 
 
-def _eliminate_rows(table: RowTable, counts: Dict[str, int]) -> Optional[Steps]:
-    """Eliminate every variable of the table.  Each step eliminates the
-    variable with the fewest occurrences (ties: first appearance), by
-    substituting the first equation that has it, else by combining every
-    lower with every upper bound, and records the pivot or the bounds.
-    The rows without the variable keep their slots in the table and the
-    produced rows are admitted after them, in order."""
-    first: Dict[str, int] = {}
-    for (_, coeffs, _), _ in table.values():
-        for v in coeffs:
-            if v not in first:
-                first[v] = len(first)
+def _eliminate_rows(table: RowTable, index: Index, done: int) -> Optional[Steps]:
+    """Eliminate every column of the table, after done steps.  Each step
+    eliminates the column with the fewest occurrences (ties: the index's
+    order at the start, for a new table the order of first appearance),
+    by substituting the first equation that has it, else
+    by combining every lower with every upper bound, and records the
+    pivot or the bounds.  The rows without the column keep their slots
+    in the table and the produced rows are admitted after them, in
+    order."""
+    first = list(index)
     steps: Steps = []
-    while table:
-        least = min(counts.values())
+    admit = partial(_admit, table, index)
+    while index:
+        least = min(map(len, index.values()))
         for v in first:
-            if counts.get(v) == least:
+            if len(index.get(v, ())) == least:
                 break
-        with_v = _pop_rows(table, counts, v)
-        pivot = next((r for r in with_v if r[0] == "="), None)
+        rows = _take(table, index, v)
+        done += 1
+        pivot = next((r for r in rows if r[0] == "="), None)
         if pivot is not None:
             steps.append((v, pivot, (), ()))
-            if not _substitute(table, counts, v, pivot, [r for r in with_v if r is not pivot]):
-                return None
+            ok = _fm_rows(pivot, [r for r in rows if r is not pivot], (), done, admit)
         else:
-            lowers: List[Row] = []
-            uppers: List[Row] = []
-            for row in with_v:
-                (uppers if row[1][v] > 0 else lowers).append(row)
+            lowers = [r for r in rows if r[1] < 0]
+            uppers = [r for r in rows if r[1] > 0]
             steps.append((v, None, lowers, uppers))
-            if not _combine(table, counts, v, lowers, uppers):
-                return None
+            ok = _fm_rows(None, lowers, uppers, done, admit)
+        if not ok:
+            return None
     return steps
 
 
 def _probe_sat(steps: Steps, atom: LinAtom) -> bool:
     """is_sat(units + [atom]), given the elimination steps of the
     satisfiable units.  The atom's rows (an equation enters as two
-    bounds) go through the recorded steps: a pivot is substituted into
-    them, and at a bound step each of them that holds the variable is
-    combined with the recorded opposite bounds and with the opposite
-    bounds among them.  The rows left hold only variables that no step
-    eliminated, and are eliminated as usual."""
-    rel, coeffs, const = _atom_row(atom)
+    bounds) go through the recorded steps, with an empty history and k
+    the number of steps (a smaller history or a larger k only skips
+    fewer combinations): a pivot is substituted into them, and at a
+    bound step each of them that holds the variable is combined with
+    the recorded opposite bounds and with the opposite bounds among
+    them.  The rows left hold only columns that no step eliminated, and
+    are eliminated as usual."""
+    rel, p = _atom_row(atom)
     table: RowTable = {}
-    counts: Dict[str, int] = {}
+    index: Index = {}
     if rel == "=":
-        _admit(table, counts, "<=", coeffs, const)
-        _admit(table, counts, "<=", {u: -q for u, q in coeffs.items()}, -const)
+        _admit(table, index, "<=", p, 0)
+        _admit(table, index, "<=", _neg(p), 0)
     else:
-        _admit(table, counts, rel, coeffs, const)
+        _admit(table, index, rel, p, 0)
+    admit = partial(_admit, table, index)
+    k = len(steps)
     for v, pivot, lowers, uppers in steps:
-        if v not in counts:
+        if v not in index:
             continue
-        with_v = _pop_rows(table, counts, v)
+        rows = _take(table, index, v)
         if pivot is not None:
-            ok = _substitute(table, counts, v, pivot, with_v)
+            ok = _fm_rows(pivot, rows, (), k, admit)
         else:
-            mine_lowers = [r for r in with_v if r[1][v] < 0]
-            mine_uppers = [r for r in with_v if r[1][v] > 0]
-            ok = _combine(table, counts, v, mine_lowers, list(uppers) + mine_uppers) and _combine(
-                table, counts, v, lowers, mine_uppers
-            )
+            mine_lowers = [r for r in rows if r[1] < 0]
+            mine_uppers = [r for r in rows if r[1] > 0]
+            ok = _fm_rows(None, mine_lowers, list(uppers) + mine_uppers, k, admit)
+            ok = ok and _fm_rows(None, lowers, mine_uppers, k, admit)
         if not ok:
             return False
-    return _eliminate_rows(table, counts) is not None
+    return not index or _eliminate_rows(table, index, k) is not None
 
 
 Rational = Union[int, Fraction]
@@ -609,19 +642,21 @@ def _back_substitute(steps: Steps) -> Dict[str, Fraction]:
     midpoint of its tightest bounds, or one past the only side."""
     witness: Dict[str, Rational] = {}
 
-    def bound_of(v: str, row: Row) -> Rational:
+    def bound_of(v: str, row: StepRow) -> Rational:
         """The value of v that makes the row an equation."""
-        _, coeffs, total = row
-        for u, q in coeffs.items():
-            if u == v:
-                continue
-            w = witness.get(u)
-            if w is None:
-                # variables that vanished by cancellation stay unconstrained
-                witness[u] = 0
-            elif w:
-                total += w * q
-        return _quotient(-total, coeffs[v])
+        _, c, p, _ = row
+        total = 0
+        for u, q in p.items():
+            if not u:
+                total += q
+            elif u != v:
+                w = witness.get(u)
+                if w is None:
+                    # variables that vanished by cancellation stay unconstrained
+                    witness[u] = 0
+                elif w:
+                    total += w * q
+        return _quotient(-total, c)
 
     for v, pivot, lowers, uppers in reversed(steps):
         if pivot is not None:
@@ -656,8 +691,12 @@ def _complexity(a: LinAtom):
 
 def simplify_conjunct(conj: Conjunct, assumptions: Sequence[LinAtom]) -> Optional[Conjunct]:
     """Drop atoms entailed by the rest; None when unsatisfiable with the
-    assumptions.  A single sequential pass yields an irredundant set."""
-    atoms = _bound_prune(list(conj), [0] * len(conj))[0]
+    assumptions.  The row table drops slack bounds first; then a single
+    sequential pass yields an irredundant set."""
+    table: RowTable = {}
+    for a in conj:
+        _admit(table, {}, *_atom_row(a), 0, (), a)
+    atoms = [entry[5] for entry in table.values()]
     if not is_sat(atoms + list(assumptions)):
         return None
     for a in sorted(atoms, key=_complexity, reverse=True):
@@ -684,51 +723,6 @@ def simplify(dnf: DNF, assumptions: Sequence[LinAtom] = ()) -> DNF:
     return out
 
 
-def _bound_prune(atoms: List[LinAtom], histories: List[int]) -> Tuple[List[LinAtom], List[int]]:
-    """Keep only the tightest bound among atoms sharing a non-constant
-    part as printed (cheap dominance check applied between elimination
-    rounds): without a product monomial that is the part over the gcd of
-    its coefficients, else the part itself.  histories holds one history
-    per atom (see _Eliminator._step); the bound kept for a non-constant
-    part takes the intersection of the histories of all bounds with that
-    part."""
-    kept: List[LinAtom] = []
-    kept_histories: List[int] = []
-    # non-constant part -> (index in kept, constant, divisor of the part)
-    slot: Dict[Terms, Tuple[int, int, int]] = {}
-    rest: List[LinAtom] = []
-    rest_histories: List[int] = []
-    for a, h in zip(atoms, histories):
-        if a.rel == "=":
-            rest.append(a)
-            rest_histories.append(h)
-            continue
-        terms = a.terms
-        const = 0
-        if not terms[0][0]:
-            const = terms[0][1]
-            terms = terms[1:]
-        g = 1
-        if all(len(m) == 1 for m, _ in terms):
-            g = gcd(*(c for _, c in terms))
-            if g != 1:
-                terms = tuple((m, c // g) for m, c in terms)
-        seen = slot.get(terms)
-        if seen is None:
-            slot[terms] = (len(kept), const, g)
-            kept.append(a)
-            kept_histories.append(h)
-            continue
-        # compare const / g against the kept bound's
-        i, cur_const, cur_g = seen
-        lhs, rhs = const * cur_g, cur_const * g
-        if lhs > rhs or (lhs == rhs and a.rel == "<"):
-            kept[i] = a
-            slot[terms] = (i, const, g)
-        kept_histories[i] &= h
-    return kept + rest, kept_histories + rest_histories
-
-
 # ---------------------------------------------------------------------------
 # Quantifier elimination
 
@@ -743,92 +737,45 @@ def _sign_cases(coeff: IntPoly) -> Tuple[LinAtom, LinAtom, LinAtom]:
     return _atom_of("<", _neg(coeff)), _atom_of("<", coeff), _atom_of("=", coeff)
 
 
-def _sign(coeff: IntPoly, ctx: List[LinAtom]) -> str:
-    """Sign of a coefficient polynomial entailed by the context:
-    "+", "-", "0", "?" (unknown) or "dead" (context unsatisfiable)."""
-    if list(coeff) == [()]:
-        return "+" if coeff[()] > 0 else "-"
+def _sign(coeff: Union[int, IntPoly], ctx: List[LinAtom]) -> str:
+    """Sign of a coefficient entailed by the context: "+", "-", "0", "?"
+    (unknown) or "dead" (context unsatisfiable)."""
+    if type(coeff) is int:
+        return "+" if coeff > 0 else "-"
     possible = [is_sat(ctx + [a]) for a in _sign_cases(coeff)]
     if not any(possible):
         return "dead"
     return "+-0"[possible.index(True)] if sum(possible) == 1 else "?"
 
 
-# an atom holding the eliminated symbol x, split as coefficient * x + rest:
-# (atom, history, coefficient, rest, sign of the coefficient)
-SignedRow = Tuple[LinAtom, int, IntPoly, IntPoly, str]
-
-
-def _neg(p: IntPoly) -> IntPoly:
-    return {m: -c for m, c in p.items()}
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(sorted(a + b)) if a and b else a or b
-
-
-def _cross(f: IntPoly, p: IntPoly, g: IntPoly, q: IntPoly) -> IntPoly:
-    """f * p - g * q, without zero coefficients."""
-    out: IntPoly = {}
-    for fm, fc in f.items():
-        for pm, pc in p.items():
-            m = _mono_mul(fm, pm)
-            out[m] = out.get(m, 0) + fc * pc
-    for gm, gc in g.items():
-        for qm, qc in q.items():
-            m = _mono_mul(gm, qm)
-            out[m] = out.get(m, 0) - gc * qc
-    return {m: c for m, c in out.items() if c}
-
-
-def _eliminate_one(rows: List[SignedRow], steps: int):
-    """Eliminate x from its rows, the steps-th elimination since the
-    conjunct's last fresh start: yields (rel, integer polynomial,
-    history) of each atom produced, lazily, so that the caller can stop
-    at the first false one.  With a pivot (the first equation whose
-    coefficient is a constant c) x is substituted: an atom
-    coeff * x + rest_b becomes |c| * rest_b - sgn(c) * coeff * rest, and
-    its history joins the pivot's.  Otherwise an atom whose coefficient
-    is zero loses its x part, an equation enters as two bounds (the
-    negated one with the flipped sign), and each lower bound is combined
-    with each upper bound; a combination joins the histories of its
-    bounds and is dropped, unbuilt, when that has more than steps + 1
-    elements.  Each produced polynomial is a positive multiple of the
-    one rational arithmetic would give, so the canonical atom is the
-    same."""
-    pivot = next((r for r in rows if r[0].rel == "=" and list(r[2]) == [()]), None)
+def _parametric_rows(rows: List[Tuple[str, Union[int, IntPoly], IntPoly, int, str]], steps: int, admit) -> bool:
+    """Eliminate x from its rows (rel, coefficient, rest, history, sign
+    of the coefficient) by _fm_rows, passing what it makes to admit;
+    False as soon as admit does.  With a pivot (the first equation whose
+    coefficient is an int) every other row is substituted.  Otherwise a
+    row whose coefficient is zero loses its x part, and an equation
+    enters as two bounds (the negated one with the flipped sign)."""
+    pivot = next((r for r in rows if r[0] == "=" and type(r[1]) is int), None)
     if pivot is not None:
-        a, ha, c, rest, _ = pivot
-        c = c[()]
-        scale = {(): abs(c)}
-        for b, hb, coeff, rest_b, _ in rows:
-            if b is not a:
-                yield b.rel, _cross(scale, rest_b, coeff if c > 0 else _neg(coeff), rest), hb | ha
-        return
-    lowers = []
-    uppers = []
-    for a, h, coeff, rest, sign in rows:
+        return _fm_rows(pivot[:4], [r[:4] for r in rows if r is not pivot], (), steps, admit)
+    lowers: List[StepRow] = []
+    uppers: List[StepRow] = []
+    for rel, coeff, rest, h, sign in rows:
         if sign == "0":
-            yield a.rel, rest, h
+            if not admit(rel, rest, h):
+                return False
             continue
         upper, lower = (uppers, lowers) if sign == "+" else (lowers, uppers)
-        if a.rel == "=":
-            upper.append(("<=", coeff, rest, h))
+        upper.append((rel if rel != "=" else "<=", coeff, rest, h))
+        if rel == "=":
             lower.append(("<=", _neg(coeff), _neg(rest), h))
-        else:
-            upper.append((a.rel, coeff, rest, h))
-    for lrel, lc, lp, lh in lowers:
-        for urel, uc, up, uh in uppers:
-            h = lh | uh
-            if h.bit_count() > steps + 1:
-                continue  # Chernikov: implied by the rows kept
-            # lc*x + lp <= 0 (lc<0), uc*x + up <= 0 (uc>0)
-            yield "<" if "<" in (lrel, urel) else "<=", _cross(uc, lp, lc, up), h
+    return _fm_rows(None, lowers, uppers, steps, admit)
 
 
 class _Eliminator:
     def __init__(self, symbols: Sequence[str], assumptions: Sequence[LinAtom], max_cases: int):
         self.symbols = list(symbols)
+        self.eliminated = set(symbols)
         self.assumptions = list(assumptions)
         self.max_cases = max_cases
 
@@ -851,93 +798,82 @@ class _Eliminator:
         done.sort(key=lambda c: tuple(a.key() for a in c))
         return done
 
+    def _admit(self, table: RowTable, index: Index, a: Union[LinAtom, bool], h: int, key=None) -> bool:
+        """Admit the atom's row, indexed under its eliminated symbols or
+        None (the sign checks' context); a decided atom is its value."""
+        if isinstance(a, bool):
+            return a
+        return _admit(table, index, *_atom_row(a), h, a.symbols() & self.eliminated or (None,), a, key)
+
     def _step(self, atoms: List[LinAtom]):
         """Eliminate symbols from one conjunct.  Returns ("done", atoms),
         ("split", conjuncts) after a sign case split, or ("drop", None).
 
-        Each elimination is one pass over the atoms: it splits each atom
-        that holds the eliminated symbol x into x's coefficient and the
-        rest once, and decides each distinct coefficient's sign once, in
-        atom order, stopping at the first that the context leaves open
-        or refutes.
-
-        Each atom carries its history, a bit set of the atoms of the
-        last fresh start it was derived from; steps counts the
-        eliminations since then.  The conjunct starts fresh (one bit per
-        atom, no steps) here, so each sign case does too, and after an
-        exact prune."""
-        eliminated = set(self.symbols)
-        history = [1 << i for i in range(len(atoms))]
-        steps = 0
+        Each elimination is one pass over the rows holding the symbol x,
+        in table order: it splits each into x's coefficient and the rest,
+        and decides each distinct coefficient's sign once, stopping at
+        the first that the context leaves open or refutes.  A history is
+        a bit set of the atoms of the last fresh start (here, and after
+        an exact prune); steps counts the eliminations since then."""
         while True:
-            # occurrences of each eliminated symbol; the context is the
-            # assumptions and the atoms that hold none
-            counts: Dict[str, int] = {}
-            held = []
-            ctx = list(self.assumptions)
-            for a in atoms:
-                symbols = a.symbols() & eliminated
-                held.append(symbols)
-                for s in symbols:
-                    counts[s] = counts.get(s, 0) + 1
-                if not symbols:
-                    ctx.append(a)
-            if not counts:
-                return "done", atoms
-            live = sorted(counts, key=lambda s: (counts[s], self.symbols.index(s)))
-            x, splits = self._pick_pivot_symbol(atoms, live)
-            rows: List[SignedRow] = []
-            signs: Dict[frozenset, str] = {}
-            others = []
-            others_history = []
-            for i, (a, h) in enumerate(zip(atoms, history)):
-                if x not in held[i]:
-                    others.append(a)
-                    others_history.append(h)
-                    continue
-                coeff, rest = splits[i] if i in splits else self._split(a, x)
-                key = frozenset(coeff.items())
-                sign = signs.get(key)
-                if sign is None:
-                    sign = signs[key] = _sign(coeff, ctx)
-                if sign == "dead":
+            table: RowTable = {}
+            index: Index = {}
+            for i, a in enumerate(atoms):
+                self._admit(table, index, a, 1 << i, i)
+            steps = 0
+            while True:
+                live = sorted((s for s in index if s is not None), key=lambda s: (len(index[s]), self.symbols.index(s)))
+                if not live:
+                    return "done", [entry[5] for entry in table.values()]
+                x, splits = self._pick_pivot_symbol(table, index, live)
+                ctx = self.assumptions + [table[key][5] for key in index.get(None, ())]
+                rows = []
+                signs: Dict[object, str] = {}
+                for key in index[x]:
+                    rel, _, h, _, _, a = table[key]
+                    coeff, rest = splits[key] if key in splits else self._split(a, x)
+                    ckey = coeff if type(coeff) is int else frozenset(coeff.items())
+                    sign = signs.get(ckey)
+                    if sign is None:
+                        sign = signs[ckey] = _sign(coeff, ctx)
+                    if sign == "dead":
+                        return "drop", None
+                    if sign == "?":
+                        return "split", self._sign_split([entry[5] for entry in table.values()], a, coeff, rest)
+                    rows.append((rel, coeff, rest, h, sign))
+                _take(table, index, x)
+                steps += 1
+                if steps == 1:  # the fresh atoms left meet the dominance check
+                    kept = list(table.values())
+                    table, index = {}, {}
+                    for entry in kept:
+                        self._admit(table, index, entry[5], entry[2])
+                if not _parametric_rows(rows, steps, lambda rel, p, h: self._admit(table, index, _atom_of(rel, p), h)):
                     return "drop", None
-                if sign == "?":
-                    return "split", self._sign_split(atoms, a, coeff, rest)
-                rows.append((a, h, coeff, rest, sign))
-            steps += 1
-            for rel, p, h in _eliminate_one(rows, steps):
-                na = _atom_of(rel, p)
-                if na is False:
-                    return "drop", None
-                if na is not True:
-                    others.append(na)
-                    others_history.append(h)
-            atoms, history = _bound_prune(others, others_history)
-            if len(atoms) > PRUNE_THRESHOLD:
-                pruned = simplify_conjunct(tuple(atoms), self.assumptions)
-                if pruned is None:
-                    return "drop", None
-                atoms = list(pruned)
-                history = [1 << i for i in range(len(atoms))]
-                steps = 0
+                if len(table) > PRUNE_THRESHOLD:
+                    pruned = simplify_conjunct(tuple(entry[5] for entry in table.values()), self.assumptions)
+                    if pruned is None:
+                        return "drop", None
+                    atoms = list(pruned)
+                    break
 
-    def _pick_pivot_symbol(self, atoms: List[LinAtom], live: List[str]) -> Tuple[str, Dict[int, Tuple[IntPoly, IntPoly]]]:
-        """Prefer a symbol with a rational equation pivot (substitution
+    def _pick_pivot_symbol(self, table: RowTable, index: Index, live: List[str]) -> Tuple[str, Dict[object, tuple]]:
+        """Prefer a symbol with a constant equation pivot (substitution
         does not grow the conjunct), otherwise fewest occurrences.  Also
         returns the splits of the symbol's equations that the scan made,
-        by atom index."""
+        by row key."""
         for s in live:
             splits = {}
-            for i, a in enumerate(atoms):
-                if a.rel == "=" and s in a.symbols():
-                    coeff, _ = splits[i] = self._split(a, s)
-                    if list(coeff) == [()]:
+            for key in index[s]:
+                if table[key][0] == "=":
+                    coeff, _ = splits[key] = self._split(table[key][5], s)
+                    if type(coeff) is int:
                         return s, splits
         return live[0], {}
 
-    def _split(self, a: LinAtom, x: str) -> Tuple[IntPoly, IntPoly]:
-        """The atom's terms as coefficient * x + rest."""
+    def _split(self, a: LinAtom, x: str) -> Tuple[Union[int, IntPoly], IntPoly]:
+        """The atom's terms as coefficient * x + rest; a constant
+        coefficient is an int."""
         coeff: IntPoly = {}
         rest: IntPoly = {}
         for m, c in a.terms:
@@ -948,10 +884,10 @@ class _Eliminator:
                 raise NonLinearError("symbol %s occurs with degree >= 2" % x)
             factors = list(m)
             factors.remove(x)
-            if any(s in self.symbols for s in factors):
+            if any(s in self.eliminated for s in factors):
                 raise NonLinearError("eliminated symbols multiplied together: %s" % _PROD_SEP.join(m))
             coeff[tuple(factors)] = c
-        return coeff, rest
+        return (coeff[()] if list(coeff) == [()] else coeff), rest
 
     def _sign_split(self, atoms: List[LinAtom], a: LinAtom, coeff: IntPoly, rest: IntPoly) -> List[List[LinAtom]]:
         """The three cases of the sign of a's coefficient: the conjunct
@@ -1003,24 +939,24 @@ def _translated(lit: Atom, memo: LiteralMemo) -> list:
     return entry
 
 
-# a model scaled to integers: (d, {symbol: d * value}), zeros left out
-ScaledModel = Tuple[int, Dict[str, int]]
+# a model scaled to integers: {column: d * value}, zeros left out, and d
+# under the constant's column ""
+ScaledModel = Dict[str, int]
 
 
 def _scaled(model: Dict[str, Fraction]) -> ScaledModel:
     d = lcm(*(w.denominator for w in model.values()))
-    return d, {v: w.numerator * (d // w.denominator) for v, w in model.items() if w}
+    return {"": d, **{v: w.numerator * (d // w.denominator) for v, w in model.items() if w}}
 
 
 def _holds(model: ScaledModel, atoms: Iterable[LinAtom]) -> bool:
     """Every atom holds at the scaled model, read as is_sat reads atoms:
     a product monomial is its own column, a missing symbol is 0."""
-    d, values = model
     for a in atoms:
-        rel, coeffs, const = _atom_row(a)
-        total = const * d
-        for v, c in coeffs.items():
-            w = values.get(v)
+        rel, p = _atom_row(a)
+        total = 0
+        for v, c in p.items():
+            w = model.get(v)
             if w:
                 total += c * w
         if not (total <= 0 if rel == "<=" else total < 0 if rel == "<" else total == 0):

@@ -328,6 +328,12 @@ def free_variables(x: Union[Term, Formula]) -> Set[str]:
 
 
 def is_ground(x: Union[Term, Formula]) -> bool:
+    """No free variable: a term's walk stops at its first Var, a
+    formula's is free_variables' binder-aware one."""
+    if type(x) is App:
+        return all(map(is_ground, x.args))
+    if type(x) in (Var, Num):
+        return type(x) is Num
     return not free_variables(x)
 
 

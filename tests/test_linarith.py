@@ -251,6 +251,103 @@ def test_integer_fm_matches_fraction_reference(monkeypatch):
     assert verdicts == {True, False}
 
 
+# the ten atoms of a conjunct whose elimination of s0, s1 and s2 hands
+# the exact prune conjuncts of 60 and more atoms; s0-s4 are constants
+PRODUCT_HEAVY = """s0 + (_-1/2 * s2) <= _-1
+_-1 * s1 < _3/2
+((_-1 * s1) + (_1/2 * s2)) + (_1/2 * s4) <= _1
+s0 + (_-1 * s2) <= _-1
+((_-2 * s0) + s1) + ((_-1 * s1) * s3) <= _3
+((_-2 * s0) + (_2 * s2)) + ((_-1 * s2) * s3) <= _1
+((_-1 * s1) + (_-1 * s2)) + (_-1/2 * s4) <= _1/2
+s0 + s1 <= _2
+((_-1 * s0) + (_1/2 * s1)) + (_1/2 * s3) <= _3/2
+(s0 + (_-1 * s1)) + (_-1/2 * s4) <= _0"""
+
+
+def first_exact_prune(monkeypatch):
+    """The conjunct that eliminating s0, s1 and s2 from PRODUCT_HEAVY
+    hands to its first exact prune."""
+    sig = Signature()
+    for i in range(5):
+        sig.declare_constant("s%d" % i)
+    atoms = tuple(a for line in PRODUCT_HEAVY.splitlines() for a in linear.atom_to_lin(parse_formula(line, sig)))
+
+    class Pruned(Exception):
+        pass
+
+    def stop(conj, assumptions):
+        raise Pruned(conj)
+
+    with monkeypatch.context() as m:
+        m.setattr(linear, "simplify_conjunct", stop)
+        with pytest.raises(Pruned) as caught:
+            eliminate(["s0", "s1", "s2"], [atoms])
+    return caught.value.args[0]
+
+
+def recorded_skips(monkeypatch):
+    """Count, for every bound step that _fm_rows completes, the lower x
+    upper combinations it meets and those it builds no row for."""
+    seen = {"combinations": 0, "skipped": 0}
+    real = linear._fm_rows
+
+    def recording(pivot, lowers, uppers, steps, admit):
+        built = []
+
+        def counted(rel, row, h):
+            built.append(h)
+            return admit(rel, row, h)
+
+        ok = real(pivot, lowers, uppers, steps, counted)
+        if ok and pivot is None:
+            seen["combinations"] += len(lowers) * len(uppers)
+            seen["skipped"] += len(lowers) * len(uppers) - len(built)
+        return ok
+
+    monkeypatch.setattr(linear, "_fm_rows", recording)
+    return seen
+
+
+def product_column_conjunct(rng):
+    """10-14 bounds over 3-5 columns, at least one a product monomial."""
+    pool = [("x",), ("y",), ("z",), ("x", "y"), ("x", "x"), ("x", "x", "y")]
+    columns = [("x", "y")] + rng.sample([m for m in pool if m != ("x", "y")], rng.randint(2, 4))
+    atoms = []
+    while len(atoms) < rng.randint(10, 14):
+        poly = {m: Fraction(rng.randint(-3, 3)) for m in rng.sample(columns, rng.randint(1, 3))}
+        a = make_atom(rng.choice(["<=", "<"]), {**poly, (): Fraction(rng.randint(-8, 2))})
+        if isinstance(a, LinAtom) and a not in atoms:
+            atoms.append(a)
+    return atoms
+
+
+def test_ground_history_rule_keeps_the_verdict(monkeypatch):
+    """Ground Fourier-Motzkin builds no lower x upper combination whose
+    history has more than k + 1 atoms after k steps.  On conjuncts
+    with product columns, where the rule skips combinations, is_sat
+    answers as the reference FM does, and every witness holds.  The
+    first exact prune of PRODUCT_HEAVY (33 atoms over s3, s4, s3*s3,
+    s3*s4 and s3*s3*s4) is satisfiable."""
+    pruned = first_exact_prune(monkeypatch)
+    columns = {linear._mono_var(m) for a in pruned for m, _ in a.terms if m}
+    assert len(pruned) == 33 and columns == {"s3", "s4", "s3*s3", "s3*s4", "s3*s3*s4"}
+    rng = random.Random(20261019)
+    cases = [list(pruned)] + [product_column_conjunct(rng) for _ in range(60)]
+    monkeypatch.setattr(linear, "_SAT_CACHE", {})
+    seen = recorded_skips(monkeypatch)
+    verdicts = []
+    for atoms in cases:
+        before = seen["skipped"]
+        sat = is_sat(atoms)
+        assert sat == (reference_is_sat(atoms) is not None), atoms
+        if sat:
+            model_of(atoms)
+        verdicts.append((sat, seen["skipped"] > before))
+    assert verdicts[0] == (True, True)
+    assert {(True, True), (False, True)} <= set(verdicts)
+
+
 def test_holds_on_scaled_model_matches_evaluation():
     """_holds at the integer-scaled model agrees with evaluating the
     atom at the Fraction model, missing symbols reading 0."""
@@ -521,32 +618,41 @@ def test_redundant_combination_is_not_built():
     assert print_canonical(dnf_formula(out)) == "AND(r >= _0, q >= _0)"
 
 
-def test_bound_prune_survivor_takes_the_intersection_of_histories():
+def admitted(atoms, histories):
+    """The atoms and histories a row table keeps, in table order, when
+    the atoms' rows are admitted in order with the given histories."""
+    table = {}
+    for a, h in zip(atoms, histories):
+        assert linear._admit(table, {}, *_atom_row(a), h, (), a)
+    return [entry[5] for entry in table.values()], [entry[2] for entry in table.values()]
+
+
+def test_row_table_survivor_takes_the_intersection_of_histories():
     """A tighter bound replaces a looser one in its slot, and the
     survivor's history is the intersection of both, also for a
-    duplicate; equations pass through with their own."""
+    duplicate bound or equation; every row keeps its slot."""
     tight = make_atom("<=", {("x",): Fraction(1), (): Fraction(1)})
     loose = make_atom("<=", {("x",): Fraction(1)})
     other = make_atom("<", {("x",): Fraction(-1), ("y",): Fraction(1)})
     eq = make_atom("=", {("y",): Fraction(1), (): Fraction(1)})
-    atoms, histories = linear._bound_prune([loose, eq, other, tight, other], [0b0011, 0b1000, 0b0100, 0b0110, 0b1100])
-    assert atoms == [tight, other, eq]
-    assert histories == [0b0010, 0b0100, 0b1000]
+    atoms, histories = admitted([loose, eq, other, tight, other, eq], [0b0011, 0b1000, 0b0100, 0b0110, 0b1100, 0b11000])
+    assert atoms == [tight, eq, other]
+    assert histories == [0b0010, 0b1000, 0b0100]
 
 
-def test_bound_prune_groups_bounds_by_their_printed_variable_part():
+def test_row_table_groups_bounds_by_their_printed_variable_part():
     """Linear bounds share a slot when their variable parts are positive
     multiples of each other, and the tighter survives; bounds with a
     product monomial share one only when their integer variable parts
     are equal, so these two are both kept."""
     (half,), (three,) = dnf("_2 * x + _2 * y + _1 <= _0;")[0], dnf("x + y + _3 <= _0;")[0]
-    assert linear._bound_prune([half, three], [0b01, 0b10]) == ([three], [0b00])
-    assert linear._bound_prune([three, half], [0b10, 0b01]) == ([three], [0b00])
+    assert admitted([half, three], [0b01, 0b10]) == ([three], [0b00])
+    assert admitted([three, half], [0b10, 0b01]) == ([three], [0b00])
     (half,), (three,) = dnf("_2 * p * x + _2 * y + _1 <= _0;")[0], dnf("p * x + y + _3 <= _0;")[0]
-    assert linear._bound_prune([half, three], [0b01, 0b10]) == ([half, three], [0b01, 0b10])
+    assert admitted([half, three], [0b01, 0b10]) == ([half, three], [0b01, 0b10])
 
 
-def test_bound_prune_survivor_history_decides_the_result():
+def test_row_table_survivor_history_decides_the_result():
     """An unsatisfiable conjunct (the atoms times 1, 2, 1, 1, 2, 1 sum to
     9 < 0) whose elimination keeps a tighter bound derived from more
     atoms than the bound it replaces.  Were the survivor to keep its own

@@ -200,6 +200,17 @@ def test_free_variables_and_groundness():
     assert not is_ground(f)
 
 
+def test_is_ground_agrees_with_free_variables():
+    """A term is ground when no Var occurs in it, however deep; a
+    formula's groundness respects its binders."""
+    c, x = App("c", ()), Var("x")
+    deep = App("f", (App("+", (c, App("f", (App("f", (x,)),)))),))
+    for t in (Num(Fraction(1)), c, App("f", (App("+", (c, Num(Fraction(2)))),)), x, deep):
+        assert is_ground(t) == (not free_variables(t))
+    assert not is_ground(deep) and is_ground(deep.args[0].args[0])
+    assert is_ground(Forall(("x",), Atom("=", x, c))) and not is_ground(Exists(("y",), Atom("=", x, c)))
+
+
 def test_numerals_round_trip_exactly():
     sig = Signature()
     for text in ["_1", "_0", "_3/2", "_-7/3", "_1000000000000000000001"]:
