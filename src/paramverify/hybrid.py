@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EngineError, SortError
 from .parsing import LhaSpec
-from .linear import poly_sub
 from .printing import print_term, term_poly
 from .terms import (
     App,
@@ -141,10 +140,11 @@ def _check_state_atom(f: Formula, variables: Sequence[str], where: str, allow_pr
 def _flow_combination(atom: Atom) -> Tuple[Dict[str, Fraction], Dict[Tuple[str, ...], Fraction]]:
     """Split lhs - rhs into derivative coefficients and the rest."""
     leaves: Dict[str, Term] = {}
-    combo = poly_sub(term_poly(atom.lhs, leaves), term_poly(atom.rhs, leaves))
+    combo, den = term_poly(App("-", (atom.lhs, atom.rhs)), leaves)
     derivatives: Dict[str, Fraction] = {}
     rest: Dict[Tuple[str, ...], Fraction] = {}
-    for mono, coeff in combo.items():
+    for mono, c in combo.items():
+        coeff = Fraction(c, den)
         d_factors = [t for t in map(leaves.get, mono) if isinstance(t, App) and t.fn == "d"]
         if not d_factors:
             rest[mono] = coeff
@@ -222,17 +222,13 @@ class NamedVC:
     statements: List[Formula]
 
 
-def _negate_convex(atoms: Sequence[Formula], avoid) -> Formula:
-    return negate_universal(list(atoms), avoid=avoid)
-
-
 def vcs_invariant(automaton: HybridAutomaton, candidate: Sequence[Formula]) -> List[NamedVC]:
     """One condition per mode (initial states, flows) and per edge
     (jumps); the candidate is invariant iff all are unsatisfiable."""
     renaming = automaton.prime_renaming()
     avoid = automaton.sig.all_symbols()
-    neg_plain = _negate_convex(candidate, avoid)
-    neg_primed = _negate_convex([rename_symbols(c, renaming) for c in candidate], avoid)
+    neg_plain = negate_universal(list(candidate), avoid=avoid)
+    neg_primed = negate_universal([rename_symbols(c, renaming) for c in candidate], avoid=avoid)
     primed_of = lambda fs: [rename_symbols(f, renaming) for f in fs]
     out: List[NamedVC] = []
     tname = "t" if "t" not in automaton.sig.all_symbols() else "t_vc"
@@ -294,7 +290,7 @@ def vcs_chatterfree(
                 list(source.inv)
                 + list(edge.guard)
                 + list(edge.jump)
-                + [_negate_convex(primed_of(target.inenv), avoid)]
+                + [negate_universal(primed_of(target.inenv), avoid=avoid)]
             )
             landing.append(NamedVC("CF1_%s" % edge.label(), statements))
         if source.inenv:

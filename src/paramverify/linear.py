@@ -3,24 +3,26 @@
 Atoms are polynomials compared against zero.  A polynomial maps
 monomials (sorted tuples of symbol names) to coefficients, so
 "dmin * t <= x1p - x1" becomes a single atom whose t-coefficient is the
-parameter dmin.  Terms are read as rational polynomials (term_to_poly),
-the package's one polynomial type: the printed canonical form and the
+parameter dmin.  A term is read straight into an integer polynomial over
+a positive denominator (term_to_poly), by the cross-multiplication of
+the Fourier-Motzkin core (_cross): the printed canonical form and the
 flow relaxation of hybrid automata read terms through it too
 (printing.term_poly names each atomic summand by its printed form), and
 write monomials back with monomial_term.  A literal becomes atoms in one
-place (atom_to_lin, with strict_halves for the two halves of p != 0),
-which to_linear and decide share.
+place (atom_to_lin, which makes the two strict halves of p != 0), which
+to_linear and decide share.
 
-An atom is stored as its integer row (LinAtom.terms): make_atom clears
-the denominators and divides by the gcd of the coefficients, and an
-equation's leading coefficient is made positive, so two atoms are equal
-exactly when their polynomials are positive multiples of each other
-(any nonzero multiple, for = and !=).  Every operation on atoms, in
-elimination, simplification and satisfiability, is integer arithmetic
-on these rows.  The printed polynomial (LinAtom.poly, Fraction
-coefficients) is a view made on demand for printing; the sort key of
-atoms (LinAtom.key), which fixes the order of every output, compares
-the printed polynomials but keeps their integral coefficients as ints.
+An atom is stored as its integer row (LinAtom.terms): atom_of divides
+an integer polynomial by the gcd of its coefficients (make_atom clears
+a rational polynomial's denominators first), and an equation's leading
+coefficient is made positive, so two atoms are equal exactly when their
+polynomials are positive multiples of each other (any nonzero multiple,
+for = and !=).  Every operation on atoms, in elimination,
+simplification and satisfiability, is integer arithmetic on these rows.
+The printed polynomial (LinAtom.poly, Fraction coefficients) is a view
+made on demand for printing; the sort key of atoms (LinAtom.key), which
+fixes the order of every output, compares the printed polynomials but
+keeps their integral coefficients as ints.
 
 Fourier-Motzkin has one core, which quantifier elimination (eliminate),
 ground satisfiability (is_sat) and the ground decision procedure
@@ -94,50 +96,6 @@ IntPoly = Dict[Monomial, int]
 Terms = Tuple[Tuple[Monomial, int], ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, ZERO) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
-def poly_scale(a: Poly, q: Fraction) -> Poly:
-    if not q:
-        return {}
-    return {m: c * q for m, c in a.items()}
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    return poly_add(a, poly_scale(b, Fraction(-1)))
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(sorted(m1 + m2))
-            s = out.get(m, ZERO) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
-
-
-def poly_const(q) -> Poly:
-    q = Fraction(q)
-    return {(): q} if q else {}
-
-
-def poly_var(name: str) -> Poly:
-    return {(name,): ONE}
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,10 +187,10 @@ def _term_key(item: Tuple[Monomial, object]):
 def make_atom(rel: str, p: Poly) -> Union[LinAtom, bool]:
     """Canonical atom of p rel 0; constant polynomials decide to True/False."""
     den = lcm(*(c.denominator for c in p.values()))
-    return _atom_of(rel, {m: c.numerator * (den // c.denominator) for m, c in p.items() if c})
+    return atom_of(rel, {m: c.numerator * (den // c.denominator) for m, c in p.items() if c})
 
 
-def _atom_of(rel: str, p: IntPoly) -> Union[LinAtom, bool]:
+def atom_of(rel: str, p: IntPoly) -> Union[LinAtom, bool]:
     """Canonical atom of p rel 0, for an integer polynomial without zero
     coefficients: p over the gcd of its coefficients, negated as well
     when it is an equation whose leading coefficient is negative.  A
@@ -264,45 +222,40 @@ def conjunct_of(atoms: Iterable[Union[LinAtom, bool]]) -> Optional[Conjunct]:
 # Terms to polynomials
 
 
-def term_to_poly(t) -> Poly:
+def term_to_poly(t) -> Tuple[IntPoly, int]:
+    """t as (p, d): an integer polynomial p without zero coefficients and
+    a positive int d, with t = p / d.  A sum or difference brings both
+    sides to the lcm of their denominators."""
     if isinstance(t, Num):
-        return poly_const(t.value)
+        q = t.value
+        return ({(): q.numerator} if q else {}), q.denominator
     if isinstance(t, Var):
         raise SortError("term is not ground: variable %s" % t.name)
     if isinstance(t, App):
         if not t.args:
-            return poly_var(t.fn)
-        if t.fn == "+":
-            return poly_add(term_to_poly(t.args[0]), term_to_poly(t.args[1]))
+            return {(t.fn,): 1}, 1
         if t.fn == "-" and len(t.args) == 1:
-            return poly_scale(term_to_poly(t.args[0]), Fraction(-1))
-        if t.fn == "-":
-            return poly_sub(term_to_poly(t.args[0]), term_to_poly(t.args[1]))
-        if t.fn == "*":
-            return poly_mul(term_to_poly(t.args[0]), term_to_poly(t.args[1]))
+            p, d = term_to_poly(t.args[0])
+            return _neg(p), d
+        if t.fn in ("+", "-", "*"):
+            p, d = term_to_poly(t.args[0])
+            q, e = term_to_poly(t.args[1])
+            if t.fn == "*":
+                return _cross(p, q, 0, {}), d * e
+            m = lcm(d, e)
+            return _cross(m // d, p, m // e if t.fn == "-" else -(m // e), q), m
         raise SortError("unpurified function application %s" % t.fn)
     raise TypeError(t)
 
 
 def atom_to_lin(a: Atom) -> List[Union[LinAtom, bool]]:
     """Translate a relational atom; != yields the two strict halves."""
-    p = poly_sub(term_to_poly(a.lhs), term_to_poly(a.rhs))
-    if a.rel == "<=":
-        return [make_atom("<=", p)]
-    if a.rel == "<":
-        return [make_atom("<", p)]
-    if a.rel == ">=":
-        return [make_atom("<=", poly_scale(p, Fraction(-1)))]
-    if a.rel == ">":
-        return [make_atom("<", poly_scale(p, Fraction(-1)))]
-    if a.rel == "=":
-        return [make_atom("=", p)]
-    return strict_halves(p)
-
-
-def strict_halves(p: Poly) -> List[Union[LinAtom, bool]]:
-    """p < 0 and -p < 0, the two halves of p != 0."""
-    return [make_atom("<", p), make_atom("<", poly_scale(p, Fraction(-1)))]
+    p, _ = term_to_poly(App("-", (a.lhs, a.rhs)))
+    if a.rel == "!=":
+        return [atom_of("<", p), atom_of("<", _neg(p))]
+    if a.rel in (">=", ">"):
+        return [atom_of(a.rel.replace(">", "<"), _neg(p))]
+    return [atom_of(a.rel, p)]
 
 
 def _lit_branches(f: Atom) -> List[List[Union[LinAtom, bool]]]:
@@ -449,8 +402,8 @@ def _neg(p):
 
 def _cross(f, p: dict, g, q: dict) -> dict:
     """f * p - g * q without zero entries.  The multipliers f and g are
-    ints, or integer polynomials over the parameters (then p and q are
-    integer polynomials too)."""
+    ints, or integer polynomials (over the parameters, or a term
+    reader's factor; then p and q are integer polynomials too)."""
     if type(f) is int and type(g) is int:
         out = p.copy() if f == 1 else {m: f * c for m, c in p.items()}
         for m, c in q.items():
@@ -734,7 +687,7 @@ PRUNE_THRESHOLD = 24
 def _sign_cases(coeff: IntPoly) -> Tuple[LinAtom, LinAtom, LinAtom]:
     """coeff > 0, coeff < 0 and coeff = 0, for a coefficient that is not
     constant."""
-    return _atom_of("<", _neg(coeff)), _atom_of("<", coeff), _atom_of("=", coeff)
+    return atom_of("<", _neg(coeff)), atom_of("<", coeff), atom_of("=", coeff)
 
 
 def _sign(coeff: Union[int, IntPoly], ctx: List[LinAtom]) -> str:
@@ -848,7 +801,7 @@ class _Eliminator:
                     table, index = {}, {}
                     for entry in kept:
                         self._admit(table, index, entry[5], entry[2])
-                if not _parametric_rows(rows, steps, lambda rel, p, h: self._admit(table, index, _atom_of(rel, p), h)):
+                if not _parametric_rows(rows, steps, lambda rel, p, h: self._admit(table, index, atom_of(rel, p), h)):
                     return "drop", None
                 if len(table) > PRUNE_THRESHOLD:
                     pruned = simplify_conjunct(tuple(entry[5] for entry in table.values()), self.assumptions)
@@ -896,7 +849,7 @@ class _Eliminator:
         case)."""
         pos, neg, zero = _sign_cases(coeff)
         cases = [atoms + [pos], atoms + [neg]]
-        without_x = _atom_of(a.rel, rest)
+        without_x = atom_of(a.rel, rest)
         if without_x is True:
             cases.append([b for b in atoms if b != a] + [zero])
         elif without_x is not False:

@@ -675,6 +675,10 @@ def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[st
     options.update({k: v for k, v in raw_options.items() if k in _KNOWN_OPTION_KEYS})
     if "parameter" in options and "eliminate" in options:
         raise ParseError("task %s: parameter and eliminate are mutually exclusive" % name)
+    for key, least in (("bmc_k", 0), ("inv_str_max_iter", 1)):
+        value = options.get(key, least)
+        if type(value) is not int or value < least:
+            raise ParseError("task %s: option %s must be an integer >= %d, got %r" % (name, key, least, value))
     if mode == "GENERATE_CONSTRAINTS" and spec_type == "HPILOT":
         # hybrid-automaton tasks default to eliminating the state variables
         if ("parameter" in options) == ("eliminate" in options):

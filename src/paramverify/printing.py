@@ -3,16 +3,18 @@
 Atoms are canonicalized into moved-to-left-hand-side form: all symbol
 terms on the left (sorted by printed form, leading coefficient +1), a
 numeral on the right.  The arithmetic is linear's: term_poly reads a
-term as a linear polynomial whose symbols are the printed forms of its
-atomic summands.  Disjunction/conjunction members are ordered with
-atoms that apply a proper function first, then descending by printed
-form, which keeps printed results stable across runs.
+term as an integer polynomial over a positive denominator whose symbols
+are the printed forms of its atomic summands; coefficients become
+Fractions only in the printed atom.  Disjunction/conjunction members
+are ordered with atoms that apply a proper function first, then
+descending by printed form, which keeps printed results stable across
+runs.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Tuple, Union
 
-from .linear import Poly, make_atom, monomial_term, poly_const, poly_scale, poly_sub, term_to_poly
+from .linear import IntPoly, atom_of, monomial_term, term_to_poly
 from .terms import (
     App,
     Atom,
@@ -93,11 +95,12 @@ def print_formula(f: Formula) -> str:
 # Linear canonical form over symbolic terms
 
 
-def term_poly(t: Term, leaves: Dict[str, Term]) -> Poly:
-    """t as a polynomial of linear's type.  Each atomic summand (a
-    variable, or an application of a non-arithmetic function such as
-    a(i + _1)) becomes the symbol named by its printed form; leaves maps
-    each name to its term."""
+def term_poly(t: Term, leaves: Dict[str, Term]) -> Tuple[IntPoly, int]:
+    """t as linear's (p, d): an integer polynomial p without zero
+    coefficients and a positive int d, with t = p / d.  Each atomic
+    summand (a variable, or an application of a non-arithmetic function
+    such as a(i + _1)) becomes the symbol named by its printed form;
+    leaves maps each name to its term."""
     return term_to_poly(_named_leaves(t, leaves))
 
 
@@ -118,24 +121,22 @@ def normalize_atom(a: Atom) -> Union[Atom, Formula]:
     """Moved-to-left-hand-side form with sorted terms and leading
     coefficient +1; constant atoms collapse to true/false."""
     leaves: Dict[str, Term] = {}
-    combo = poly_sub(term_poly(a.lhs, leaves), term_poly(a.rhs, leaves))
+    combo, _ = term_poly(App("-", (a.lhs, a.rhs)), leaves)
     rel = a.rel
     if rel in (">=", ">"):  # as linear's atoms: p <= 0, p < 0, p = 0 or p != 0
-        combo, rel = poly_scale(combo, Fraction(-1)), _FLIP[rel]
-    constant = combo.pop((), Fraction(0))
+        combo, rel = {m: -c for m, c in combo.items()}, _FLIP[rel]
+    constant = combo.pop((), 0)
     if not combo:
-        return TRUE if make_atom(rel, poly_const(constant)) else FALSE
+        return TRUE if atom_of(rel, {(): constant}) else FALSE
     monos = sorted(combo, key=" * ".join)
     lead = combo[monos[0]]
     if lead < 0:
         rel = _FLIP[rel]
-    combo = {m: c / lead for m, c in combo.items()}
-    rhs = -constant / lead
-    lhs: Term = monomial_term([leaves[n] for n in monos[0]], combo[monos[0]])
+    lhs: Term = monomial_term([leaves[n] for n in monos[0]], 1)
     for m in monos[1:]:
-        c = combo[m]
+        c = Fraction(combo[m], lead)
         lhs = App("-" if c < 0 else "+", (lhs, monomial_term([leaves[n] for n in m], abs(c))))
-    return Atom(rel, lhs, Num(rhs))
+    return Atom(rel, lhs, Num(Fraction(-constant, lead)))
 
 
 def _has_proper_app(f: Formula) -> bool:

@@ -64,7 +64,7 @@ def _parse_assumptions(task: TaskSpec, sig: Signature, global_assume: str):
     return formulas
 
 
-def _parse_seeds(task: TaskSpec, sig: Signature, seed_text: Optional[str]):
+def _parse_seeds(sig: Signature, seed_text: Optional[str]):
     if not seed_text:
         return []
     seeds = []
@@ -75,10 +75,6 @@ def _parse_seeds(task: TaskSpec, sig: Signature, seed_text: Optional[str]):
     return seeds
 
 
-def _task_sig(task: TaskSpec) -> Signature:
-    return task.body.sig
-
-
 class TaskRunner:
     def __init__(self, flags: RunFlags, seed_text: Optional[str] = None):
         self.flags = flags
@@ -86,9 +82,9 @@ class TaskRunner:
 
     def run(self, task: TaskSpec, print_steps: bool) -> TaskOutcome:
         start = time.perf_counter()
-        sig = _task_sig(task)
+        sig = task.body.sig
         assumptions = _parse_assumptions(task, sig, self.flags.assume)
-        seeds = _parse_seeds(task, sig, self.seed_text)
+        seeds = _parse_seeds(sig, self.seed_text)
         handler = {
             "GENERATE_CONSTRAINTS": self._generate_constraints,
             "INVARIANT_STRENGTHENING": self._strengthen,
@@ -192,7 +188,7 @@ class TaskRunner:
         if not isinstance(task.body, PTSSpec):
             raise EngineError("INVARIANT_STRENGTHENING expects a PTS specification")
         system = TransitionSystem.from_pts(task.body)
-        max_iter = int(task.options.get("inv_str_max_iter", 10))
+        max_iter = task.options.get("inv_str_max_iter", 10)
         parameters = task.options.get("parameter")
         if not parameters:
             raise EngineError("INVARIANT_STRENGTHENING needs a parameter list")
@@ -272,7 +268,7 @@ class TaskRunner:
         if not isinstance(task.body, PTSSpec):
             raise EngineError("BMC expects a PTS specification")
         system = TransitionSystem.from_pts(task.body)
-        k = int(task.options.get("bmc_k", 1))
+        k = task.options.get("bmc_k", 1)
         steps = bmc(system, task.body.query, k)
         violated = [s for s in steps if not s.holds]
         outcome = TaskOutcome(task.name, [], None)
@@ -313,7 +309,7 @@ class TaskRunner:
     ) -> None:
         if not (self.flags.dump_reduction or self.flags.dump_smtlib):
             return
-        reduced = reduce_chain(_task_sig(task).copy(), statements, seeds)
+        reduced = reduce_chain(task.body.sig.copy(), statements, seeds)
         if self.flags.dump_reduction:
             outcome.extra.append((0, "(reduction) %s:" % label))
             outcome.extra.extend((1, "%s;" % print_formula(g)) for g in reduced.ground)

@@ -1,4 +1,4 @@
-"""Many-sorted terms, literals, clauses and formulas.
+"""Terms, literals, clauses and formulas over one sort, the rationals.
 
 Everything is an immutable dataclass; numeric constants are exact
 rationals.  Constants are nullary applications, so symbol renaming and
@@ -23,10 +23,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .errors import SignatureError, SortError
 
-REAL = "real"
-
-RELATIONS = ("=", "!=", "<=", "<", ">=", ">")
-
 NEGATED_REL = {
     "=": "!=",
     "!=": "=",
@@ -42,7 +38,6 @@ ARITH_FUNCTIONS = {"+": 2, "-": 2, "*": 2}
 @dataclass(frozen=True)
 class Var:
     name: str
-    sort: str = REAL
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,6 @@ class Signature:
     relations: Dict[str, int] = field(default_factory=dict)
     parameters: Set[str] = field(default_factory=set)
     constants: Set[str] = field(default_factory=set)
-    sorts: Set[str] = field(default_factory=lambda: {REAL})
 
     def validate(self) -> None:
         names = [set(self.base_functions), set(self.extension_functions), set(self.relations)]
@@ -171,7 +165,6 @@ class Signature:
             dict(self.relations),
             set(self.parameters),
             set(self.constants),
-            set(self.sorts),
         )
 
     def is_extension(self, name: str) -> bool:
@@ -485,9 +478,9 @@ def negate_universal(f: Union[Formula, Iterable[Formula]], avoid: Iterable[str] 
     return disj(disjuncts) if disjuncts else FALSE
 
 
-def check_term(sig: Signature, t: Term, scope: Set[str] = frozenset(), auto_constants: bool = True) -> None:
-    """Validate arities against the signature; nullary symbols may be
-    registered on first use when auto_constants is set."""
+def check_term(sig: Signature, t: Term, scope: Set[str] = frozenset()) -> None:
+    """Validate arities against the signature; an undeclared nullary
+    symbol is registered as a constant on first use."""
     if isinstance(t, Var):
         if t.name not in scope:
             raise SignatureError("unbound variable %s" % t.name)
@@ -498,8 +491,6 @@ def check_term(sig: Signature, t: Term, scope: Set[str] = frozenset(), auto_cons
     if arity is None:
         if t.args:
             raise SignatureError("undeclared function %s/%d" % (t.fn, len(t.args)))
-        if not auto_constants:
-            raise SignatureError("undeclared constant %s" % t.fn)
         sig.declare_constant(t.fn)
         arity = 0
     if t.fn == "-" and len(t.args) == 1:
@@ -507,4 +498,4 @@ def check_term(sig: Signature, t: Term, scope: Set[str] = frozenset(), auto_cons
     elif len(t.args) != arity:
         raise SignatureError("arity mismatch for %s: expected %d, got %d" % (t.fn, arity, len(t.args)))
     for a in t.args:
-        check_term(sig, a, scope, auto_constants)
+        check_term(sig, a, scope)

@@ -49,7 +49,6 @@ class TransitionSystem:
 class Verdict:
     kind: str  # Inductive | InitFails | ConsecutionFails | Unknown
     witness: Optional[Dict] = None
-    detail: str = ""
 
 
 def vc_initiation(system: TransitionSystem, candidate: Sequence[Formula]) -> ReducedProblem:

@@ -1,4 +1,5 @@
 """Golden canonical atoms: make_atom is invariant under positive scaling.
+The term reader (term_to_poly, atom_to_lin) agrees with term evaluation.
 
 Each case is a seeded polynomial over x, y, z and the parameters p, q:
 linear ones with integer or rational coefficients, ones with parameter
@@ -11,14 +12,23 @@ atoms were stored as integer rows.  Regenerate it only for an intended
 change of the canonical form:
 
     PYTHONPATH=src:tests python tests/test_canonical_form.py
+
+The reader is checked against tests/oracles.py on seeded terms with
+rational numerals, unary minus, nested sums and differences and
+products of up to three symbols: term_to_poly's (p, d) must be p / d at
+random rational points, and each translated atom must hold exactly when
+the literal does (a != literal: when one of its halves does).
 """
 
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 from conftest import DATA
-from paramverify.linear import LinAtom, _atom_row, _term_key, make_atom
+from oracles import evaluate, evaluate_term
+from paramverify.linear import LinAtom, _atom_row, _term_key, atom_to_lin, make_atom, term_to_poly
+from paramverify.terms import App, Atom, Num
 
 GOLDEN = DATA / "canonical_form_golden.json"
 
@@ -116,6 +126,76 @@ def test_equation_leading_term_is_positive():
         if isinstance(atom, LinAtom) and atom.rel in ("=", "!="):
             lead = next(c for m, c in atom.poly if m)
             assert lead > 0, atom
+
+
+READER_SYMBOLS = ["x", "y", "p", "q"]
+READER_RELS = ["<=", "<", ">=", ">", "=", "!="]
+TERM_KINDS = {"num": 2, "zero": 1, "sym": 6, "neg": 2, "+": 3, "-": 3, "*": 6}
+
+
+def random_term(rng, depth, degree=3):
+    """A term whose monomials have at most degree symbols."""
+    kinds = list(TERM_KINDS) if depth else ["num", "sym"]
+    kind = rng.choices(kinds, weights=[TERM_KINDS[k] for k in kinds])[0]
+    if kind == "sym" and degree:
+        return App(rng.choice(READER_SYMBOLS), ())
+    if kind in ("num", "sym"):
+        return Num(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+    if kind == "zero":
+        return Num(Fraction(0))
+    if kind == "neg":
+        return App("-", (random_term(rng, depth - 1, degree),))
+    if kind == "*":
+        left = rng.randint(1, degree - 1) if degree > 1 else rng.randint(0, degree)
+        return App("*", (random_term(rng, depth - 1, left), random_term(rng, depth - 1, degree - left)))
+    return App(kind, (random_term(rng, depth - 1, degree), random_term(rng, depth - 1, degree)))
+
+
+def random_point(rng):
+    return {s: Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for s in READER_SYMBOLS}
+
+
+def _value(items, point):
+    """The value of a polynomial's (monomial, coefficient) items at the point."""
+    return sum(c * prod(point[s] for s in m) for m, c in items)
+
+
+def _holds(atom, point):
+    if isinstance(atom, bool):
+        return atom
+    value = _value(atom.terms, point)
+    return value <= 0 if atom.rel == "<=" else value < 0 if atom.rel == "<" else value == 0
+
+
+def test_term_reader_matches_evaluation():
+    rng = random.Random(20261019)
+    for _ in range(400):
+        t = random_term(rng, rng.randint(1, 5))
+        p, d = term_to_poly(t)
+        assert type(d) is int and d > 0, (t, d)
+        assert all(type(c) is int and c for c in p.values()), (t, p)
+        assert all(list(m) == sorted(m) and len(m) <= 3 for m in p), (t, p)
+        for _ in range(4):
+            point = random_point(rng)
+            assert Fraction(_value(p.items(), point), d) == evaluate_term(t, point), (t, point)
+
+
+def test_translated_atoms_match_evaluation():
+    rng = random.Random(20261020)
+    checked = 0
+    for _ in range(300):
+        lhs, rhs = random_term(rng, rng.randint(0, 4)), random_term(rng, rng.randint(0, 4))
+        points = [random_point(rng) for _ in range(3)]
+        for rel in READER_RELS:
+            literal = Atom(rel, lhs, rhs)
+            atoms = atom_to_lin(literal)
+            assert len(atoms) == (2 if rel == "!=" else 1)
+            assert all(isinstance(a, bool) or a.rel in ("<=", "<", "=") for a in atoms)
+            for point in points:
+                got = any(_holds(a, point) for a in atoms) if rel == "!=" else _holds(atoms[0], point)
+                assert got == evaluate(literal, point), (literal, atoms, point)
+                checked += 1
+    assert checked == 300 * 6 * 3
 
 
 if __name__ == "__main__":

@@ -134,6 +134,42 @@ def test_formula_nesting_limit(tmp_path, capsys, nested):
             assert "Result: " in out and not err
 
 
+@pytest.mark.parametrize(
+    "option, value, least",
+    [
+        ("bmc_k", "-1", 0),
+        ("bmc_k", "abc", 0),
+        ("bmc_k", "1.5", 0),
+        ("bmc_k", "true", 0),
+        ("inv_str_max_iter", "0", 1),
+        ("inv_str_max_iter", "x", 1),
+        ("inv_str_max_iter", "2.0", 1),
+        ("inv_str_max_iter", "false", 1),
+    ],
+)
+def test_malformed_numeric_option_exit_two(tmp_path, option, value, least):
+    """bmc_k must be an int >= 0 and inv_str_max_iter an int >= 1; any
+    other value is a parse error naming the task and the option."""
+    import subprocess
+    import sys
+
+    task_file = tmp_path / "bad_option.yaml"
+    text = (DATA / "ex2_strengthening.yaml").read_text()
+    task_file.write_text(text.replace("inv_str_max_iter: 2", "%s: %s" % (option, value)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "paramverify.cli", str(task_file)],
+        capture_output=True,
+        text=True,
+        env={"PATH": os.environ["PATH"], "PYTHONPATH": "src"},
+        cwd=str(DATA.parent.parent),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(
+        "parse error: task example_4.16: option %s must be an integer >= %d, got " % (option, least)
+    )
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 def test_engine_error_exit_one(tmp_path):
     nonlinear = tmp_path / "nl.yaml"
     nonlinear.write_text(
