@@ -8,18 +8,18 @@ constraint sum c_i * (x_i' - x_i) REL c * (t' - t), which is exact for
 this class of automata.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EngineError, SortError
-from .parsing import LhaSpec
+from .parsing import LhaSpec, Mode
 from .printing import print_term, term_poly
 from .terms import (
     App,
     Atom,
     Formula,
     Num,
+    Record,
     Signature,
     SymbolRenaming,
     Term,
@@ -35,33 +35,24 @@ def primed(name: str) -> str:
     return name + "p"
 
 
-@dataclass
-class Mode:
-    name: str
-    inv: List[Formula] = field(default_factory=list)
-    flow: List[Formula] = field(default_factory=list)
-    init: List[Formula] = field(default_factory=list)
-    inenv: List[Formula] = field(default_factory=list)
-
-
-@dataclass
-class Edge:
-    source: str
-    target: str
-    index: int  # 1-based among parallel edges of the same mode pair
-    guard: List[Formula] = field(default_factory=list)
-    jump: List[Formula] = field(default_factory=list)
+class Edge(Record):
+    def __init__(self, source, target, index, guard=None, jump=None):
+        self.source: str = source
+        self.target: str = target
+        self.index: int = index  # 1-based among parallel edges of the same mode pair
+        self.guard: List[Formula] = [] if guard is None else guard
+        self.jump: List[Formula] = [] if jump is None else jump
 
     def label(self) -> str:
         return "%s_%s_%d" % (self.source, self.target, self.index)
 
 
-@dataclass
-class HybridAutomaton:
-    variables: List[str]
-    modes: Dict[str, Mode]
-    edges: List[Edge]
-    sig: Signature
+class HybridAutomaton(Record):
+    def __init__(self, variables, modes, edges, sig):
+        self.variables: List[str] = variables
+        self.modes: Dict[str, Mode] = modes
+        self.edges: List[Edge] = edges
+        self.sig: Signature = sig
 
     @classmethod
     def from_spec(cls, spec: LhaSpec) -> "HybridAutomaton":
@@ -216,10 +207,10 @@ def flow_relax(
 # Verification conditions
 
 
-@dataclass
-class NamedVC:
-    name: str
-    statements: List[Formula]
+class NamedVC(Record):
+    def __init__(self, name, statements):
+        self.name: str = name
+        self.statements: List[Formula] = statements
 
 
 def vcs_invariant(automaton: HybridAutomaton, candidate: Sequence[Formula]) -> List[NamedVC]:

@@ -80,14 +80,13 @@ model until the round's model of the units.  decide makes no is_sat
 call and does not use the cache.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import CaseExplosionError, EngineError, NonLinearError, SortError
-from .terms import And, Atom, App, Exists, Forall, Formula, Implies, Not, Num, Or, Term, Var, negate_atom, nnf
+from .terms import And, Atom, App, Exists, Forall, Formula, Implies, Node, Not, Num, Or, Term, Var, negate_atom, nnf
 
 Monomial = Tuple[str, ...]
 Poly = Dict[Monomial, Fraction]
@@ -98,8 +97,7 @@ Terms = Tuple[Tuple[Monomial, int], ...]
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, slots=True)
-class LinAtom:
+class LinAtom(Node):
     """terms rel 0, with rel one of <=, <, = (and != transiently).
 
     terms is the atom's identity: a primitive integer polynomial (the
@@ -112,15 +110,18 @@ class LinAtom:
     key, poly and the integer row are filled in on first use (key,
     poly, _atom_row).  None of them takes part in equality or repr."""
 
-    rel: str
-    terms: Terms
-    _hash: int = field(init=False, compare=False, repr=False)
-    _poly: Optional[PolyItems] = field(default=None, init=False, compare=False, repr=False)
-    _row: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
-    _order: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("rel", "terms", "_hash", "_poly", "_row", "_order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.rel, self.terms)))
+    def __init__(self, rel: str, terms: Terms):
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_hash", hash((rel, terms)))
+        object.__setattr__(self, "_poly", None)
+        object.__setattr__(self, "_row", None)
+        object.__setattr__(self, "_order", None)
+
+    def __eq__(self, other):
+        return type(other) is LinAtom and self.rel == other.rel and self.terms == other.terms
 
     def __hash__(self):
         return self._hash

@@ -17,7 +17,6 @@ underscore ("_1", "_3/2").  Task files are YAML documents whose layout
 matches the task listings (tasks, per-task mode/options/specification).
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -32,7 +31,9 @@ from .terms import (
     Num,
     Or,
     And,
+    Node,
     Not,
+    Record,
     Signature,
     TRUE,
     Term,
@@ -72,12 +73,26 @@ _OPERATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT | INT | NUMERAL | OP | EOF
-    text: str
-    line: int
-    column: int
+class Token(Node):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        object.__setattr__(self, "kind", kind)  # IDENT | INT | NUMERAL | OP | EOF
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+
+    def __eq__(self, other):
+        return (
+            type(other) is Token
+            and self.kind == other.kind
+            and self.text == other.text
+            and self.line == other.line
+            and self.column == other.column
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.text, self.line, self.column))
 
 
 def tokenize(text: str) -> List[Token]:
@@ -149,52 +164,55 @@ def tokenize(text: str) -> List[Token]:
     return tokens
 
 
-@dataclass
-class ProblemSpec:
+class ProblemSpec(Record):
     """A set of axiom clauses plus a ground goal over a signature."""
 
-    sig: Signature
-    clauses: List[Formula] = field(default_factory=list)
-    query: List[Formula] = field(default_factory=list)
+    def __init__(self, sig, clauses=None, query=None):
+        self.sig: Signature = sig
+        self.clauses: List[Formula] = [] if clauses is None else clauses
+        self.query: List[Formula] = [] if query is None else query
 
     def statements(self) -> List[Formula]:
         return list(self.clauses) + list(self.query)
 
 
-@dataclass
-class PTSSpec:
+class PTSSpec(Record):
     """Transition-system body: initial states, update axioms, candidate."""
 
-    sig: Signature
-    init: List[Formula]
-    update: List[Formula]
-    query: List[Formula]
-    update_vars: Dict[str, str]
+    def __init__(self, sig, init, update, query, update_vars):
+        self.sig: Signature = sig
+        self.init: List[Formula] = init
+        self.update: List[Formula] = update
+        self.query: List[Formula] = query
+        self.update_vars: Dict[str, str] = update_vars
 
 
-@dataclass
-class LhaModeSpec:
-    name: str
-    inv: List[Formula] = field(default_factory=list)
-    flow: List[Formula] = field(default_factory=list)
-    init: List[Formula] = field(default_factory=list)
-    inenv: List[Formula] = field(default_factory=list)
+class Mode(Record):
+    """A mode of a hybrid automaton: its invariant, flow, initial and
+    environment conditions (hybrid.HybridAutomaton holds checked copies)."""
+
+    def __init__(self, name, inv=None, flow=None, init=None, inenv=None):
+        self.name: str = name
+        self.inv: List[Formula] = [] if inv is None else inv
+        self.flow: List[Formula] = [] if flow is None else flow
+        self.init: List[Formula] = [] if init is None else init
+        self.inenv: List[Formula] = [] if inenv is None else inenv
 
 
-@dataclass
-class LhaEdgeSpec:
-    source: str
-    target: str
-    guard: List[Formula] = field(default_factory=list)
-    jump: List[Formula] = field(default_factory=list)
+class LhaEdgeSpec(Record):
+    def __init__(self, source, target, guard=None, jump=None):
+        self.source: str = source
+        self.target: str = target
+        self.guard: List[Formula] = [] if guard is None else guard
+        self.jump: List[Formula] = [] if jump is None else jump
 
 
-@dataclass
-class LhaSpec:
-    variables: List[str]
-    modes: Dict[str, LhaModeSpec]
-    edges: List[LhaEdgeSpec]
-    sig: Signature
+class LhaSpec(Record):
+    def __init__(self, variables, modes, edges, sig):
+        self.variables: List[str] = variables
+        self.modes: Dict[str, Mode] = modes
+        self.edges: List[LhaEdgeSpec] = edges
+        self.sig: Signature = sig
 
 
 class Parser:
@@ -480,7 +498,7 @@ class Parser:
             self.sig.declare_constant(x)
             self.sig.declare_constant(x + "p")
         self.sig.base_functions["d"] = 1
-        modes: Dict[str, LhaModeSpec] = {}
+        modes: Dict[str, Mode] = {}
         edges: List[LhaEdgeSpec] = []
         while not self.at_end():
             tok = self.next()
@@ -489,7 +507,7 @@ class Parser:
                 self.expect(":")
                 if name in modes:
                     raise ParseError("duplicate mode %s" % name, tok.line, tok.column)
-                mode = LhaModeSpec(name)
+                mode = Mode(name)
                 modes[name] = mode
                 self.parse_lha_sections(
                     {"inv": mode.inv, "flow": mode.flow, "init": mode.init, "inenv": mode.inenv}
@@ -608,21 +626,21 @@ _KNOWN_OPTION_KEYS = {
 }
 
 
-@dataclass
-class TaskSpec:
-    name: str
-    mode: str
-    spec_type: str
-    theory: str
-    body: object  # ProblemSpec | PTSSpec | LhaSpec
-    options: Dict[str, object] = field(default_factory=dict)
+class TaskSpec(Record):
+    def __init__(self, name, mode, spec_type, theory, body, options=None):
+        self.name: str = name
+        self.mode: str = mode
+        self.spec_type: str = spec_type
+        self.theory: str = theory
+        self.body: object = body  # ProblemSpec | PTSSpec | LhaSpec
+        self.options: Dict[str, object] = {} if options is None else options
 
 
-@dataclass
-class TaskFile:
-    tasks: Dict[str, TaskSpec]
-    task_options: Dict[str, object] = field(default_factory=dict)
-    warnings: List[str] = field(default_factory=list)
+class TaskFile(Record):
+    def __init__(self, tasks, task_options=None, warnings=None):
+        self.tasks: Dict[str, TaskSpec] = tasks
+        self.task_options: Dict[str, object] = {} if task_options is None else task_options
+        self.warnings: List[str] = [] if warnings is None else warnings
 
 
 def parse_task_file(text: str) -> TaskFile:
@@ -648,8 +666,12 @@ def parse_task_file(text: str) -> TaskFile:
     if not isinstance(tasks_doc, dict):
         raise ParseError("tasks must be a mapping")
     task_options = doc.get("task_options") or {}
+    if not isinstance(task_options, dict):
+        raise ParseError("task_options must be a mapping")
     tasks: Dict[str, TaskSpec] = {}
     for name, body in tasks_doc.items():
+        if not isinstance(body or {}, dict):
+            raise ParseError("task %s must be a mapping" % name)
         task, extra = _parse_task(str(name), body or {}, task_options)
         tasks[str(name)] = task
         warnings.extend(extra)
@@ -669,12 +691,19 @@ def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[st
         raise ParseError("task %s: unknown specification_theory %r" % (name, theory))
     options = dict(defaults)
     raw_options = doc.get("options") or {}
+    if not isinstance(raw_options, dict):
+        raise ParseError("task %s: options must be a mapping" % name)
     warnings.extend(
         "task %s: unknown option %r ignored" % (name, k) for k in raw_options if k not in _KNOWN_OPTION_KEYS
     )
     options.update({k: v for k, v in raw_options.items() if k in _KNOWN_OPTION_KEYS})
     if "parameter" in options and "eliminate" in options:
         raise ParseError("task %s: parameter and eliminate are mutually exclusive" % name)
+    assumptions = options.get("assumptions")
+    if isinstance(assumptions, str):
+        options["assumptions"] = [assumptions]
+    elif assumptions is not None and not (isinstance(assumptions, list) and all(type(a) is str for a in assumptions)):
+        raise ParseError("task %s: option assumptions must be a string or a list of strings" % name)
     for key, least in (("bmc_k", 0), ("inv_str_max_iter", 1)):
         value = options.get(key, least)
         if type(value) is not int or value < least:
@@ -691,24 +720,31 @@ def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[st
 
 
 def _parse_task_body(name: str, spec_type: str, doc) -> object:
+    def text(key: str, default: str) -> str:
+        value = doc.get(key, default)
+        if not isinstance(value, str):
+            raise ParseError("task %s: specification entry %s must be a string" % (name, key))
+        return value
+
     if spec_type in ("HPILOT", "LHA"):
         if not isinstance(doc, dict) or "file" not in doc:
             raise ParseError("task %s: specification needs a 'file' entry" % name)
-        text = doc["file"]
-        return parse_spec(text) if spec_type == "HPILOT" else parse_lha(text)
+        return (parse_spec if spec_type == "HPILOT" else parse_lha)(text("file", ""))
     if not isinstance(doc, dict):
         raise ParseError("task %s: PTS specification must be a mapping" % name)
     sig = Signature()
-    for fn, arity, _ in parse_decl_string(doc.get("base_functions", "{}"), False):
+    for fn, arity, _ in parse_decl_string(text("base_functions", "{}"), False):
         sig.base_functions[fn] = arity
-    for fn, arity, level in parse_decl_string(doc.get("extension_functions", "{}"), True):
+    for fn, arity, level in parse_decl_string(text("extension_functions", "{}"), True):
         sig.extension_functions[fn] = (arity, level)
-    for rel, arity, _ in parse_decl_string(doc.get("relations", "{}"), False):
+    for rel, arity, _ in parse_decl_string(text("relations", "{}"), False):
         sig.relations[rel] = arity
-    init = parse_statements(doc.get("init", ""), sig)
-    update = parse_statements(doc.get("update", ""), sig)
-    query = parse_statements(doc.get("query", ""), sig)
+    init = parse_statements(text("init", ""), sig)
+    update = parse_statements(text("update", ""), sig)
+    query = parse_statements(text("query", ""), sig)
     update_vars_doc = doc.get("update_vars") or {}
+    if not isinstance(update_vars_doc, dict):
+        raise ParseError("task %s: specification entry update_vars must be a mapping" % name)
     update_vars = {str(k).strip(): str(v).strip() for k, v in update_vars_doc.items()}
     for old, new in update_vars.items():
         if sig.arity_of(old) is None:

@@ -10,7 +10,6 @@ parameters and the introduced constants, equisatisfiable with the input
 whenever the extension chain is local for the identity closure.
 """
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import NonGroundableError, SortError
@@ -22,6 +21,7 @@ from .terms import (
     Formula,
     Implies,
     Num,
+    Record,
     Signature,
     Term,
     Var,
@@ -183,18 +183,18 @@ def instantiate(
 # Flattening and purification
 
 
-@dataclass
-class Definition:
-    constant: str
-    term: App  # the original extension application
-    purified_args: Tuple[Term, ...]
+class Definition(Record):
+    def __init__(self, constant, term, purified_args):
+        self.constant: str = constant
+        self.term: App = term  # the original extension application
+        self.purified_args: Tuple[Term, ...] = purified_args
 
 
-@dataclass
-class PurifiedProblem:
-    clauses: List[Formula]
-    definitions: List[Definition]
-    congruence: List[Formula]
+class PurifiedProblem(Record):
+    def __init__(self, clauses, definitions, congruence):
+        self.clauses: List[Formula] = clauses
+        self.definitions: List[Definition] = definitions
+        self.congruence: List[Formula] = congruence
 
 
 def flatten_purify(
@@ -250,21 +250,21 @@ def flatten_purify(
 # Chain reduction
 
 
-@dataclass
-class ReductionStep:
-    level: int
-    est: List[Term]
-    instances: List[Formula]
-    definitions: List[Definition]
-    congruence: List[Formula]
+class ReductionStep(Record):
+    def __init__(self, level, est, instances, definitions, congruence):
+        self.level: int = level
+        self.est: List[Term] = est
+        self.instances: List[Formula] = instances
+        self.definitions: List[Definition] = definitions
+        self.congruence: List[Formula] = congruence
 
 
-@dataclass
-class ReducedProblem:
-    sig: Signature
-    ground: List[Formula]
-    definitions: List[Definition] = field(default_factory=list)
-    steps: List[ReductionStep] = field(default_factory=list)
+class ReducedProblem(Record):
+    def __init__(self, sig, ground, definitions=None, steps=None):
+        self.sig: Signature = sig
+        self.ground: List[Formula] = ground
+        self.definitions: List[Definition] = [] if definitions is None else definitions
+        self.steps: List[ReductionStep] = [] if steps is None else steps
 
 
 def reduce_chain(sig: Signature, statements: Iterable[Formula], seeds: Sequence[Term] = ()) -> ReducedProblem:

@@ -7,7 +7,6 @@ fields; everything else is byte-stable across runs.
 """
 
 import time
-from dataclasses import dataclass, field
 from datetime import datetime
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -28,34 +27,34 @@ from .printing import print_formula
 from .reduction import reduce_chain
 from .smtlib import export_smtlib
 from .symelim import constraint_statements, generate_constraint
-from .terms import Formula, Num, Signature
+from .terms import Formula, Num, Record, Signature
 from .transition import TransitionSystem, bmc, check_inductive, strengthen
 
 
-@dataclass
-class RunFlags:
-    tasks: Optional[Sequence[str]] = None
-    assume: str = ""
-    max_cases: int = 10000
-    seed_closure: Optional[str] = None
-    dump_smtlib: Optional[str] = None
-    dump_reduction: bool = False
+class RunFlags(Record):
+    def __init__(
+        self, tasks=None, assume="", max_cases=10000, seed_closure=None, dump_smtlib=None, dump_reduction=False
+    ):
+        self.tasks: Optional[Sequence[str]] = tasks
+        self.assume: str = assume
+        self.max_cases: int = max_cases
+        self.seed_closure: Optional[str] = seed_closure
+        self.dump_smtlib: Optional[str] = dump_smtlib
+        self.dump_reduction: bool = dump_reduction
 
 
-@dataclass
-class TaskOutcome:
-    name: str
-    result: List[Tuple[int, str]]  # indented lines under "Result:"
-    inline_result: Optional[str]  # single-line form, when it fits
-    runtime: float = 0.0
-    extra: List[Tuple[int, str]] = field(default_factory=list)
-    smtlib: List[Tuple[str, str]] = field(default_factory=list)
+class TaskOutcome(Record):
+    def __init__(self, name, result, inline_result, runtime=0.0, extra=None, smtlib=None):
+        self.name: str = name
+        self.result: List[Tuple[int, str]] = result  # indented lines under "Result:"
+        self.inline_result: Optional[str] = inline_result  # single-line form, when it fits
+        self.runtime: float = runtime
+        self.extra: List[Tuple[int, str]] = [] if extra is None else extra
+        self.smtlib: List[Tuple[str, str]] = [] if smtlib is None else smtlib
 
 
 def _parse_assumptions(task: TaskSpec, sig: Signature, global_assume: str):
-    texts: List[str] = []
-    for a in task.options.get("assumptions", []) or []:
-        texts.append(str(a))
+    texts: List[str] = list(task.options.get("assumptions") or [])
     if global_assume:
         texts.extend(p for p in global_assume.split(";") if p.strip())
     formulas: List[Formula] = []

@@ -6,7 +6,6 @@ every non-parameter constant, negate, then re-substitute definition
 terms and universally close over the kept argument constants.
 """
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EngineError, SortError
@@ -36,6 +35,7 @@ from .terms import (
     Formula,
     Implies,
     Or,
+    Record,
     Signature,
     TRUE,
     Term,
@@ -52,11 +52,11 @@ from .terms import (
 )
 
 
-@dataclass
-class ConstraintResult:
-    constraint: Formula  # conjunction of universally closed clauses
-    weakest: bool
-    steps: List[str] = field(default_factory=list)
+class ConstraintResult(Record):
+    def __init__(self, constraint, weakest, steps=None):
+        self.constraint: Formula = constraint  # conjunction of universally closed clauses
+        self.weakest: bool = weakest
+        self.steps: List[str] = [] if steps is None else steps
 
 
 def _constants(terms: Iterable[Term], sig: Signature) -> List[str]:

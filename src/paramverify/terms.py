@@ -1,8 +1,10 @@
 """Terms, literals, clauses and formulas over one sort, the rationals.
 
-Everything is an immutable dataclass; numeric constants are exact
-rationals.  Constants are nullary applications, so symbol renaming and
-substitution treat variables and constants uniformly.
+Terms, formulas and clauses are immutable slotted nodes (Node), equal
+when they are of the same class with equal fields and hashed as the
+tuple of their fields; numeric constants are exact rationals.
+Constants are nullary applications, so symbol renaming and substitution
+treat variables and constants uniformly.
 
 Two walkers own the walk over formulas.  subformulas lists a formula
 and everything below it in pre-order; formula_terms (atom sides, lhs
@@ -17,7 +19,6 @@ free_variables (binders), nnf (polarity), to_clauses, and outside this
 module print_formula, canonical, the SMT-LIB export and linear's DNF.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -35,20 +36,76 @@ NEGATED_REL = {
 ARITH_FUNCTIONS = {"+": 2, "-": 2, "*": 2}
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Node:
+    """An immutable syntax node.  Each node class lists its fields in
+    __slots__ (a leading underscore marks a cache, left out of repr),
+    sets them in __init__ through object.__setattr__, and defines its own
+    __eq__ (same class, equal fields) and __hash__ (the hash of the tuple
+    of its fields)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __repr__(self):
+        fields = ("%s=%r" % (f, getattr(self, f)) for f in self.__slots__ if f[0] != "_")
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(fields))
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Record:
+    """A mutable record: equal to a record of the same class with equal
+    fields, unhashable, and shown with its fields in __init__ order."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.__dict__ == other.__dict__
+
+    def __repr__(self):
+        fields = ("%s=%r" % item for item in self.__dict__.items())
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(fields))
 
 
-@dataclass(frozen=True)
-class App:
-    fn: str
-    args: Tuple["Term", ...] = ()
+class Var(Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        return type(other) is Var and self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
+
+
+class Num(Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        return type(other) is Num and self.value == other.value
+
+    def __hash__(self):
+        return hash((self.value,))
+
+
+class App(Node):
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: str, args: Tuple["Term", ...] = ()):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "args", args)
+
+    def __eq__(self, other):
+        return type(other) is App and self.fn == other.fn and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.fn, self.args))
 
 
 Term = Union[Var, Num, App]
@@ -62,44 +119,93 @@ def const(name: str) -> App:
     return App(name, ())
 
 
-@dataclass(frozen=True)
-class Atom:
-    rel: str
-    lhs: Term
-    rhs: Term
+class Atom(Node):
+    __slots__ = ("rel", "lhs", "rhs")
+
+    def __init__(self, rel: str, lhs: Term, rhs: Term):
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+
+    def __eq__(self, other):
+        return type(other) is Atom and self.rel == other.rel and self.lhs == other.lhs and self.rhs == other.rhs
+
+    def __hash__(self):
+        return hash((self.rel, self.lhs, self.rhs))
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(Node):
+    __slots__ = ("body",)
+
+    def __init__(self, body: "Formula"):
+        object.__setattr__(self, "body", body)
+
+    def __eq__(self, other):
+        return type(other) is Not and self.body == other.body
+
+    def __hash__(self):
+        return hash((self.body,))
 
 
-@dataclass(frozen=True)
-class And:
-    parts: Tuple["Formula", ...]
+class _Junction(Node):
+    """And and Or: a tuple of parts."""
+
+    __slots__ = ()
+
+    def __init__(self, parts: Tuple["Formula", ...]):
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
 
 
-@dataclass(frozen=True)
-class Or:
-    parts: Tuple["Formula", ...]
+class And(_Junction):
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Or(_Junction):
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
-class Forall:
-    variables: Tuple[str, ...]
-    body: "Formula"
+class Implies(Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other):
+        return type(other) is Implies and self.left == other.left and self.right == other.right
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Exists:
-    variables: Tuple[str, ...]
-    body: "Formula"
+class _Quantifier(Node):
+    """Forall and Exists: bound variable names and a body."""
+
+    __slots__ = ()
+
+    def __init__(self, variables: Tuple[str, ...], body: "Formula"):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "body", body)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.variables == other.variables and self.body == other.body
+
+    def __hash__(self):
+        return hash((self.variables, self.body))
+
+
+class Forall(_Quantifier):
+    __slots__ = ("variables", "body")
+
+
+class Exists(_Quantifier):
+    __slots__ = ("variables", "body")
 
 
 Formula = Union[Atom, Not, And, Or, Implies, Forall, Exists]
@@ -122,27 +228,38 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return Or(parts)
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Node):
     """Universally closed disjunction of literals."""
 
-    variables: Tuple[str, ...]
-    literals: Tuple[Atom, ...]
+    __slots__ = ("variables", "literals")
+
+    def __init__(self, variables: Tuple[str, ...], literals: Tuple[Atom, ...]):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "literals", literals)
+
+    def __eq__(self, other):
+        return type(other) is Clause and self.variables == other.variables and self.literals == other.literals
+
+    def __hash__(self):
+        return hash((self.variables, self.literals))
 
     def is_ground(self) -> bool:
         return not self.variables
 
 
-@dataclass
-class Signature:
+class Signature(Record):
     """Declared symbols: base functions, leveled extension functions,
-    relations, parameters and (implicitly declared) constants."""
+    relations, parameters and (implicitly declared) constants.  An
+    omitted table starts empty, base_functions with + - * of arity 2."""
 
-    base_functions: Dict[str, int] = field(default_factory=lambda: dict(ARITH_FUNCTIONS))
-    extension_functions: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    relations: Dict[str, int] = field(default_factory=dict)
-    parameters: Set[str] = field(default_factory=set)
-    constants: Set[str] = field(default_factory=set)
+    def __init__(self, base_functions=None, extension_functions=None, relations=None, parameters=None, constants=None):
+        self.base_functions: Dict[str, int] = dict(ARITH_FUNCTIONS) if base_functions is None else base_functions
+        self.extension_functions: Dict[str, Tuple[int, int]] = (
+            {} if extension_functions is None else extension_functions
+        )
+        self.relations: Dict[str, int] = {} if relations is None else relations
+        self.parameters: Set[str] = set() if parameters is None else parameters
+        self.constants: Set[str] = set() if constants is None else constants
 
     def validate(self) -> None:
         names = [set(self.base_functions), set(self.extension_functions), set(self.relations)]

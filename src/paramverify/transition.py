@@ -8,7 +8,6 @@ and stops when the candidate becomes inductive, when initiation fails,
 or when the iteration budget runs out.
 """
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linear import LinAtom, atom_to_lin, decide, is_sat
@@ -21,6 +20,7 @@ from .terms import (
     FALSE,
     Forall,
     Formula,
+    Record,
     Signature,
     SymbolRenaming,
     TRUE,
@@ -30,12 +30,12 @@ from .terms import (
 )
 
 
-@dataclass
-class TransitionSystem:
-    sig: Signature
-    init: List[Formula]
-    update: List[Formula]
-    update_vars: Dict[str, str]
+class TransitionSystem(Record):
+    def __init__(self, sig, init, update, update_vars):
+        self.sig: Signature = sig
+        self.init: List[Formula] = init
+        self.update: List[Formula] = update
+        self.update_vars: Dict[str, str] = update_vars
 
     @classmethod
     def from_pts(cls, pts: PTSSpec) -> "TransitionSystem":
@@ -45,10 +45,10 @@ class TransitionSystem:
         return SymbolRenaming(self.update_vars)
 
 
-@dataclass
-class Verdict:
-    kind: str  # Inductive | InitFails | ConsecutionFails | Unknown
-    witness: Optional[Dict] = None
+class Verdict(Record):
+    def __init__(self, kind, witness=None):
+        self.kind: str = kind  # Inductive | InitFails | ConsecutionFails | Unknown
+        self.witness: Optional[Dict] = witness
 
 
 def vc_initiation(system: TransitionSystem, candidate: Sequence[Formula]) -> ReducedProblem:
@@ -80,11 +80,11 @@ def check_inductive(system: TransitionSystem, candidate: Sequence[Formula]) -> V
 # Bounded model checking
 
 
-@dataclass
-class BmcStep:
-    depth: int
-    holds: bool
-    witness: Optional[Dict] = None
+class BmcStep(Record):
+    def __init__(self, depth, holds, witness=None):
+        self.depth: int = depth
+        self.holds: bool = holds
+        self.witness: Optional[Dict] = witness
 
 
 def _indexed(name: str, i: int) -> str:
@@ -141,12 +141,12 @@ def bmc(system: TransitionSystem, candidate: Sequence[Formula], k: int) -> List[
 # Invariant strengthening
 
 
-@dataclass
-class StrengthenResult:
-    kind: str  # Invariant | NoUniversalInvariant | Exhausted
-    candidate: List[Formula]
-    iterations: int
-    log: List[Tuple[int, str]] = field(default_factory=list)
+class StrengthenResult(Record):
+    def __init__(self, kind, candidate, iterations, log=None):
+        self.kind: str = kind  # Invariant | NoUniversalInvariant | Exhausted
+        self.candidate: List[Formula] = candidate
+        self.iterations: int = iterations
+        self.log: List[Tuple[int, str]] = [] if log is None else log
 
 
 def _candidate_lines(candidate: Sequence[Formula]) -> List[str]:

@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +16,18 @@ from paramverify.parsing import parse_spec
 
 def run_file(name, flags=None):
     return run_task_file((DATA / ("%s.yaml" % name)).read_text(), flags)
+
+
+def run_python(*args, **env):
+    """A fresh interpreter with src on its path, run from the repository
+    root, with only PATH, PYTHONPATH and env in its environment."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={"PATH": os.environ["PATH"], "PYTHONPATH": "src", **env},
+        cwd=str(DATA.parent.parent),
+    )
 
 
 def test_exit_zero_and_result_line():
@@ -150,24 +164,80 @@ def test_formula_nesting_limit(tmp_path, capsys, nested):
 def test_malformed_numeric_option_exit_two(tmp_path, option, value, least):
     """bmc_k must be an int >= 0 and inv_str_max_iter an int >= 1; any
     other value is a parse error naming the task and the option."""
-    import subprocess
-    import sys
-
     task_file = tmp_path / "bad_option.yaml"
     text = (DATA / "ex2_strengthening.yaml").read_text()
     task_file.write_text(text.replace("inv_str_max_iter: 2", "%s: %s" % (option, value)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "paramverify.cli", str(task_file)],
-        capture_output=True,
-        text=True,
-        env={"PATH": os.environ["PATH"], "PYTHONPATH": "src"},
-        cwd=str(DATA.parent.parent),
-    )
+    proc = run_python("-m", "paramverify.cli", str(task_file))
     assert proc.returncode == 2
     assert proc.stderr.startswith(
         "parse error: task example_4.16: option %s must be an integer >= %d, got " % (option, least)
     )
     assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+PTS_TASK = "{mode: BMC, specification_type: PTS, %s}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tasks: {t: [1, 2]}", "task t must be a mapping"),
+        ("tasks: {t: %s}" % PTS_TASK % "options: [a]", "task t: options must be a mapping"),
+        ("task_options: [1]\ntasks: {t: %s}" % PTS_TASK % "specification: {}", "task_options must be a mapping"),
+        (
+            "tasks: {t: {mode: CHECK_INVARIANT, specification_type: HPILOT, specification: {file: 5}}}",
+            "task t: specification entry file must be a string",
+        ),
+        ("tasks: {t: %s}" % PTS_TASK % "specification: {init: [1]}", "task t: specification entry init must be a string"),
+        (
+            "tasks: {t: %s}" % PTS_TASK % "specification: {update_vars: [a]}",
+            "task t: specification entry update_vars must be a mapping",
+        ),
+        ("tasks: {t: %s}" % PTS_TASK % "specification: [1]", "task t: PTS specification must be a mapping"),
+        (
+            "tasks: {t: %s}" % PTS_TASK % "options: {assumptions: 5}, specification: {}",
+            "task t: option assumptions must be a string or a list of strings",
+        ),
+        (
+            "tasks: {t: %s}" % PTS_TASK % "options: {assumptions: [a > _0, 1]}, specification: {}",
+            "task t: option assumptions must be a string or a list of strings",
+        ),
+    ],
+    ids=[
+        "task-list",
+        "options-list",
+        "task_options-list",
+        "file-int",
+        "init-list",
+        "update_vars-list",
+        "specification-list",
+        "assumptions-int",
+        "assumptions-int-item",
+    ],
+)
+def test_malformed_task_file_shape_exit_two(tmp_path, text, message):
+    """Task bodies, options, task_options and PTS specifications are
+    mappings, specification texts are strings and assumptions a string
+    or a list of strings; any other shape is a parse error naming the
+    task and the key, exit 2, with no traceback."""
+    task_file = tmp_path / "bad_shape.yaml"
+    task_file.write_text(text + "\n")
+    proc = run_python("-m", "paramverify.cli", str(task_file))
+    assert proc.returncode == 2
+    assert proc.stderr == "parse error: %s\n" % message
+    assert not proc.stdout
+
+
+def test_assumptions_string_is_one_text():
+    """assumptions given as one ';'-separated string read as the list of
+    its statements."""
+    text = (DATA / "chatter_e14.yaml").read_text()
+    listed = "assumptions: [dmin > _0, dmax > dmin, da > _0]"
+    assert listed in text
+    as_list, code, _ = run_task_file(text)
+    as_string, string_code, _ = run_task_file(text.replace(listed, 'assumptions: "dmin > _0; dmax > dmin; da > _0"'))
+    assert code == string_code == 0
+    assert mask_report(as_string) == mask_report(as_list)
 
 
 def test_engine_error_exit_one(tmp_path):
@@ -266,9 +336,6 @@ def test_determinism_across_hash_seeds():
     hash randomization, after masking time fields.  The PTS task's
     candidate is not inductive, so its report prints a witness; hash
     seeds 0 and 2 iterate its ground atoms in different orders."""
-    import subprocess
-    import sys
-
     script = "\n".join(
         [
             "from paramverify.runner import run_task_file",
@@ -280,13 +347,7 @@ def test_determinism_across_hash_seeds():
     )
     outputs = []
     for seed in ("0", "1", "2", "42"):
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONHASHSEED": seed, "PATH": os.environ["PATH"], "PYTHONPATH": "src"},
-            cwd=str(DATA.parent.parent),
-        )
+        proc = run_python("-c", script, PYTHONHASHSEED=seed)
         assert proc.returncode == 0, proc.stderr
         outputs.append(mask_report(proc.stdout))
     assert "(step) witness: " in outputs[0]
@@ -296,9 +357,6 @@ def test_determinism_across_hash_seeds():
 def test_imports_load_neither_yaml_nor_thread_pool():
     """yaml is loaded by parse_task_file, not by importing the library
     or the CLI, and no module loads a thread pool."""
-    import subprocess
-    import sys
-
     script = "\n".join(
         [
             "import sys",
@@ -306,13 +364,20 @@ def test_imports_load_neither_yaml_nor_thread_pool():
             "print(sorted(m for m in ('yaml', 'concurrent.futures') if m in sys.modules))",
         ]
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={"PATH": os.environ["PATH"], "PYTHONPATH": "src"},
-        cwd=str(DATA.parent.parent),
-    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "modules", ["paramverify.cli, paramverify.runner", "paramverify.linear, paramverify.parsing, paramverify.reduction"]
+)
+def test_imports_load_neither_dataclasses_nor_inspect(modules):
+    """Node and record classes are written by hand: importing the CLI or
+    the library loads neither dataclasses nor the inspect module it
+    pulls in, which together cost tens of milliseconds at start-up."""
+    script = "import sys\nimport %s\nprint(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))" % modules
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

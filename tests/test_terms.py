@@ -4,13 +4,18 @@ from fractions import Fraction
 import pytest
 
 from paramverify.errors import SortError
-from paramverify.parsing import parse_formula, parse_statements, parse_term_string
+from paramverify.linear import LinAtom
+from paramverify.parsing import Token, parse_formula, parse_statements, parse_term_string
 from paramverify.printing import print_formula, print_term
+from paramverify.runner import TaskOutcome
 from paramverify.symelim import substitute_constants
 from paramverify.terms import (
+    FALSE,
+    TRUE,
     And,
     App,
     Atom,
+    Clause,
     Exists,
     Forall,
     Implies,
@@ -217,3 +222,81 @@ def test_numerals_round_trip_exactly():
         term = parse_term_string(text, sig)
         assert isinstance(term, Num)
         assert print_term(term) == text
+
+
+# ---------------------------------------------------------------------------
+# What nodes and records keep: node equality within one class, the hash
+# of the fields tuple (so set and dict order do not change), immutability
+# and the field repr; records get fresh default tables.
+
+
+def nodes_with_fields():
+    x, y = Var("x"), Var("y")
+    atom = Atom("<=", x, App("f", (y,)))
+    terms = ((("x",), 1), ((), -2))
+    return [
+        (x, ("x",)),
+        (Num(Fraction(3, 2)), (Fraction(3, 2),)),
+        (App("f", (x, y)), ("f", (x, y))),
+        (atom, ("<=", x, App("f", (y,)))),
+        (Not(atom), (atom,)),
+        (And((atom, atom)), ((atom, atom),)),
+        (Or((atom,)), ((atom,),)),
+        (Implies(atom, TRUE), (atom, TRUE)),
+        (Forall(("x",), atom), (("x",), atom)),
+        (Exists(("x",), atom), (("x",), atom)),
+        (Clause(("x",), (atom,)), (("x",), (atom,))),
+        (LinAtom("<=", terms), ("<=", terms)),
+        (Token("OP", "+", 1, 2), ("OP", "+", 1, 2)),
+    ]
+
+
+def test_nodes_are_equal_only_within_their_class():
+    atom = Atom("=", Var("x"), Var("y"))
+    assert TRUE != FALSE and And(()) != Or(())
+    assert Forall(("x",), atom) != Exists(("x",), atom)
+    assert Var("c") != App("c", ()) and App("c", ()) != "c"
+    for node, fields in nodes_with_fields():
+        assert type(node)(*fields) == node and not type(node)(*fields) != node
+
+
+def test_node_hash_is_the_hash_of_its_fields():
+    for node, fields in nodes_with_fields():
+        assert hash(node) == hash(fields), type(node).__name__
+
+
+def test_node_fields_cannot_be_assigned_or_deleted():
+    for node, _ in nodes_with_fields():
+        field = type(node).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+        with pytest.raises(AttributeError):
+            node.extra = None
+        assert not hasattr(node, "__dict__")
+
+
+def test_node_repr_lists_fields():
+    assert repr(App("f", (Var("x"),))) == "App(fn='f', args=(Var(name='x'),))"
+    assert repr(Or(())) == "Or(parts=())"
+    terms = ((("x",), 1),)
+    atom = LinAtom("<=", terms)
+    atom.key()
+    assert repr(atom) == "LinAtom(rel='<=', terms=((('x',), 1),))"
+
+
+def test_records_get_fresh_defaults():
+    a, b = Signature(), Signature()
+    for table in ("base_functions", "extension_functions", "relations", "parameters", "constants"):
+        assert getattr(a, table) is not getattr(b, table)
+    a.base_functions["d"] = 1
+    a.constants.add("c")
+    assert b == Signature() and a != b and "d" not in Signature().base_functions
+    first, second = TaskOutcome("t", [], None), TaskOutcome("t", [], None)
+    assert first.extra is not second.extra and first.smtlib is not second.smtlib
+    first.extra.append((0, "x"))
+    assert second.extra == [] and first != second
+    assert repr(second) == "TaskOutcome(name='t', result=[], inline_result=None, runtime=0.0, extra=[], smtlib=[])"
+    with pytest.raises(TypeError):
+        hash(second)
