@@ -73,11 +73,12 @@ LinAtom.key order, keeping the steps: back-substituted, they give the
 units' witness, which does not depend on the interpreter's hash seed;
 it is checked against every unit and scaled once to integers.  Every
 probe is the units plus one atom.  A probe whose atom holds at the
-model is satisfiable; otherwise the atom's row is carried through the
-recorded steps (_probe_sat) by the same step, and the verdict is
-memoised with the units' steps.  A unit the model violates drops the
-model until the round's model of the units.  decide makes no is_sat
-call and does not use the cache.
+model, or whose atom has a column that no unit has, is satisfiable;
+otherwise the atom's row is carried through the recorded steps
+(_probe_sat) by the same step, and the verdict is memoised with the
+units' steps.  A unit the model violates drops the model until the
+round's model of the units.  decide makes no is_sat call and does not
+use the cache.
 """
 
 from fractions import Fraction
@@ -919,7 +920,8 @@ def _holds(model: ScaledModel, atoms: Iterable[LinAtom]) -> bool:
 
 
 # unit set -> [its elimination steps (None: unsatisfiable), its witness
-# (None until built), {probe atom: is_sat(units + [atom])}]
+# (None until built), {probe atom: is_sat(units + [atom])}, the columns
+# of the units' rows and the constant's column ""]
 UnitRecords = Dict[frozenset, list]
 
 
@@ -928,7 +930,8 @@ def _unit_record(units: frozenset, records: UnitRecords) -> list:
     in LinAtom.key order."""
     record = records.get(units)
     if record is None:
-        record = records[units] = [_fm_steps(sorted(units, key=LinAtom.key)), None, {}]
+        steps = _fm_steps(sorted(units, key=LinAtom.key))
+        record = records[units] = [steps, None, {}, {""}.union(*(_atom_row(a)[1] for a in units))]
     return record
 
 
@@ -945,14 +948,22 @@ def _unit_model(units: frozenset, records: UnitRecords) -> Optional[Dict[str, Fr
 
 def _refuted(units: frozenset, a: Union[LinAtom, bool], model: Optional[ScaledModel], records: UnitRecords) -> bool:
     """not is_sat(units + [a]), where a True atom adds nothing.  Answered
-    without elimination when the model of the units satisfies a, else
-    by replaying a through the units' elimination steps."""
+    without elimination when the model of the units satisfies a or a
+    has a column that no unit has, else by replaying a through the
+    units' elimination steps."""
     if model is not None and (a is True or _holds(model, (a,))):
         return False
-    steps, _, verdicts = _unit_record(units, records)
+    steps, _, verdicts, columns = _unit_record(units, records)
     if steps is None:
         return True
     if a is True:
+        return False
+    # Take any model of the units: a column that no unit holds can take
+    # the value that makes a's =, < or <= row hold, and every unit still
+    # holds.  A product monomial is its own column here as in is_sat and
+    # the replay.  columns also holds the constant's column "", as a
+    # constant cannot be chosen.
+    if not columns.issuperset(_atom_row(a)[1]):
         return False
     sat = verdicts.get(a)
     if sat is None:

@@ -699,11 +699,13 @@ def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[st
     options.update({k: v for k, v in raw_options.items() if k in _KNOWN_OPTION_KEYS})
     if "parameter" in options and "eliminate" in options:
         raise ParseError("task %s: parameter and eliminate are mutually exclusive" % name)
-    assumptions = options.get("assumptions")
-    if isinstance(assumptions, str):
-        options["assumptions"] = [assumptions]
-    elif assumptions is not None and not (isinstance(assumptions, list) and all(type(a) is str for a in assumptions)):
-        raise ParseError("task %s: option assumptions must be a string or a list of strings" % name)
+    if isinstance(options.get("assumptions"), str):
+        options["assumptions"] = [options["assumptions"]]
+    for key in ("assumptions", "parameter", "eliminate", "vcs"):
+        value = options.get(key)
+        if value is not None and not (isinstance(value, list) and all(type(s) is str for s in value)):
+            shape = "a string or a list of strings" if key == "assumptions" else "a list of strings"
+            raise ParseError("task %s: option %s must be %s" % (name, key, shape))
     for key, least in (("bmc_k", 0), ("inv_str_max_iter", 1)):
         value = options.get(key, least)
         if type(value) is not int or value < least:

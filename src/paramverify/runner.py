@@ -130,7 +130,7 @@ class TaskRunner:
             vcs = vcs_invariant(automaton, candidate)
             selected = task.options.get("vcs")
             if selected:
-                wanted = {str(s) for s in selected}
+                wanted = set(selected)
                 vcs = [vc for vc in vcs if vc.name in wanted]
                 if not vcs:
                     raise EngineError("no verification condition matches %s" % sorted(wanted))

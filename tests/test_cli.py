@@ -175,6 +175,33 @@ def test_malformed_numeric_option_exit_two(tmp_path, option, value, least):
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
+@pytest.mark.parametrize(
+    "line, option",
+    [
+        ("parameter: 5", "parameter"),
+        ("eliminate: 5", "eliminate"),
+        ("parameter: d1d2", "parameter"),
+        ("parameter: [1]", "parameter"),
+        ("parameter: [a, d1, d2]\n            vcs: 5", "vcs"),
+    ],
+    ids=["parameter-int", "eliminate-int", "parameter-string", "parameter-int-item", "vcs-int"],
+)
+def test_malformed_symbol_list_option_exit_two(tmp_path, line, option):
+    """parameter, eliminate and vcs are lists of strings: an int is not
+    iterated, a string is not read by substring, and an int item does
+    not quietly match nothing.  Any other shape is a parse error naming
+    the task and the option, exit 2, with no traceback."""
+    task_file = tmp_path / "bad_option.yaml"
+    text = (DATA / "ex1_constraint.yaml").read_text()
+    task_file.write_text(text.replace("parameter: [a, d1, d2]", line))
+    proc = run_python("-m", "paramverify.cli", str(task_file))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "parse error: task example constraint generation: option %s must be a list of strings\n" % option
+    )
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 PTS_TASK = "{mode: BMC, specification_type: PTS, %s}"
 
 

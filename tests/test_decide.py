@@ -3,15 +3,20 @@ probe replay against the reference Fourier-Motzkin.
 
 The engine translates each literal once per call, answers a
 feasibility probe from the model of the current unit atoms when the
-probe's atoms hold there, and otherwise replays the probe atom through
-the recorded elimination of the units.  None of it may change the
-search: the verdict and the witness must be the reference's, decide
-makes no is_sat call, and it runs at most as many
-eliminations as the reference makes satisfiability calls.
+probe's atoms hold there, answers it satisfiable when the probe atom
+has a column that no unit has, and otherwise replays the probe atom
+through the recorded elimination of the units.  None of it may change
+the search: the verdict and the witness must be the reference's,
+decide makes no is_sat call, and it runs at most as many
+eliminations as the reference makes satisfiability calls.  The
+free-column answers must be the replay's, and no probe they cover may
+reach a replay.
 """
 
 import random
 from fractions import Fraction
+
+import pytest
 
 import oracles
 from oracles import evaluate, random_conjunct, reference_decide, reference_is_sat
@@ -83,23 +88,127 @@ def with_disequalities(rng, formulas):
     return list(formulas) + extra
 
 
-def test_decide_matches_reference_on_random_instances(monkeypatch):
-    calls = recorded_calls(monkeypatch)
+def random_instances():
+    """60 random ground instances: guarded definitions reduced to ground
+    clauses, every other one with != literals added."""
     rng = random.Random(20231019)
-    verdicts = set()
-    saved = 0
     for k in range(60):
         sig, clauses, goal = random_definitional_instance(rng)
         # every third instance also instantiates at seed terms, for larger inputs
         seeds = [parse_term_string(t, sig) for t in ("f(u)", "f(f(v))")] if k % 3 == 0 else []
         ground = reduce_chain(sig.copy(), clauses + goal, seeds).ground
-        if k % 2:
-            ground = with_disequalities(rng, ground)
+        yield with_disequalities(rng, ground) if k % 2 else ground
+
+
+def test_decide_matches_reference_on_random_instances(monkeypatch):
+    calls = recorded_calls(monkeypatch)
+    verdicts = set()
+    saved = 0
+    for ground in random_instances():
         witness, fewer = check_against_reference(ground, calls)
         verdicts.add(witness is None)
         saved += fewer
     assert verdicts == {True, False}
     assert saved > 0
+
+
+def free_columns(units, a):
+    """The columns of a's row that no unit's row holds; the constant ""
+    is not a column."""
+    held = {v for u in units for v in linear._atom_row(u)[1]}
+    return {v for v in linear._atom_row(a)[1] if v and v not in held}
+
+
+def refuted_calls(monkeypatch):
+    """Record every _refuted call that the model of the units does not
+    answer, as [units, atom, answer, the units' steps (None:
+    unsatisfiable), the atoms _probe_sat received during the call]."""
+    calls = []
+    real_refuted, real_probe = linear._refuted, linear._probe_sat
+
+    def refuted(units, a, model, records):
+        if a is True or (model is not None and linear._holds(model, (a,))):
+            return real_refuted(units, a, model, records)
+        call = [units, a, None, None, []]
+        calls.append(call)
+        call[2] = real_refuted(units, a, model, records)
+        call[3] = records[units][0]
+        return call[2]
+
+    def probe(steps, a):
+        calls[-1][4].append(a)
+        return real_probe(steps, a)
+
+    monkeypatch.setattr(linear, "_refuted", refuted)
+    monkeypatch.setattr(linear, "_probe_sat", probe)
+    return calls
+
+
+def covered_calls(calls):
+    """The recorded calls with satisfiable units and an atom that has a
+    column outside them."""
+    return [call for call in calls if call[3] is not None and free_columns(call[0], call[1])]
+
+
+def test_free_column_answers_match_the_replay(monkeypatch):
+    """Every probe that the free-column rule answers gets the verdict
+    that replaying it through its units' steps gives."""
+    replay = linear._probe_sat
+    calls = refuted_calls(monkeypatch)
+    for ground in random_instances():
+        decide(ground)
+    covered = covered_calls(calls)
+    assert len(covered) >= 100
+    assert all(refuted is not replay(steps, a) for _, a, refuted, steps, _ in covered)
+
+
+def test_free_column_probes_are_not_replayed(monkeypatch):
+    """The free-column rule's saving: no replay gets a probe with a
+    column outside its units, and in every instance with such probes
+    each is answered without a replay."""
+    calls = refuted_calls(monkeypatch)
+    instances = 0
+    for ground in random_instances():
+        del calls[:]
+        decide(ground)
+        assert not any(free_columns(units, b) for units, _, _, _, replayed in calls for b in replayed)
+        covered = covered_calls(calls)
+        assert not any(replayed for *_, replayed in covered)
+        instances += bool(covered)
+    assert instances >= 10
+
+
+def row_atom(rel, poly):
+    """The atom poly rel 0, poly keyed by column: "" for the constant,
+    "p*x" for a product."""
+    return make_atom(rel, {tuple(sorted(v.split("*"))) if v else (): Fraction(c) for v, c in poly.items()})
+
+
+def test_constant_is_not_a_free_column(monkeypatch):
+    """The units u < c_f_2 and c_f_1 < c_f_2 have no constant term, and
+    the probe c_f_2 - u + 3 = 0 has one.  The constant is not a column a
+    model can choose, so the probe goes to the replay, which refutes
+    it."""
+    units = frozenset([row_atom("<", {"u": 1, "c_f_2": -1}), row_atom("<", {"c_f_1": 1, "c_f_2": -1})])
+    probe = row_atom("=", {"c_f_2": 1, "u": -1, "": 3})
+    calls = refuted_calls(monkeypatch)
+    assert linear._refuted(units, probe, None, {}) is True
+    assert [replayed for *_, replayed in calls] == [[probe]]
+
+
+@pytest.mark.parametrize("rel", ["=", "<", "<="])
+@pytest.mark.parametrize("fresh", ["z", "p*x"])
+def test_free_column_probe_is_not_replayed(monkeypatch, rel, fresh):
+    """1 <= x <= 3 and y <= x refute x + 5 rel 0, but a probe that also
+    has a column no unit holds, a plain one or the product p*x, is
+    satisfiable with them and is answered without a replay."""
+    units = [row_atom("<=", {"x": -1, "": 1}), row_atom("<=", {"x": 1, "": -3}), row_atom("<=", {"y": 1, "x": -1})]
+    probe = row_atom(rel, {"x": 1, fresh: 1, "": 5})
+    assert reference_is_sat(units + [row_atom(rel, {"x": 1, "": 5})]) is None
+    assert reference_is_sat(units + [probe]) is not None
+    calls = refuted_calls(monkeypatch)
+    assert linear._refuted(frozenset(units), probe, None, {}) is False
+    assert [replayed for *_, replayed in calls] == [[]]
 
 
 def test_unit_violating_the_model_drops_it(monkeypatch):
@@ -162,16 +271,17 @@ def test_probe_rows_combine_with_each_other():
     y >= 1.  At y's step the units hold only y <= 5; the probe is
     refuted by combining its two rows with each other."""
 
-    def atom(rel, poly):
-        return make_atom(rel, {((s,) if s else ()): Fraction(c) for s, c in poly.items()})
-
-    units = [atom("<=", {"y": 1, "x": -1}), atom("<=", {"y": -1, "x": -1, "": 1}), atom("<=", {"y": 1, "": -5})]
+    units = [
+        row_atom("<=", {"y": 1, "x": -1}),
+        row_atom("<=", {"y": -1, "x": -1, "": 1}),
+        row_atom("<=", {"y": 1, "": -5}),
+    ]
     steps = linear._fm_steps(sorted(units, key=linear.LinAtom.key))
     assert [(v, pivot, len(lowers), len(uppers)) for v, pivot, lowers, uppers in steps] == [
         ("x", None, 2, 0),
         ("y", None, 0, 1),
     ]
     for bound, expected in ((0, False), (Fraction(1, 2), True)):
-        probe = atom("<=", {"x": 1, "": -bound})
+        probe = row_atom("<=", {"x": 1, "": -bound})
         assert (reference_is_sat(units + [probe]) is not None) is expected
         assert linear._probe_sat(steps, probe) is expected
