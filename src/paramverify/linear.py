@@ -29,8 +29,9 @@ ground satisfiability (is_sat) and the ground decision procedure
 (decide) share.  A row is an atom's integer row with each monomial named
 as one column (the constant as "").  Rows live in an insertion-ordered
 table (_admit) keyed by an equation's entries or a bound's coefficients
-(over their gcd unless a column is a product monomial), so a duplicate
-equation or a slack bound merges, by one lookup, into the slot it meets.
+over their gcd, so a duplicate equation or a slack bound merges, by one
+lookup, into the slot it meets.  Every table, in every caller and from
+a conjunct's first admission on, keeps this one merge rule.
 Each table indexes its rows, in table order, under their columns
 (ground) or eliminated symbols (eliminate); a step takes its rows from
 the index (_take), never scanning the table.  One step (_fm_rows)
@@ -61,8 +62,7 @@ of unknown sign, each tagged with its case literal; within a case every
 coefficient has a fixed sign, so the rule holds at every parameter point
 of the case.  A step splits each row that holds the eliminated symbol
 into (rel, coefficient, rest) and decides each distinct coefficient's
-sign once.  A fresh conjunct's atoms are keyed by position until its
-first step is done, so that each takes part in it.  Ground elimination
+sign once.  Ground elimination
 takes the column with the fewest rows first; is_sat returns a bool,
 orders the atoms by LinAtom.key and caches the verdict per atom set.
 
@@ -87,7 +87,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import CaseExplosionError, EngineError, NonLinearError, SortError
-from .terms import And, Atom, App, Exists, Forall, Formula, Implies, Node, Not, Num, Or, Term, Var, negate_atom, nnf
+from .terms import And, Atom, App, Formula, Node, Num, Or, Term, Var, negate_atom, nnf
 
 Monomial = Tuple[str, ...]
 Poly = Dict[Monomial, Fraction]
@@ -279,6 +279,7 @@ def to_linear(f: Formula, max_conjuncts: int = 100000) -> DNF:
 
 
 def _dnf(f: Formula, cap: int) -> List[List[Union[LinAtom, bool]]]:
+    """The conjuncts of nnf's output, atoms under And and Or."""
     if isinstance(f, Atom):
         return _lit_branches(f)
     if isinstance(f, Or):
@@ -296,8 +297,6 @@ def _dnf(f: Formula, cap: int) -> List[List[Union[LinAtom, bool]]]:
                 raise CaseExplosionError("DNF exceeds %d conjuncts" % cap)
             out = [c + b for c in out for b in branches]
         return out
-    if isinstance(f, (Not, Implies, Forall, Exists)):
-        raise SortError("formula is not ground quantifier-free NNF: %s" % type(f).__name__)
     raise TypeError(f)
 
 
@@ -327,18 +326,17 @@ StepRow = Tuple[str, Union[int, IntPoly], dict, int]
 Steps = List[Tuple[str, Optional[StepRow], Sequence[StepRow], Sequence[StepRow]]]
 
 
-def _admit(table: RowTable, index: Index, rel: str, p: RowPoly, h: int, names=None, atom=None, key=None) -> bool:
+def _admit(table: RowTable, index: Index, rel: str, p: RowPoly, h: int, names=None, atom=None) -> bool:
     """Add the row p rel 0 with history h to the table, divided by the
     gcd of its entries, and index it under names (default: its
     columns).  A constant row is decided instead; False when it is
     false.  p is not mutated.
 
-    An equation is keyed by its entries; a bound by its coefficients,
-    over their gcd unless a column is a product monomial.  A row whose
-    key is taken merges into that slot: a bound replaces a slacker one
-    and is dropped otherwise, a duplicate equation is dropped, and the
-    survivor's history is the intersection of both.  A row given its
-    own key meets no other."""
+    An equation is keyed by its entries, a bound by its coefficients
+    over their gcd.  A row whose key is taken merges into that slot: a
+    bound replaces a slacker one and is dropped otherwise, a duplicate
+    equation is dropped, and the survivor's history is the intersection
+    of both."""
     const = p.get("", 0)
     coeffs = p
     if const:
@@ -351,13 +349,10 @@ def _admit(table: RowTable, index: Index, rel: str, p: RowPoly, h: int, names=No
     if e != 1:
         p = {u: c // e for u, c in p.items()}
         const //= e
-    if key is None:
-        if rel == "=":
-            key = ("=", frozenset(p.items()))
-        else:
-            if g != e and any(_PROD_SEP in u for u in coeffs):
-                g = e
-            key = frozenset(coeffs.items() if g == 1 else ((u, c // g) for u, c in coeffs.items()))
+    if rel == "=":
+        key = ("=", frozenset(p.items()))
+    else:
+        key = frozenset(coeffs.items() if g == 1 else ((u, c // g) for u, c in coeffs.items()))
     # the divisor of the kept row's coefficients in its key
     g //= e
     seen = table.get(key)
@@ -753,12 +748,12 @@ class _Eliminator:
         done.sort(key=lambda c: tuple(a.key() for a in c))
         return done
 
-    def _admit(self, table: RowTable, index: Index, a: Union[LinAtom, bool], h: int, key=None) -> bool:
+    def _admit(self, table: RowTable, index: Index, a: Union[LinAtom, bool], h: int) -> bool:
         """Admit the atom's row, indexed under its eliminated symbols or
         None (the sign checks' context); a decided atom is its value."""
         if isinstance(a, bool):
             return a
-        return _admit(table, index, *_atom_row(a), h, a.symbols() & self.eliminated or (None,), a, key)
+        return _admit(table, index, *_atom_row(a), h, a.symbols() & self.eliminated or (None,), a)
 
     def _step(self, atoms: List[LinAtom]):
         """Eliminate symbols from one conjunct.  Returns ("done", atoms),
@@ -774,7 +769,7 @@ class _Eliminator:
             table: RowTable = {}
             index: Index = {}
             for i, a in enumerate(atoms):
-                self._admit(table, index, a, 1 << i, i)
+                self._admit(table, index, a, 1 << i)
             steps = 0
             while True:
                 live = sorted((s for s in index if s is not None), key=lambda s: (len(index[s]), self.symbols.index(s)))
@@ -798,11 +793,6 @@ class _Eliminator:
                     rows.append((rel, coeff, rest, h, sign))
                 _take(table, index, x)
                 steps += 1
-                if steps == 1:  # the fresh atoms left meet the dominance check
-                    kept = list(table.values())
-                    table, index = {}, {}
-                    for entry in kept:
-                        self._admit(table, index, entry[5], entry[2])
                 if not _parametric_rows(rows, steps, lambda rel, p, h: self._admit(table, index, atom_of(rel, p), h)):
                     return "drop", None
                 if len(table) > PRUNE_THRESHOLD:

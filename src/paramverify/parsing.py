@@ -18,6 +18,7 @@ matches the task listings (tasks, per-task mode/options/specification).
 """
 
 from fractions import Fraction
+from math import isfinite
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ParseError, SignatureError
@@ -626,6 +627,15 @@ _KNOWN_OPTION_KEYS = {
 }
 
 
+# (option, a test of its value, what the error message asks for)
+_SCALAR_OPTIONS = (
+    ("epsilon", lambda v: type(v) in (int, str) or type(v) is float and isfinite(v), "a finite number or a term"),
+    ("candidate", lambda v: type(v) is str, "a string"),
+    ("slfq_query", lambda v: type(v) is bool, "true or false"),
+    ("print_steps", lambda v: type(v) is bool, "true or false"),
+)
+
+
 class TaskSpec(Record):
     def __init__(self, name, mode, spec_type, theory, body, options=None):
         self.name: str = name
@@ -710,6 +720,9 @@ def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[st
         value = options.get(key, least)
         if type(value) is not int or value < least:
             raise ParseError("task %s: option %s must be an integer >= %d, got %r" % (name, key, least, value))
+    for key, valid, shape in _SCALAR_OPTIONS:
+        if key in options and not valid(options[key]):
+            raise ParseError("task %s: option %s must be %s, got %r" % (name, key, shape, options[key]))
     if mode == "GENERATE_CONSTRAINTS" and spec_type == "HPILOT":
         # hybrid-automaton tasks default to eliminating the state variables
         if ("parameter" in options) == ("eliminate" in options):
@@ -717,7 +730,10 @@ def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[st
     spec_doc = doc.get("specification")
     if spec_doc is None:
         raise ParseError("task %s: missing specification" % name)
-    body = _parse_task_body(name, spec_type, spec_doc)
+    try:
+        body = _parse_task_body(name, spec_type, spec_doc)
+    except SignatureError as exc:
+        raise ParseError("task %s: %s" % (name, exc))
     return TaskSpec(name, mode, spec_type, theory, body, options), warnings
 
 

@@ -19,7 +19,6 @@ from .terms import (
     App,
     Atom,
     And,
-    Exists,
     FALSE,
     Forall,
     Formula,
@@ -86,8 +85,6 @@ def print_formula(f: Formula) -> str:
         return "%s --> %s" % (print_formula(f.left), print_formula(f.right))
     if isinstance(f, Forall):
         return "(FORALL %s). %s" % (",".join(f.variables), print_formula(f.body))
-    if isinstance(f, Exists):
-        return "(EXISTS %s). %s" % (",".join(f.variables), print_formula(f.body))
     raise TypeError(f)
 
 
@@ -173,12 +170,12 @@ def canonical(f: Formula) -> Formula:
         if len(parts) == 1:
             return parts[0]
         return type(f)(_ordered(parts))
-    if isinstance(f, (Forall, Exists)):
+    if isinstance(f, Forall):
         body = canonical(f.body)
         used = tuple(v for v in f.variables if v in free_variables(body))
         if not used:
             return body
-        return type(f)(used, body)
+        return Forall(used, body)
     raise TypeError(f)
 
 

@@ -16,7 +16,6 @@ from .errors import NonGroundableError, SortError
 from .terms import (
     App,
     Atom,
-    Exists,
     Forall,
     Formula,
     Implies,
@@ -37,17 +36,23 @@ from .terms import (
 
 
 def split_statements(statements: Iterable[Formula]) -> Tuple[List[Formula], List[Formula]]:
-    """Separate axiom clauses (quantified) from the ground goal part."""
+    """Separate axiom clauses (quantified) from the ground goal part.  A
+    statement is a quantifier-free formula or one universal prefix over
+    one, and every variable it holds is bound by that prefix."""
     clauses: List[Formula] = []
     goal: List[Formula] = []
     for s in statements:
-        if isinstance(s, Forall) and not free_variables(s.body) - set(s.variables):
-            if not set(s.variables) & free_variables(s.body):
-                goal.append(s.body)
-            else:
-                clauses.append(s)
-        elif is_ground(s):
-            goal.append(s)
+        prefix, body = (set(s.variables), s.body) if isinstance(s, Forall) else (set(), s)
+        ground = True
+        for g in subformulas(body):
+            if type(g) is Forall:
+                raise SortError("quantifier below the prefix of a statement")
+            if ground and type(g) is Atom:
+                ground = is_ground(g.lhs) and is_ground(g.rhs)
+        if ground:
+            goal.append(body)
+        elif free_variables(body) <= prefix:
+            clauses.append(s)
         else:
             raise SortError("statement has unbound variables")
     return clauses, goal
@@ -132,23 +137,14 @@ def _patterns(clause: Formula, heads: Set[str]) -> List[Term]:
 def instantiate(
     clauses: Iterable[Formula], terms: Sequence[Term], sig: Signature, heads: Optional[Set[str]] = None
 ) -> List[Formula]:
-    """All ground instances of the clauses whose extension-headed terms
-    fall inside the given term set."""
+    """All ground instances of the prefixed clauses whose
+    extension-headed terms fall inside the given term set."""
     if heads is None:
         heads = extension_heads(sig)
     out: List[Formula] = []
     for clause in clauses:
-        if isinstance(clause, Forall):
-            variables = set(clause.variables)
-            body = clause.body
-        else:
-            variables = set()
-            body = clause
-        if not variables:
-            if is_ground(body) and all(t in terms for t in _patterns(body, heads)):
-                if body not in out:
-                    out.append(body)
-            continue
+        variables = set(clause.variables)
+        body = clause.body
         patterns = [p for p in _patterns(body, heads) if free_variables(p)]
         covered: Set[str] = set()
         for p in patterns:
@@ -227,13 +223,7 @@ def flatten_purify(
             return App(name_for(t, args), ())
         return App(t.fn, args)
 
-    def purify(f: Formula) -> Formula:
-        for g in subformulas(f):
-            if isinstance(g, (Forall, Exists)):
-                raise SortError("cannot purify %s" % type(g).__name__)
-        return map_terms(f, purify_term)
-
-    clauses = [purify(s) for s in statements]
+    clauses = [map_terms(s, purify_term) for s in statements]
     congruence: List[Formula] = []
     for i in range(len(defs)):
         for j in range(i + 1, len(defs)):

@@ -100,7 +100,7 @@ class TaskRunner:
     def _gen_options(self, task: TaskSpec):
         parameters = task.options.get("parameter")
         eliminate = task.options.get("eliminate")
-        full = bool(task.options.get("slfq_query", False))
+        full = task.options.get("slfq_query", False)
         return parameters, eliminate, full
 
     def _generate_constraints(self, task, assumptions, seeds, print_steps) -> TaskOutcome:
@@ -220,7 +220,7 @@ class TaskRunner:
         text = task.options.get("candidate")
         if not text:
             raise EngineError("task %s needs a candidate option" % task.name)
-        return parse_statements(str(text), sig)
+        return parse_statements(text, sig)
 
     def _check_invariant(self, task, assumptions, seeds, print_steps) -> TaskOutcome:
         lin_assumptions = assumptions_from(assumptions)
@@ -294,7 +294,7 @@ class TaskRunner:
         if isinstance(eps_opt, (int, float)):
             eps = Num(Fraction(str(eps_opt)))
         else:
-            eps = parse_term_string(str(eps_opt), automaton.sig)
+            eps = parse_term_string(eps_opt, automaton.sig)
         vcs = vcs_chatterfree(automaton, eps, edges=task.options.get("vcs"))
         parameters, eliminate, full = self._gen_options(task)
         return self._constraints_for_vcs(
@@ -391,7 +391,6 @@ def run_task_file(
         with open(flags.seed_closure, "r", encoding="utf-8") as fh:
             seed_text = fh.read()
     runner = TaskRunner(flags, seed_text)
-    print_steps_default = bool(task_file.task_options.get("print_steps", False))
-    outcomes = [runner.run(t, bool(t.options.get("print_steps", print_steps_default))) for t in selected]
+    outcomes = [runner.run(t, t.options.get("print_steps", False)) for t in selected]
     report = format_report(outcomes)
     return report, 0, outcomes

@@ -6,17 +6,27 @@ tuple of their fields; numeric constants are exact rationals.
 Constants are nullary applications, so symbol renaming and substitution
 treat variables and constants uniformly.
 
+A quantifier appears only as a statement's universal prefix: Forall
+over a quantifier-free body.  The parser reads no other, and
+reduction.split_statements rejects a statement with a quantifier below
+its prefix, so no walk tracks binders.  A conjunction of statements (a
+generated constraint) holds each prefix right below its And;
+to_clauses, canonical and print_formula read it so, while
+free_variables and is_ground take a term or one statement, and
+substitute a term or a quantifier-free formula.
+
 Two walkers own the walk over formulas.  subformulas lists a formula
 and everything below it in pre-order; formula_terms (atom sides, lhs
-before rhs), formula_subterms and formula_symbols are read through it.
-map_terms rebuilds a formula with each atom side replaced, keeping
-every connective and quantifier; rename_symbols, purification and
-symbol elimination's re-substitution of definition terms go through
-it.  Term walks (subterms, and the term cases of rename_symbols and
-substitute) stay direct recursions.  Walks that do their own work at
-each connective keep their own recursion: substitute and
-free_variables (binders), nnf (polarity), to_clauses, and outside this
-module print_formula, canonical, the SMT-LIB export and linear's DNF.
+before rhs), formula_subterms, formula_symbols and free_variables (less
+a prefix's variables) are read through it.  map_terms rebuilds a
+formula with each atom side replaced, keeping every connective and the
+prefix; substitute, rename_symbols, purification and symbol
+elimination's re-substitution of definition terms go through it.  Term
+walks (subterms, and the term cases of substitute and rename_symbols)
+stay direct recursions.  Walks that do their own work at each
+connective keep their own recursion: nnf (polarity), to_clauses, and
+outside this module print_formula, canonical, the SMT-LIB export and
+linear's DNF.
 """
 
 from fractions import Fraction
@@ -184,31 +194,24 @@ class Implies(Node):
         return hash((self.left, self.right))
 
 
-class _Quantifier(Node):
-    """Forall and Exists: bound variable names and a body."""
+class Forall(Node):
+    """A statement's universal prefix: bound variable names and a
+    quantifier-free body."""
 
-    __slots__ = ()
+    __slots__ = ("variables", "body")
 
     def __init__(self, variables: Tuple[str, ...], body: "Formula"):
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "body", body)
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.variables == other.variables and self.body == other.body
+        return type(other) is Forall and self.variables == other.variables and self.body == other.body
 
     def __hash__(self):
         return hash((self.variables, self.body))
 
 
-class Forall(_Quantifier):
-    __slots__ = ("variables", "body")
-
-
-class Exists(_Quantifier):
-    __slots__ = ("variables", "body")
-
-
-Formula = Union[Atom, Not, And, Or, Implies, Forall, Exists]
+Formula = Union[Atom, Not, And, Or, Implies, Forall]
 
 TRUE = And(())
 FALSE = Or(())
@@ -242,9 +245,6 @@ class Clause(Node):
 
     def __hash__(self):
         return hash((self.variables, self.literals))
-
-    def is_ground(self) -> bool:
-        return not self.variables
 
 
 class Signature(Record):
@@ -375,7 +375,7 @@ def subformulas(f: Formula):
     elif isinstance(f, Implies):
         yield from subformulas(f.left)
         yield from subformulas(f.right)
-    elif isinstance(f, (Forall, Exists)):
+    elif isinstance(f, Forall):
         yield from subformulas(f.body)
 
 
@@ -406,45 +406,29 @@ def map_terms(f: Formula, fn) -> Formula:
         return type(f)(tuple(map_terms(p, fn) for p in f.parts))
     if isinstance(f, Implies):
         return Implies(map_terms(f.left, fn), map_terms(f.right, fn))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.variables, map_terms(f.body, fn))
+    if isinstance(f, Forall):
+        return Forall(f.variables, map_terms(f.body, fn))
     raise TypeError(f)
 
 
 def free_variables(x: Union[Term, Formula]) -> Set[str]:
-    if isinstance(x, Var):
-        return {x.name}
-    if isinstance(x, Num):
-        return set()
-    if isinstance(x, App):
-        out: Set[str] = set()
-        for a in x.args:
-            out |= free_variables(a)
-        return out
-    if isinstance(x, Atom):
-        return free_variables(x.lhs) | free_variables(x.rhs)
-    if isinstance(x, Not):
-        return free_variables(x.body)
-    if isinstance(x, (And, Or)):
-        out = set()
-        for p in x.parts:
-            out |= free_variables(p)
-        return out
-    if isinstance(x, Implies):
-        return free_variables(x.left) | free_variables(x.right)
-    if isinstance(x, (Forall, Exists)):
-        return free_variables(x.body) - set(x.variables)
-    raise TypeError(x)
+    """The variables of a term, or of a formula less its prefix's."""
+    if isinstance(x, (Var, Num, App)):
+        return {s.name for s in subterms(x) if type(s) is Var}
+    names = {s.name for s in formula_subterms(x) if type(s) is Var}
+    return names - set(x.variables) if isinstance(x, Forall) else names
 
 
 def is_ground(x: Union[Term, Formula]) -> bool:
     """No free variable: a term's walk stops at its first Var, a
-    formula's is free_variables' binder-aware one."""
+    formula's at its first atom side that is not ground."""
     if type(x) is App:
         return all(map(is_ground, x.args))
     if type(x) in (Var, Num):
         return type(x) is Num
-    return not free_variables(x)
+    if type(x) is Forall:
+        return not free_variables(x)
+    return all(map(is_ground, formula_terms(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,32 +436,17 @@ def is_ground(x: Union[Term, Formula]) -> bool:
 
 
 def substitute(x, mapping: Dict[str, Term]):
-    """Simultaneous, capture-avoiding substitution of variables by terms."""
-    if isinstance(x, Var):
-        return mapping.get(x.name, x)
-    if isinstance(x, Num):
-        return x
-    if isinstance(x, App):
-        return App(x.fn, tuple(substitute(a, mapping) for a in x.args))
-    if isinstance(x, Atom):
-        return Atom(x.rel, substitute(x.lhs, mapping), substitute(x.rhs, mapping))
-    if isinstance(x, Not):
-        return Not(substitute(x.body, mapping))
-    if isinstance(x, And):
-        return And(tuple(substitute(p, mapping) for p in x.parts))
-    if isinstance(x, Or):
-        return Or(tuple(substitute(p, mapping) for p in x.parts))
-    if isinstance(x, Implies):
-        return Implies(substitute(x.left, mapping), substitute(x.right, mapping))
-    if isinstance(x, (Forall, Exists)):
-        inner = {k: v for k, v in mapping.items() if k not in x.variables}
-        for v in inner.values():
-            captured = free_variables(v) & set(x.variables)
-            if captured:
-                raise SortError("substitution captures bound variable %s" % sorted(captured)[0])
-        body = substitute(x.body, inner)
-        return type(x)(x.variables, body)
-    raise TypeError(x)
+    """Simultaneous substitution of variables by terms, in a term or in
+    the atoms of a quantifier-free formula (such as a statement's body)."""
+
+    def term(t: Term) -> Term:
+        if type(t) is Var:
+            return mapping.get(t.name, t)
+        if type(t) is App:
+            return App(t.fn, tuple(term(a) for a in t.args))
+        return t
+
+    return term(x) if isinstance(x, (Var, Num, App)) else map_terms(x, term)
 
 
 def rename_symbols(x, renaming: SymbolRenaming):
@@ -500,6 +469,8 @@ def negate_atom(a: Atom) -> Atom:
 
 
 def nnf(f: Formula, positive: bool = True) -> Formula:
+    """Negation normal form of a quantifier-free formula, or of its
+    negation when positive is False."""
     if isinstance(f, Atom):
         return f if positive else negate_atom(f)
     if isinstance(f, Not):
@@ -514,12 +485,6 @@ def nnf(f: Formula, positive: bool = True) -> Formula:
         if positive:
             return Or((nnf(f.left, False), nnf(f.right, True)))
         return And((nnf(f.left, True), nnf(f.right, False)))
-    if isinstance(f, Forall):
-        body = nnf(f.body, positive)
-        return Forall(f.variables, body) if positive else Exists(f.variables, body)
-    if isinstance(f, Exists):
-        body = nnf(f.body, positive)
-        return Exists(f.variables, body) if positive else Forall(f.variables, body)
     raise TypeError(f)
 
 
@@ -580,8 +545,6 @@ def negate_universal(f: Union[Formula, Iterable[Formula]], avoid: Iterable[str] 
         for part in f:
             clauses.extend(to_clauses(part))
     else:
-        if any(isinstance(g, Exists) for g in subformulas(f)):
-            raise SortError("cannot negate a formula with existential quantifiers")
         clauses = to_clauses(f)
     taken = set(avoid)
     for c in clauses:

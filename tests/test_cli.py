@@ -255,6 +255,81 @@ def test_malformed_task_file_shape_exit_two(tmp_path, text, message):
     assert not proc.stdout
 
 
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        (
+            "ex2_strengthening",
+            '"{(b, 1, 1), (a, 1, 2)',
+            '"{(b, 1, 0), (a, 1, 2)',
+            "task example_4.16: extension level of b must be >= 1",
+        ),
+        (
+            "ex1_constraint",
+            "(>,2)}",
+            "(>,2), (b,1)}",
+            "task example constraint generation: symbol declared twice: b",
+        ),
+        (
+            "ex1_constraint",
+            "(*,2)}",
+            "(*,2), (ap,1)}",
+            "task example constraint generation: symbol declared twice: ap",
+        ),
+    ],
+    ids=["pts-extension-level-zero", "hpilot-function-and-relation", "hpilot-base-and-extension"],
+)
+def test_signature_error_in_task_file_exit_two(tmp_path, capsys, name, old, new, message):
+    """A signature that a task file declares wrongly is a parse error
+    naming the task, exit 2, not an engine error."""
+    text = (DATA / ("%s.yaml" % name)).read_text()
+    assert old in text
+    task_file = tmp_path / "bad_signature.yaml"
+    task_file.write_text(text.replace(old, new, 1))
+    assert main([str(task_file)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "parse error: %s\n" % message and not out
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("epsilon: true", "epsilon must be a finite number or a term, got True"),
+        ("epsilon: [1]", "epsilon must be a finite number or a term, got [1]"),
+        ("epsilon: .inf", "epsilon must be a finite number or a term, got inf"),
+        ("candidate: 5", "candidate must be a string, got 5"),
+        ("slfq_query: 1", "slfq_query must be true or false, got 1"),
+        ('print_steps: "false"', "print_steps must be true or false, got 'false'"),
+        ("print_steps:", "print_steps must be true or false, got None"),
+    ],
+    ids=[
+        "epsilon-bool",
+        "epsilon-list",
+        "epsilon-inf",
+        "candidate-int",
+        "slfq_query-int",
+        "print_steps-string",
+        "print_steps-null",
+    ],
+)
+@pytest.mark.parametrize("where", ["options", "task_options"])
+def test_malformed_scalar_option_exit_two(tmp_path, capsys, line, message, where):
+    """epsilon is a finite int or float or a term, candidate a
+    string, slfq_query and print_steps true or false, in a task's
+    options and in task_options alike.  Any other value is a parse error
+    naming the task and the option, exit 2."""
+    text = (DATA / "ex1_constraint.yaml").read_text().replace("            slfq_query: true\n", "")
+    if where == "options":
+        text = text.replace("        options:\n", "        options:\n            %s\n" % line)
+    else:
+        text = "task_options:\n    %s\n%s" % (line, text)
+    task_file = tmp_path / "bad_option.yaml"
+    task_file.write_text(text)
+    assert main([str(task_file)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "parse error: task example constraint generation: option %s\n" % message and not out
+
+
 def test_assumptions_string_is_one_text():
     """assumptions given as one ';'-separated string read as the list of
     its statements."""

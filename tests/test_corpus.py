@@ -17,8 +17,8 @@ from paramverify.parsing import (
 from paramverify.printing import canonical, print_formula
 from paramverify.reduction import reduce_chain
 from paramverify.runner import RunFlags, run_task_file
-from paramverify.symelim import check_unsat_with_constraint, generate_constraint
-from paramverify.terms import Signature, formula_symbols
+from paramverify.symelim import check_unsat_with_constraint, constraint_statements, generate_constraint
+from paramverify.terms import Forall, Signature, formula_symbols, subformulas
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,6 +38,40 @@ def test_corpus_round_trip():
             text = print_formula(f) + ";"
             (back,) = parse_statements(text, sig)
             assert canonical(back) == canonical(f), text
+
+
+def quantifier_only_as_prefix(statement):
+    body = statement.body if isinstance(statement, Forall) else statement
+    return not any(isinstance(g, Forall) for g in subformulas(body))
+
+
+def test_quantifiers_only_as_statement_prefixes():
+    """Every statement a task file gives, and every clause of a generated
+    constraint, holds a quantifier only as its top prefix."""
+    prefixed = {"statement": 0, "constraint": 0}
+    for path in sorted(DATA.glob("*.yaml")):
+        for task in parse_task_file(path.read_text()).tasks.values():
+            body = task.body
+            if hasattr(body, "statements"):
+                statements = body.statements()
+            else:
+                statements = body.init + body.update + body.query
+            assert statements, path.name
+            clauses = []
+            if task.mode == "GENERATE_CONSTRAINTS":
+                res = generate_constraint(
+                    body.sig,
+                    statements,
+                    parameters=task.options.get("parameter"),
+                    eliminate_symbols=task.options.get("eliminate"),
+                )
+                clauses = constraint_statements(res.constraint)
+                assert clauses, path.name
+            for kind, group in (("statement", statements), ("constraint", clauses)):
+                for s in group:
+                    assert quantifier_only_as_prefix(s), (path.name, print_formula(s))
+                    prefixed[kind] += isinstance(s, Forall)
+    assert all(prefixed.values()), prefixed
 
 
 def test_every_generated_constraint_closes_its_problem():

@@ -641,15 +641,28 @@ def test_row_table_survivor_takes_the_intersection_of_histories():
 
 
 def test_row_table_groups_bounds_by_their_printed_variable_part():
-    """Linear bounds share a slot when their variable parts are positive
-    multiples of each other, and the tighter survives; bounds with a
-    product monomial share one only when their integer variable parts
-    are equal, so these two are both kept."""
-    (half,), (three,) = dnf("_2 * x + _2 * y + _1 <= _0;")[0], dnf("x + y + _3 <= _0;")[0]
-    assert admitted([half, three], [0b01, 0b10]) == ([three], [0b00])
-    assert admitted([three, half], [0b10, 0b01]) == ([three], [0b00])
-    (half,), (three,) = dnf("_2 * p * x + _2 * y + _1 <= _0;")[0], dnf("p * x + y + _3 <= _0;")[0]
-    assert admitted([half, three], [0b01, 0b10]) == ([half, three], [0b01, 0b10])
+    """Bounds share a slot when their variable parts are positive
+    multiples of each other, with or without a product monomial, and the
+    tighter survives in the slot of the first."""
+    for half_text, three_text in (
+        ("_2 * x + _2 * y + _1 <= _0;", "x + y + _3 <= _0;"),
+        ("_2 * p * x + _2 * y + _1 <= _0;", "p * x + y + _3 <= _0;"),
+    ):
+        (half,), (three,) = dnf(half_text)[0], dnf(three_text)[0]
+        assert admitted([half, three], [0b01, 0b10]) == ([three], [0b00])
+        assert admitted([three, half], [0b10, 0b01]) == ([three], [0b00])
+    (loose,), (other,) = dnf("_2 * p * x + _2 * y <= _0;")[0], dnf("_2 * p * x + _3 * y + _1 <= _0;")[0]
+    assert admitted([loose, other], [0b01, 0b10]) == ([loose, other], [0b01, 0b10])
+
+
+def test_fresh_conjunct_merges_slack_bounds_before_the_first_step():
+    """A conjunct's atoms meet the one merge rule as they enter: the
+    slack copy of a bound is gone before any step, also from a conjunct
+    that holds no eliminated symbol and so takes no step."""
+    for text in ("p + q <= _1; _2 * p + _2 * q <= _5;", "_2 * p + _2 * q <= _5; p + q <= _1;"):
+        assert print_formula(dnf_formula(eliminate(["x"], dnf(text)))) == "p + q <= _1"
+    out = eliminate(["x"], dnf("p + q <= _1; _2 * p + _2 * q <= _5; x <= p; x >= q;"))
+    assert print_canonical(dnf_formula(out)) == "AND(p - q >= _0, p + q <= _1)"
 
 
 def test_row_table_survivor_history_decides_the_result():

@@ -154,6 +154,25 @@ def test_empty_quantifier_list_rejected():
         parse_statements("(FORALL ). d1 <= d2;", sig)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(EXISTS x). x <= d1;",
+        "d1 <= d2 --> (FORALL j). a(j) <= _0;",
+        "OR(d1 <= d2, (FORALL j). a(j) <= _0);",
+        "(FORALL i). (FORALL j). a(i) <= a(j);",
+    ],
+    ids=["exists", "forall-under-implication", "forall-under-or", "forall-under-forall"],
+)
+def test_quantifier_only_as_statement_prefix(text):
+    """The parser reads one quantifier, FORALL, and only as a
+    statement's prefix."""
+    sig = Signature()
+    sig.extension_functions["a"] = (1, 1)
+    with pytest.raises(ParseError):
+        parse_statements(text, sig)
+
+
 def test_levelless_extension_declaration_defaults_invalid():
     with pytest.raises(ParseError, match="level"):
         parse_spec(EX1_SPEC.replace("(a, 1, 2)", "(a, 1)"))

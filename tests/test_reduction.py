@@ -15,8 +15,9 @@ from paramverify.reduction import (
     ground_extension_subterms,
     instantiate,
     reduce_chain,
+    split_statements,
 )
-from paramverify.terms import And, App, Atom, Exists, Forall, Num, Signature, SymbolRenaming, Var, rename_symbols
+from paramverify.terms import And, App, Atom, Forall, Num, Or, Signature, SymbolRenaming, Var, rename_symbols
 
 
 def make_sig():
@@ -100,14 +101,27 @@ def test_flatten_purify_base_only_unchanged():
     assert purified.clauses == statements
 
 
-@pytest.mark.parametrize("quantifier", [Forall, Exists])
-def test_purification_rejects_nested_quantifier(quantifier):
-    # the goal is ground, so it reaches purification with its quantifier
-    sig = make_sig()
-    inner = quantifier(("x",), Atom("<=", Var("x"), Num(Fraction(1))))
-    goal = And((Atom("<=", App("u", ()), Num(Fraction(0))), inner))
-    with pytest.raises(SortError, match="cannot purify %s" % quantifier.__name__):
-        reduce_chain(sig, [goal])
+X = Var("x")
+INNER = Forall(("x",), Atom("<=", X, Num(Fraction(1))))
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        And((Atom("<=", App("u", ()), Num(Fraction(0))), INNER)),
+        Forall(("x",), Or((Atom("=", App("f", (X,)), X), INNER))),
+        And((INNER, INNER)),
+    ],
+    ids=["goal", "clause", "conjunction"],
+)
+def test_split_statements_rejects_nested_quantifier(statement):
+    """A quantifier is only a statement's prefix: one below it, in a
+    ground goal, under a clause's prefix or in a conjunction of closed
+    statements, is rejected before instantiation and purification."""
+    with pytest.raises(SortError, match="quantifier below the prefix of a statement"):
+        split_statements([statement])
+    with pytest.raises(SortError, match="quantifier below the prefix of a statement"):
+        reduce_chain(make_sig(), [statement])
 
 
 def test_congruence_pair():

@@ -16,7 +16,6 @@ from paramverify.terms import (
     App,
     Atom,
     Clause,
-    Exists,
     Forall,
     Implies,
     Not,
@@ -98,14 +97,14 @@ C, D = App("c", ()), App("d", ())
 
 
 def every_connective(a, c, d):
-    """A formula with each connective and quantifier, over the unary
-    function a and the terms c and d."""
+    """A formula with each connective under a universal prefix, over the
+    unary function a and the terms c and d."""
     x, y = Var("x"), Var("y")
     return Forall(
-        ("x",),
+        ("x", "y"),
         Implies(
             Not(Atom("<=", App(a, (x,)), c)),
-            Or((Exists(("y",), Atom("=", App(a, (y,)), d)), And((Atom("<", c, App("+", (x, d))),)))),
+            Or((Atom("=", App(a, (y,)), d), And((Atom("<", c, App("+", (x, d))),)))),
         ),
     )
 
@@ -124,6 +123,16 @@ def test_rename_and_substitute_rebuild_every_connective():
     assert rename_symbols(f, renaming) == every_connective("ap", App("cp", ()), App("dp", ()))
     one, two = Num(Fraction(1)), Num(Fraction(2))
     assert substitute_constants(f, {"c": one, "d": two}) == every_connective("a", one, two)
+
+
+def test_substitute_rebuilds_every_connective():
+    body = every_connective("a", C, D).body
+    c_and_d = Implies(
+        Not(Atom("<=", App("a", (C,)), C)),
+        Or((Atom("=", App("a", (D,)), D), And((Atom("<", C, App("+", (C, D))),)))),
+    )
+    assert substitute(body, {"x": C, "y": D}) == c_and_d
+    assert substitute(substitute(body, {"x": C}), {"y": D}) == c_and_d
 
 
 def test_rename_rejects_non_injective():
@@ -170,14 +179,6 @@ def _apps(f):
     return [s for s in formula_subterms(f) if isinstance(s, App)]
 
 
-def test_negate_universal_rejects_existential():
-    from paramverify.terms import Exists
-
-    f = Exists(("x",), Atom("=", Var("x"), Num(Fraction(0))))
-    with pytest.raises(SortError):
-        negate_universal(f)
-
-
 def test_double_negation_flips_truth_on_grid():
     from oracles import evaluate
 
@@ -207,13 +208,17 @@ def test_free_variables_and_groundness():
 
 def test_is_ground_agrees_with_free_variables():
     """A term is ground when no Var occurs in it, however deep; a
-    formula's groundness respects its binders."""
+    statement's variables are free unless its prefix binds them."""
     c, x = App("c", ()), Var("x")
     deep = App("f", (App("+", (c, App("f", (App("f", (x,)),)))),))
     for t in (Num(Fraction(1)), c, App("f", (App("+", (c, Num(Fraction(2)))),)), x, deep):
         assert is_ground(t) == (not free_variables(t))
     assert not is_ground(deep) and is_ground(deep.args[0].args[0])
-    assert is_ground(Forall(("x",), Atom("=", x, c))) and not is_ground(Exists(("y",), Atom("=", x, c)))
+    body = Or((Atom("=", App("f", (x,)), c), Not(Atom("<", Var("y"), deep))))
+    assert free_variables(body) == {"x", "y"} and not is_ground(body)
+    assert free_variables(Forall(("x",), body)) == {"y"} and not is_ground(Forall(("x",), body))
+    assert free_variables(Forall(("y", "x"), body)) == set() and is_ground(Forall(("y", "x"), body))
+    assert is_ground(Forall(("x",), Atom("=", c, Num(Fraction(1)))))
 
 
 def test_numerals_round_trip_exactly():
@@ -244,7 +249,6 @@ def nodes_with_fields():
         (Or((atom,)), ((atom,),)),
         (Implies(atom, TRUE), (atom, TRUE)),
         (Forall(("x",), atom), (("x",), atom)),
-        (Exists(("x",), atom), (("x",), atom)),
         (Clause(("x",), (atom,)), (("x",), (atom,))),
         (LinAtom("<=", terms), ("<=", terms)),
         (Token("OP", "+", 1, 2), ("OP", "+", 1, 2)),
@@ -254,7 +258,7 @@ def nodes_with_fields():
 def test_nodes_are_equal_only_within_their_class():
     atom = Atom("=", Var("x"), Var("y"))
     assert TRUE != FALSE and And(()) != Or(())
-    assert Forall(("x",), atom) != Exists(("x",), atom)
+    assert Forall(("x",), atom) != Clause(("x",), atom)
     assert Var("c") != App("c", ()) and App("c", ()) != "c"
     for node, fields in nodes_with_fields():
         assert type(node)(*fields) == node and not type(node)(*fields) != node
