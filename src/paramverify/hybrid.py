@@ -1,127 +1,32 @@
-"""Linear hybrid automata: model validation, verification conditions
-for invariant checking, and chatter-freedom conditions.
+"""Linear hybrid automata: verification conditions for invariant
+checking, and chatter-freedom conditions.
 
-Flows are convex conjunctions of non-strict constraints over the dotted
-variables only, written d(x) in the input syntax.  The flow relaxation
-turns each rate constraint sum c_i * d(x_i) REL c into the endpoint
-constraint sum c_i * (x_i' - x_i) REL c * (t' - t), which is exact for
-this class of automata.
+The automaton is parsing.HybridAutomaton, whose flows and predicates
+parse_lha has already checked.  Flows are convex conjunctions of
+non-strict constraints over the dotted variables only, written d(x) in
+the input syntax.  The flow relaxation turns each rate constraint
+sum c_i * d(x_i) REL c into the endpoint constraint
+sum c_i * (x_i' - x_i) REL c * (t' - t), which is exact for this class
+of automata; a derivative scaled by a symbol has no such endpoint form
+and is a SortError here.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EngineError, SortError
-from .parsing import LhaSpec, Mode
-from .printing import print_term, term_poly
+from .parsing import Edge, HybridAutomaton, Mode, primed
+from .printing import term_poly
 from .terms import (
     App,
     Atom,
     Formula,
     Num,
     Record,
-    Signature,
-    SymbolRenaming,
     Term,
-    formula_subterms,
     negate_universal,
     rename_symbols,
 )
-
-NONSTRICT = ("<=", ">=", "=")
-
-
-def primed(name: str) -> str:
-    return name + "p"
-
-
-class Edge(Record):
-    def __init__(self, source, target, index, guard=None, jump=None):
-        self.source: str = source
-        self.target: str = target
-        self.index: int = index  # 1-based among parallel edges of the same mode pair
-        self.guard: List[Formula] = [] if guard is None else guard
-        self.jump: List[Formula] = [] if jump is None else jump
-
-    def label(self) -> str:
-        return "%s_%s_%d" % (self.source, self.target, self.index)
-
-
-class HybridAutomaton(Record):
-    def __init__(self, variables, modes, edges, sig):
-        self.variables: List[str] = variables
-        self.modes: Dict[str, Mode] = modes
-        self.edges: List[Edge] = edges
-        self.sig: Signature = sig
-
-    @classmethod
-    def from_spec(cls, spec: LhaSpec) -> "HybridAutomaton":
-        modes = {}
-        for name, m in spec.modes.items():
-            for f in m.flow:
-                _check_flow_atom(f, spec.variables)
-            for label, fs in (("inv", m.inv), ("init", m.init), ("inenv", m.inenv)):
-                for f in fs:
-                    _check_state_atom(f, spec.variables, label, allow_primed=False)
-            modes[name] = Mode(name, list(m.inv), list(m.flow), list(m.init), list(m.inenv))
-        edges = []
-        counters: Dict[Tuple[str, str], int] = {}
-        for e in spec.edges:
-            for f in e.guard:
-                _check_state_atom(f, spec.variables, "guard", allow_primed=False)
-            for f in e.jump:
-                _check_state_atom(f, spec.variables, "jump", allow_primed=True)
-            key = (e.source, e.target)
-            counters[key] = counters.get(key, 0) + 1
-            edges.append(Edge(e.source, e.target, counters[key], list(e.guard), list(e.jump)))
-        return cls(list(spec.variables), modes, edges, spec.sig)
-
-    def prime_renaming(self) -> SymbolRenaming:
-        return SymbolRenaming({x: primed(x) for x in self.variables})
-
-
-def _walk_outside_derivatives(t: Term):
-    """Subterms of t, treating derivative applications as leaves."""
-    if isinstance(t, App) and t.fn == "d":
-        yield t
-        return
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from _walk_outside_derivatives(a)
-
-
-def _check_flow_atom(f: Formula, variables: Sequence[str]) -> None:
-    if not isinstance(f, Atom):
-        raise SortError("flow conditions must be conjunctions of atoms")
-    if f.rel not in NONSTRICT:
-        raise SortError("flow constraint %s is strict" % f.rel)
-    has_derivative = False
-    for top in (f.lhs, f.rhs):
-        for s in _walk_outside_derivatives(top):
-            if isinstance(s, App) and s.fn == "d":
-                if len(s.args) != 1 or not isinstance(s.args[0], App) or s.args[0].args:
-                    raise SortError("malformed derivative term %s" % print_term(s))
-                if s.args[0].fn not in variables:
-                    raise SortError("derivative of undeclared variable %s" % s.args[0].fn)
-                has_derivative = True
-            elif isinstance(s, App) and not s.args and s.fn in variables:
-                raise SortError("flow condition mentions state variable %s" % s.fn)
-            elif isinstance(s, App) and not s.args and s.fn in [primed(x) for x in variables]:
-                raise SortError("flow condition mentions primed variable %s" % s.fn)
-    if not has_derivative:
-        raise SortError("flow condition without derivative term")
-
-
-def _check_state_atom(f: Formula, variables: Sequence[str], where: str, allow_primed: bool) -> None:
-    if not isinstance(f, Atom):
-        raise SortError("%s predicates must be conjunctions of atoms" % where)
-    primed_names = [primed(x) for x in variables]
-    for s in formula_subterms(f):
-        if isinstance(s, App) and s.fn == "d":
-            raise SortError("%s predicate mentions a derivative" % where)
-        if not allow_primed and isinstance(s, App) and not s.args and s.fn in primed_names:
-            raise SortError("%s predicate mentions primed variable %s" % (where, s.fn))
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,19 @@ Statements are ";"-terminated, quantifier prefixes are written
 "(FORALL v1,v2).", implications use "-->", and numerals carry a leading
 underscore ("_1", "_3/2").  Task files are YAML documents whose layout
 matches the task listings (tasks, per-task mode/options/specification).
+
+Each task's body is the record the engine runs: a ProblemSpec (HPILOT),
+a TransitionSystem (PTS) or a HybridAutomaton (LHA, its atoms checked
+here).  A task is checked completely at parse time, its mode against
+the specification types it runs on (MODES) and its required options
+included, so every malformed task is a ParseError that names it.
 """
 
 from fractions import Fraction
 from math import isfinite
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ParseError, SignatureError
+from .errors import ParseError, SignatureError, SortError
 from .terms import (
     App,
     Atom,
@@ -36,10 +42,12 @@ from .terms import (
     Not,
     Record,
     Signature,
+    SymbolRenaming,
     TRUE,
     Term,
     Var,
     check_term,
+    formula_subterms,
 )
 
 # The engine walks terms and formulas recursively, so a term or a
@@ -177,8 +185,15 @@ class ProblemSpec(Record):
         return list(self.clauses) + list(self.query)
 
 
-class PTSSpec(Record):
-    """Transition-system body: initial states, update axioms, candidate."""
+def primed(name: str) -> str:
+    """The post-state copy of a state symbol."""
+    return name + "p"
+
+
+class TransitionSystem(Record):
+    """A parametric transition system: initial states, update axioms,
+    the candidate invariant (query) and the state symbols the update
+    renames, each to its post-state copy."""
 
     def __init__(self, sig, init, update, query, update_vars):
         self.sig: Signature = sig
@@ -187,10 +202,13 @@ class PTSSpec(Record):
         self.query: List[Formula] = query
         self.update_vars: Dict[str, str] = update_vars
 
+    def renaming(self) -> SymbolRenaming:
+        return SymbolRenaming(self.update_vars)
+
 
 class Mode(Record):
     """A mode of a hybrid automaton: its invariant, flow, initial and
-    environment conditions (hybrid.HybridAutomaton holds checked copies)."""
+    environment conditions."""
 
     def __init__(self, name, inv=None, flow=None, init=None, inenv=None):
         self.name: str = name
@@ -200,20 +218,27 @@ class Mode(Record):
         self.inenv: List[Formula] = [] if inenv is None else inenv
 
 
-class LhaEdgeSpec(Record):
-    def __init__(self, source, target, guard=None, jump=None):
+class Edge(Record):
+    def __init__(self, source, target, index, guard=None, jump=None):
         self.source: str = source
         self.target: str = target
+        self.index: int = index  # 1-based among parallel edges of the same mode pair
         self.guard: List[Formula] = [] if guard is None else guard
         self.jump: List[Formula] = [] if jump is None else jump
 
+    def label(self) -> str:
+        return "%s_%s_%d" % (self.source, self.target, self.index)
 
-class LhaSpec(Record):
+
+class HybridAutomaton(Record):
     def __init__(self, variables, modes, edges, sig):
         self.variables: List[str] = variables
         self.modes: Dict[str, Mode] = modes
-        self.edges: List[LhaEdgeSpec] = edges
+        self.edges: List[Edge] = edges
         self.sig: Signature = sig
+
+    def prime_renaming(self) -> SymbolRenaming:
+        return SymbolRenaming({x: primed(x) for x in self.variables})
 
 
 class Parser:
@@ -487,7 +512,7 @@ class Parser:
 
     # -- hybrid automaton bodies
 
-    def parse_lha_body(self) -> LhaSpec:
+    def parse_lha_body(self) -> HybridAutomaton:
         self.expect("variables")
         self.expect(":")
         variables = [self.expect_ident().text]
@@ -497,10 +522,11 @@ class Parser:
         self.expect(";")
         for x in variables:
             self.sig.declare_constant(x)
-            self.sig.declare_constant(x + "p")
+            self.sig.declare_constant(primed(x))
         self.sig.base_functions["d"] = 1
         modes: Dict[str, Mode] = {}
-        edges: List[LhaEdgeSpec] = []
+        edges: List[Edge] = []
+        parallel: Dict[Tuple[str, str], int] = {}
         while not self.at_end():
             tok = self.next()
             if tok.text == "mode":
@@ -518,7 +544,8 @@ class Parser:
                 self.expect("->")
                 target = self.parse_name()
                 self.expect(":")
-                edge = LhaEdgeSpec(source, target)
+                index = parallel[source, target] = parallel.get((source, target), 0) + 1
+                edge = Edge(source, target, index)
                 edges.append(edge)
                 self.parse_lha_sections({"guard": edge.guard, "jump": edge.jump})
             else:
@@ -527,7 +554,18 @@ class Parser:
             if edge.source not in modes or edge.target not in modes:
                 raise ParseError("edge %s -> %s references an unknown mode" % (edge.source, edge.target))
         del self.sig.base_functions["d"]
-        return LhaSpec(variables, modes, edges, self.sig)
+        for mode in modes.values():
+            for f in mode.flow:
+                _check_flow_atom(f, variables)
+            for where, fs in (("inv", mode.inv), ("init", mode.init), ("inenv", mode.inenv)):
+                for f in fs:
+                    _check_state_atom(f, variables, where, allow_primed=False)
+        for edge in edges:
+            for f in edge.guard:
+                _check_state_atom(f, variables, "guard", allow_primed=False)
+            for f in edge.jump:
+                _check_state_atom(f, variables, "jump", allow_primed=True)
+        return HybridAutomaton(variables, modes, edges, self.sig)
 
     def parse_name(self) -> str:
         tok = self.next()
@@ -557,6 +595,57 @@ class Parser:
 
 
 # ---------------------------------------------------------------------------
+# Hybrid automaton atoms: flows constrain derivatives only, state
+# predicates never mention them
+
+
+NONSTRICT = ("<=", ">=", "=")
+
+
+def _walk_outside_derivatives(t: Term):
+    """Subterms of t, treating derivative applications as leaves."""
+    yield t
+    if isinstance(t, App) and t.fn != "d":
+        for a in t.args:
+            yield from _walk_outside_derivatives(a)
+
+
+def _check_flow_atom(f: Formula, variables: List[str]) -> None:
+    if not isinstance(f, Atom):
+        raise SortError("flow conditions must be conjunctions of atoms")
+    if f.rel not in NONSTRICT:
+        raise SortError("flow constraint %s is strict" % f.rel)
+    has_derivative = False
+    for top in (f.lhs, f.rhs):
+        for s in _walk_outside_derivatives(top):
+            if isinstance(s, App) and s.fn == "d":
+                if len(s.args) != 1 or not isinstance(s.args[0], App) or s.args[0].args:
+                    from .printing import print_term  # only for this message: parsing does not load printing
+
+                    raise SortError("malformed derivative term %s" % print_term(s))
+                if s.args[0].fn not in variables:
+                    raise SortError("derivative of undeclared variable %s" % s.args[0].fn)
+                has_derivative = True
+            elif isinstance(s, App) and not s.args and s.fn in variables:
+                raise SortError("flow condition mentions state variable %s" % s.fn)
+            elif isinstance(s, App) and not s.args and s.fn in [primed(x) for x in variables]:
+                raise SortError("flow condition mentions primed variable %s" % s.fn)
+    if not has_derivative:
+        raise SortError("flow condition without derivative term")
+
+
+def _check_state_atom(f: Formula, variables: List[str], where: str, allow_primed: bool) -> None:
+    if not isinstance(f, Atom):
+        raise SortError("%s predicates must be conjunctions of atoms" % where)
+    primed_names = [primed(x) for x in variables]
+    for s in formula_subterms(f):
+        if isinstance(s, App) and s.fn == "d":
+            raise SortError("%s predicate mentions a derivative" % where)
+        if not allow_primed and isinstance(s, App) and not s.args and s.fn in primed_names:
+            raise SortError("%s predicate mentions primed variable %s" % (where, s.fn))
+
+
+# ---------------------------------------------------------------------------
 # Public entry points
 
 
@@ -565,7 +654,9 @@ def parse_spec(text: str, sig: Optional[Signature] = None) -> ProblemSpec:
     return parser.parse_spec_body()
 
 
-def parse_lha(text: str, sig: Optional[Signature] = None) -> LhaSpec:
+def parse_lha(text: str, sig: Optional[Signature] = None) -> HybridAutomaton:
+    """A hybrid automaton, its parallel edges numbered and its atoms
+    checked (SortError for a flow or predicate of the wrong shape)."""
     parser = Parser(text, sig)
     return parser.parse_lha_body()
 
@@ -607,7 +698,14 @@ def parse_decl_string(text: str, with_level: bool) -> List[Tuple[str, int, int]]
 # ---------------------------------------------------------------------------
 # Task files
 
-MODES = ("GENERATE_CONSTRAINTS", "INVARIANT_STRENGTHENING", "CHECK_INVARIANT", "BMC", "CHATTER_FREE")
+# each mode and the specification types it runs on
+MODES = {
+    "GENERATE_CONSTRAINTS": ("HPILOT", "LHA"),
+    "INVARIANT_STRENGTHENING": ("PTS",),
+    "CHECK_INVARIANT": ("PTS", "LHA"),
+    "BMC": ("PTS",),
+    "CHATTER_FREE": ("LHA",),
+}
 SPEC_TYPES = ("HPILOT", "PTS", "LHA")
 THEORIES = ("REAL_CLOSED_FIELDS", "PRESBURGER_ARITHMETIC")
 
@@ -642,7 +740,7 @@ class TaskSpec(Record):
         self.mode: str = mode
         self.spec_type: str = spec_type
         self.theory: str = theory
-        self.body: object = body  # ProblemSpec | PTSSpec | LhaSpec
+        self.body: object = body  # ProblemSpec | TransitionSystem | HybridAutomaton
         self.options: Dict[str, object] = {} if options is None else options
 
 
@@ -696,6 +794,10 @@ def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[st
     spec_type = doc.get("specification_type")
     if spec_type not in SPEC_TYPES:
         raise ParseError("task %s: unknown specification_type %r" % (name, spec_type))
+    if spec_type not in MODES[mode]:
+        raise ParseError(
+            "task %s: mode %s runs on %s specifications, not %s" % (name, mode, " or ".join(MODES[mode]), spec_type)
+        )
     theory = doc.get("specification_theory", "REAL_CLOSED_FIELDS")
     if theory not in THEORIES:
         raise ParseError("task %s: unknown specification_theory %r" % (name, theory))
@@ -727,39 +829,48 @@ def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[st
         # hybrid-automaton tasks default to eliminating the state variables
         if ("parameter" in options) == ("eliminate" in options):
             raise ParseError("task %s: exactly one of parameter/eliminate is required" % name)
+    if mode == "INVARIANT_STRENGTHENING" and not options.get("parameter"):
+        raise ParseError("task %s: INVARIANT_STRENGTHENING needs a non-empty parameter list" % name)
+    if spec_type == "LHA" and mode in ("GENERATE_CONSTRAINTS", "CHECK_INVARIANT") and not options.get("candidate"):
+        raise ParseError("task %s: %s on an LHA specification needs a candidate option" % (name, mode))
     spec_doc = doc.get("specification")
     if spec_doc is None:
         raise ParseError("task %s: missing specification" % name)
     try:
         body = _parse_task_body(name, spec_type, spec_doc)
-    except SignatureError as exc:
+    except (SignatureError, SortError) as exc:
         raise ParseError("task %s: %s" % (name, exc))
     return TaskSpec(name, mode, spec_type, theory, body, options), warnings
 
 
 def _parse_task_body(name: str, spec_type: str, doc) -> object:
-    def text(key: str, default: str) -> str:
+    def parsed(key: str, default: str, parse, *args):
+        """Parse one specification entry; a syntax error in it names
+        the task and the entry."""
         value = doc.get(key, default)
         if not isinstance(value, str):
             raise ParseError("task %s: specification entry %s must be a string" % (name, key))
-        return value
+        try:
+            return parse(value, *args)
+        except ParseError as exc:
+            raise ParseError("task %s: specification entry %s: %s" % (name, key, exc))
 
     if spec_type in ("HPILOT", "LHA"):
         if not isinstance(doc, dict) or "file" not in doc:
             raise ParseError("task %s: specification needs a 'file' entry" % name)
-        return (parse_spec if spec_type == "HPILOT" else parse_lha)(text("file", ""))
+        return parsed("file", "", parse_spec if spec_type == "HPILOT" else parse_lha)
     if not isinstance(doc, dict):
         raise ParseError("task %s: PTS specification must be a mapping" % name)
     sig = Signature()
-    for fn, arity, _ in parse_decl_string(text("base_functions", "{}"), False):
+    for fn, arity, _ in parsed("base_functions", "{}", parse_decl_string, False):
         sig.base_functions[fn] = arity
-    for fn, arity, level in parse_decl_string(text("extension_functions", "{}"), True):
+    for fn, arity, level in parsed("extension_functions", "{}", parse_decl_string, True):
         sig.extension_functions[fn] = (arity, level)
-    for rel, arity, _ in parse_decl_string(text("relations", "{}"), False):
+    for rel, arity, _ in parsed("relations", "{}", parse_decl_string, False):
         sig.relations[rel] = arity
-    init = parse_statements(text("init", ""), sig)
-    update = parse_statements(text("update", ""), sig)
-    query = parse_statements(text("query", ""), sig)
+    init = parsed("init", "", parse_statements, sig)
+    update = parsed("update", "", parse_statements, sig)
+    query = parsed("query", "", parse_statements, sig)
     update_vars_doc = doc.get("update_vars") or {}
     if not isinstance(update_vars_doc, dict):
         raise ParseError("task %s: specification entry update_vars must be a mapping" % name)
@@ -772,4 +883,4 @@ def _parse_task_body(name: str, spec_type: str, doc) -> object:
         if sig.arity_of(old) != sig.arity_of(new):
             raise ParseError("task %s: update pair %s:%s changes arity" % (name, old, new))
     sig.validate()
-    return PTSSpec(sig, init, update, query, update_vars)
+    return TransitionSystem(sig, init, update, query, update_vars)

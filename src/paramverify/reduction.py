@@ -38,7 +38,10 @@ from .terms import (
 def split_statements(statements: Iterable[Formula]) -> Tuple[List[Formula], List[Formula]]:
     """Separate axiom clauses (quantified) from the ground goal part.  A
     statement is a quantifier-free formula or one universal prefix over
-    one, and every variable it holds is bound by that prefix."""
+    one, and every variable it holds is bound by that prefix.  So every
+    clause returned is a Forall whose body's variables all lie in its
+    prefix, and every goal part is ground: an instance binding the whole
+    prefix is ground too."""
     clauses: List[Formula] = []
     goal: List[Formula] = []
     for s in statements:
@@ -137,8 +140,9 @@ def _patterns(clause: Formula, heads: Set[str]) -> List[Term]:
 def instantiate(
     clauses: Iterable[Formula], terms: Sequence[Term], sig: Signature, heads: Optional[Set[str]] = None
 ) -> List[Formula]:
-    """All ground instances of the prefixed clauses whose
-    extension-headed terms fall inside the given term set."""
+    """All instances of the prefixed clauses whose extension-headed
+    terms fall inside the given term set; the clauses are shaped as
+    split_statements returns them, so each instance is ground."""
     if heads is None:
         heads = extension_heads(sig)
     out: List[Formula] = []
@@ -167,8 +171,6 @@ def instantiate(
                 break
         for b in bindings:
             instance = substitute(body, b)
-            if not is_ground(instance):
-                continue
             if all(t in terms for t in _patterns(instance, heads)):
                 if instance not in out:
                     out.append(instance)

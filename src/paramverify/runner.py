@@ -4,6 +4,9 @@ Reports mirror the reference output layout: a Metadata header, then one
 block per task with Result, Runtime and (with print_steps) an Extra
 section.  Date and Runtime values are the only non-deterministic
 fields; everything else is byte-stable across runs.
+
+Tasks arrive checked by parsing: each body is the record its mode runs
+on, with the options that mode requires.
 """
 
 import time
@@ -12,23 +15,23 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import EngineError, ParseError
-from .hybrid import HybridAutomaton, primed, vcs_chatterfree, vcs_invariant
+from .hybrid import vcs_chatterfree, vcs_invariant
 from .linear import assumptions_from, decide
 from .parsing import (
-    LhaSpec,
-    ProblemSpec,
-    PTSSpec,
+    HybridAutomaton,
     TaskSpec,
+    TransitionSystem,
     parse_statements,
     parse_task_file,
     parse_term_string,
+    primed,
 )
 from .printing import print_formula
 from .reduction import reduce_chain
 from .smtlib import export_smtlib
 from .symelim import constraint_statements, generate_constraint
 from .terms import Formula, Num, Record, Signature
-from .transition import TransitionSystem, bmc, check_inductive, strengthen
+from .transition import bmc, check_inductive, strengthen
 
 
 class RunFlags(Record):
@@ -97,70 +100,48 @@ class TaskRunner:
 
     # -- GENERATE_CONSTRAINTS
 
-    def _gen_options(self, task: TaskSpec):
-        parameters = task.options.get("parameter")
-        eliminate = task.options.get("eliminate")
-        full = task.options.get("slfq_query", False)
-        return parameters, eliminate, full
+    def _constraint(self, task, statements, assumptions, eliminate, seeds=()):
+        return generate_constraint(
+            task.body.sig,
+            statements,
+            parameters=task.options.get("parameter"),
+            eliminate_symbols=eliminate,
+            assumptions=assumptions,
+            max_cases=self.flags.max_cases,
+            full_simplify=task.options.get("slfq_query", False),
+            seeds=seeds,
+        )
 
     def _generate_constraints(self, task, assumptions, seeds, print_steps) -> TaskOutcome:
-        parameters, eliminate, full = self._gen_options(task)
-        if isinstance(task.body, ProblemSpec):
-            statements = task.body.statements()
-            res = generate_constraint(
-                task.body.sig,
-                statements,
-                parameters=parameters,
-                eliminate_symbols=eliminate,
-                assumptions=assumptions,
-                max_cases=self.flags.max_cases,
-                full_simplify=full or bool(assumptions),
-                seeds=seeds,
-            )
-            outcome = TaskOutcome(task.name, [], None)
-            _set_constraint_result(outcome, res.constraint)
-            if print_steps:
-                outcome.extra = [(0, "(step) %s" % s) for s in res.steps]
-                outcome.extra.append((0, "(step) weakest-constraint guarantee: %s" % str(res.weakest).lower()))
-            self._dumps(outcome, task, statements, seeds=seeds)
-            return outcome
-        if isinstance(task.body, LhaSpec):
-            automaton = HybridAutomaton.from_spec(task.body)
-            candidate = self._candidate(task, automaton.sig)
-            vcs = vcs_invariant(automaton, candidate)
+        if isinstance(task.body, HybridAutomaton):
+            vcs = vcs_invariant(task.body, parse_statements(task.options["candidate"], task.body.sig))
             selected = task.options.get("vcs")
             if selected:
                 wanted = set(selected)
                 vcs = [vc for vc in vcs if vc.name in wanted]
                 if not vcs:
                     raise EngineError("no verification condition matches %s" % sorted(wanted))
-            return self._constraints_for_vcs(
-                task, vcs, parameters, eliminate, assumptions, full, automaton, print_steps
-            )
-        raise EngineError("GENERATE_CONSTRAINTS expects an HPILOT or LHA specification")
+            return self._constraints_for_vcs(task, vcs, assumptions, print_steps)
+        statements = task.body.statements()
+        res = self._constraint(task, statements, assumptions, task.options.get("eliminate"), seeds)
+        outcome = TaskOutcome(task.name, [], None)
+        _set_constraint_result(outcome, res.constraint)
+        if print_steps:
+            outcome.extra = [(0, "(step) %s" % s) for s in res.steps]
+            outcome.extra.append((0, "(step) weakest-constraint guarantee: %s" % str(res.weakest).lower()))
+        self._dumps(outcome, task, statements, seeds=seeds)
+        return outcome
 
-    def _default_eliminate(self, automaton: HybridAutomaton, tname: str = "t") -> List[str]:
-        out = list(automaton.variables) + [primed(x) for x in automaton.variables]
-        out.append(tname)
-        return out
-
-    def _constraints_for_vcs(
-        self, task, vcs, parameters, eliminate, assumptions, full, automaton, print_steps
-    ) -> TaskOutcome:
-        if parameters is None and eliminate is None:
-            eliminate = self._default_eliminate(automaton)
+    def _constraints_for_vcs(self, task, vcs, assumptions, print_steps) -> TaskOutcome:
+        eliminate = task.options.get("eliminate")
+        if eliminate is None and task.options.get("parameter") is None:
+            # by default, eliminate the state variables, their primed copies and the time
+            variables = task.body.variables
+            eliminate = variables + [primed(x) for x in variables] + ["t"]
         extra: List[Tuple[int, str]] = []
         results = []
         for vc in vcs:
-            res = generate_constraint(
-                automaton.sig,
-                vc.statements,
-                parameters=parameters,
-                eliminate_symbols=eliminate,
-                assumptions=assumptions,
-                max_cases=self.flags.max_cases,
-                full_simplify=full or bool(assumptions),
-            )
+            res = self._constraint(task, vc.statements, assumptions, eliminate)
             results.append((vc.name, res.constraint))
             if print_steps:
                 extra.append((0, "(step) %s:" % vc.name))
@@ -184,18 +165,11 @@ class TaskRunner:
     # -- INVARIANT_STRENGTHENING
 
     def _strengthen(self, task, assumptions, seeds, print_steps) -> TaskOutcome:
-        if not isinstance(task.body, PTSSpec):
-            raise EngineError("INVARIANT_STRENGTHENING expects a PTS specification")
-        system = TransitionSystem.from_pts(task.body)
-        max_iter = task.options.get("inv_str_max_iter", 10)
-        parameters = task.options.get("parameter")
-        if not parameters:
-            raise EngineError("INVARIANT_STRENGTHENING needs a parameter list")
         res = strengthen(
-            system,
+            task.body,
             task.body.query,
-            parameters,
-            max_iter=max_iter,
+            task.options["parameter"],
+            max_iter=task.options.get("inv_str_max_iter", 10),
             task_name=task.name,
             max_cases=self.flags.max_cases,
         )
@@ -216,17 +190,9 @@ class TaskRunner:
 
     # -- CHECK_INVARIANT
 
-    def _candidate(self, task, sig: Signature) -> List[Formula]:
-        text = task.options.get("candidate")
-        if not text:
-            raise EngineError("task %s needs a candidate option" % task.name)
-        return parse_statements(text, sig)
-
     def _check_invariant(self, task, assumptions, seeds, print_steps) -> TaskOutcome:
-        lin_assumptions = assumptions_from(assumptions)
-        if isinstance(task.body, PTSSpec):
-            system = TransitionSystem.from_pts(task.body)
-            verdict = check_inductive(system, task.body.query)
+        if isinstance(task.body, TransitionSystem):
+            verdict = check_inductive(task.body, task.body.query)
             outcome = TaskOutcome(task.name, [], verdict.kind)
             if print_steps and verdict.witness:
                 outcome.extra = [
@@ -234,41 +200,36 @@ class TaskRunner:
                     (0, _INSTANTIATION_NOTE),
                 ]
             return outcome
-        if isinstance(task.body, LhaSpec):
-            automaton = HybridAutomaton.from_spec(task.body)
-            candidate = self._candidate(task, automaton.sig)
-            failing: List[str] = []
-            extra: List[Tuple[int, str]] = []
-            outcome = TaskOutcome(task.name, [], None)
-            for vc in vcs_invariant(automaton, candidate):
-                reduced = reduce_chain(automaton.sig.copy(), vc.statements, ())
-                witness = decide(reduced.ground, lin_assumptions)
-                holds = witness is None
-                if not holds:
-                    failing.append(vc.name)
-                if print_steps:
-                    extra.append((0, "(step) %s: %s" % (vc.name, "unsatisfiable" if holds else "satisfiable")))
-                self._dumps(outcome, task, vc.statements, vc.name)
-            if not failing:
-                outcome.inline_result = "Inductive"
-            elif all(name.startswith("I_") for name in failing):
-                outcome.inline_result = "InitFails (%s)" % ", ".join(failing)
-            else:
-                outcome.inline_result = "ConsecutionFails (%s)" % ", ".join(failing)
-            if failing and print_steps:
-                extra.append((0, _INSTANTIATION_NOTE))
-            outcome.extra = extra
-            return outcome
-        raise EngineError("CHECK_INVARIANT expects a PTS or LHA specification")
+        automaton = task.body
+        lin_assumptions = assumptions_from(assumptions)
+        failing: List[str] = []
+        extra: List[Tuple[int, str]] = []
+        outcome = TaskOutcome(task.name, [], None)
+        for vc in vcs_invariant(automaton, parse_statements(task.options["candidate"], automaton.sig)):
+            reduced = reduce_chain(automaton.sig.copy(), vc.statements, ())
+            witness = decide(reduced.ground, lin_assumptions)
+            holds = witness is None
+            if not holds:
+                failing.append(vc.name)
+            if print_steps:
+                extra.append((0, "(step) %s: %s" % (vc.name, "unsatisfiable" if holds else "satisfiable")))
+            self._dumps(outcome, task, vc.statements, vc.name)
+        if not failing:
+            outcome.inline_result = "Inductive"
+        elif all(name.startswith("I_") for name in failing):
+            outcome.inline_result = "InitFails (%s)" % ", ".join(failing)
+        else:
+            outcome.inline_result = "ConsecutionFails (%s)" % ", ".join(failing)
+        if failing and print_steps:
+            extra.append((0, _INSTANTIATION_NOTE))
+        outcome.extra = extra
+        return outcome
 
     # -- BMC
 
     def _bmc(self, task, assumptions, seeds, print_steps) -> TaskOutcome:
-        if not isinstance(task.body, PTSSpec):
-            raise EngineError("BMC expects a PTS specification")
-        system = TransitionSystem.from_pts(task.body)
         k = task.options.get("bmc_k", 1)
-        steps = bmc(system, task.body.query, k)
+        steps = bmc(task.body, task.body.query, k)
         violated = [s for s in steps if not s.holds]
         outcome = TaskOutcome(task.name, [], None)
         if violated:
@@ -287,19 +248,14 @@ class TaskRunner:
     # -- CHATTER_FREE
 
     def _chatter_free(self, task, assumptions, seeds, print_steps) -> TaskOutcome:
-        if not isinstance(task.body, LhaSpec):
-            raise EngineError("CHATTER_FREE expects an LHA specification")
-        automaton = HybridAutomaton.from_spec(task.body)
+        automaton = task.body
         eps_opt = task.options.get("epsilon", "epsilon")
         if isinstance(eps_opt, (int, float)):
             eps = Num(Fraction(str(eps_opt)))
         else:
             eps = parse_term_string(eps_opt, automaton.sig)
         vcs = vcs_chatterfree(automaton, eps, edges=task.options.get("vcs"))
-        parameters, eliminate, full = self._gen_options(task)
-        return self._constraints_for_vcs(
-            task, vcs, parameters, eliminate, assumptions, full, automaton, print_steps
-        )
+        return self._constraints_for_vcs(task, vcs, assumptions, print_steps)
 
     # -- dumps
 

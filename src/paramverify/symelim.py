@@ -14,7 +14,6 @@ from .linear import (
     assumptions_from,
     decide,
     eliminate,
-    entails,
     lin_to_atom,
     simplify,
     to_linear,
@@ -76,7 +75,9 @@ def generate_constraint(
 ) -> ConstraintResult:
     """Weakest universal parameter constraint making the problem
     unsatisfiable (weakest guaranteed only when the extension axioms
-    have definitional or bounded shape, reported via the flag)."""
+    have definitional or bounded shape, reported via the flag).
+    full_simplify runs the exact simplify on the projection; assumptions
+    imply it, so no literal of the result is decided by them."""
     if (parameters is None) == (eliminate_symbols is None):
         raise EngineError("exactly one of parameters/eliminate must be given")
     work_sig = sig.copy()
@@ -126,11 +127,11 @@ def generate_constraint(
     lin_assumptions = assumptions_from(assumptions)
     dnf = to_linear(conj(reduced.ground) if reduced.ground else TRUE)
     projected = eliminate(eliminated, dnf, lin_assumptions, max_cases)
-    if full_simplify:
+    if full_simplify or assumptions:
         projected = simplify(projected, lin_assumptions)
     steps.append("eliminated %d symbols, %d conjuncts remain" % (len(eliminated), len(projected)))
 
-    clauses = _negate_dnf(projected, lin_assumptions)
+    clauses = _negate_dnf(projected)
     defs_map = {d.constant: d.term for d in kept_defs}
     closed: List[Formula] = []
     for clause in clauses:
@@ -145,16 +146,13 @@ def generate_constraint(
     return ConstraintResult(constraint, weakest, steps)
 
 
-def _negate_dnf(dnf, lin_assumptions: Sequence[LinAtom]) -> List[Formula]:
-    """Clauses of the negation, cleaned up under the assumptions."""
+def _negate_dnf(dnf) -> List[Formula]:
+    """Clauses of the negation, tautologies and subsumed clauses dropped."""
     clauses: List[List[LinAtom]] = []
     for conjunct in dnf:
         clauses.append([a.negated() for a in conjunct])
     out: List[Formula] = []
     for lits in clauses:
-        lits = [l for l in lits if not entails(lin_assumptions, l.negated())]
-        if any(entails(lin_assumptions, l) for l in lits):
-            continue
         if _is_tautology(lits):
             continue
         out.append(disj([lin_to_atom(l) for l in lits]) if lits else FALSE)
@@ -208,8 +206,6 @@ def definitional_shapes_ok(sig: Signature, statements: Sequence[Formula]) -> boo
         return False
     defined: Dict[str, List[Tuple[Tuple[str, ...], Formula]]] = {}
     for clause in clauses:
-        if not isinstance(clause, Forall):
-            return False
         level = clause_level(sig, clause)
         heads = extension_heads(sig, level)
         info = _definition_parts(clause, heads)

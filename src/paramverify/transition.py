@@ -1,5 +1,6 @@
-"""Transition constraint systems: inductive-invariant checking, bounded
-model checking, and iterative invariant strengthening.
+"""Transition constraint systems (parsing.TransitionSystem):
+inductive-invariant checking, bounded model checking, and iterative
+invariant strengthening.
 
 A candidate invariant is a list of universally closed clauses.  The
 strengthening loop conjoins, whenever consecution fails, the weakest
@@ -11,7 +12,7 @@ or when the iteration budget runs out.
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linear import LinAtom, atom_to_lin, decide, is_sat
-from .parsing import PTSSpec
+from .parsing import TransitionSystem
 from .printing import canonical, print_formula
 from .reduction import ReducedProblem, reduce_chain
 from .symelim import constraint_statements, generate_constraint
@@ -21,28 +22,12 @@ from .terms import (
     Forall,
     Formula,
     Record,
-    Signature,
     SymbolRenaming,
     TRUE,
     is_ground,
     negate_universal,
     rename_symbols,
 )
-
-
-class TransitionSystem(Record):
-    def __init__(self, sig, init, update, update_vars):
-        self.sig: Signature = sig
-        self.init: List[Formula] = init
-        self.update: List[Formula] = update
-        self.update_vars: Dict[str, str] = update_vars
-
-    @classmethod
-    def from_pts(cls, pts: PTSSpec) -> "TransitionSystem":
-        return cls(pts.sig, pts.init, pts.update, pts.update_vars)
-
-    def renaming(self) -> SymbolRenaming:
-        return SymbolRenaming(self.update_vars)
 
 
 class Verdict(Record):

@@ -149,23 +149,19 @@ def ex1_spec():
 @pytest.fixture
 def ex2_system():
     from paramverify.parsing import _parse_task_body
-    from paramverify.transition import TransitionSystem
 
-    pts = _parse_task_body("ex2", "PTS", PTS_EX2)
-    return TransitionSystem.from_pts(pts), pts
+    return _parse_task_body("ex2", "PTS", PTS_EX2)
 
 
 @pytest.fixture
 def plant():
-    from paramverify.hybrid import HybridAutomaton
     from paramverify.parsing import parse_lha
 
-    return HybridAutomaton.from_spec(parse_lha(PLANT_LHA))
+    return parse_lha(PLANT_LHA)
 
 
 @pytest.fixture
 def plant_variant():
-    from paramverify.hybrid import HybridAutomaton
     from paramverify.parsing import parse_lha
 
-    return HybridAutomaton.from_spec(parse_lha(PLANT_VARIANT_LHA))
+    return parse_lha(PLANT_VARIANT_LHA)

@@ -20,7 +20,7 @@ from oracles import (
     exists_extension,
     random_conjunct,
 )
-from paramverify.hybrid import HybridAutomaton, vcs_invariant
+from paramverify.hybrid import vcs_invariant
 from paramverify.linear import (
     assumptions_from,
     decide,
@@ -77,8 +77,8 @@ def test_criterion_02_strengthening_two_iterations(ex2_system):
     assert "(step) verification condition init: true" in tail
     assert "(step) verification condition: true" in tail
 
-    system, pts = ex2_system
-    res = strengthen(system, pts.query, ["a", "d1", "d2"], max_iter=2)
+    system = ex2_system
+    res = strengthen(system, system.query, ["a", "d1", "d2"], max_iter=2)
     assert res.kind == "Invariant" and res.iterations == 2
     assert check_inductive(system, res.candidate).kind == "Inductive"
     _passed(2, "invariant strengthening converges in 2 iterations and re-checks")
@@ -99,7 +99,7 @@ def test_criterion_04_strengthening_variant_and_inductiveness():
     assert code == 0
     assert "    Result: OR(x3 >= _0, min - x3 < _0, ea <= _0)" in report.splitlines()
 
-    automaton = HybridAutomaton.from_spec(parse_lha(PLANT_VARIANT_LHA))
+    automaton = parse_lha(PLANT_VARIANT_LHA)
     candidate = parse_statements("x1 + x2 <= lf; x3 >= _0;", automaton.sig)
     assumptions = assumptions_from(parse_statements("lf >= _0;", automaton.sig.copy()))
     for vc in vcs_invariant(automaton, candidate):

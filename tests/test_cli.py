@@ -8,7 +8,7 @@ import pytest
 from conftest import DATA, mask_report
 from paramverify.cli import main
 from paramverify.errors import ParseError
-from paramverify.parsing import MAX_FORMULA_DEPTH, MAX_TERM_DEPTH, parse_formula
+from paramverify.parsing import MAX_FORMULA_DEPTH, MAX_TERM_DEPTH, parse_formula, parse_task_file
 from paramverify.runner import RunFlags, run_task_file
 from paramverify.symelim import check_unsat_with_constraint
 from paramverify.parsing import parse_spec
@@ -108,7 +108,8 @@ def test_parse_error_exit_two(tmp_path):
 )
 def test_term_nesting_limit(tmp_path, capsys, nested):
     """A query term nested MAX_TERM_DEPTH levels deep runs through the
-    CLI; one level deeper is a parse error with its position, exit 2."""
+    CLI; one level deeper is a parse error naming the task and the entry,
+    with its position in the entry, exit 2."""
     base = (DATA / "pts_check_unsorted.yaml").read_text()
     for depth, code in ((MAX_TERM_DEPTH, 0), (MAX_TERM_DEPTH + 1, 2)):
         path = tmp_path / ("depth%d.yaml" % depth)
@@ -116,7 +117,11 @@ def test_term_nesting_limit(tmp_path, capsys, nested):
         assert main([str(path)]) == code
         out, err = capsys.readouterr()
         if code:
-            assert re.fullmatch(r"parse error: 1:\d+: term nested deeper than %d levels\n" % MAX_TERM_DEPTH, err)
+            assert re.fullmatch(
+                r"parse error: task check_unsorted: specification entry query: 1:\d+: "
+                r"term nested deeper than %d levels\n" % MAX_TERM_DEPTH,
+                err,
+            )
         else:
             assert "Result: " in out and not err
 
@@ -133,7 +138,8 @@ def test_term_nesting_limit(tmp_path, capsys, nested):
 )
 def test_formula_nesting_limit(tmp_path, capsys, nested):
     """A query formula nested MAX_FORMULA_DEPTH levels deep runs through
-    the CLI; one level deeper is a parse error with its position, exit 2."""
+    the CLI; one level deeper is a parse error naming the task and the
+    entry, with its position in the entry, exit 2."""
     base = (DATA / "pts_check_unsorted.yaml").read_text()
     for depth, code in ((MAX_FORMULA_DEPTH, 0), (MAX_FORMULA_DEPTH + 1, 2)):
         path = tmp_path / ("depth%d.yaml" % depth)
@@ -142,7 +148,9 @@ def test_formula_nesting_limit(tmp_path, capsys, nested):
         out, err = capsys.readouterr()
         if code:
             assert re.fullmatch(
-                r"parse error: 1:\d+: formula nested deeper than %d levels\n" % MAX_FORMULA_DEPTH, err
+                r"parse error: task check_unsorted: specification entry query: 1:\d+: "
+                r"formula nested deeper than %d levels\n" % MAX_FORMULA_DEPTH,
+                err,
             )
         else:
             assert "Result: " in out and not err
@@ -212,7 +220,8 @@ PTS_TASK = "{mode: BMC, specification_type: PTS, %s}"
         ("tasks: {t: %s}" % PTS_TASK % "options: [a]", "task t: options must be a mapping"),
         ("task_options: [1]\ntasks: {t: %s}" % PTS_TASK % "specification: {}", "task_options must be a mapping"),
         (
-            "tasks: {t: {mode: CHECK_INVARIANT, specification_type: HPILOT, specification: {file: 5}}}",
+            "tasks: {t: {mode: GENERATE_CONSTRAINTS, specification_type: HPILOT, "
+            "options: {parameter: [a]}, specification: {file: 5}}}",
             "task t: specification entry file must be a string",
         ),
         ("tasks: {t: %s}" % PTS_TASK % "specification: {init: [1]}", "task t: specification entry init must be a string"),
@@ -289,6 +298,150 @@ def test_signature_error_in_task_file_exit_two(tmp_path, capsys, name, old, new,
     assert main([str(task_file)]) == 2
     out, err = capsys.readouterr()
     assert err == "parse error: %s\n" % message and not out
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        (
+            "ex1_constraint",
+            "    d1 <= d2;",
+            "    d1 <= ;",
+            "task example constraint generation: specification entry file: 6:11: expected a term, found ';'",
+        ),
+        (
+            "ex2_strengthening",
+            "d1 = _1;",
+            "d1 = ;",
+            "task example_4.16: specification entry init: 1:6: expected a term, found ';'",
+        ),
+        (
+            "ex2_strengthening",
+            '"{(b, 1, 1), (a, 1, 2)',
+            '"{(b, 1, 1) (a, 1, 2)',
+            "task example_4.16: specification entry extension_functions: 1:12: expected '}', found '('",
+        ),
+    ],
+    ids=["hpilot-file", "pts-init", "pts-extension_functions"],
+)
+def test_syntax_error_in_specification_names_task_and_entry(tmp_path, capsys, name, old, new, message):
+    """A syntax error in a task's specification text names the task and
+    the entry, with its position in that entry, exit 2."""
+    text = (DATA / ("%s.yaml" % name)).read_text()
+    assert old in text
+    task_file = tmp_path / "bad_syntax.yaml"
+    task_file.write_text(text.replace(old, new, 1))
+    assert main([str(task_file)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "parse error: %s\n" % message and not out
+
+
+# a valid specification of each type, in YAML flow style
+SPECIFICATIONS = {
+    "HPILOT": "{file: 'Query := x > _0;'}",
+    "PTS": "{init: 'x = _0;', update: 'xp = x;', query: 'x <= _1;', update_vars: {x: xp}}",
+    "LHA": "{file: 'variables: x; mode a: inv: x <= _1; flow: d(x) <= _1;'}",
+}
+ALL_OPTIONS = "{parameter: [x], candidate: 'x <= _1;'}"
+ACCEPTED = [
+    ("GENERATE_CONSTRAINTS", "HPILOT"),
+    ("GENERATE_CONSTRAINTS", "LHA"),
+    ("INVARIANT_STRENGTHENING", "PTS"),
+    ("CHECK_INVARIANT", "PTS"),
+    ("CHECK_INVARIANT", "LHA"),
+    ("BMC", "PTS"),
+    ("CHATTER_FREE", "LHA"),
+]
+REJECTED = [
+    ("GENERATE_CONSTRAINTS", "PTS", "HPILOT or LHA"),
+    ("INVARIANT_STRENGTHENING", "HPILOT", "PTS"),
+    ("INVARIANT_STRENGTHENING", "LHA", "PTS"),
+    ("CHECK_INVARIANT", "HPILOT", "PTS or LHA"),
+    ("BMC", "HPILOT", "PTS"),
+    ("BMC", "LHA", "PTS"),
+    ("CHATTER_FREE", "HPILOT", "LHA"),
+    ("CHATTER_FREE", "PTS", "LHA"),
+]
+
+
+def one_task(mode, spec_type, options, specification=None):
+    return "tasks: {t: {mode: %s, specification_type: %s, options: %s, specification: %s}}\n" % (
+        mode,
+        spec_type,
+        options,
+        SPECIFICATIONS[spec_type] if specification is None else specification,
+    )
+
+
+@pytest.mark.parametrize("mode, spec_type", ACCEPTED, ids=["%s-%s" % pair for pair in ACCEPTED])
+def test_mode_on_its_specification_type_parses(mode, spec_type):
+    (task,) = parse_task_file(one_task(mode, spec_type, ALL_OPTIONS)).tasks.values()
+    assert (task.mode, task.spec_type) == (mode, spec_type)
+
+
+@pytest.mark.parametrize("mode, spec_type, runs_on", REJECTED, ids=["%s-%s" % case[:2] for case in REJECTED])
+def test_mode_on_other_specification_type_exit_two(tmp_path, capsys, mode, spec_type, runs_on):
+    """Each mode runs on its own specification types; any other pairing
+    is a parse error naming the task, exit 2, not an engine error."""
+    task_file = tmp_path / "mismatch.yaml"
+    task_file.write_text(one_task(mode, spec_type, ALL_OPTIONS))
+    assert main([str(task_file)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "parse error: task t: mode %s runs on %s specifications, not %s\n" % (mode, runs_on, spec_type)
+    assert not out
+
+
+@pytest.mark.parametrize(
+    "mode, spec_type, options, message",
+    [
+        ("INVARIANT_STRENGTHENING", "PTS", "{}", "INVARIANT_STRENGTHENING needs a non-empty parameter list"),
+        ("INVARIANT_STRENGTHENING", "PTS", "{parameter: []}", "INVARIANT_STRENGTHENING needs a non-empty parameter list"),
+        (
+            "GENERATE_CONSTRAINTS",
+            "LHA",
+            "{parameter: [x]}",
+            "GENERATE_CONSTRAINTS on an LHA specification needs a candidate option",
+        ),
+        ("CHECK_INVARIANT", "LHA", "{}", "CHECK_INVARIANT on an LHA specification needs a candidate option"),
+        ("CHECK_INVARIANT", "LHA", "{candidate: ''}", "CHECK_INVARIANT on an LHA specification needs a candidate option"),
+    ],
+    ids=["parameter-missing", "parameter-empty", "lha-generate-candidate-missing", "lha-check-candidate-missing", "lha-check-candidate-empty"],
+)
+def test_missing_required_option_exit_two(tmp_path, capsys, mode, spec_type, options, message):
+    """Strengthening needs a parameter list, and constraint generation
+    and invariant checking on a hybrid automaton need a candidate: a
+    parse error naming the task, exit 2, not an engine error."""
+    task_file = tmp_path / "missing_option.yaml"
+    task_file.write_text(one_task(mode, spec_type, options))
+    assert main([str(task_file)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "parse error: task t: %s\n" % message and not out
+
+
+LHA_BODY = "variables: x; mode a: inv: %s flow: %s init: x = _0; edge a -> a: guard: x >= _1; jump: xp = _0;"
+
+
+@pytest.mark.parametrize(
+    "inv, flow, message",
+    [
+        ("x <= _1;", "OR(d(x) <= _1, d(x) >= _2);", "flow conditions must be conjunctions of atoms"),
+        ("x <= _1;", "d(x + _1) <= _1;", "malformed derivative term d(x + _1)"),
+        ("x <= _1;", "d(y) <= _1;", "derivative of undeclared variable y"),
+        ("x <= _1;", "d(x) <= xp;", "flow condition mentions primed variable xp"),
+        ("OR(x <= _1, x >= _2);", "d(x) <= _1;", "inv predicates must be conjunctions of atoms"),
+    ],
+    ids=["flow-not-atom", "malformed-derivative", "undeclared-derivative", "primed-in-flow", "inv-not-atom"],
+)
+def test_lha_atom_error_exit_two(tmp_path, capsys, inv, flow, message):
+    """Flows and state predicates of the wrong shape are found when the
+    automaton is parsed: a parse error naming the task, exit 2, not an
+    engine error."""
+    task_file = tmp_path / "bad_lha.yaml"
+    body = "{file: '%s'}" % (LHA_BODY % (inv, flow))
+    task_file.write_text(one_task("CHECK_INVARIANT", "LHA", ALL_OPTIONS, body))
+    assert main([str(task_file)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "parse error: task t: %s\n" % message and not out
 
 
 @pytest.mark.parametrize(

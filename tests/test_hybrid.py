@@ -5,17 +5,13 @@ import pytest
 from conftest import PLANT_LHA
 from oracles import equiv_on_grid
 from paramverify.errors import EngineError, SortError
-from paramverify.hybrid import HybridAutomaton, flow_relax, vcs_chatterfree, vcs_invariant
+from paramverify.hybrid import flow_relax, vcs_chatterfree, vcs_invariant
 from paramverify.linear import assumptions_from, decide
 from paramverify.parsing import parse_formula, parse_lha, parse_statements
 from paramverify.printing import print_formula
 from paramverify.reduction import reduce_chain
 from paramverify.symelim import generate_constraint
 from paramverify.terms import App, Num, Signature
-
-
-def lha(text):
-    return HybridAutomaton.from_spec(parse_lha(text))
 
 
 MINI = """
@@ -32,23 +28,23 @@ edge a -> a:
 
 def test_strict_flow_rejected():
     with pytest.raises(SortError, match="strict"):
-        lha(MINI % "d(x) < _1;")
+        parse_lha(MINI % "d(x) < _1;")
 
 
 def test_flow_over_state_variable_rejected():
     with pytest.raises(SortError, match="state variable"):
-        lha(MINI % "d(x) <= x;")
+        parse_lha(MINI % "d(x) <= x;")
 
 
 def test_flow_without_derivative_rejected():
     with pytest.raises(SortError, match="derivative"):
-        lha(MINI % "dmin <= dmax;")
+        parse_lha(MINI % "dmin <= dmax;")
 
 
 def test_derivative_scaled_by_parameter_rejected():
     """The error names the scaled derivative, on either side."""
     for flow in ("c * d(x) <= _1;", "_1 <= d(x) * c;"):
-        automaton = lha(MINI % flow)
+        automaton = parse_lha(MINI % flow)
         with pytest.raises(SortError, match=r"scaled by a symbol in c \* d\(x\)$"):
             flow_relax(automaton.modes["a"], Num(Fraction(0)), App("t", ()))
 
@@ -57,13 +53,13 @@ def test_inv_with_derivative_rejected():
     bad = MINI % "d(x) <= _1;"
     bad = bad.replace("inv: x <= _1;", "inv: d(x) <= _1;")
     with pytest.raises(SortError, match="derivative"):
-        lha(bad)
+        parse_lha(bad)
 
 
 def test_guard_with_primed_rejected():
     bad = (MINI % "d(x) <= _1;").replace("guard: x >= _1;", "guard: xp >= _1;")
     with pytest.raises(SortError, match="primed"):
-        lha(bad)
+        parse_lha(bad)
 
 
 def test_flow_relax_mode3(plant):
@@ -76,7 +72,7 @@ def test_flow_relax_mode3(plant):
 
 
 def test_flow_relax_empty_is_empty():
-    automaton = lha(MINI % "d(x) = _0;")
+    automaton = parse_lha(MINI % "d(x) = _0;")
     mode = automaton.modes["a"]
     mode.flow = []
     assert flow_relax(mode, Num(Fraction(0)), App("t", ())) == []
@@ -92,7 +88,7 @@ def test_flow_relax_zero_elapsed_pins_equation_flows(plant):
 
 
 def test_flow_relax_constant_rate_round_trip():
-    automaton = lha(MINI % "d(x) = _3;")
+    automaton = parse_lha(MINI % "d(x) = _3;")
     relaxed = flow_relax(automaton.modes["a"], Num(Fraction(0)), App("t", ()))
     sig = automaton.sig.copy()
     sig.declare_constant("t")
@@ -250,7 +246,7 @@ def test_chatterfree_symbolic_rates_matches_handbuilt_problem():
     from conftest import DATA
     from paramverify.symelim import substitute_constants
 
-    automaton = lha(PLANT_SYMBOLIC_MODE1)
+    automaton = parse_lha(PLANT_SYMBOLIC_MODE1)
     eps = App("epsilon", ())
     (vc,) = vcs_chatterfree(automaton, eps, edges=["1_4_1"])
     assert vc.name == "CF2_1_4_1"
@@ -295,5 +291,5 @@ def test_flow_relax_zero_rate_is_a_zero_numeral():
     """A rate constant that is a literal _0 on the left relaxes to _0, as
     it does on the right, not to _0 * t."""
     for flow, expected in (("_0 <= d(x);", "-(xp - x) <= _0"), ("d(x) >= _0;", "xp - x >= _0")):
-        relaxed = flow_relax(lha(MINI % flow).modes["a"], Num(Fraction(0)), App("t", ()))
+        relaxed = flow_relax(parse_lha(MINI % flow).modes["a"], Num(Fraction(0)), App("t", ()))
         assert [print_formula(f) for f in relaxed] == [expected]

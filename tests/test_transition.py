@@ -6,7 +6,6 @@ from paramverify.parsing import _parse_task_body, parse_statements
 from paramverify.printing import print_formula
 from paramverify.terms import And, conj
 from paramverify.transition import (
-    TransitionSystem,
     bmc,
     check_inductive,
     strengthen,
@@ -31,14 +30,13 @@ EX1_PTS = {
 
 
 def ex1_system():
-    pts = _parse_task_body("ex1", "PTS", EX1_PTS)
-    return TransitionSystem.from_pts(pts), pts
+    return _parse_task_body("ex1", "PTS", EX1_PTS)
 
 
 def with_sorted_axiom():
     """Initial array sorted and the monotonicity clause carried in the
     candidate: the strengthened, inductive variant."""
-    pts = _parse_task_body(
+    return _parse_task_body(
         "ex1s",
         "PTS",
         dict(
@@ -47,31 +45,29 @@ def with_sorted_axiom():
             query="d1 <= d2; (FORALL i). a(i) <= a(i + _1);",
         ),
     )
-    return TransitionSystem.from_pts(pts), pts
 
 
 def with_sorted_init_only():
-    pts = _parse_task_body(
+    return _parse_task_body(
         "ex1i", "PTS", dict(EX1_PTS, init=EX1_PTS["init"] + "(FORALL i). a(i) <= a(i + _1);")
     )
-    return TransitionSystem.from_pts(pts), pts
 
 
 def test_initiation_holds():
-    system, pts = ex1_system()
-    reduced = vc_initiation(system, pts.query)
+    system = ex1_system()
+    reduced = vc_initiation(system, system.query)
     assert decide(reduced.ground) is None
 
 
 def test_initiation_trivial_for_true_candidate():
-    system, _ = ex1_system()
+    system = ex1_system()
     reduced = vc_initiation(system, [])
     assert decide(reduced.ground) is None
 
 
 def test_consecution_fails_without_constraint():
-    system, pts = ex1_system()
-    reduced = vc_consecution(system, pts.query)
+    system = ex1_system()
+    reduced = vc_consecution(system, system.query)
     witness = decide(reduced.ground)
     assert witness is not None
     # the witness satisfies the reduced verification condition
@@ -86,7 +82,7 @@ def _symbols(f):
 
 
 def test_identity_update_always_inductive():
-    pts = _parse_task_body(
+    system = _parse_task_body(
         "idy",
         "PTS",
         {
@@ -98,33 +94,31 @@ def test_identity_update_always_inductive():
             "update_vars": {"x": "xp"},
         },
     )
-    system = TransitionSystem.from_pts(pts)
-    assert check_inductive(system, pts.query).kind == "Inductive"
+    assert check_inductive(system, system.query).kind == "Inductive"
 
 
 def test_check_inductive_verdicts():
-    system, pts = ex1_system()
-    verdict = check_inductive(system, pts.query)
+    system = ex1_system()
+    verdict = check_inductive(system, system.query)
     assert verdict.kind == "ConsecutionFails"
     assert verdict.witness is not None
 
     bad_init = _parse_task_body("bad", "PTS", dict(EX1_PTS, init="d1 = _2; d2 = _1; i = _0;"))
-    system2 = TransitionSystem.from_pts(bad_init)
-    assert check_inductive(system2, bad_init.query).kind == "InitFails"
+    assert check_inductive(bad_init, bad_init.query).kind == "InitFails"
 
-    strong, spts = with_sorted_axiom()
-    assert check_inductive(strong, spts.query).kind == "Inductive"
+    strong = with_sorted_axiom()
+    assert check_inductive(strong, strong.query).kind == "Inductive"
 
 
 def test_bmc_depth_zero_equals_initiation():
-    system, pts = ex1_system()
-    steps = bmc(system, pts.query, 0)
+    system = ex1_system()
+    steps = bmc(system, system.query, 0)
     assert len(steps) == 1 and steps[0].holds
 
 
 def test_bmc_finds_violation_at_depth_one():
-    system, pts = ex1_system()
-    steps = bmc(system, pts.query, 1)
+    system = ex1_system()
+    steps = bmc(system, system.query, 1)
     assert steps[0].holds and not steps[1].holds
     assert steps[1].witness is not None
 
@@ -132,21 +126,21 @@ def test_bmc_finds_violation_at_depth_one():
 def test_bmc_safe_with_sorted_init():
     """With a sorted initial array no run of length <= 3 violates the
     plain candidate, even though it is not inductive by itself."""
-    system, pts = with_sorted_init_only()
-    steps = bmc(system, pts.query, 3)
+    system = with_sorted_init_only()
+    steps = bmc(system, system.query, 3)
     assert all(s.holds for s in steps)
 
 
 def test_bmc_induction_consistency():
     """An inductive candidate admits no bounded counterexample."""
-    system, pts = with_sorted_axiom()
-    assert check_inductive(system, pts.query).kind == "Inductive"
-    assert all(s.holds for s in bmc(system, pts.query, 4))
+    system = with_sorted_axiom()
+    assert check_inductive(system, system.query).kind == "Inductive"
+    assert all(s.holds for s in bmc(system, system.query, 4))
 
 
 def test_strengthen_example(ex2_system):
-    system, pts = ex2_system
-    res = strengthen(system, pts.query, ["a", "d1", "d2"], max_iter=2, task_name="example_4.16")
+    system = ex2_system
+    res = strengthen(system, system.query, ["a", "d1", "d2"], max_iter=2, task_name="example_4.16")
     assert res.kind == "Invariant"
     assert res.iterations == 2
     assert [print_formula(c) for c in res.candidate] == [
@@ -157,31 +151,30 @@ def test_strengthen_example(ex2_system):
 
 
 def test_strengthen_candidate_monotone(ex2_system):
-    system, pts = ex2_system
-    res = strengthen(system, pts.query, ["a", "d1", "d2"], max_iter=2)
+    system = ex2_system
+    res = strengthen(system, system.query, ["a", "d1", "d2"], max_iter=2)
     from paramverify.printing import canonical
 
-    first = canonical(pts.query[0])
+    first = canonical(system.query[0])
     assert res.candidate[0] == first  # conjunction only extended
 
 
 def test_strengthen_already_inductive():
-    system, pts = with_sorted_axiom()
-    res = strengthen(system, pts.query, ["a", "d1", "d2"], max_iter=5)
+    system = with_sorted_axiom()
+    res = strengthen(system, system.query, ["a", "d1", "d2"], max_iter=5)
     assert res.kind == "Invariant" and res.iterations == 1
 
 
 def test_strengthen_init_failure_is_conclusive_on_first_iteration():
-    pts = _parse_task_body("bad", "PTS", dict(EX1_PTS, init="d1 = _2; d2 = _1; i = _0;"))
-    system = TransitionSystem.from_pts(pts)
-    res = strengthen(system, pts.query, ["a", "d1", "d2"], max_iter=3)
+    system = _parse_task_body("bad", "PTS", dict(EX1_PTS, init="d1 = _2; d2 = _1; i = _0;"))
+    res = strengthen(system, system.query, ["a", "d1", "d2"], max_iter=3)
     assert res.kind == "NoUniversalInvariant"
     assert res.iterations == 1
 
 
 def test_strengthen_exhausted_reports_candidate():
     # an update that decreases d1 relative to d2 cannot be fixed within one round
-    pts = _parse_task_body(
+    system = _parse_task_body(
         "hard",
         "PTS",
         {
@@ -193,14 +186,13 @@ def test_strengthen_exhausted_reports_candidate():
             "update_vars": {"x": "xp", "y": "yp"},
         },
     )
-    system = TransitionSystem.from_pts(pts)
-    res = strengthen(system, pts.query, ["x", "y"], max_iter=1)
+    res = strengthen(system, system.query, ["x", "y"], max_iter=1)
     assert res.kind in ("Exhausted", "Invariant")
 
 
 def test_strengthen_log_structure(ex2_system):
-    system, pts = ex2_system
-    res = strengthen(system, pts.query, ["a", "d1", "d2"], max_iter=2, task_name="example_4.16")
+    system = ex2_system
+    res = strengthen(system, system.query, ["a", "d1", "d2"], max_iter=2, task_name="example_4.16")
     lines = [text for _, text in res.log]
     assert "1. Iteration:" in lines
     assert "2. Iteration:" in lines
@@ -213,14 +205,14 @@ def test_strengthen_log_structure(ex2_system):
 
 
 def test_example2_initiation_with_sorted_source(ex2_system):
-    system, pts = ex2_system
-    reduced = vc_initiation(system, pts.query)
+    system = ex2_system
+    reduced = vc_initiation(system, system.query)
     assert decide(reduced.ground) is None
 
 
 def test_example2_strengthened_consecution_unsat(ex2_system):
-    system, pts = ex2_system
-    strengthened = pts.query + parse_statements(
+    system = ex2_system
+    strengthened = system.query + parse_statements(
         "(FORALL i). a(i) <= a(i + _1);", system.sig
     )
     reduced = vc_consecution(system, strengthened)
@@ -230,7 +222,7 @@ def test_example2_strengthened_consecution_unsat(ex2_system):
 def test_strengthen_diverges_on_unbounded_counter():
     """An unbounded counter admits no universal inductive bound; the
     loop tightens the bound once per iteration until the budget ends."""
-    pts = _parse_task_body(
+    system = _parse_task_body(
         "counter",
         "PTS",
         {
@@ -242,8 +234,7 @@ def test_strengthen_diverges_on_unbounded_counter():
             "update_vars": {"x": "xp"},
         },
     )
-    system = TransitionSystem.from_pts(pts)
-    res = strengthen(system, pts.query, ["x"], max_iter=4)
+    res = strengthen(system, system.query, ["x"], max_iter=4)
     assert res.kind == "Exhausted" and res.iterations == 4
     assert [print_formula(c) for c in res.candidate] == [
         "x <= _5",
@@ -258,6 +249,6 @@ def test_bmc_over_two_function_chain(ex2_system):
     """Unrolling renames each updated function into a fresh level while
     the static source array keeps its own; the sorted source makes
     every bounded run safe."""
-    system, pts = ex2_system
-    steps = bmc(system, pts.query, 2)
+    system = ex2_system
+    steps = bmc(system, system.query, 2)
     assert [s.holds for s in steps] == [True, True, True]
