@@ -1,7 +1,7 @@
 """Command line entry point.
 
 Exit codes: 0 when every selected task completes (whatever the verdict),
-1 on an engine error, 2 on a parse error (including empty task lists).
+1 when the engine meets one of its limits, 2 on any error in the input.
 """
 
 import argparse

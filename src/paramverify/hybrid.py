@@ -8,14 +8,15 @@ the input syntax.  The flow relaxation turns each rate constraint
 sum c_i * d(x_i) REL c into the endpoint constraint
 sum c_i * (x_i' - x_i) REL c * (t' - t), which is exact for this class
 of automata; a derivative scaled by a symbol has no such endpoint form
-and is a SortError here.
+and is a SortError here, as are a vcs entry that selects nothing and a
+selected edge with no inner envelope: input errors all three.
 """
 
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import EngineError, SortError
-from .parsing import Edge, HybridAutomaton, Mode, primed
+from .errors import SortError
+from .parsing import HybridAutomaton, Mode, primed
 from .printing import term_poly
 from .terms import (
     App,
@@ -118,9 +119,20 @@ class NamedVC(Record):
         self.statements: List[Formula] = statements
 
 
-def vcs_invariant(automaton: HybridAutomaton, candidate: Sequence[Formula]) -> List[NamedVC]:
+def _selected(items: list, names: Optional[Sequence[str]], matches, what: str) -> list:
+    """The items some name matches, all without names; a SortError for a name matching none."""
+    if not names:
+        return items
+    unmatched = [n for n in names if not any(matches(item, n) for item in items)]
+    if unmatched:
+        raise SortError("vcs entry %s matches no %s" % (", ".join(unmatched), what))
+    return [item for item in items if any(matches(item, n) for n in names)]
+
+
+def vcs_invariant(automaton: HybridAutomaton, candidate: Sequence[Formula], names=None) -> List[NamedVC]:
     """One condition per mode (initial states, flows) and per edge
-    (jumps); the candidate is invariant iff all are unsatisfiable."""
+    (jumps), or those that names selects; the candidate is invariant iff
+    all are unsatisfiable."""
     renaming = automaton.prime_renaming()
     avoid = automaton.sig.all_symbols()
     neg_plain = negate_universal(list(candidate), avoid=avoid)
@@ -146,7 +158,7 @@ def vcs_invariant(automaton: HybridAutomaton, candidate: Sequence[Formula]) -> L
         target_inv = automaton.modes[edge.target].inv
         statements = list(candidate) + list(edge.jump) + primed_of(target_inv) + [neg_primed]
         out.append(NamedVC("F_jump_%s" % edge.label(), statements))
-    return out
+    return _selected(out, names, lambda vc, name: vc.name == name, "verification condition")
 
 
 def vcs_chatterfree(
@@ -155,30 +167,23 @@ def vcs_chatterfree(
     edges: Optional[Sequence[str]] = None,
 ) -> List[NamedVC]:
     """Chatter-freedom conditions: every jump lands in the target's
-    inner envelope, and no guard fires within the dwelling time."""
+    inner envelope, and no guard fires within the dwelling time.  edges
+    selects edges by label or by source->target; a selected edge with
+    no inner envelope on either side is a SortError."""
     renaming = automaton.prime_renaming()
     avoid = automaton.sig.all_symbols()
     primed_of = lambda fs: [rename_symbols(f, renaming) for f in fs]
     tname = "t" if "t" not in automaton.sig.all_symbols() else "t_cf"
     t: Term = App(tname, ())
     zero: Term = Num(Fraction(0))
-    selected = list(automaton.edges)
-    if edges is not None:
-        wanted = {str(e) for e in edges}
-
-        def matches(e: Edge) -> bool:
-            return e.label() in wanted or "%s->%s" % (e.source, e.target) in wanted
-
-        selected = [e for e in selected if matches(e)]
-        if not selected:
-            raise EngineError("no edge matches %s" % sorted(wanted))
+    matches = lambda e, name: name in (e.label(), "%s->%s" % (e.source, e.target))
     landing: List[NamedVC] = []
     dwelling: List[NamedVC] = []
-    for edge in selected:
+    for edge in _selected(automaton.edges, edges, matches, "edge"):
         source = automaton.modes[edge.source]
         target = automaton.modes[edge.target]
         if not (source.inenv or target.inenv):
-            raise EngineError(
+            raise SortError(
                 "edge %s -> %s has no inner envelope on either side" % (edge.source, edge.target)
             )
         if target.inenv:

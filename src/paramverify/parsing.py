@@ -19,15 +19,17 @@ matches the task listings (tasks, per-task mode/options/specification).
 Each task's body is the record the engine runs: a ProblemSpec (HPILOT),
 a TransitionSystem (PTS) or a HybridAutomaton (LHA, its atoms checked
 here).  A task is checked completely at parse time, its mode against
-the specification types it runs on (MODES) and its required options
-included, so every malformed task is a ParseError that names it.
+the specification types it runs on (MODES), its required options and
+the texts of the options its mode reads included, so every malformed
+task is a ParseError that names it.
 """
 
 from fractions import Fraction
 from math import isfinite
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ParseError, SignatureError, SortError
+from .errors import EngineError, ParseError, SignatureError, SortError
+from .linear import assumptions_from
 from .terms import (
     App,
     Atom,
@@ -698,31 +700,25 @@ def parse_decl_string(text: str, with_level: bool) -> List[Tuple[str, int, int]]
 # ---------------------------------------------------------------------------
 # Task files
 
-# each mode and the specification types it runs on
+# each mode, the specification types it runs on and the options and
+# flags it reads on each; every mode reads print_steps, and any other
+# input a task gives is ignored with a warning
+_REDUCES = ("assumptions", "--assume", "--dump-reduction", "--dump-smtlib")
+_GENERATES = ("parameter", "eliminate", "slfq_query") + _REDUCES
 MODES = {
-    "GENERATE_CONSTRAINTS": ("HPILOT", "LHA"),
-    "INVARIANT_STRENGTHENING": ("PTS",),
-    "CHECK_INVARIANT": ("PTS", "LHA"),
-    "BMC": ("PTS",),
-    "CHATTER_FREE": ("LHA",),
+    "GENERATE_CONSTRAINTS": {"HPILOT": _GENERATES + ("--seed-closure",), "LHA": _GENERATES + ("candidate", "vcs")},
+    "INVARIANT_STRENGTHENING": {"PTS": ("parameter", "inv_str_max_iter")},
+    "CHECK_INVARIANT": {"PTS": (), "LHA": ("candidate",) + _REDUCES},
+    "BMC": {"PTS": ("bmc_k",)},
+    "CHATTER_FREE": {"LHA": _GENERATES + ("epsilon", "vcs")},
 }
 SPEC_TYPES = ("HPILOT", "PTS", "LHA")
 THEORIES = ("REAL_CLOSED_FIELDS", "PRESBURGER_ARITHMETIC")
 
 _KNOWN_TOP_KEYS = {"tasks", "task_options"}
 _KNOWN_TASK_KEYS = {"mode", "options", "specification_type", "specification_theory", "specification"}
-_KNOWN_OPTION_KEYS = {
-    "parameter",
-    "eliminate",
-    "slfq_query",
-    "inv_str_max_iter",
-    "bmc_k",
-    "assumptions",
-    "epsilon",
-    "candidate",
-    "vcs",
-    "print_steps",
-}
+_KNOWN_OPTION_KEYS = {key for row in MODES.values() for reads in row.values() for key in reads if key[0] != "-"}
+_KNOWN_OPTION_KEYS.add("print_steps")
 
 
 # (option, a test of its value, what the error message asks for)
@@ -735,6 +731,9 @@ _SCALAR_OPTIONS = (
 
 
 class TaskSpec(Record):
+    """A task as its mode runs it: the options its mode reads, the texts
+    among them parsed into candidate, assumptions and epsilon."""
+
     def __init__(self, name, mode, spec_type, theory, body, options=None):
         self.name: str = name
         self.mode: str = mode
@@ -742,6 +741,9 @@ class TaskSpec(Record):
         self.theory: str = theory
         self.body: object = body  # ProblemSpec | TransitionSystem | HybridAutomaton
         self.options: Dict[str, object] = {} if options is None else options
+        self.candidate: List[Formula] = []
+        self.assumptions: List[Formula] = []
+        self.epsilon: Optional[Term] = None
 
 
 class TaskFile(Record):
@@ -840,7 +842,48 @@ def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[st
         body = _parse_task_body(name, spec_type, spec_doc)
     except (SignatureError, SortError) as exc:
         raise ParseError("task %s: %s" % (name, exc))
-    return TaskSpec(name, mode, spec_type, theory, body, options), warnings
+    reads = MODES[mode][spec_type]
+    for key in [k for k in options if k != "print_steps" and k not in reads]:
+        del options[key]
+        if key in raw_options:
+            warnings.append("task %s: option %r ignored by %s on %s" % (name, key, mode, spec_type))
+    task, sig = TaskSpec(name, mode, spec_type, theory, body, options), body.sig
+    if "candidate" in options:
+        task.candidate = parse_input(name, "option candidate", parse_statements, options.pop("candidate"), sig)
+    if "assumptions" in options:
+        task.assumptions = parse_input(name, "option assumptions", parse_assumptions, options.pop("assumptions"), sig)
+    if "epsilon" in reads:
+        epsilon = options.pop("epsilon", "epsilon")  # a number is read as its numeral
+        epsilon = epsilon if type(epsilon) is str else "_%s" % Fraction(str(epsilon))
+        task.epsilon = parse_input(name, "option epsilon", parse_term_string, epsilon, sig)
+    # an LHA task may eliminate the duration, which no text declares
+    for key in ("parameter",) if spec_type == "LHA" else ("parameter", "eliminate"):
+        unknown = [s for s in options.get(key) or () if sig.arity_of(s) is None]
+        if unknown:
+            raise ParseError("task %s: option %s: %s names no symbol of the task" % (name, key, ", ".join(unknown)))
+    return task, warnings
+
+
+def parse_input(task: str, what: str, parse, *args):
+    """parse(*args), any error in it a ParseError naming the task and what it read."""
+    try:
+        return parse(*args)
+    except (ParseError, EngineError) as exc:
+        raise ParseError("task %s: %s: %s" % (task, what, exc))
+
+
+def parse_assumptions(texts: List[str], sig: Signature) -> List[Formula]:
+    """The ';'-separated atoms of the texts; a SortError for any that
+    linear.assumptions_from rejects."""
+    formulas = [parse_formula(part, sig) for text in texts for part in text.split(";") if part.strip()]
+    assumptions_from(formulas)
+    return formulas
+
+
+def parse_seed_terms(text: str, sig: Signature) -> List[Term]:
+    """Ground terms, one a line with an optional final ';'; '#' starts a comment line."""
+    lines = (line.strip() for line in text.splitlines())
+    return [parse_term_string(line.rstrip(";"), sig) for line in lines if line and not line.startswith("#")]
 
 
 def _parse_task_body(name: str, spec_type: str, doc) -> object:

@@ -5,8 +5,10 @@ block per task with Result, Runtime and (with print_steps) an Extra
 section.  Date and Runtime values are the only non-deterministic
 fields; everything else is byte-stable across runs.
 
-Tasks arrive checked by parsing: each body is the record its mode runs
-on, with the options that mode requires.
+Every input is checked before the first task runs: parsing gives each
+task as the record its mode runs on, its option texts parsed, and
+prepare adds the run's flags and an automaton's verification
+conditions.  The handlers only compute and format.
 """
 
 import time
@@ -14,23 +16,25 @@ from datetime import datetime
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import EngineError, ParseError
+from .errors import ParseError, SortError
 from .hybrid import vcs_chatterfree, vcs_invariant
 from .linear import assumptions_from, decide
 from .parsing import (
+    MODES,
     HybridAutomaton,
     TaskSpec,
     TransitionSystem,
-    parse_statements,
+    parse_assumptions,
+    parse_input,
+    parse_seed_terms,
     parse_task_file,
-    parse_term_string,
     primed,
 )
 from .printing import print_formula
 from .reduction import reduce_chain
 from .smtlib import export_smtlib
 from .symelim import constraint_statements, generate_constraint
-from .terms import Formula, Num, Record, Signature
+from .terms import Formula, Record
 from .transition import bmc, check_inductive, strengthen
 
 
@@ -56,45 +60,43 @@ class TaskOutcome(Record):
         self.smtlib: List[Tuple[str, str]] = [] if smtlib is None else smtlib
 
 
-def _parse_assumptions(task: TaskSpec, sig: Signature, global_assume: str):
-    texts: List[str] = list(task.options.get("assumptions") or [])
-    if global_assume:
-        texts.extend(p for p in global_assume.split(";") if p.strip())
-    formulas: List[Formula] = []
-    for t in texts:
-        formulas.extend(parse_statements(t.strip() + ";", sig))
-    return formulas
-
-
-def _parse_seeds(sig: Signature, seed_text: Optional[str]):
-    if not seed_text:
-        return []
-    seeds = []
-    for line in seed_text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            seeds.append(parse_term_string(line.rstrip(";"), sig))
-    return seeds
+def prepare(task: TaskSpec, flags: RunFlags, seed_text: Optional[str], warn: Callable[[str], None]):
+    """A task's assumptions, seed terms and automaton conditions, or a
+    ParseError naming it.  The conditions come last: texts declare the
+    constants that duration and skolem names avoid."""
+    reads = MODES[task.mode][task.spec_type]
+    for flag in ("--assume", "--seed-closure", "--dump-reduction", "--dump-smtlib"):  # each a RunFlags field
+        if getattr(flags, flag[2:].replace("-", "_")) and flag not in reads:
+            warn("task %s: flag %s ignored by %s on %s" % (task.name, flag, task.mode, task.spec_type))
+    sig, assumptions, seeds, vcs = task.body.sig, list(task.assumptions), [], []
+    if flags.assume and "--assume" in reads:
+        assumptions += parse_input(task.name, "flag --assume", parse_assumptions, [flags.assume], sig)
+    if seed_text and "--seed-closure" in reads:
+        seeds = parse_input(task.name, "flag --seed-closure", parse_seed_terms, seed_text, sig)
+    try:
+        if task.mode == "CHATTER_FREE":
+            vcs = vcs_chatterfree(task.body, task.epsilon, edges=task.options.get("vcs"))
+        elif isinstance(task.body, HybridAutomaton):
+            vcs = vcs_invariant(task.body, task.candidate, names=task.options.get("vcs"))
+    except SortError as exc:
+        raise ParseError("task %s: %s" % (task.name, exc))
+    return assumptions, seeds, vcs
 
 
 class TaskRunner:
-    def __init__(self, flags: RunFlags, seed_text: Optional[str] = None):
+    def __init__(self, flags: RunFlags):
         self.flags = flags
-        self.seed_text = seed_text
 
-    def run(self, task: TaskSpec, print_steps: bool) -> TaskOutcome:
+    def run(self, task: TaskSpec, assumptions, seeds, vcs) -> TaskOutcome:
         start = time.perf_counter()
-        sig = task.body.sig
-        assumptions = _parse_assumptions(task, sig, self.flags.assume)
-        seeds = _parse_seeds(sig, self.seed_text)
         handler = {
             "GENERATE_CONSTRAINTS": self._generate_constraints,
             "INVARIANT_STRENGTHENING": self._strengthen,
             "CHECK_INVARIANT": self._check_invariant,
             "BMC": self._bmc,
-            "CHATTER_FREE": self._chatter_free,
+            "CHATTER_FREE": self._constraints_for_vcs,
         }[task.mode]
-        outcome = handler(task, assumptions, seeds, print_steps)
+        outcome = handler(task, assumptions, seeds, vcs, task.options.get("print_steps", False))
         outcome.runtime = time.perf_counter() - start
         return outcome
 
@@ -112,16 +114,9 @@ class TaskRunner:
             seeds=seeds,
         )
 
-    def _generate_constraints(self, task, assumptions, seeds, print_steps) -> TaskOutcome:
+    def _generate_constraints(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
         if isinstance(task.body, HybridAutomaton):
-            vcs = vcs_invariant(task.body, parse_statements(task.options["candidate"], task.body.sig))
-            selected = task.options.get("vcs")
-            if selected:
-                wanted = set(selected)
-                vcs = [vc for vc in vcs if vc.name in wanted]
-                if not vcs:
-                    raise EngineError("no verification condition matches %s" % sorted(wanted))
-            return self._constraints_for_vcs(task, vcs, assumptions, print_steps)
+            return self._constraints_for_vcs(task, assumptions, seeds, vcs, print_steps)
         statements = task.body.statements()
         res = self._constraint(task, statements, assumptions, task.options.get("eliminate"), seeds)
         outcome = TaskOutcome(task.name, [], None)
@@ -132,7 +127,7 @@ class TaskRunner:
         self._dumps(outcome, task, statements, seeds=seeds)
         return outcome
 
-    def _constraints_for_vcs(self, task, vcs, assumptions, print_steps) -> TaskOutcome:
+    def _constraints_for_vcs(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
         eliminate = task.options.get("eliminate")
         if eliminate is None and task.options.get("parameter") is None:
             # by default, eliminate the state variables, their primed copies and the time
@@ -164,7 +159,7 @@ class TaskRunner:
 
     # -- INVARIANT_STRENGTHENING
 
-    def _strengthen(self, task, assumptions, seeds, print_steps) -> TaskOutcome:
+    def _strengthen(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
         res = strengthen(
             task.body,
             task.body.query,
@@ -190,7 +185,7 @@ class TaskRunner:
 
     # -- CHECK_INVARIANT
 
-    def _check_invariant(self, task, assumptions, seeds, print_steps) -> TaskOutcome:
+    def _check_invariant(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
         if isinstance(task.body, TransitionSystem):
             verdict = check_inductive(task.body, task.body.query)
             outcome = TaskOutcome(task.name, [], verdict.kind)
@@ -200,13 +195,12 @@ class TaskRunner:
                     (0, _INSTANTIATION_NOTE),
                 ]
             return outcome
-        automaton = task.body
         lin_assumptions = assumptions_from(assumptions)
         failing: List[str] = []
         extra: List[Tuple[int, str]] = []
         outcome = TaskOutcome(task.name, [], None)
-        for vc in vcs_invariant(automaton, parse_statements(task.options["candidate"], automaton.sig)):
-            reduced = reduce_chain(automaton.sig.copy(), vc.statements, ())
+        for vc in vcs:
+            reduced = reduce_chain(task.body.sig.copy(), vc.statements, ())
             witness = decide(reduced.ground, lin_assumptions)
             holds = witness is None
             if not holds:
@@ -227,7 +221,7 @@ class TaskRunner:
 
     # -- BMC
 
-    def _bmc(self, task, assumptions, seeds, print_steps) -> TaskOutcome:
+    def _bmc(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
         k = task.options.get("bmc_k", 1)
         steps = bmc(task.body, task.body.query, k)
         violated = [s for s in steps if not s.holds]
@@ -244,18 +238,6 @@ class TaskRunner:
             if violated:
                 outcome.extra.append((0, _INSTANTIATION_NOTE))
         return outcome
-
-    # -- CHATTER_FREE
-
-    def _chatter_free(self, task, assumptions, seeds, print_steps) -> TaskOutcome:
-        automaton = task.body
-        eps_opt = task.options.get("epsilon", "epsilon")
-        if isinstance(eps_opt, (int, float)):
-            eps = Num(Fraction(str(eps_opt)))
-        else:
-            eps = parse_term_string(eps_opt, automaton.sig)
-        vcs = vcs_chatterfree(automaton, eps, edges=task.options.get("vcs"))
-        return self._constraints_for_vcs(task, vcs, assumptions, print_steps)
 
     # -- dumps
 
@@ -329,24 +311,27 @@ def run_task_file(
     text: str, flags: Optional[RunFlags] = None, warn: Optional[Callable[[str], None]] = None
 ) -> Tuple[str, int, List[TaskOutcome]]:
     """Execute a task file; returns (report text, exit code, outcomes).
-    warn, when given, receives each warning of the task file's parse
-    (unknown keys and options, which are ignored)."""
+    Every selected task is prepared before the first one runs, so an
+    input error of any task is a ParseError and no task runs.  warn,
+    when given, receives each warning: unknown keys and options, and
+    options and flags a task's mode does not read, all ignored."""
     flags = flags or RunFlags()
     task_file = parse_task_file(text)
-    if warn:
-        for message in task_file.warnings:
-            warn(message)
+    warn = warn or (lambda message: None)
+    for message in task_file.warnings:
+        warn(message)
     selected = list(task_file.tasks.values())
     if flags.tasks:
-        wanted = set(flags.tasks)
-        selected = [t for t in selected if t.name in wanted]
-        if not selected:
-            raise ParseError("no task matches %s" % sorted(wanted))
+        unmatched = sorted(set(flags.tasks) - set(task_file.tasks))
+        if unmatched:
+            raise ParseError("--task names no task: %s" % ", ".join(unmatched))
+        selected = [t for t in selected if t.name in flags.tasks]
     seed_text = None
     if flags.seed_closure:
         with open(flags.seed_closure, "r", encoding="utf-8") as fh:
             seed_text = fh.read()
-    runner = TaskRunner(flags, seed_text)
-    outcomes = [runner.run(t, t.options.get("print_steps", False)) for t in selected]
+    prepared = [(t,) + prepare(t, flags, seed_text, warn) for t in selected]
+    runner = TaskRunner(flags)
+    outcomes = [runner.run(*p) for p in prepared]
     report = format_report(outcomes)
     return report, 0, outcomes

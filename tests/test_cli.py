@@ -9,7 +9,7 @@ from conftest import DATA, mask_report
 from paramverify.cli import main
 from paramverify.errors import ParseError
 from paramverify.parsing import MAX_FORMULA_DEPTH, MAX_TERM_DEPTH, parse_formula, parse_task_file
-from paramverify.runner import RunFlags, run_task_file
+from paramverify.runner import RunFlags, TaskRunner, run_task_file
 from paramverify.symelim import check_unsat_with_constraint
 from paramverify.parsing import parse_spec
 
@@ -364,13 +364,17 @@ REJECTED = [
 ]
 
 
-def one_task(mode, spec_type, options, specification=None):
-    return "tasks: {t: {mode: %s, specification_type: %s, options: %s, specification: %s}}\n" % (
+def task_text(mode, spec_type, options, specification=None):
+    return "{mode: %s, specification_type: %s, options: %s, specification: %s}" % (
         mode,
         spec_type,
         options,
         SPECIFICATIONS[spec_type] if specification is None else specification,
     )
+
+
+def one_task(mode, spec_type, options, specification=None):
+    return "tasks: {t: %s}\n" % task_text(mode, spec_type, options, specification)
 
 
 @pytest.mark.parametrize("mode, spec_type", ACCEPTED, ids=["%s-%s" % pair for pair in ACCEPTED])
@@ -442,6 +446,126 @@ def test_lha_atom_error_exit_two(tmp_path, capsys, inv, flow, message):
     assert main([str(task_file)]) == 2
     out, err = capsys.readouterr()
     assert err == "parse error: task t: %s\n" % message and not out
+
+
+# a task that runs before the task under test, and reads no flag
+FIRST_TASK = "    first: {mode: BMC, specification_type: PTS, specification: %s}\n" % SPECIFICATIONS["PTS"]
+ENVELOPED_LHA = "{file: 'variables: x; mode a: inv: x <= _1; flow: d(x) <= _1; inenv: x <= _1; %s'}"
+LOOP_EDGE = "edge a -> a: guard: x >= _1; jump: xp = _0;"
+INPUT_ERRORS = [
+    ("CHECK_INVARIANT", "LHA", "{candidate: 'x <= ;'}", None, [], "option candidate: 1:6: expected a term, found ';'"),
+    (
+        "CHECK_INVARIANT",
+        "LHA",
+        "{candidate: 'x <= _1;', assumptions: ['q <= ;']}",
+        None,
+        [],
+        "option assumptions: 1:5: expected a term, found ';'",
+    ),
+    (
+        "CHECK_INVARIANT",
+        "LHA",
+        "{candidate: 'x <= _1;', assumptions: [q != _1]}",
+        None,
+        [],
+        "option assumptions: assumption q != _1 is a disjunction; assume one side of it",
+    ),
+    (
+        "GENERATE_CONSTRAINTS",
+        "HPILOT",
+        "{parameter: [x], assumptions: ['OR(x <= _0, x >= _1)']}",
+        None,
+        [],
+        "option assumptions: assumptions must be a conjunction of atoms",
+    ),
+    (
+        "CHATTER_FREE",
+        "LHA",
+        "{epsilon: 'e +'}",
+        ENVELOPED_LHA % LOOP_EDGE,
+        [],
+        "option epsilon: 1:4: expected a term, found 'end of input'",
+    ),
+    (
+        "CHECK_INVARIANT",
+        "LHA",
+        "{candidate: 'x <= _1;'}",
+        None,
+        ["--assume", "q <= ;"],
+        "flag --assume: 1:5: expected a term, found ';'",
+    ),
+    (
+        "GENERATE_CONSTRAINTS",
+        "HPILOT",
+        "{parameter: [x]}",
+        None,
+        ["--seed-closure", "{seeds}"],
+        "flag --seed-closure: 1:4: expected ')', found 'end of input'",
+    ),
+    (
+        "GENERATE_CONSTRAINTS",
+        "LHA",
+        "{candidate: 'x <= _1;', vcs: [F_flow_a, F_flow_b]}",
+        None,
+        [],
+        "vcs entry F_flow_b matches no verification condition",
+    ),
+    ("CHATTER_FREE", "LHA", "{vcs: [a_a_1, a_b_1]}", ENVELOPED_LHA % LOOP_EDGE, [], "vcs entry a_b_1 matches no edge"),
+    (
+        "CHATTER_FREE",
+        "LHA",
+        "{}",
+        "{file: 'variables: x; mode a: inv: x <= _1; flow: d(x) <= _1; %s'}" % LOOP_EDGE,
+        [],
+        "edge a -> a has no inner envelope on either side",
+    ),
+    (
+        "CHECK_INVARIANT",
+        "LHA",
+        "{candidate: 'x <= _1;'}",
+        "{file: 'variables: x; mode a: inv: x <= _1; flow: c * d(x) <= _1;'}",
+        [],
+        "derivative term scaled by a symbol in c * d(x)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, spec_type, options, specification, flags, message",
+    INPUT_ERRORS,
+    ids=[
+        "candidate",
+        "assumption",
+        "assumption-disequality",
+        "assumption-or",
+        "epsilon",
+        "assume-flag",
+        "seed-closure-flag",
+        "vcs-condition",
+        "vcs-edge",
+        "no-envelope",
+        "scaled-derivative",
+    ],
+)
+def test_input_error_of_second_task_runs_no_task(
+    tmp_path, capsys, monkeypatch, mode, spec_type, options, specification, flags, message
+):
+    """An error in any input of any task (an option text, a flag read
+    against the task's signature, or the automaton conditions built from
+    them) is a parse error naming the task and the input, exit 2, found
+    before the first task runs: no report and no result is printed."""
+    ran = []
+    monkeypatch.setattr(TaskRunner, "run", lambda self, *args: ran.append(args))
+    (tmp_path / "seeds.txt").write_text("f(x\n")
+    task_file = tmp_path / "two_tasks.yaml"
+    task_file.write_text("tasks:\n%s    bad: %s\n" % (FIRST_TASK, task_text(mode, spec_type, options, specification)))
+    flags = [f.format(seeds=tmp_path / "seeds.txt") for f in flags]
+    assert main([str(task_file)] + flags) == 2
+    out, err = capsys.readouterr()
+    *warnings, error = err.splitlines()
+    assert error == "parse error: task bad: " + message
+    assert all(w.startswith("warning: task first: flag ") for w in warnings)
+    assert not out and not ran
 
 
 @pytest.mark.parametrize(
@@ -517,19 +641,22 @@ tasks:
     assert main([str(nonlinear)]) == 1
 
 
-DISEQUALITY_ERROR = "engine error: assumption d1 != _5 is a disjunction; assume one side of it"
+DISEQUALITY_ERROR = (
+    "parse error: task example constraint generation: %s: assumption d1 != _5 is a disjunction; assume one side of it"
+)
 
 
 def test_disequality_assumption_rejected(tmp_path, capsys):
     """p != c cannot be assumed: it is p < c or p > c, and reading it as
-    both halves at once would make every result vacuously true."""
-    assert main([str(DATA / "ex1_constraint.yaml"), "--assume", "d1 != _5"]) == 1
-    assert capsys.readouterr().err.strip() == DISEQUALITY_ERROR
+    both halves at once would make every result vacuously true.  It is
+    an input error of the task that gives it, exit 2."""
+    assert main([str(DATA / "ex1_constraint.yaml"), "--assume", "d1 != _5"]) == 2
+    assert capsys.readouterr().err.strip() == DISEQUALITY_ERROR % "flag --assume"
     task_file = tmp_path / "assumed.yaml"
     text = (DATA / "ex1_constraint.yaml").read_text()
     task_file.write_text(text.replace("            slfq_query: true\n", "            slfq_query: true\n            assumptions: [d1 != _5]\n"))
-    assert main([str(task_file)]) == 1
-    assert capsys.readouterr().err.strip() == DISEQUALITY_ERROR
+    assert main([str(task_file)]) == 2
+    assert capsys.readouterr().err.strip() == DISEQUALITY_ERROR % "option assumptions"
     assert main([str(DATA / "ex1_constraint.yaml"), "--assume", "d1 <= _5"]) == 0
     assert "    Result: (FORALL i). OR(a(i + _1) - a(i) >= _0, d1 - d2 > _0)" in capsys.readouterr().out.splitlines()
 
@@ -550,6 +677,87 @@ def test_task_selection():
     flags = RunFlags(tasks=["nonexistent"])
     with pytest.raises(ParseError):
         run_file("ex1_constraint", flags)
+
+
+def test_task_name_matching_no_task_exit_two(capsys):
+    """Every --task name must name a task: a misspelt one beside a real
+    one is a parse error naming the names that match nothing, not a run
+    of the real task alone."""
+    path = str(DATA / "ex1_constraint.yaml")
+    args = [path, "--task", "example constraint generation", "--task", "typo", "--task", "example"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert err == "parse error: --task names no task: example, typo\n" and not out
+    assert main(args[:3]) == 0
+    assert "    Number of Tasks: 1" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        ("ex1_constraint", "parameter: [a, d1, d2]", "parameter: [a, d1, dd2]", "option parameter: dd2"),
+        ("ex1_constraint", "parameter: [a, d1, d2]", "eliminate: [b, ap, ip, d1p, d2p, e]", "option eliminate: e"),
+        ("ex2_strengthening", "parameter: [a, d1, d2]", "parameter: [a, c, d]", "option parameter: c, d"),
+        ("chem_mode1", "eliminate: [x1, x2, x3, x1p, x2p, x3p, t]", "parameter: [lf, ld]", "option parameter: ld"),
+    ],
+    ids=["hpilot-parameter", "hpilot-eliminate", "pts-parameter", "hpilot-flow-parameter"],
+)
+def test_parameter_naming_no_symbol_exit_two(tmp_path, capsys, name, old, new, message):
+    """A parameter, or an HPILOT task's eliminated symbol, that is no
+    symbol of the task would silently change which symbols a result
+    keeps: a parse error naming the task, the option and the names."""
+    text = (DATA / ("%s.yaml" % name)).read_text()
+    assert old in text
+    task_file = tmp_path / "misnamed.yaml"
+    task_file.write_text(text.replace(old, new))
+    assert main([str(task_file)]) == 2
+    task = parse_task_file(text).tasks
+    out, err = capsys.readouterr()
+    assert err == "parse error: task %s: %s names no symbol of the task\n" % (*task, message) and not out
+
+
+CHECK_PTS, STRENGTHEN_PTS = "CHECK_INVARIANT on PTS", "INVARIANT_STRENGTHENING on PTS"
+GENERATE_HPILOT = "GENERATE_CONSTRAINTS on HPILOT"
+IGNORED = [
+    ("pts_check_unsorted", "print_steps: true", "assumptions: [d1 >= _0]", [], "option 'assumptions'", CHECK_PTS),
+    ("ex2_strengthening", "inv_str_max_iter: 2", "assumptions: [d1 >= _0]", [], "option 'assumptions'", STRENGTHEN_PTS),
+    ("ex1_constraint", "slfq_query: true", "epsilon: _1", [], "option 'epsilon'", GENERATE_HPILOT),
+    ("ex1_constraint", "slfq_query: true", "candidate: 'd1 <= ;'", [], "option 'candidate'", GENERATE_HPILOT),
+    ("pts_check_unsorted", "", "", ["--dump-reduction"], "flag --dump-reduction", CHECK_PTS),
+    ("ex2_strengthening", "", "", ["--dump-smtlib", "{tmp}"], "flag --dump-smtlib", STRENGTHEN_PTS),
+    ("pts_check_unsorted", "", "", ["--assume", "d1 <= ;"], "flag --assume", CHECK_PTS),
+]
+
+
+@pytest.mark.parametrize(
+    "name, after, line, flags, ignored, reader",
+    IGNORED,
+    ids=[
+        "assumptions-check",
+        "assumptions-strengthen",
+        "epsilon",
+        "candidate",
+        "dump-reduction",
+        "dump-smtlib",
+        "assume",
+    ],
+)
+def test_input_the_mode_never_reads_warns(tmp_path, capsys, name, after, line, flags, ignored, reader):
+    """An option or a flag that the task's mode never reads is ignored,
+    and not parsed, with a warning on stderr; the exit code and the
+    report are those of the run without it, and no file is written."""
+    plain = DATA / ("%s.yaml" % name)
+    task_file = tmp_path / "ignored.yaml"
+    text = plain.read_text()
+    task_file.write_text(text.replace(after, "%s\n            %s" % (after, line)) if line else text)
+    assert main([str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert main([str(task_file)] + [f.format(tmp=tmp_path / "scripts") for f in flags]) == 0
+    out, err = capsys.readouterr()
+    (task,) = parse_task_file(text).tasks
+    assert err == expected.err + "warning: task %s: %s ignored by %s\n" % (task, ignored, reader)
+    assert mask_report(out) == mask_report(expected.out)
+    assert not any(tmp_path.glob("scripts/*"))
 
 
 def test_dump_smtlib(tmp_path, capsys):
