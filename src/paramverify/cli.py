@@ -66,9 +66,9 @@ def main(argv=None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report)
     if args.dump_smtlib:
-        os.makedirs(args.dump_smtlib, exist_ok=True)
         for outcome in outcomes:
             for label, script in outcome.smtlib:
+                os.makedirs(args.dump_smtlib, exist_ok=True)
                 path = os.path.join(
                     args.dump_smtlib, "%s__%s.smt2" % (_sanitize(outcome.name), _sanitize(label))
                 )

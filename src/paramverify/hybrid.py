@@ -114,9 +114,10 @@ def flow_relax(
 
 
 class NamedVC(Record):
-    def __init__(self, name, statements):
+    def __init__(self, name, statements, duration):
         self.name: str = name
         self.statements: List[Formula] = statements
+        self.duration: str = duration  # t, or t_vc / t_cf when t is a symbol of the automaton
 
 
 def _selected(items: list, names: Optional[Sequence[str]], matches, what: str) -> list:
@@ -144,7 +145,7 @@ def vcs_invariant(automaton: HybridAutomaton, candidate: Sequence[Formula], name
     zero: Term = Num(Fraction(0))
     for name, mode in automaton.modes.items():
         if mode.init:
-            out.append(NamedVC("I_%s" % name, list(mode.init) + [neg_plain]))
+            out.append(NamedVC("I_%s" % name, list(mode.init) + [neg_plain], tname))
     for name, mode in automaton.modes.items():
         statements = (
             list(candidate)
@@ -153,11 +154,11 @@ def vcs_invariant(automaton: HybridAutomaton, candidate: Sequence[Formula], name
             + primed_of(mode.inv)
             + [neg_primed, Atom(">=", t, zero)]
         )
-        out.append(NamedVC("F_flow_%s" % name, statements))
+        out.append(NamedVC("F_flow_%s" % name, statements, tname))
     for edge in automaton.edges:
         target_inv = automaton.modes[edge.target].inv
         statements = list(candidate) + list(edge.jump) + primed_of(target_inv) + [neg_primed]
-        out.append(NamedVC("F_jump_%s" % edge.label(), statements))
+        out.append(NamedVC("F_jump_%s" % edge.label(), statements, tname))
     return _selected(out, names, lambda vc, name: vc.name == name, "verification condition")
 
 
@@ -193,7 +194,7 @@ def vcs_chatterfree(
                 + list(edge.jump)
                 + [negate_universal(primed_of(target.inenv), avoid=avoid)]
             )
-            landing.append(NamedVC("CF1_%s" % edge.label(), statements))
+            landing.append(NamedVC("CF1_%s" % edge.label(), statements, tname))
         if source.inenv:
             statements = (
                 list(source.inenv)
@@ -202,5 +203,5 @@ def vcs_chatterfree(
                 + [rename_symbols(g, renaming) for g in edge.guard]
                 + [Atom("<=", t, epsilon), Atom(">", t, zero)]
             )
-            dwelling.append(NamedVC("CF2_%s" % edge.label(), statements))
+            dwelling.append(NamedVC("CF2_%s" % edge.label(), statements, tname))
     return landing + dwelling

@@ -68,17 +68,18 @@ orders the atoms by LinAtom.key and caches the verdict per atom set.
 
 The ground decision procedure (decide) is DPLL over clauses with
 Fourier-Motzkin at the leaves.  It translates each literal once per
-call, and eliminates each distinct set of unit atoms once per call, in
-LinAtom.key order, keeping the steps: back-substituted, they give the
-units' witness, which does not depend on the interpreter's hash seed;
-it is checked against every unit and scaled once to integers.  Every
-probe is the units plus one atom.  A probe whose atom holds at the
-model, or whose atom has a column that no unit has, is satisfiable;
-otherwise the atom's row is carried through the recorded steps
-(_probe_sat) by the same step, and the verdict is memoised with the
-units' steps.  A unit the model violates drops the model until the
-round's model of the units.  decide makes no is_sat call and does not
-use the cache.
+call, on its first visit, negates its atoms (not its terms), repeats a
+round of propagation only after a new unit, and eliminates each distinct
+set of unit atoms once per call, in LinAtom.key order, keeping the
+steps: back-substituted, they give the units' witness, which does not
+depend on the interpreter's hash seed; it is checked against every unit
+and scaled once to integers.  Every probe is the units plus one atom.
+A probe whose atom holds at the model, or whose atom has a column that
+no unit has, is satisfiable; otherwise the atom's row is carried through
+the recorded steps (_probe_sat) by the same step, and the verdict is
+memoised with the units' steps.  A unit the model violates drops the
+model until the round's model of the units.  decide makes no is_sat
+call and does not use the cache.
 """
 
 from fractions import Fraction
@@ -87,7 +88,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import CaseExplosionError, EngineError, NonLinearError, SortError
-from .terms import And, Atom, App, Formula, Node, Num, Or, Term, Var, negate_atom, nnf
+from .terms import And, Atom, App, Formula, Node, Num, Or, Term, Var, nnf
 
 Monomial = Tuple[str, ...]
 Poly = Dict[Monomial, Fraction]
@@ -870,17 +871,28 @@ def decide(formulas, assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, 
     if not isinstance(formulas, (list, tuple)):
         formulas = [formulas]
     pending = [nnf(f) for f in formulas]
-    return _decide(frozenset(assumptions), pending, {}, {})
+    return _decide(frozenset(assumptions), pending, [], {}, {})
 
 
-# literal -> [its branches, the atoms of its negation (None until needed)]
-LiteralMemo = Dict[Atom, list]
+# literal -> (its branches, the atoms whose disjunction is its negation)
+LiteralMemo = Dict[Atom, tuple]
 
 
-def _translated(lit: Atom, memo: LiteralMemo) -> list:
+def _translated(lit: Atom, memo: LiteralMemo) -> tuple:
+    """Read once per decide call; the negation comes from the atoms."""
     entry = memo.get(lit)
     if entry is None:
-        entry = memo[lit] = [_lit_branches(lit), None]
+        branches = _lit_branches(lit)
+        a = branches[0][0]
+        if type(a) is bool:
+            negation = [not (a or branches[-1][0])]  # of a !=: neither half
+        elif len(branches) == 2:  # the halves of a !=
+            negation = [atom_of("=", dict(a.terms))]
+        elif a.rel == "=":
+            negation = [LinAtom("<", a.terms), LinAtom("<", _neg_terms(a.terms))]
+        else:
+            negation = [a.negated()]
+        entry = memo[lit] = branches, negation
     return entry
 
 
@@ -941,19 +953,26 @@ def _refuted(units: frozenset, a: Union[LinAtom, bool], model: Optional[ScaledMo
     without elimination when the model of the units satisfies a or a
     has a column that no unit has, else by replaying a through the
     units' elimination steps."""
-    if model is not None and (a is True or _holds(model, (a,))):
-        return False
+    if a is True:
+        return model is None and _unit_record(units, records)[0] is None
+    rel, p = _atom_row(a)
+    if model is not None:
+        total = 0  # a's row at the model, as _holds reads it
+        for v, c in p.items():
+            w = model.get(v)
+            if w:
+                total += c * w
+        if total <= 0 if rel == "<=" else total < 0 if rel == "<" else total == 0:
+            return False
     steps, _, verdicts, columns = _unit_record(units, records)
     if steps is None:
         return True
-    if a is True:
-        return False
     # Take any model of the units: a column that no unit holds can take
     # the value that makes a's =, < or <= row hold, and every unit still
     # holds.  A product monomial is its own column here as in is_sat and
     # the replay.  columns also holds the constant's column "", as a
     # constant cannot be chosen.
-    if not columns.issuperset(_atom_row(a)[1]):
+    if not columns.issuperset(p):
         return False
     sat = verdicts.get(a)
     if sat is None:
@@ -961,10 +980,15 @@ def _refuted(units: frozenset, a: Union[LinAtom, bool], model: Optional[ScaledMo
     return not sat
 
 
+def _clause(f: Formula) -> tuple:
+    """A clause in propagation: (f, its literals as [literal, memo entry or None until visited])."""
+    return f, [[lit, None] for lit in (f.parts if isinstance(f, Or) else (f,))]
+
+
 def _decide(
-    units: frozenset, pending: List[Formula], memo: LiteralMemo, records: UnitRecords
+    units: frozenset, pending: List[Formula], clauses: List[tuple], memo: LiteralMemo, records: UnitRecords
 ) -> Optional[Dict[str, Fraction]]:
-    complexes: List[Formula] = []
+    """A witness of units, pending and clauses (entered at a node above), or None."""
     new_units: List[LinAtom] = []
     stack = list(pending)
     while stack:
@@ -973,7 +997,7 @@ def _decide(
             stack.extend(f.parts)
         elif isinstance(f, Atom):
             if f.rel == "!=":
-                complexes.append(f)
+                clauses.append(_clause(f))
                 continue
             for a in _translated(f, memo)[0][0]:
                 if a is False:
@@ -983,7 +1007,7 @@ def _decide(
         elif isinstance(f, Or):
             if not f.parts:
                 return None
-            complexes.append(f)
+            clauses.append(_clause(f))
         else:
             raise SortError("decide expects ground clause structure, found %s" % type(f).__name__)
     units = units.union(new_units)
@@ -992,67 +1016,62 @@ def _decide(
     if witness is None:
         return None
     model = _scaled(witness)
-    # unit propagation: drop satisfied clauses, prune impossible literals
-    changed = True
-    while changed and complexes:
-        changed = False
-        remaining: List[Formula] = []
-        for f in complexes:
-            lits = list(f.parts) if isinstance(f, Or) else [f]
-            viable: List[Formula] = []
-            satisfied = False
-            for lit in lits:
-                if isinstance(lit, Atom):
-                    entry = _translated(lit, memo)
-                    if all(a is False or _refuted(units, a, model, records) for (a,) in entry[0]):
+    # unit propagation: drop satisfied clauses, prune impossible literals;
+    # a round without a new unit would give the answers of the one before
+    new = True
+    while new and clauses:
+        new = False
+        remaining: List[tuple] = []
+        for f, lits in clauses:
+            viable = []
+            for item in lits:
+                lit, entry = item
+                if entry is None and isinstance(lit, Atom):
+                    entry = item[1] = _translated(lit, memo)
+                if entry is not None:
+                    for (a,) in entry[0]:
+                        if a is not False and not _refuted(units, a, model, records):
+                            break
+                    else:
                         continue  # literal cannot hold
-                    negated = entry[1]
-                    if negated is None:
-                        negated = entry[1] = [x for b in _lit_branches(negate_atom(lit)) for x in b]
-                    if all(a is not True for a in negated) and all(
-                        _refuted(units, a, model, records) for a in negated if a is not False
-                    ):
-                        satisfied = True
-                        break
-                viable.append(lit)
-            if satisfied:
-                changed = True
-                continue
-            if not viable:
-                return None
-            if len(viable) == 1 and isinstance(viable[0], Atom) and viable[0].rel != "!=":
-                for a in _translated(viable[0], memo)[0][0]:
-                    if a is False:
-                        return None
-                    if a is not True:
-                        units = units.union((a,))
-                        if model is not None and not _holds(model, (a,)):
-                            model = None
-                changed = True
-                continue
-            if len(viable) < len(lits):
-                changed = True
-                remaining.append(Or(tuple(viable)) if len(viable) > 1 else viable[0])
+                    for a in entry[1]:
+                        if a is True or (a is not False and not _refuted(units, a, model, records)):
+                            break
+                    else:
+                        break  # literal holds: the clause is satisfied
+                viable.append(item)
             else:
-                remaining.append(f)
-        complexes = remaining
-        if changed:
+                if not viable:
+                    return None
+                lit, entry = viable[0]
+                if len(viable) == 1 and entry is not None and lit.rel != "!=":
+                    ((a,),) = entry[0]  # neither False (it is viable) nor True (it would hold)
+                    units = units.union((a,))
+                    if model is not None and not _holds(model, (a,)):
+                        model = None
+                    new = True
+                elif len(viable) == len(lits):
+                    remaining.append((f, lits))
+                else:
+                    remaining.append((Or(tuple(lit for lit, _ in viable)), viable) if len(viable) > 1 else _clause(lit))
+        clauses = remaining
+        if new:
             witness = _unit_model(units, records)
             if witness is None:
                 return None
             model = _scaled(witness)
-    if not complexes:
+    if not clauses:
         witness = _unit_model(units, records)
         return None if witness is None else dict(witness)
-    complexes.sort(key=lambda f: len(f.parts) if isinstance(f, Or) else 2)
-    first = complexes[0]
-    rest = complexes[1:]
+    clauses.sort(key=lambda c: len(c[0].parts) if isinstance(c[0], Or) else 2)
+    first = clauses[0][0]
+    rest = clauses[:0:-1]  # a child visits the other clauses last first
     if isinstance(first, Atom):  # a != literal: branch on < and >
         branches: List[Formula] = [Atom("<", first.lhs, first.rhs), Atom(">", first.lhs, first.rhs)]
     else:
         branches = list(first.parts)
     for b in branches:
-        w = _decide(units, [b] + rest, memo, records)
+        w = _decide(units, [b], rest[:], memo, records)
         if w is not None:
             return w
     return None

@@ -130,9 +130,9 @@ class TaskRunner:
     def _constraints_for_vcs(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
         eliminate = task.options.get("eliminate")
         if eliminate is None and task.options.get("parameter") is None:
-            # by default, eliminate the state variables, their primed copies and the time
+            # by default, the state variables, their primed copies and the duration the conditions share
             variables = task.body.variables
-            eliminate = variables + [primed(x) for x in variables] + ["t"]
+            eliminate = variables + [primed(x) for x in variables] + [vc.duration for vc in vcs[:1]]
         extra: List[Tuple[int, str]] = []
         results = []
         for vc in vcs:

@@ -14,13 +14,14 @@ reach a replay.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import oracles
 from oracles import evaluate, random_conjunct, reference_decide, reference_is_sat
-from paramverify import linear
+from paramverify import linear, terms
 from paramverify.linear import decide, make_atom
 from paramverify.parsing import parse_statements, parse_term_string
 from paramverify.reduction import reduce_chain
@@ -110,6 +111,47 @@ def test_decide_matches_reference_on_random_instances(monkeypatch):
         saved += fewer
     assert verdicts == {True, False}
     assert saved > 0
+
+
+def test_each_literal_is_read_once_and_negations_come_from_atoms(monkeypatch):
+    """Within one decide call each distinct literal's terms are read
+    (_lit_branches) at most once, and a literal's negation comes from
+    its translated atoms: no atom that negate_atom builds after the
+    input's negation normal form is ever read."""
+    reads, built = [], []
+    in_nnf = [False]
+    real_nnf, real_branches, real_negate = linear.nnf, linear._lit_branches, terms.negate_atom
+
+    def nnf(f):
+        in_nnf[0] = True
+        try:
+            return real_nnf(f)
+        finally:
+            in_nnf[0] = False
+
+    def negate(a):
+        b = real_negate(a)
+        if not in_nnf[0]:
+            built.append(b)
+        return b
+
+    def branches(lit):
+        reads.append(lit)
+        return real_branches(lit)
+
+    monkeypatch.setattr(linear, "nnf", nnf)
+    monkeypatch.setattr(terms, "negate_atom", negate)
+    monkeypatch.setattr(linear, "negate_atom", negate, raising=False)
+    monkeypatch.setattr(linear, "_lit_branches", branches)
+    total = 0
+    for ground in random_instances():
+        del reads[:], built[:]
+        decide(ground)
+        assert max(Counter(reads).values()) == 1
+        negations = {id(b) for b in built}
+        assert not any(id(lit) in negations for lit in reads)
+        total += len(reads)
+    assert total >= 500
 
 
 def free_columns(units, a):

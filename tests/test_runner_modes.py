@@ -155,6 +155,32 @@ def test_chatter_free_mode():
     assert "epsilon" in line and "ea" in line
 
 
+USER_T_LHA = """
+variables: x;
+mode a: inv: x <= p; inenv: x <= p - _1; flow: d(x) <= _1; init: x = _0;
+mode b: inv: x >= _0; inenv: x >= _1; flow: d(x) >= -_1;
+edge a -> b: guard: x >= p; jump: xp = x;
+"""
+
+
+def test_default_elimination_keeps_a_user_t_free():
+    """When t is a symbol of the task, the conditions name their duration
+    t_vc (invariance) or t_cf (chatter-freedom); the default elimination
+    removes that duration and keeps the user's t as a parameter."""
+    invariance = lha_task("GENERATE_CONSTRAINTS", 'candidate: "x <= t;"', USER_T_LHA)
+    chatter = lha_task("CHATTER_FREE", "epsilon: t", USER_T_LHA)
+    results = []
+    for text in (invariance, chatter):
+        report, code, _ = run_task_file(text)
+        assert code == 0
+        lines = report.splitlines()
+        start = lines.index("    Result:")
+        results += [l.strip() for l in lines[start + 1 :] if l.startswith("        ")]
+    assert not any("t_vc" in l or "t_cf" in l for l in results), results
+    assert "I_a: t >= _0" in results and "F_flow_a: p - t <= _0" in results
+    assert "CF2_a_b_1: t < _1" in results
+
+
 def test_multi_clause_constraint_block_is_reparseable():
     """Quantified multi-clause constraints print one statement per line
     under a "|-" block, so every line re-parses as a statement."""
