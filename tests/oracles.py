@@ -437,8 +437,10 @@ def _reference_decide(units: List[LinAtom], pending: List[Formula]) -> Optional[
     rest = complexes[1:]
     if isinstance(first, Atom):  # a != literal: branch on < and >
         branches: List[Formula] = [Atom("<", first.lhs, first.rhs), Atom(">", first.lhs, first.rhs)]
-    else:
+    elif isinstance(first, Or):
         branches = list(first.parts)
+    else:  # a clause shrunk to one conjunction: it holds, so it enters whole
+        return _reference_decide(list(units), complexes)
     for b in branches:
         w = _reference_decide(list(units), [b] + rest)
         if w is not None:

@@ -265,6 +265,27 @@ def test_unit_violating_the_model_drops_it(monkeypatch):
     assert witness is not None and witness["x"] >= 5 and witness["y"] == 3
 
 
+@pytest.mark.parametrize(
+    "text, sat",
+    [
+        ("OR(x <= _0, AND(y = _1, y = _2)); x >= _1;", False),
+        ("OR(x <= _0, AND(y = _1, y = _2)); OR(z <= _0, z >= _1); x >= _1;", False),
+        ("OR(x <= _0, AND(y = _1, OR(y = _2, z = _1))); x >= _1; z <= _0;", False),
+        ("OR(x <= _0, AND(y >= _1, y <= _2)); OR(z <= _0, z >= _1); x >= _1; y >= _2;", True),
+    ],
+)
+def test_a_conjunction_left_alone_in_a_clause_holds_whole(monkeypatch, text, sat):
+    """x >= 1 refutes x <= 0, so only the conjunction is left of its
+    clause and every part of it must hold.  Branching on its parts as
+    alternatives would let y = 1 alone through and give a witness of an
+    unsatisfiable input, whether the conjunction is the only clause
+    left or sorts beside another two-literal clause."""
+    calls = recorded_calls(monkeypatch)
+    formulas = parse_statements(text, Signature())
+    witness, _ = check_against_reference(formulas, calls)
+    assert (witness is not None) == sat
+
+
 def negations(a):
     """The atoms whose disjunction is the negation of a."""
     if a.rel != "=":
