@@ -10,7 +10,7 @@ import re
 import sys
 
 from .errors import EngineError, ParseError
-from .runner import RunFlags, run_task_file
+from .runner import RunFlags, read_text, run_task_file
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,17 +49,15 @@ def main(argv=None) -> int:
         dump_reduction=args.dump_reduction,
     )
     try:
-        with open(args.taskfile, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        report, code, outcomes = run_task_file(text, flags, warn=_warn)
+        report, code, outcomes = run_task_file(read_text(args.taskfile), flags, warn=_warn)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
     except EngineError as exc:
         print("engine error: %s" % exc, file=sys.stderr)
         return 1
-    except OSError as exc:
-        print("cannot read %s: %s" % (args.taskfile, exc), file=sys.stderr)
+    except OSError as exc:  # the task file's or the --seed-closure file's
+        print("cannot read %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
         return 2
     sys.stdout.write(report)
     if args.out:

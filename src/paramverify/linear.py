@@ -489,7 +489,7 @@ def _witness(steps: Steps, atoms: Iterable[LinAtom]) -> Dict[str, Fraction]:
     witness = _back_substitute(steps)
     model = _scaled(witness)
     for a in atoms:
-        if not _holds(model, (a,)):
+        if not _holds(model, a):
             from .printing import print_formula
 
             raise EngineError("ground witness violates %s" % print_formula(lin_to_atom(a)))
@@ -906,19 +906,16 @@ def _scaled(model: Dict[str, Fraction]) -> ScaledModel:
     return {"": d, **{v: w.numerator * (d // w.denominator) for v, w in model.items() if w}}
 
 
-def _holds(model: ScaledModel, atoms: Iterable[LinAtom]) -> bool:
-    """Every atom holds at the scaled model, read as is_sat reads atoms:
+def _holds(model: ScaledModel, a: LinAtom) -> bool:
+    """The atom holds at the scaled model, read as is_sat reads atoms:
     a product monomial is its own column, a missing symbol is 0."""
-    for a in atoms:
-        rel, p = _atom_row(a)
-        total = 0
-        for v, c in p.items():
-            w = model.get(v)
-            if w:
-                total += c * w
-        if not (total <= 0 if rel == "<=" else total < 0 if rel == "<" else total == 0):
-            return False
-    return True
+    rel, p = _atom_row(a)
+    total = 0
+    for v, c in p.items():
+        w = model.get(v)
+        if w:
+            total += c * w
+    return total <= 0 if rel == "<=" else total < 0 if rel == "<" else total == 0
 
 
 # unit set -> [its elimination steps (None: unsatisfiable), its witness
@@ -1045,7 +1042,7 @@ def _decide(
                 if len(viable) == 1 and entry is not None and lit.rel != "!=":
                     ((a,),) = entry[0]  # neither False (it is viable) nor True (it would hold)
                     units = units.union((a,))
-                    if model is not None and not _holds(model, (a,)):
+                    if model is not None and not _holds(model, a):
                         model = None
                     new = True
                 elif len(viable) == len(lits):

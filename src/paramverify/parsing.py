@@ -13,8 +13,13 @@ listings this tool consumes:
 
 Statements are ";"-terminated, quantifier prefixes are written
 "(FORALL v1,v2).", implications use "-->", and numerals carry a leading
-underscore ("_1", "_3/2").  Task files are YAML documents whose layout
-matches the task listings (tasks, per-task mode/options/specification).
+underscore ("_1", "_3/2").  tokenize reads a text with one compiled
+pattern into plain (kind, text) pairs; a token's line and column are
+found again only for an error.  Digits are decimal digits, the digits
+int reads, so "_²" is a malformed numeral; a numeral with a zero
+denominator is a ParseError at the numeral.  Task files are YAML
+documents whose layout matches the task listings (tasks, per-task
+mode/options/specification).
 
 Each task's body is the record the engine runs: a ProblemSpec (HPILOT),
 a TransitionSystem (PTS) or a HybridAutomaton (LHA, its atoms checked
@@ -24,9 +29,10 @@ the texts of the options its mode reads included, so every malformed
 task is a ParseError that names it.
 """
 
+import re
 from fractions import Fraction
 from math import isfinite
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import EngineError, ParseError, SignatureError, SortError
 from .linear import assumptions_from
@@ -40,7 +46,6 @@ from .terms import (
     Num,
     Or,
     And,
-    Node,
     Not,
     Record,
     Signature,
@@ -60,119 +65,70 @@ MAX_FORMULA_DEPTH = 50
 
 SECTION_NAMES = ("Base_functions", "Extension_functions", "Relations", "Clauses", "Query")
 
-_OPERATORS = [
-    ":=",
-    "-->",
-    "->",
-    "<=",
-    ">=",
-    "!=",
-    "<",
-    ">",
-    "=",
-    "+",
-    "-",
-    "*",
-    "(",
-    ")",
-    "{",
-    "}",
-    ",",
-    ";",
-    ".",
-    ":",
-]
+# One token a match, after the blanks before it.  A numeral's digits are
+# never cut short and its '/' must lead to digits, so "_12/x" matches no
+# numeral: it is malformed at its '_'.  Group 2 also matches a word whose
+# first character is neither a letter nor a decimal digit, such as
+# "²abc" or "½"; tokenize rejects it, as identifiers start with a letter.
+_TOKEN = re.compile(
+    r"\s*(?:"
+    r"(_-?\d+(?!\d)(?:/\d+|(?!/)))"  # 1 NUMERAL
+    r"|([^\W\d_]\w*)"  # 2 IDENT
+    r"|(\d+)"  # 3 INT
+    r"|(:=|-->|->|<=|>=|!=|[-<>=+*(){},;.:])"  # 4 OP
+    r"|#.*"  # a comment
+    r"|(\S))"  # 5 a character no token starts with
+)
+_KINDS = (None, "NUMERAL", "IDENT", "INT", "OP")
+# an operator of two or three characters is one string, not one for
+# each atom that keeps it as its relation
+_SHARED_TEXTS = {op: op for op in (":=", "-->", "->", "<=", ">=", "!=")}
 
-
-class Token(Node):
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        object.__setattr__(self, "kind", kind)  # IDENT | INT | NUMERAL | OP | EOF
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
-
-    def __eq__(self, other):
-        return (
-            type(other) is Token
-            and self.kind == other.kind
-            and self.text == other.text
-            and self.line == other.line
-            and self.column == other.column
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.text, self.line, self.column))
+# (kind, text), kind one of IDENT, INT, NUMERAL, OP, EOF.  A token holds
+# no position; token_starts finds it again for an error.  CPython keeps up
+# to 2,000 freed tuples of each length for reuse, and the engine reuses
+# pairs but too few longer tuples: tokens that also held their line and
+# column, or a list of their offsets, left memory behind that raised a
+# run's peak by 0.1-0.15 MB.
+Token = Tuple[str, str]
+_EOF: Token = ("EOF", "")
 
 
 def tokenize(text: str) -> List[Token]:
+    """The tokens of text, the last an EOF token."""
     tokens: List[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "_":
-            j = i + 1
-            if j < n and text[j] == "-":
-                j += 1
-            start_digits = j
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == start_digits:
-                raise ParseError("malformed numeral", line, col)
-            if j < n and text[j] == "/":
-                j += 1
-                k = j
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j == k:
-                    raise ParseError("malformed numeral", line, col)
-            tokens.append(Token("NUMERAL", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("OP", op, line, col))
-                col += len(op)
-                i += len(op)
-                break
-        else:
-            raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("EOF", "", line, col))
+    pos = 0
+    match = _TOKEN.match
+    while True:
+        m = match(text, pos)
+        if m is None:  # only blanks are left
+            break
+        pos = m.end()
+        k = m.lastindex
+        if k:
+            token_text = m.group(k)
+            if k == 5 or k == 2 and not token_text[0].isalpha():
+                ch = token_text[0]
+                message = "malformed numeral" if ch == "_" else "unexpected character %r" % ch
+                raise ParseError(message, *position(text, m.start(k)))
+            tokens.append((_KINDS[k], _SHARED_TEXTS.get(token_text, token_text)))
+    tokens.append(_EOF)
     return tokens
+
+
+def token_starts(text: str) -> List[int]:
+    """The offset in text of each of its tokens, which tokenize has read
+    without an error.  A comment that ends the text leaves the EOF token
+    at its '#'."""
+    starts = [m.start(m.lastindex) for m in _TOKEN.finditer(text) if m.lastindex]
+    comment = text.find("#", text.rfind("\n") + 1)
+    starts.append(len(text) if comment < 0 else comment)
+    return starts
+
+
+def position(text: str, offset: int) -> Tuple[int, int]:
+    """The line and column, both counted from 1, of text[offset]."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class ProblemSpec(Record):
@@ -245,7 +201,9 @@ class HybridAutomaton(Record):
 
 class Parser:
     def __init__(self, text: str, sig: Optional[Signature] = None):
+        self.text = text
         self.tokens = tokenize(text)
+        self.tokens.append(_EOF)  # a second EOF token: peek(1) is a plain index
         self.pos = 0
         self.sig = sig if sig is not None else Signature()
         self.nesting = 0  # parentheses and argument lists open around the current term
@@ -253,42 +211,47 @@ class Parser:
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
     def expect(self, text: str) -> Token:
         tok = self.next()
-        if tok.text != text:
-            raise ParseError("expected %r, found %r" % (text, tok.text or "end of input"), tok.line, tok.column)
+        if tok[1] != text:
+            raise self._error("expected %r, found %r" % (text, tok[1] or "end of input"), tok)
         return tok
 
     def expect_ident(self) -> Token:
         tok = self.next()
-        if tok.kind != "IDENT":
-            raise ParseError("expected identifier, found %r" % (tok.text or "end of input"), tok.line, tok.column)
+        if tok[0] != "IDENT":
+            raise self._error("expected identifier, found %r" % (tok[1] or "end of input"), tok)
         return tok
 
     def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
+        return self.tokens[self.pos][0] == "EOF"
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+        return self._error(message, self.tokens[self.pos])
+
+    def _error(self, message: str, tok: Token) -> ParseError:
+        """A ParseError at tok.  Each token but EOF is a tuple of its own,
+        so its index is found by identity."""
+        index = [t is tok for t in self.tokens].index(True)
+        return ParseError(message, *position(self.text, token_starts(self.text)[index]))
 
     # -- declarations
 
     def parse_decl_set(self, with_level: bool) -> List[Tuple[str, int, int]]:
         self.expect("{")
         decls: List[Tuple[str, int, int]] = []
-        if self.peek().text != "}":
+        if self.peek()[1] != "}":
             while True:
                 decls.append(self.parse_decl(with_level))
-                if self.peek().text != ",":
+                if self.peek()[1] != ",":
                     break
                 self.next()
         self.expect("}")
@@ -297,13 +260,13 @@ class Parser:
     def parse_decl(self, with_level: bool) -> Tuple[str, int, int]:
         self.expect("(")
         tok = self.next()
-        if tok.kind not in ("IDENT", "OP") or tok.text in ("(", ")", "{", "}", ",", ";"):
-            raise ParseError("expected a function or relation name", tok.line, tok.column)
-        name = tok.text
+        if tok[0] not in ("IDENT", "OP") or tok[1] in ("(", ")", "{", "}", ",", ";"):
+            raise self._error("expected a function or relation name", tok)
+        name = tok[1]
         self.expect(",")
         arity = self.parse_int()
         level = 0
-        if with_level and self.peek().text == ",":
+        if with_level and self.peek()[1] == ",":
             self.next()
             level = self.parse_int()
         self.expect(")")
@@ -311,9 +274,9 @@ class Parser:
 
     def parse_int(self) -> int:
         tok = self.next()
-        if tok.kind != "INT":
-            raise ParseError("expected an integer, found %r" % tok.text, tok.line, tok.column)
-        return int(tok.text)
+        if tok[0] != "INT":
+            raise self._error("expected an integer, found %r" % tok[1], tok)
+        return int(tok[1])
 
     # -- terms and formulas
 
@@ -325,20 +288,20 @@ class Parser:
 
     def _deeper(self, depth: int, tok: Token) -> int:
         if depth >= MAX_TERM_DEPTH:
-            raise ParseError("term nested deeper than %d levels" % MAX_TERM_DEPTH, tok.line, tok.column)
+            raise self._error("term nested deeper than %d levels" % MAX_TERM_DEPTH, tok)
         return depth + 1
 
     def _term(self, scope: Tuple[str, ...]) -> Tuple[Term, int]:
         left, depth = self._factor(scope)
-        while self.peek().text in ("+", "-") and self.peek().kind == "OP":
+        while self.peek()[1] in ("+", "-"):
             tok = self.next()
             right, rdepth = self._factor(scope)
-            left, depth = App(tok.text, (left, right)), self._deeper(max(depth, rdepth), tok)
+            left, depth = App(tok[1], (left, right)), self._deeper(max(depth, rdepth), tok)
         return left, depth
 
     def _factor(self, scope: Tuple[str, ...]) -> Tuple[Term, int]:
         left, depth = self._unary(scope)
-        while self.peek().text == "*" and self.peek().kind == "OP":
+        while self.peek()[1] == "*":
             tok = self.next()
             right, rdepth = self._unary(scope)
             left, depth = App("*", (left, right)), self._deeper(max(depth, rdepth), tok)
@@ -346,7 +309,7 @@ class Parser:
 
     def _unary(self, scope: Tuple[str, ...]) -> Tuple[Term, int]:
         signs: List[Token] = []
-        while self.peek().text == "-" and self.peek().kind == "OP":
+        while self.peek()[1] == "-":
             signs.append(self.next())
         term, depth = self._primary(scope)
         for tok in reversed(signs):
@@ -355,52 +318,55 @@ class Parser:
 
     def _primary(self, scope: Tuple[str, ...]) -> Tuple[Term, int]:
         tok = self.peek()
-        if tok.kind == "NUMERAL":
+        if tok[0] == "NUMERAL":
             self.next()
-            return Num(Fraction(tok.text[1:])), 0
-        if tok.text == "(":
+            try:
+                return Num(Fraction(tok[1][1:])), 0
+            except ZeroDivisionError:
+                raise self._error("numeral with zero denominator", tok)
+        if tok[1] == "(":
             self.next()
             self.nesting = self._deeper(self.nesting, tok)
             inner, depth = self._term(scope)
             self.nesting -= 1
             self.expect(")")
             return inner, self._deeper(depth, tok)
-        if tok.kind == "IDENT":
+        if tok[0] == "IDENT":
             self.next()
             depth = 0
-            if self.peek().text == "(":
+            if self.peek()[1] == "(":
                 self.next()
                 self.nesting = self._deeper(self.nesting, tok)
                 args = [self._term(scope)]
-                while self.peek().text == ",":
+                while self.peek()[1] == ",":
                     self.next()
                     args.append(self._term(scope))
                 self.nesting -= 1
                 self.expect(")")
-                term: Term = App(tok.text, tuple(t for t, _ in args))
+                term: Term = App(tok[1], tuple(t for t, _ in args))
                 depth = self._deeper(max(d for _, d in args), tok)
-            elif tok.text in scope:
-                return Var(tok.text), 0
+            elif tok[1] in scope:
+                return Var(tok[1]), 0
             else:
-                term = App(tok.text, ())
+                term = App(tok[1], ())
             try:
-                check_term(self.sig, term, set(scope))
+                check_term(self.sig, term, scope)
             except SignatureError as exc:
-                raise ParseError(str(exc), tok.line, tok.column)
+                raise self._error(str(exc), tok)
             return term, depth
-        raise ParseError("expected a term, found %r" % (tok.text or "end of input"), tok.line, tok.column)
+        raise self._error("expected a term, found %r" % (tok[1] or "end of input"), tok)
 
     # depth counts the connectives (OR, AND, NOT, -->) around the formula
     # being parsed
     def _deeper_formula(self, depth: int, tok: Token) -> int:
         if depth >= MAX_FORMULA_DEPTH:
-            raise ParseError("formula nested deeper than %d levels" % MAX_FORMULA_DEPTH, tok.line, tok.column)
+            raise self._error("formula nested deeper than %d levels" % MAX_FORMULA_DEPTH, tok)
         return depth + 1
 
     def parse_formula(self, scope: Tuple[str, ...], depth: int = 0) -> Formula:
         left = self.parse_disjunct(scope, depth)
         tok = self.peek()
-        if tok.text == "-->":
+        if tok[1] == "-->":
             self.next()
             right = self.parse_formula(scope, self._deeper_formula(depth, tok))
             return Implies(left, right)
@@ -408,26 +374,26 @@ class Parser:
 
     def parse_disjunct(self, scope: Tuple[str, ...], depth: int = 0) -> Formula:
         tok = self.peek()
-        if tok.kind == "IDENT" and tok.text in ("OR", "AND", "NOT") and self.peek(1).text == "(":
+        if tok[0] == "IDENT" and tok[1] in ("OR", "AND", "NOT") and self.peek(1)[1] == "(":
             depth = self._deeper_formula(depth, tok)
             self.next()
             self.next()
             parts = [self.parse_formula(scope, depth)]
-            while self.peek().text == ",":
+            while self.peek()[1] == ",":
                 self.next()
                 parts.append(self.parse_formula(scope, depth))
             self.expect(")")
-            if tok.text == "OR":
+            if tok[1] == "OR":
                 return Or(tuple(parts))
-            if tok.text == "AND":
+            if tok[1] == "AND":
                 return And(tuple(parts))
             if len(parts) != 1:
-                raise ParseError("NOT takes a single formula", tok.line, tok.column)
+                raise self._error("NOT takes a single formula", tok)
             return Not(parts[0])
-        if tok.kind == "IDENT" and tok.text == "true" and self.peek(1).text not in ("(",):
+        if tok[0] == "IDENT" and tok[1] == "true" and self.peek(1)[1] != "(":
             self.next()
             return TRUE
-        if tok.kind == "IDENT" and tok.text == "false" and self.peek(1).text not in ("(",):
+        if tok[0] == "IDENT" and tok[1] == "false" and self.peek(1)[1] != "(":
             self.next()
             return FALSE
         return self.parse_atom(scope)
@@ -435,29 +401,29 @@ class Parser:
     def parse_atom(self, scope: Tuple[str, ...]) -> Atom:
         lhs = self.parse_term(scope)
         tok = self.next()
-        if tok.text not in ("<=", "<", ">=", ">", "=", "!="):
-            raise ParseError("expected a relation, found %r" % (tok.text or "end of input"), tok.line, tok.column)
-        if tok.text not in ("=", "!=") and tok.text not in self.sig.relations and self.sig.relations:
-            raise ParseError("undeclared relation %s" % tok.text, tok.line, tok.column)
+        if tok[1] not in ("<=", "<", ">=", ">", "=", "!="):
+            raise self._error("expected a relation, found %r" % (tok[1] or "end of input"), tok)
+        if tok[1] not in ("=", "!=") and tok[1] not in self.sig.relations and self.sig.relations:
+            raise self._error("undeclared relation %s" % tok[1], tok)
         rhs = self.parse_term(scope)
-        return Atom(tok.text, lhs, rhs)
+        return Atom(tok[1], lhs, rhs)
 
     def parse_statement(self) -> Formula:
         scope: Tuple[str, ...] = ()
         quantified = False
         if (
-            self.peek().text == "("
-            and self.peek(1).kind == "IDENT"
-            and self.peek(1).text in ("FORALL", "EXISTS")
+            self.peek()[1] == "("
+            and self.peek(1)[0] == "IDENT"
+            and self.peek(1)[1] in ("FORALL", "EXISTS")
         ):
             self.next()
-            kind = self.next().text
+            kind = self.next()[1]
             if kind == "EXISTS":
                 raise self.error("existential statements are not supported")
-            names = [self.expect_ident().text]
-            while self.peek().text == ",":
+            names = [self.expect_ident()[1]]
+            while self.peek()[1] == ",":
                 self.next()
-                names.append(self.expect_ident().text)
+                names.append(self.expect_ident()[1])
             self.expect(")")
             self.expect(".")
             scope = tuple(names)
@@ -478,9 +444,9 @@ class Parser:
 
     def at_section(self) -> bool:
         return (
-            self.peek().kind == "IDENT"
-            and self.peek().text in SECTION_NAMES
-            and self.peek(1).text == ":="
+            self.peek()[0] == "IDENT"
+            and self.peek()[1] in SECTION_NAMES
+            and self.peek(1)[1] == ":="
         )
 
     def parse_spec_body(self) -> ProblemSpec:
@@ -489,7 +455,7 @@ class Parser:
         while not self.at_end():
             if not self.at_section():
                 raise self.error("expected a section header")
-            name = self.next().text
+            name = self.next()[1]
             self.expect(":=")
             if name in seen:
                 raise self.error("duplicate section %s" % name)
@@ -517,10 +483,10 @@ class Parser:
     def parse_lha_body(self) -> HybridAutomaton:
         self.expect("variables")
         self.expect(":")
-        variables = [self.expect_ident().text]
-        while self.peek().text == ",":
+        variables = [self.expect_ident()[1]]
+        while self.peek()[1] == ",":
             self.next()
-            variables.append(self.expect_ident().text)
+            variables.append(self.expect_ident()[1])
         self.expect(";")
         for x in variables:
             self.sig.declare_constant(x)
@@ -531,17 +497,17 @@ class Parser:
         parallel: Dict[Tuple[str, str], int] = {}
         while not self.at_end():
             tok = self.next()
-            if tok.text == "mode":
+            if tok[1] == "mode":
                 name = self.parse_name()
                 self.expect(":")
                 if name in modes:
-                    raise ParseError("duplicate mode %s" % name, tok.line, tok.column)
+                    raise self._error("duplicate mode %s" % name, tok)
                 mode = Mode(name)
                 modes[name] = mode
                 self.parse_lha_sections(
                     {"inv": mode.inv, "flow": mode.flow, "init": mode.init, "inenv": mode.inenv}
                 )
-            elif tok.text == "edge":
+            elif tok[1] == "edge":
                 source = self.parse_name()
                 self.expect("->")
                 target = self.parse_name()
@@ -551,45 +517,46 @@ class Parser:
                 edges.append(edge)
                 self.parse_lha_sections({"guard": edge.guard, "jump": edge.jump})
             else:
-                raise ParseError("expected 'mode' or 'edge', found %r" % tok.text, tok.line, tok.column)
+                raise self._error("expected 'mode' or 'edge', found %r" % tok[1], tok)
         for edge in edges:
             if edge.source not in modes or edge.target not in modes:
                 raise ParseError("edge %s -> %s references an unknown mode" % (edge.source, edge.target))
         del self.sig.base_functions["d"]
+        state, primed_state = set(variables), {primed(x) for x in variables}
         for mode in modes.values():
             for f in mode.flow:
-                _check_flow_atom(f, variables)
+                _check_flow_atom(f, state, primed_state)
             for where, fs in (("inv", mode.inv), ("init", mode.init), ("inenv", mode.inenv)):
                 for f in fs:
-                    _check_state_atom(f, variables, where, allow_primed=False)
+                    _check_state_atom(f, where, primed_state)
         for edge in edges:
             for f in edge.guard:
-                _check_state_atom(f, variables, "guard", allow_primed=False)
+                _check_state_atom(f, "guard", primed_state)
             for f in edge.jump:
-                _check_state_atom(f, variables, "jump", allow_primed=True)
+                _check_state_atom(f, "jump", set())  # a jump may mention the post-state
         return HybridAutomaton(variables, modes, edges, self.sig)
 
     def parse_name(self) -> str:
         tok = self.next()
-        if tok.kind not in ("IDENT", "INT"):
-            raise ParseError("expected a mode name, found %r" % tok.text, tok.line, tok.column)
-        return tok.text
+        if tok[0] not in ("IDENT", "INT"):
+            raise self._error("expected a mode name, found %r" % tok[1], tok)
+        return tok[1]
 
     def parse_lha_sections(self, sections: Dict[str, List[Formula]]) -> None:
         def at_boundary() -> bool:
             tok = self.peek()
-            if tok.kind != "IDENT":
+            if tok[0] != "IDENT":
                 return False
-            if tok.text in ("mode", "edge"):
+            if tok[1] in ("mode", "edge"):
                 return True
-            return tok.text in sections and self.peek(1).text == ":"
+            return tok[1] in sections and self.peek(1)[1] == ":"
 
         while not self.at_end():
             tok = self.peek()
-            if tok.text in ("mode", "edge"):
+            if tok[1] in ("mode", "edge"):
                 return
-            if tok.kind == "IDENT" and tok.text in sections and self.peek(1).text == ":":
-                key = self.next().text
+            if tok[0] == "IDENT" and tok[1] in sections and self.peek(1)[1] == ":":
+                key = self.next()[1]
                 self.next()
                 sections[key].extend(self.parse_statements_until(at_boundary))
             else:
@@ -612,7 +579,7 @@ def _walk_outside_derivatives(t: Term):
             yield from _walk_outside_derivatives(a)
 
 
-def _check_flow_atom(f: Formula, variables: List[str]) -> None:
+def _check_flow_atom(f: Formula, state: Set[str], primed_state: Set[str]) -> None:
     if not isinstance(f, Atom):
         raise SortError("flow conditions must be conjunctions of atoms")
     if f.rel not in NONSTRICT:
@@ -625,25 +592,25 @@ def _check_flow_atom(f: Formula, variables: List[str]) -> None:
                     from .printing import print_term  # only for this message: parsing does not load printing
 
                     raise SortError("malformed derivative term %s" % print_term(s))
-                if s.args[0].fn not in variables:
+                if s.args[0].fn not in state:
                     raise SortError("derivative of undeclared variable %s" % s.args[0].fn)
                 has_derivative = True
-            elif isinstance(s, App) and not s.args and s.fn in variables:
+            elif isinstance(s, App) and not s.args and s.fn in state:
                 raise SortError("flow condition mentions state variable %s" % s.fn)
-            elif isinstance(s, App) and not s.args and s.fn in [primed(x) for x in variables]:
+            elif isinstance(s, App) and not s.args and s.fn in primed_state:
                 raise SortError("flow condition mentions primed variable %s" % s.fn)
     if not has_derivative:
         raise SortError("flow condition without derivative term")
 
 
-def _check_state_atom(f: Formula, variables: List[str], where: str, allow_primed: bool) -> None:
+def _check_state_atom(f: Formula, where: str, primed_names: Set[str]) -> None:
+    """f is an atom that mentions no derivative and none of primed_names."""
     if not isinstance(f, Atom):
         raise SortError("%s predicates must be conjunctions of atoms" % where)
-    primed_names = [primed(x) for x in variables]
     for s in formula_subterms(f):
         if isinstance(s, App) and s.fn == "d":
             raise SortError("%s predicate mentions a derivative" % where)
-        if not allow_primed and isinstance(s, App) and not s.args and s.fn in primed_names:
+        if isinstance(s, App) and not s.args and s.fn in primed_names:
             raise SortError("%s predicate mentions primed variable %s" % (where, s.fn))
 
 

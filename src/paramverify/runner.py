@@ -11,6 +11,7 @@ prepare adds the run's flags and an automaton's verification
 conditions.  The handlers only compute and format.
 """
 
+import errno
 import time
 from datetime import datetime
 from fractions import Fraction
@@ -307,6 +308,16 @@ def format_report(outcomes: List[TaskOutcome], date: Optional[str] = None) -> st
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file.  A file that cannot be read or is not
+    UTF-8 text is an OSError whose filename is path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(errno.EILSEQ, "not UTF-8 text (%s)" % exc, path) from None
+
+
 def run_task_file(
     text: str, flags: Optional[RunFlags] = None, warn: Optional[Callable[[str], None]] = None
 ) -> Tuple[str, int, List[TaskOutcome]]:
@@ -326,10 +337,7 @@ def run_task_file(
         if unmatched:
             raise ParseError("--task names no task: %s" % ", ".join(unmatched))
         selected = [t for t in selected if t.name in flags.tasks]
-    seed_text = None
-    if flags.seed_closure:
-        with open(flags.seed_closure, "r", encoding="utf-8") as fh:
-            seed_text = fh.read()
+    seed_text = read_text(flags.seed_closure) if flags.seed_closure else None
     prepared = [(t,) + prepare(t, flags, seed_text, warn) for t in selected]
     runner = TaskRunner(flags)
     outcomes = [runner.run(*p) for p in prepared]

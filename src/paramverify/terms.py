@@ -30,7 +30,7 @@ linear's DNF.
 """
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .errors import SignatureError, SortError
 
@@ -558,7 +558,7 @@ def negate_universal(f: Union[Formula, Iterable[Formula]], avoid: Iterable[str] 
     return disj(disjuncts) if disjuncts else FALSE
 
 
-def check_term(sig: Signature, t: Term, scope: Set[str] = frozenset()) -> None:
+def check_term(sig: Signature, t: Term, scope: Collection[str] = ()) -> None:
     """Validate arities against the signature; an undeclared nullary
     symbol is registered as a constant on first use."""
     if isinstance(t, Var):

@@ -5,9 +5,10 @@ oracle decides one-variable satisfiability by direct interval
 reasoning, the reference Fourier-Motzkin decides conjunctions with
 Fraction rows, the reference decide() runs DPLL without the engine's
 literal memo, model shortcut and probe replay, the grid oracle compares formulas by
-evaluating them at sample points, and the full-instantiation oracle
+evaluating them at sample points, the full-instantiation oracle
 grounds extension axioms by brute force over all terms up to a fixed
-depth.
+depth, and the reference tokenizer scans a text character by character
+instead of through the parser's compiled pattern.
 
 Two helpers here are called only by tests: dnf_formula, which turns a
 DNF of linear atoms back into a formula, and entails_constraint, which
@@ -19,7 +20,7 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from paramverify.errors import EngineError, SortError
+from paramverify.errors import EngineError, ParseError, SortError
 from paramverify.linear import ZERO, LinAtom, _fm_steps, _mono_var, _witness, atom_to_lin, decide, lin_to_atom, make_atom
 from paramverify.reduction import reduce_chain
 from paramverify.symelim import constraint_statements
@@ -673,3 +674,101 @@ def entails_constraint(sig: Signature, stronger: Formula, weaker: Formula) -> bo
     work_sig.declare_constants_of(negated)
     reduced = reduce_chain(work_sig, constraint_statements(stronger) + [negated])
     return decide(reduced.ground) is None
+
+
+# ---------------------------------------------------------------------------
+# Reference tokenizer: the specification language scanned one character
+# at a time.  Its digits are str.isdigit characters, a wider set than the
+# decimal digits parsing.tokenize reads.
+
+_REFERENCE_OPERATORS = [
+    ":=",
+    "-->",
+    "->",
+    "<=",
+    ">=",
+    "!=",
+    "<",
+    ">",
+    "=",
+    "+",
+    "-",
+    "*",
+    "(",
+    ")",
+    "{",
+    "}",
+    ",",
+    ";",
+    ".",
+    ":",
+]
+
+
+def reference_tokenize(text: str) -> List[Tuple[str, str, int, int]]:
+    tokens: List[Tuple[str, str, int, int]] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "_":
+            j = i + 1
+            if j < n and text[j] == "-":
+                j += 1
+            start_digits = j
+            while j < n and text[j].isdigit():
+                j += 1
+            if j == start_digits:
+                raise ParseError("malformed numeral", line, col)
+            if j < n and text[j] == "/":
+                j += 1
+                k = j
+                while j < n and text[j].isdigit():
+                    j += 1
+                if j == k:
+                    raise ParseError("malformed numeral", line, col)
+            tokens.append(("NUMERAL", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("IDENT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for op in _REFERENCE_OPERATORS:
+            if text.startswith(op, i):
+                tokens.append(("OP", op, line, col))
+                col += len(op)
+                i += len(op)
+                break
+        else:
+            raise ParseError("unexpected character %r" % ch, line, col)
+    tokens.append(("EOF", "", line, col))
+    return tokens

@@ -665,6 +665,49 @@ def test_missing_file_exit_two(tmp_path):
     assert main([str(tmp_path / "missing.yaml")]) == 2
 
 
+def test_task_file_not_utf8_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"tasks:\n  t: {mode: BMC}\n\xff\n")
+    assert main([str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("cannot read %s: not UTF-8 text (" % bad) and not out
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [(None, "No such file or directory"), (b"f(u)\n\xfe\n", "not UTF-8 text (")],
+    ids=["missing", "not-utf8"],
+)
+def test_seed_closure_file_error_names_that_file(tmp_path, capsys, content, reason):
+    seeds = tmp_path / "seeds.txt"
+    if content is not None:
+        seeds.write_bytes(content)
+    assert main([str(DATA / "ex1_constraint.yaml"), "--seed-closure", str(seeds)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("cannot read %s: %s" % (seeds, reason)) and not out
+
+
+@pytest.mark.parametrize(
+    "entry, text, message",
+    [
+        ("init", "x <= _1/0;", "init: 1:6: numeral with zero denominator"),
+        ("init", "x <= _0/0;", "init: 1:6: numeral with zero denominator"),
+        ("init", "x <= _²;", "init: 1:6: malformed numeral"),
+        ("extension_functions", "{(f, ², 1)}", "extension_functions: 1:6: unexpected character '²'"),
+    ],
+)
+def test_unreadable_numeral_or_integer_exit_two(tmp_path, capsys, entry, text, message):
+    """Numerals and integers whose digits int does not read, and a zero
+    denominator, are parse errors of the task, exit 2."""
+    spec = {"init": "x = _0;", "update": "xp = x;", "query": "x <= _1;", entry: text}
+    pts = "{%s, update_vars: {x: xp}}" % ", ".join("%s: '%s'" % item for item in spec.items())
+    task_file = tmp_path / "numerals.yaml"
+    task_file.write_text(one_task("CHECK_INVARIANT", "PTS", "{}", pts), encoding="utf-8")
+    assert main([str(task_file)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "parse error: task t: specification entry %s\n" % message and not out
+
+
 def test_out_file_identical(tmp_path, capsys):
     out = tmp_path / "report.txt"
     code = main([str(DATA / "ex1_constraint.yaml"), "--out", str(out)])

@@ -169,7 +169,7 @@ def refuted_calls(monkeypatch):
     real_refuted, real_probe = linear._refuted, linear._probe_sat
 
     def refuted(units, a, model, records):
-        if a is True or (model is not None and linear._holds(model, (a,))):
+        if a is True or (model is not None and linear._holds(model, a)):
             return real_refuted(units, a, model, records)
         call = [units, a, None, None, []]
         calls.append(call)

@@ -360,7 +360,7 @@ def test_holds_on_scaled_model_matches_evaluation():
         scaled = linear._scaled(model)
         point = {s: model.get(s, Fraction(0)) for s in symbols}
         for a in random_conjunct(rng, symbols, max_atoms=4) + equation_heavy_conjunct(rng, symbols):
-            holds = linear._holds(scaled, [a])
+            holds = linear._holds(scaled, a)
             assert holds == evaluate(linear.lin_to_atom(a), point)
             checked[holds] += 1
     assert min(checked.values()) > 100

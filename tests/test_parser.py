@@ -1,16 +1,25 @@
+import json
+import random
 import re
 
 import pytest
 import yaml
 
+import paramverify.parsing
 from conftest import DATA, EX1_SPEC, PLANT_LHA
+from oracles import reference_tokenize
 from paramverify.errors import ParseError
 from paramverify.parsing import (
+    parse_decl_string,
     parse_formula,
     parse_lha,
     parse_spec,
     parse_statements,
     parse_task_file,
+    parse_term_string,
+    position,
+    token_starts,
+    tokenize,
 )
 from paramverify.printing import canonical, print_canonical, print_formula
 from paramverify.terms import Forall, Signature
@@ -202,3 +211,131 @@ def test_yaml_error_position_does_not_depend_on_the_loader(monkeypatch):
             parse_task_file(bad)
         positions.append((info.value.line, info.value.column))
     assert positions[0] == positions[1] and positions[0][0] is not None
+
+
+def _error_at(parse, *args):
+    with pytest.raises(ParseError) as info:
+        parse(*args)
+    return str(info.value), info.value.line, info.value.column
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("x <= _1/0;", "1:6: numeral with zero denominator"),
+        ("x <= _0/0;", "1:6: numeral with zero denominator"),
+        ("y = _2;\n  x <= _-3/0;", "2:8: numeral with zero denominator"),
+        ("x <= _²;", "1:6: malformed numeral"),
+        ("x <= _1²;", "1:8: unexpected character '²'"),
+        ("x <= _1/²;", "1:6: malformed numeral"),
+        ("x <= ²;", "1:6: unexpected character '²'"),
+        ("x <= _1/;", "1:6: malformed numeral"),
+        ("x <= _12/y;", "1:6: malformed numeral"),
+        ("x <= _-;", "1:6: malformed numeral"),
+        ("x <= _1/2/3;", "1:10: unexpected character '/'"),
+        ("x <= @;", "1:6: unexpected character '@'"),
+    ],
+)
+def test_numeral_errors_are_parse_errors(text, error):
+    """A numeral whose digits int does not read, or whose denominator is
+    zero, is a parse error at the numeral."""
+    message, line, column = _error_at(parse_statements, text, Signature())
+    assert message == error and "%d:%d: " % (line, column) == error[: error.index(" ") + 1]
+
+
+def test_decimal_digits_of_any_script_are_digits():
+    sig = Signature()
+    assert print_formula(parse_formula("x <= _١٢/٣;", sig)) == "x <= _4"
+    assert parse_decl_string("{(f, ١, ٢)}", True) == [("f", 1, 2)]
+    assert print_formula(parse_formula("x² <= éß1;", sig)) == "x² <= éß1"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("{(f, ², 1)}", "1:6: unexpected character '²'"),
+        ("{(f, 1²)}", "1:7: unexpected character '²'"),
+        ("{(f, ½)}", "1:6: unexpected character '½'"),
+    ],
+)
+def test_declaration_arity_of_non_decimal_digits_is_a_parse_error(text, error):
+    assert _error_at(parse_decl_string, text, False)[0] == error
+
+
+def test_zero_denominator_term_is_a_parse_error():
+    assert _error_at(parse_term_string, "x + _5/0", Signature())[0] == "1:5: numeral with zero denominator"
+
+
+def test_comment_at_the_end_leaves_end_of_input_at_its_hash():
+    assert positioned_tokens("x # note")[-1] == ("EOF", "", 1, 3)
+    assert positioned_tokens("x  \n\t y  ")[-1] == ("EOF", "", 2, 6)
+    assert _error_at(parse_statements, "x <= y # note", Signature())[0] == "1:8: expected ';', found 'end of input'"
+
+
+# Fragments the generated texts are made of: letters, decimal digits of
+# two scripts, digits that are not decimal ('²') and numbers that
+# are not digits ('½'), numeral pieces, blanks (a no-break space too), line breaks,
+# comments, every operator and characters no token starts with.
+_FRAGMENTS = (
+    ["x", "ab", "d1", "f", "é", "ß", "OR", "AND", "FORALL"]
+    + ["0", "7", "42", "١", "²", "½"]
+    + ["_", "/", "_-", "_1", "_3/2", "_-1/4", "_١/٢", "_0/0", "_1/"]
+    + [" ", "  ", "\t", "\r\n", "\n", "# a comment\n", "#", "\xa0"]
+    + [":=", "-->", "->", "<=", ">=", "!=", "<", ">", "=", "+", "-", "*", "(", ")", "{", "}", ",", ";", ".", ":"]
+    + ["[", "@", "$"]
+)
+# The one deliberate change from the reference: a digit that is not a
+# decimal digit reads as '½' does, so it continues a word and starts
+# no token.
+_AS_NON_DIGIT = {ord("²"): "½"}
+
+
+def positioned_tokens(text):
+    """tokenize's tokens as the reference tokenizer gives them, each
+    (kind, text, line, column)."""
+    return [tok + position(text, start) for tok, start in zip(tokenize(text), token_starts(text))]
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def test_tokenize_agrees_with_the_reference_tokenizer():
+    rng = random.Random(20)
+    outcomes = {"tokens": 0, "error": 0, "deliberate difference": 0}
+    for _ in range(2500):
+        text = "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(1, 24)))
+        got = _tokens_or_error(positioned_tokens, text)
+        if "²" in text:
+            expected = _tokens_or_error(reference_tokenize, text.translate(_AS_NON_DIGIT))
+            assert repr(got).translate(_AS_NON_DIGIT) == repr(expected), repr(text)
+            if got != _tokens_or_error(reference_tokenize, text):
+                outcomes["deliberate difference"] += 1
+                continue
+        else:
+            assert got == _tokens_or_error(reference_tokenize, text), repr(text)
+        outcomes["tokens" if type(got) is list else "error"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_tokenize_agrees_with_the_reference_on_the_task_corpus(monkeypatch):
+    """Every text parsed from the tests/data task files and from the
+    benchmark's equisat pool tokenizes as the reference tokenizes it."""
+    seen = []
+
+    def checked(text):
+        assert positioned_tokens(text) == reference_tokenize(text), repr(text)
+        seen.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(paramverify.parsing, "tokenize", checked)
+    paths = sorted(DATA.glob("*.yaml"))
+    for path in paths:
+        parse_task_file(path.read_text(encoding="utf-8"))
+    pool = json.loads((DATA.parent.parent / "perfbench" / "data" / "equisat_pool.json").read_text())
+    for inst in pool["instances"]:
+        checked(inst["clauses"] + " " + inst["goal"])
+    assert len(seen) > 240 + len(paths)

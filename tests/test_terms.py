@@ -5,7 +5,7 @@ import pytest
 
 from paramverify.errors import SortError
 from paramverify.linear import LinAtom
-from paramverify.parsing import Token, parse_formula, parse_statements, parse_term_string
+from paramverify.parsing import parse_formula, parse_statements, parse_term_string
 from paramverify.printing import print_formula, print_term
 from paramverify.runner import TaskOutcome
 from paramverify.symelim import substitute_constants
@@ -251,7 +251,6 @@ def nodes_with_fields():
         (Forall(("x",), atom), (("x",), atom)),
         (Clause(("x",), (atom,)), (("x",), (atom,))),
         (LinAtom("<=", terms), ("<=", terms)),
-        (Token("OP", "+", 1, 2), ("OP", "+", 1, 2)),
     ]
 
 
