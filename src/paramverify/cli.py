@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Exit codes: 0 when every selected task completes (whatever the verdict),
-1 when the engine meets one of its limits, 2 on any error in the input.
+1 when the engine meets one of its limits, 2 on any error in the input or
+when a report or script cannot be written.
 """
 
 import argparse
@@ -60,18 +61,22 @@ def main(argv=None) -> int:
         print("cannot read %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
         return 2
     sys.stdout.write(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
-    if args.dump_smtlib:
-        for outcome in outcomes:
-            for label, script in outcome.smtlib:
-                os.makedirs(args.dump_smtlib, exist_ok=True)
-                path = os.path.join(
-                    args.dump_smtlib, "%s__%s.smt2" % (_sanitize(outcome.name), _sanitize(label))
-                )
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(script)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        if args.dump_smtlib:
+            for outcome in outcomes:
+                for label, script in outcome.smtlib:
+                    os.makedirs(args.dump_smtlib, exist_ok=True)
+                    path = os.path.join(
+                        args.dump_smtlib, "%s__%s.smt2" % (_sanitize(outcome.name), _sanitize(label))
+                    )
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(script)
+    except OSError as exc:  # the --out file's or a --dump-smtlib script's
+        print("cannot write %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
+        return 2
     return code
 
 

@@ -871,7 +871,18 @@ def decide(formulas, assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, 
     if not isinstance(formulas, (list, tuple)):
         formulas = [formulas]
     pending = [nnf(f) for f in formulas]
-    return _decide(frozenset(assumptions), pending, [], {}, {})
+    memo: LiteralMemo = {}
+    witness = _decide(frozenset(assumptions), pending, [], memo, {})
+    if witness is not None:
+        # _decide checked the witness against its leaf's unit atoms only
+        model = _scaled(witness)
+        wrong = [f for f in pending if not _satisfies(model, f, memo)]
+        wrong += [lin_to_atom(a) for a in assumptions if not _holds(model, a)]
+        if wrong:
+            from .printing import print_formula
+
+            raise EngineError("ground witness violates %s" % print_formula(wrong[0]))
+    return witness
 
 
 # literal -> (its branches, the atoms whose disjunction is its negation)
@@ -916,6 +927,15 @@ def _holds(model: ScaledModel, a: LinAtom) -> bool:
         if w:
             total += c * w
     return total <= 0 if rel == "<=" else total < 0 if rel == "<" else total == 0
+
+
+def _satisfies(model: ScaledModel, f: Formula, memo: LiteralMemo) -> bool:
+    """The NNF formula holds at the scaled model, its literals read as decide reads them."""
+    if isinstance(f, And):
+        return all(_satisfies(model, p, memo) for p in f.parts)
+    if isinstance(f, Or):
+        return any(_satisfies(model, p, memo) for p in f.parts)
+    return any(all(a is True or a is not False and _holds(model, a) for a in b) for b in _translated(f, memo)[0])
 
 
 # unit set -> [its elimination steps (None: unsatisfiable), its witness

@@ -19,7 +19,9 @@ found again only for an error.  Digits are decimal digits, the digits
 int reads, so "_²" is a malformed numeral; a numeral with a zero
 denominator is a ParseError at the numeral.  Task files are YAML
 documents whose layout matches the task listings (tasks, per-task
-mode/options/specification).
+mode/options/specification), in the subset of YAML 1.1 that
+_read_task_yaml reads as PyYAML's SafeLoader does; anything outside
+it is a ParseError at its line and column.
 
 Each task's body is the record the engine runs: a ProblemSpec (HPILOT),
 a TransitionSystem (PTS) or a HybridAutomaton (LHA, its atoms checked
@@ -31,7 +33,7 @@ task is a ParseError that names it.
 
 import re
 from fractions import Fraction
-from math import isfinite
+from math import inf, isfinite, nan
 from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import EngineError, ParseError, SignatureError, SortError
@@ -320,8 +322,11 @@ class Parser:
         tok = self.peek()
         if tok[0] == "NUMERAL":
             self.next()
+            # the token pattern admits only "_", an optional "-", decimal
+            # digits and an optional "/" with decimal digits
+            num, _, den = tok[1][1:].partition("/")
             try:
-                return Num(Fraction(tok[1][1:])), 0
+                return Num(Fraction(int(num), int(den)) if den else Fraction(int(num))), 0
             except ZeroDivisionError:
                 raise self._error("numeral with zero denominator", tok)
         if tok[1] == "(":
@@ -720,18 +725,303 @@ class TaskFile(Record):
         self.warnings: List[str] = [] if warnings is None else warnings
 
 
-def parse_task_file(text: str) -> TaskFile:
-    import yaml  # imported here: library use without task files never loads it
+# ---------------------------------------------------------------------------
+# The YAML subset task files are written in (README, "Task file syntax"): for it
+# the reader returns what PyYAML's SafeLoader does, YAML 1.1 resolution
+# included, and anything else is a ParseError at its first character.
 
-    try:
-        # libyaml's loader when it is built in: the same documents, and
-        # the same error positions, about ten times faster
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            raise ParseError("invalid task file: %s" % exc, mark.line + 1, mark.column + 1)
-        raise ParseError("invalid task file: %s" % exc)
+# plain scalars YAML 1.1 reads as constants, in the casings PyYAML resolves
+_CONSTANTS = {
+    form: value
+    for forms, value in (
+        ("~ null Null NULL", None), ("true True TRUE", True), ("false False FALSE", False),
+        (".inf .Inf .INF +.inf +.Inf +.INF", inf), ("-.inf -.Inf -.INF", -inf), (".nan .NaN .NAN", nan),
+    )
+    for form in forms.split()
+}
+# The reader's patterns are compiled by each reader through re's cache, not
+# at import: library use that reads no task file never compiles them.
+_INT = r"[-+]?(?:0|[1-9][0-9]*)\Z"
+_FLOAT = r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?\Z"
+# the other plain scalars that PyYAML's resolver reads as ints, floats,
+# timestamps, bools, merge keys or value keys; the reader rejects them
+_YAML11_WORDS = frozenset("yes Yes YES no No NO on On ON off Off OFF << =".split())
+_YAML11_NUMBER = (
+    r"(?:[-+]?(?:0b[0-1_]+|0[0-7_]+|(?:0|[1-9][0-9_]*)|0x[0-9a-fA-F_]+|[1-9][0-9_]*(?::[0-5]?[0-9])+"
+    r"|[0-9][0-9_]*\.[0-9_]*(?:[eE][-+][0-9]+)?|[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*|\.(?:inf|Inf|INF))"
+    r"|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?|\.(?:nan|NaN|NAN)|[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"|[0-9]{4}-[0-9]{1,2}-[0-9]{1,2}(?:[Tt]|[ \t]+)[0-9]{1,2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]*)?"
+    r"(?:[ \t]*(?:Z|[-+][0-9]{1,2}(?::[0-9]{2})?))?)\Z"
+)
+# a plain scalar ends at " #", at a ':' before a blank or the line's end,
+# at a tab and at the line's end; in a flow collection also at ",?[]{}"
+# and at a ':' before one of ",[]{}"
+_PLAIN = r"(?:[^ \t\n:]|:(?=[^ \t\n])| +(?=[^ \t\n#]))*"
+_FLOW_PLAIN = r"(?:[^ \t\n:,?\[\]{}]|:(?=[^ \t\n,\[\]{}])| +(?=[^ \t\n#,?\[\]{}]))*"
+# a quoted scalar on one line; group 2 is empty where it does not close
+_QUOTED = {"'": r"'((?:[^'\n]|'')*)('?)", '"': r'"((?:[^"\\\n]|\\[\\"])*)("?)'}
+_BLANKS = r" *(?:#[^\n]*)?"
+_FLOW_BLANKS = r"(?:[ \n]|#[^\n]*)*"
+# blanks and a comment, then any blank and comment lines and the next line's
+# indentation (group 1), or a comment that ends the file
+_NEXT_LINE = r" *(?:#[^\n]*)?(?:\n(?: *(?:#[^\n]*)?\n)*( *)(?:#[^\n]*)?)?"
+# the blank lines above a block scalar's text, and its first line's indentation
+_LEADING = r"((?: *\n)*)( *)"
+_VALUE = r" *:(?=[ \t\n]|\Z)"
+_SEPARATORS = ("", " ", "\t", "\n")
+_TAB = "a tab is allowed only in a quoted or block scalar or a comment"
+# the characters a plain scalar does not start with, and the end of the file
+_NOT_PLAIN = frozenset(_SEPARATORS + tuple("-,:[]{}#|'\"@`&*!%?>"))
+_UNSUPPORTED = {
+    "&": "anchors", "*": "aliases", "!": "tags", "%": "directives", "?": "complex keys", ">": "folded block scalars"
+}
+# the characters PyYAML does not read, and the line breaks other than "\n"
+_UNREADABLE = "[\x00-\x08\x0b-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff]"
+
+
+class _TaskYaml:
+    """A reader of one task file document; pos is its place in text."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.blanks, self.flow_blanks, self.plain, self.flow_plain, self.next_line_match, self.value_match = (
+            re.compile(p).match for p in (_BLANKS, _FLOW_BLANKS, _PLAIN, _FLOW_PLAIN, _NEXT_LINE, _VALUE)
+        )
+
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        return ParseError("invalid task file: " + message, *position(self.text, self.pos if at is None else at))
+
+    def column(self) -> int:
+        return self.pos - self.text.rfind("\n", 0, self.pos) - 1
+
+    def skip(self, flow: bool = False) -> str:
+        """Move past blanks and a comment, and in a flow collection past line
+        breaks too; the character reached, "" at the end."""
+        ch = self.text[self.pos : self.pos + 1]
+        if ch == " " or ch == "#" or ch == "\n" and flow:
+            self.pos = (self.flow_blanks if flow else self.blanks)(self.text, self.pos).end()
+            ch = self.text[self.pos : self.pos + 1]
+        if ch == "\t":
+            raise self.error(_TAB)
+        return ch
+
+    def end_line(self) -> None:
+        ch = self.skip()
+        if ch not in ("", "\n"):
+            raise self.error("expected the end of the line, found %r" % ch)
+
+    def next_line(self) -> int:
+        """Move to the first character of the next line, or of this one,
+        that holds more than blanks and a comment; its column, -1 at the end."""
+        m = self.next_line_match(self.text, self.pos)
+        self.pos = m.end()
+        ch = self.text[self.pos : self.pos + 1]
+        if ch == "\t":
+            raise self.error(_TAB)
+        if not ch:
+            return -1
+        self.no_marker()
+        return self.column() if m.group(1) is None else len(m.group(1))
+
+    def no_marker(self) -> None:
+        """Reject a document marker: "---" or "..." at a line's start, before a blank."""
+        text, pos = self.text, self.pos
+        if text.startswith(("---", "..."), pos) and text[pos + 3 : pos + 4] in _SEPARATORS and self.column() == 0:
+            raise self.error("document markers are not supported")
+
+    def at_entry(self) -> bool:
+        return self.text.startswith("-", self.pos) and self.text[self.pos + 1 : self.pos + 2] in _SEPARATORS
+
+    def at_value(self) -> bool:
+        """Move past a key's ':' if one follows."""
+        m = self.value_match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+        return m is not None
+
+    def key(self, mapping: dict, key, at: int):
+        if isinstance(key, (list, dict)):
+            raise self.error("complex keys are not supported", at)
+        if key in mapping:
+            raise self.error("duplicate key %r" % (key,), at)
+        return key
+
+    def node(self, parent: int):
+        """The block node at pos, in a block collection indented by parent."""
+        if self.at_entry():
+            return self.sequence(self.column())
+        if self.text.startswith("|", self.pos):
+            return self.literal(parent)
+        start, column = self.pos, self.column()
+        value = self.flow_node(False)
+        if self.at_value():
+            return self.mapping(column, start, value)
+        self.end_line()
+        return value
+
+    def mapping(self, column: int, start: int, key) -> dict:
+        mapping: dict = {}
+        while True:
+            key = self.key(mapping, key, start)
+            mapping[key] = self.value(column)
+            indent = self.next_line()
+            if indent > column:
+                raise self.error("unexpected indentation")
+            if indent < column:
+                return mapping
+            start = self.pos
+            key = self.flow_node(False)
+            if not self.at_value():
+                raise self.error("expected ':' after a key")
+
+    def value(self, indent: int):
+        """The value after a ':' in a block mapping indented by indent."""
+        ch = self.skip()
+        if ch == "|":
+            return self.literal(indent)
+        if ch not in ("", "\n"):
+            value = self.flow_node(False)
+            self.end_line()
+            return value
+        column = self.next_line()
+        return self.node(indent) if column > indent or column == indent and self.at_entry() else None
+
+    def sequence(self, column: int) -> list:
+        items = []
+        while True:
+            self.pos += 1
+            if self.skip() in ("", "\n"):
+                items.append(self.node(column) if self.next_line() > column else None)
+            else:
+                items.append(self.node(column))
+            indent = self.next_line()
+            if indent > column:
+                raise self.error("unexpected indentation")
+            if indent < column or not self.at_entry():
+                return items
+
+    def literal(self, parent: int) -> str:
+        """A '|' or '|-' block scalar, in a block collection indented by parent."""
+        text = self.text
+        self.pos += 1
+        strip = text.startswith("-", self.pos)
+        self.pos += strip
+        ch = text[self.pos : self.pos + 1]
+        if ch in ("+", "-") or ch.isdigit():
+            raise self.error("block scalar indicators other than '|' and '|-' are not supported")
+        if ch not in _SEPARATORS:  # a comment too must be set off by a blank
+            raise self.error("expected the end of the line, found %r" % ch)
+        self.end_line()
+        start = min(self.pos + 1, len(text))
+        m = re.compile(_LEADING).match(text, start)
+        lead = len(m.group(2))
+        if lead <= max(parent, 0) or m.end() == len(text):  # text at column 0 ends it
+            self.pos = m.start(2)
+            return ""
+        if m.group(1) and max(map(len, m.group(1).split("\n"))) > lead:
+            raise self.error("a blank line above a block scalar's text is indented deeper", start)
+        self.pos = re.compile(r"(?:(?: {%d}[^\n]*| *)\n)*(?: {%d}[^\n]*\Z)?" % (lead, lead)).match(text, start).end()
+        lines = [line[lead:] for line in text[start : self.pos].split("\n")]
+        kept = len(lines)
+        while lines and not lines[-1]:
+            lines.pop()
+        body = "\n".join(lines)
+        # the last line kept ends with a line break unless it ends the file
+        return body + "\n" if len(lines) < kept and not strip else body
+
+    def flow_node(self, flow: bool):
+        """The scalar or flow collection at pos; flow inside a flow collection."""
+        text, start = self.text, self.pos
+        ch = text[start : start + 1]
+        if flow:  # a flow collection may run over several lines
+            self.no_marker()
+        if ch in _NOT_PLAIN:
+            if ch == "[" or ch == "{":
+                return self.collection()
+            if ch == "'" or ch == '"':
+                return self.quoted(ch)
+            # as in YAML, "-", and "?" and ":" outside a flow collection,
+            # start a plain scalar when a character other than a blank follows
+            if ch not in "-?:" or text[start + 1 : start + 2] in _SEPARATORS or flow and ch != "-":
+                if ch in _UNSUPPORTED:
+                    raise self.error("%s are not supported" % _UNSUPPORTED[ch])
+                raise self.error("expected a value, found %r" % (ch or "end of file"))
+        self.pos = (self.flow_plain if flow else self.plain)(text, start).end()
+        plain = text[start : self.pos].rstrip(" ")
+        if plain in _CONSTANTS:
+            return _CONSTANTS[plain]
+        if plain[0] in "-+.0123456789":
+            if re.match(_INT, plain):
+                return int(plain)
+            if re.match(_FLOAT, plain):
+                return float(plain)
+            typed = re.match(_YAML11_NUMBER, plain)
+        else:
+            typed = plain in _YAML11_WORDS
+        if typed:
+            raise self.error("%r is not a string in YAML 1.1; quote it" % plain, start)
+        return plain
+
+    def quoted(self, quote: str) -> str:
+        m = re.compile(_QUOTED[quote]).match(self.text, self.pos)
+        self.pos = m.end()
+        if not m.group(2):
+            bad_escape = self.text.startswith("\\", self.pos)
+            raise self.error("only \\\\ and \\\" are escapes" if bad_escape else "a quoted scalar ends on its line")
+        body = m.group(1)
+        if quote == "'":
+            return body.replace("''", "'")
+        return re.sub(r"\\(.)", r"\1", body) if "\\" in body else body
+
+    def collection(self):
+        text, start = self.text, self.pos
+        close = "]" if text[start] == "[" else "}"
+        items = [] if close == "]" else {}
+        self.pos += 1
+        ch = self.skip(True)
+        while ch != close:
+            at = self.pos
+            item = self.flow_node(True)
+            if close == "]":
+                items.append(item)
+            else:
+                key, value = self.key(items, item, at), None
+                if self.skip() == ":":  # on the key's line, as YAML wants
+                    self.pos += 1
+                    if self.skip(True) not in (",", "}", ""):
+                        value = self.flow_node(True)
+                items[key] = value
+            ch = self.skip(True)
+            if ch != ",":
+                break
+            self.pos += 1
+            ch = self.skip(True)
+        if not ch:
+            raise self.error("unclosed %r" % text[start], start)
+        if ch != close:
+            raise self.error("expected ',' or %r, found %r" % (close, ch))
+        self.pos += 1
+        return items
+
+
+def _read_task_yaml(text: str):
+    """The document of a task file, as PyYAML's SafeLoader reads it."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if not text.replace("\n", "").replace("\t", "").isprintable():
+        bad = re.search(_UNREADABLE, text)
+        if bad:
+            raise ParseError("invalid task file: unsupported character %r" % bad.group(), *position(text, bad.start()))
+    reader = _TaskYaml(text[1:] if text.startswith("\ufeff") else text)
+    doc = reader.node(-1) if reader.next_line() >= 0 else None
+    if reader.next_line() >= 0:
+        raise reader.error("expected the end of the file")
+    return doc
+
+
+def parse_task_file(text: str) -> TaskFile:
+    doc = _read_task_yaml(text)
     if not isinstance(doc, dict):
         raise ParseError("task file must be a mapping")
     warnings = [

@@ -13,7 +13,6 @@ conditions.  The handlers only compute and format.
 
 import errno
 import time
-from datetime import datetime
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -287,7 +286,7 @@ def format_report(outcomes: List[TaskOutcome], date: Optional[str] = None) -> st
     lines: List[str] = []
     total = sum(o.runtime for o in outcomes)
     if date is None:
-        date = datetime.now().strftime("%Y-%m-%d %H:%M:%S")
+        date = time.strftime("%Y-%m-%d %H:%M:%S")
     lines.append("Metadata:")
     lines.append("    Date: '%s'" % date)
     lines.append("    Number of Tasks: %d" % len(outcomes))

@@ -165,3 +165,36 @@ def plant_variant():
     from paramverify.parsing import parse_lha
 
     return parse_lha(PLANT_VARIANT_LHA)
+
+
+def same_document(a, b) -> bool:
+    """Equal YAML documents, type for type (True is not 1) and key order
+    included; a NaN equals a NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return len(a) == len(b) and all(same_document(k, l) and same_document(a[k], b[l]) for k, l in zip(a, b))
+    if isinstance(a, list):
+        return len(a) == len(b) and all(same_document(x, y) for x, y in zip(a, b))
+    return repr(a) == repr(b) if isinstance(a, float) else a == b
+
+
+@pytest.fixture(autouse=True)
+def task_files_read_as_pyyaml_reads_them(monkeypatch):
+    """Every task file a test parses in this process is read by PyYAML's
+    SafeLoader too: where the task-file reader returns a document, it is
+    PyYAML's.  PyYAML is a test-only oracle; without it nothing is checked."""
+    try:
+        import yaml
+    except ImportError:
+        return
+    from paramverify import parsing
+
+    read = parsing._read_task_yaml
+
+    def checked(text):
+        doc = read(text)
+        assert same_document(doc, yaml.safe_load(text)), text
+        return doc
+
+    monkeypatch.setattr(parsing, "_read_task_yaml", checked)

@@ -816,6 +816,27 @@ def test_dump_smtlib(tmp_path, capsys):
     assert text.rstrip().endswith("(check-sat)")
 
 
+@pytest.mark.parametrize(
+    "flag, target, reason",
+    [
+        ("--out", "missing/r.txt", "No such file or directory"),
+        ("--dump-smtlib", "plain.txt", "File exists"),
+        ("--dump-smtlib", "plain.txt/scripts", "Not a directory"),
+    ],
+    ids=["out-in-missing-directory", "dump-smtlib-at-a-file", "dump-smtlib-under-a-file"],
+)
+def test_unwritable_output_exit_two(tmp_path, capsys, flag, target, reason):
+    """A report or script that cannot be written is `cannot write <path>:
+    <reason>` on stderr and exit 2, after the report reached stdout; no
+    traceback."""
+    (tmp_path / "plain.txt").write_text("")
+    path = str(tmp_path / target)
+    assert main([str(DATA / "ex1_constraint.yaml"), flag, path]) == 2
+    out, err = capsys.readouterr()
+    assert err == "cannot write %s: %s\n" % (path, reason)
+    assert "    Result: (FORALL i). OR(a(i + _1) - a(i) >= _0, d1 - d2 > _0)" in out.splitlines()
+
+
 def test_dump_reduction_appears_in_extra():
     flags = RunFlags(dump_reduction=True)
     report, _, _ = run_file("ex1_constraint", flags)
@@ -860,9 +881,34 @@ def test_determinism_across_hash_seeds():
     assert all(out == outputs[0] for out in outputs[1:])
 
 
+def test_cli_runs_without_pyyaml(capsys):
+    """The CLI reads task files without PyYAML: with yaml made
+    unimportable it prints the report it prints in-process, and a run
+    leaves yaml out of sys.modules."""
+    path = str(DATA / "pts_check_unsorted.yaml")
+    script = "\n".join(
+        [
+            "import sys",
+            "sys.modules['yaml'] = None  # an import of yaml raises ImportError",
+            "from paramverify.cli import main",
+            "code = main([%r])" % path,
+            "print(sys.modules['yaml'], code)",
+        ]
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    *report, last = proc.stdout.splitlines(keepends=True)
+    assert last == "None 0\n"
+    assert main([path]) == 0
+    assert mask_report("".join(report)) == mask_report(capsys.readouterr().out)
+    script = "import sys\nfrom paramverify.cli import main\nmain([%r])\nprint('yaml' in sys.modules)" % path
+    proc = run_python("-c", script)
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "False", proc.stderr
+
+
 def test_imports_load_neither_yaml_nor_thread_pool():
-    """yaml is loaded by parse_task_file, not by importing the library
-    or the CLI, and no module loads a thread pool."""
+    """Importing the library or the CLI loads neither yaml nor a thread
+    pool."""
     script = "\n".join(
         [
             "import sys",

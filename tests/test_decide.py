@@ -14,6 +14,7 @@ reach a replay.
 """
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ import pytest
 import oracles
 from oracles import evaluate, random_conjunct, reference_decide, reference_is_sat
 from paramverify import linear, terms
+from paramverify.errors import EngineError
 from paramverify.linear import decide, make_atom
 from paramverify.parsing import parse_statements, parse_term_string
 from paramverify.reduction import reduce_chain
@@ -348,3 +350,25 @@ def test_probe_rows_combine_with_each_other():
         probe = row_atom("<=", {"x": 1, "": -bound})
         assert (reference_is_sat(units + [probe]) is not None) is expected
         assert linear._probe_sat(steps, probe) is expected
+
+
+@pytest.mark.parametrize(
+    "text, assumed, witness, violated",
+    [
+        ("OR(x <= _0, AND(y = _1, y = _2)); x >= _1;", "", {"x": 1, "y": 1}, "OR(x <= _0, AND(y = _1, y = _2))"),
+        ("OR(x <= _0, y != _1); x >= _1;", "", {"x": 1, "y": 1}, "OR(x <= _0, y != _1)"),
+        ("x >= _1;", "x <= _3", {"x": 4}, "x <= _3"),
+    ],
+    ids=["conjunction-branched-as-alternatives", "disequality", "assumption"],
+)
+def test_witness_is_checked_against_the_whole_input(monkeypatch, text, assumed, witness, violated):
+    """decide checks the witness it returns against every input formula,
+    in negation normal form, and every assumption: a search that returns
+    a wrong witness, as the one that branched on a conjunction's parts
+    as if they were alternatives did, raises EngineError."""
+    sig = Signature()
+    formulas = parse_statements(text, sig)
+    assumptions = linear.assumptions_from(parse_statements(assumed + ";", sig)) if assumed else []
+    monkeypatch.setattr(linear, "_decide", lambda *args: {v: Fraction(w) for v, w in witness.items()})
+    with pytest.raises(EngineError, match=re.escape("ground witness violates %s" % violated)):
+        decide(formulas, assumptions)

@@ -3,7 +3,6 @@ import random
 import re
 
 import pytest
-import yaml
 
 import paramverify.parsing
 from conftest import DATA, EX1_SPEC, PLANT_LHA
@@ -187,30 +186,108 @@ def test_levelless_extension_declaration_defaults_invalid():
         parse_spec(EX1_SPEC.replace("(a, 1, 2)", "(a, 1)"))
 
 
-def test_yaml_loaders_agree_on_task_files():
-    """libyaml's loader, which parse_task_file uses when it is built in,
-    and the pure-Python loader give equal documents."""
-    if not hasattr(yaml, "CSafeLoader"):
-        pytest.skip("PyYAML is built without libyaml")
-    paths = sorted(DATA.glob("*.yaml"))
-    assert paths
-    for path in paths:
-        text = path.read_text()
-        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader), path.name
+def test_unclosed_flow_sequence_error_position():
+    """A flow sequence left open is a ParseError at the first token that
+    neither continues nor closes it."""
+    text = (DATA / "ex1_constraint.yaml").read_text()
+    bad = text.replace("mode: GENERATE_CONSTRAINTS", "mode: [GENERATE_CONSTRAINTS")
+    with pytest.raises(ParseError) as info:
+        parse_task_file(bad)
+    assert str(info.value) == "4:9: invalid task file: expected ',' or ']', found 'o'"
+    with pytest.raises(ParseError) as info:
+        parse_task_file("tasks: {t: [a, b\n")
+    assert str(info.value) == "1:12: invalid task file: unclosed '['"
 
 
-def test_yaml_error_position_does_not_depend_on_the_loader(monkeypatch):
-    """A malformed task file is a ParseError at the same line:col with
-    libyaml's loader and with the pure-Python one."""
-    bad = (DATA / "ex1_constraint.yaml").read_text().replace("mode: GENERATE_CONSTRAINTS", "mode: [GENERATE_CONSTRAINTS")
-    positions = []
-    for python_only in (False, True):
-        if python_only:
-            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-        with pytest.raises(ParseError, match="invalid task file") as info:
-            parse_task_file(bad)
-        positions.append((info.value.line, info.value.column))
-    assert positions[0] == positions[1] and positions[0][0] is not None
+TASK_T = "{mode: BMC, specification_type: PTS, specification: {init: 'x = _0;', query: 'x <= _1;'}}"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("tasks:\n  a: &x 1\n", "2:6: anchors are not supported"),
+        ("tasks:\n  a: [b, *x]\n", "2:10: aliases are not supported"),
+        ("tasks: !!map {}\n", "1:8: tags are not supported"),
+        ("tasks:\n  a: ! b\n", "2:6: tags are not supported"),
+        ("%YAML 1.1\n---\ntasks: {}\n", "1:1: directives are not supported"),
+        ("---\ntasks: {}\n", "1:1: document markers are not supported"),
+        ("tasks: {}\n...\n", "2:1: document markers are not supported"),
+        ("tasks: {}\n---\ntasks: {}\n", "2:1: document markers are not supported"),
+        ("tasks: [a,\n--- b]\n", "2:1: document markers are not supported"),
+        ("tasks: {a:\n... b}\n", "2:1: document markers are not supported"),
+        ("a: >\n  folded\n", "1:4: folded block scalars are not supported"),
+        ("a: |+\n  kept\n", "1:5: block scalar indicators other than '|' and '|-' are not supported"),
+        ("a: |2\n   two\n", "1:5: block scalar indicators other than '|' and '|-' are not supported"),
+        ("a: |-1\n  one\n", "1:6: block scalar indicators other than '|' and '|-' are not supported"),
+        ("a: |# c\n  x\n", "1:5: expected the end of the line, found '#'"),
+        ("a:\n\tb: 1\n", "2:1: a tab is allowed only in a quoted or block scalar or a comment"),
+        ("a:\n  b: 1\n  \tc: 2\n", "3:3: a tab is allowed only in a quoted or block scalar or a comment"),
+        ("a:\tb\n", "1:3: a tab is allowed only in a quoted or block scalar or a comment"),
+        ("? a\n: b\n", "1:1: complex keys are not supported"),
+        ("[a]: b\n", "1:1: complex keys are not supported"),
+        ("a: {[b]: c}\n", "1:5: complex keys are not supported"),
+        ("a: [b: c]\n", "1:6: expected ',' or ']', found ':'"),
+        ('a: "x\\ty"\n', "1:6: only \\\\ and \\\" are escapes"),
+        ('a: "x\\u0041"\n', "1:6: only \\\\ and \\\" are escapes"),
+        ('a: "x\n  y"\n', "1:6: a quoted scalar ends on its line"),
+        ("a: 'x\n", "1:6: a quoted scalar ends on its line"),
+        ("a: b\n  c\n", "2:3: unexpected indentation"),
+        ("a: b: c\n", "1:5: expected the end of the line, found ':'"),
+        ("a: 1\nb\n", "2:2: expected ':' after a key"),
+        ("a: 1\nb: 2\na: 3\n", "3:1: duplicate key 'a'"),
+        ("a: {b: 1, c: 2, b: 3}\n", "1:17: duplicate key 'b'"),
+        ("1: a\n2: b\n1: c\n", "3:1: duplicate key 1"),
+        (
+            "tasks:\n    t: %s\n    t: %s\n" % (TASK_T, TASK_T.replace("BMC", "CHECK_INVARIANT")),
+            "3:5: duplicate key 't'",
+        ),
+        ("a: x\x07y\n", "1:5: unsupported character '\\x07'"),
+        ("a: x\ry\n", "1:5: unsupported character '\\r'"),
+    ],
+    ids=lambda v: None,
+)
+def test_task_file_outside_the_yaml_subset_is_a_positioned_error(text, error):
+    """Anchors, aliases, tags, directives, document markers, folded and
+    kept block scalars, indentation indicators, tabs outside scalars,
+    complex keys, escapes other than \\\\ and \\", multi-line scalars and
+    duplicate keys are ParseErrors at their line and column."""
+    with pytest.raises(ParseError) as info:
+        parse_task_file(text)
+    assert str(info.value) == error.replace(": ", ": invalid task file: ", 1)
+    assert (info.value.line, info.value.column) == tuple(int(n) for n in error.split(":")[:2])
+
+
+@pytest.mark.parametrize(
+    "scalar",
+    ["yes", "Yes", "YES", "no", "No", "NO", "on", "On", "ON", "off", "Off", "OFF", "0x1F", "-0x1f", "017", "00",
+     "0b101", "1_000", "+1_0", "1_0.5", "1:30", "-190:20:30", "190:20:30.15", "2001-12-14", "2001-12-14 21:59:43.10 -5",
+     "2001-12-14t21:59:43.10-05:00", "<<", "="],
+)
+def test_plain_scalar_of_another_yaml_1_1_type_is_an_error(scalar):
+    """A plain scalar that YAML 1.1 reads as a bool, an int or float in a
+    non-canonical form, a timestamp, a merge key or a value key is an
+    error at its first character: quoted, it is a string."""
+    for text, line, column in (("a: %s\n", 1, 4), ("a:\n  - [b, %s]\n", 2, 9)):
+        with pytest.raises(ParseError) as info:
+            parse_task_file(text % scalar)
+        assert str(info.value) == "%d:%d: invalid task file: %r is not a string in YAML 1.1; quote it" % (
+            line,
+            column,
+            scalar,
+        )
+    assert paramverify.parsing._read_task_yaml("a: '%s'" % scalar) == {"a": scalar}
+
+
+def test_plain_scalars_of_the_subset():
+    """Canonical ints, floats (with .inf and .nan), bools and nulls in
+    PyYAML's casings; y and n, which name variables, are strings."""
+    doc = paramverify.parsing._read_task_yaml(
+        "[0, -12, +3, 1.5, 1., .5, 2.0e+3, -.inf, .NaN, true, False, TRUE, null, ~, Null, y, n, Y, N, 1e5, -.5, x:y]"
+    )
+    types = ["int"] * 3 + ["float"] * 6 + ["bool"] * 3 + ["NoneType"] * 3 + ["str"] * 7
+    assert [type(v).__name__ for v in doc] == types
+    assert doc[:8] == [0, -12, 3, 1.5, 1.0, 0.5, 2000.0, float("-inf")] and doc[8] != doc[8]
+    assert doc[9:] == [True, False, True, None, None, None, "y", "n", "Y", "N", "1e5", "-.5", "x:y"]
 
 
 def _error_at(parse, *args):
