@@ -719,9 +719,8 @@ class TaskSpec(Record):
 
 
 class TaskFile(Record):
-    def __init__(self, tasks, task_options=None, warnings=None):
+    def __init__(self, tasks, warnings=None):
         self.tasks: Dict[str, TaskSpec] = tasks
-        self.task_options: Dict[str, object] = {} if task_options is None else task_options
         self.warnings: List[str] = [] if warnings is None else warnings
 
 
@@ -1042,7 +1041,7 @@ def parse_task_file(text: str) -> TaskFile:
         task, extra = _parse_task(str(name), body or {}, task_options)
         tasks[str(name)] = task
         warnings.extend(extra)
-    return TaskFile(tasks, task_options, warnings)
+    return TaskFile(tasks, warnings)
 
 
 def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[str]]:

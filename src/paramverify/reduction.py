@@ -8,6 +8,11 @@ definitional entries, and instantiated congruence clauses are added.
 The result is a ground conjunction over base symbols, numerals,
 parameters and the introduced constants, equisatisfiable with the input
 whenever the extension chain is local for the identity closure.
+
+reduce_chain leaves the signature it is given unchanged.  It works on
+a copy, which declares every undeclared constant of the statements
+(a negated candidate's Skolem constants, for example) and every
+introduced constant, and returns that copy as ReducedProblem.sig.
 """
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -261,7 +266,11 @@ class ReducedProblem(Record):
 
 def reduce_chain(sig: Signature, statements: Iterable[Formula], seeds: Sequence[Term] = ()) -> ReducedProblem:
     """Iterate est / closure / instantiation / purification from the
-    highest declared extension level down to 1."""
+    highest declared extension level down to 1, on a copy of sig."""
+    statements = list(statements)
+    sig = sig.copy()
+    for s in statements:
+        sig.declare_constants_of(s)
     clauses, goal = split_statements(statements)
     leveled: Dict[int, List[Formula]] = {}
     for c in clauses:

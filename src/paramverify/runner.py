@@ -200,7 +200,7 @@ class TaskRunner:
         extra: List[Tuple[int, str]] = []
         outcome = TaskOutcome(task.name, [], None)
         for vc in vcs:
-            reduced = reduce_chain(task.body.sig.copy(), vc.statements, ())
+            reduced = reduce_chain(task.body.sig, vc.statements)
             witness = decide(reduced.ground, lin_assumptions)
             holds = witness is None
             if not holds:
@@ -246,7 +246,7 @@ class TaskRunner:
     ) -> None:
         if not (self.flags.dump_reduction or self.flags.dump_smtlib):
             return
-        reduced = reduce_chain(task.body.sig.copy(), statements, seeds)
+        reduced = reduce_chain(task.body.sig, statements, seeds)
         if self.flags.dump_reduction:
             outcome.extra.append((0, "(reduction) %s:" % label))
             outcome.extra.extend((1, "%s;" % print_formula(g)) for g in reduced.ground)

@@ -80,9 +80,6 @@ def generate_constraint(
     imply it, so no literal of the result is decided by them."""
     if (parameters is None) == (eliminate_symbols is None):
         raise EngineError("exactly one of parameters/eliminate must be given")
-    work_sig = sig.copy()
-    for f in statements:
-        work_sig.declare_constants_of(f)
     steps: List[str] = []
 
     def is_param(symbol: str) -> bool:
@@ -90,8 +87,7 @@ def generate_constraint(
             return symbol in parameters
         return symbol not in eliminate_symbols
 
-    work_sig.parameters = {s for s in work_sig.all_symbols() if is_param(s)}
-    reduced = reduce_chain(work_sig, statements, seeds)
+    reduced = reduce_chain(sig, statements, seeds)
     for step in reduced.steps:
         steps.append(
             "level %d: %d instantiation terms, %d instances, %d definitions"
@@ -103,14 +99,14 @@ def generate_constraint(
         bad = [
             s.fn
             for s in subterms(d.term)
-            if isinstance(s, App) and s.args and work_sig.is_extension(s.fn) and not is_param(s.fn) and s != d.term
+            if isinstance(s, App) and s.args and sig.is_extension(s.fn) and not is_param(s.fn) and s != d.term
         ]
         if bad:
             raise SortError(
                 "argument of parameter application %s contains eliminated symbol %s"
                 % (print_term(d.term), bad[0])
             )
-    occurring = _constants((s for f in reduced.ground for s in formula_subterms(f)), work_sig)
+    occurring = _constants((s for f in reduced.ground for s in formula_subterms(f)), reduced.sig)
     kept = [name for name in occurring if is_param(name)]
     for d in kept_defs:
         if d.constant not in kept:
@@ -118,7 +114,7 @@ def generate_constraint(
     arg_constants: List[str] = []
     for d in kept_defs:
         for arg in d.term.args:
-            for name in _constants(subterms(arg), work_sig):
+            for name in _constants(subterms(arg), reduced.sig):
                 if not is_param(name) and name not in kept and name not in arg_constants:
                     arg_constants.append(name)
     eliminated = [name for name in occurring if name not in kept and name not in arg_constants]
@@ -142,7 +138,7 @@ def generate_constraint(
             f = Forall(tuple(variables), f)
         closed.append(canonical(f))
     constraint = canonical(conj(closed)) if closed else TRUE
-    weakest = definitional_shapes_ok(work_sig, statements)
+    weakest = definitional_shapes_ok(sig, statements)
     return ConstraintResult(constraint, weakest, steps)
 
 
@@ -276,8 +272,7 @@ def _guards_disjoint(sig: Signature, a, b) -> bool:
 def check_unsat_with_constraint(sig: Signature, statements: Sequence[Formula], constraint: Formula) -> bool:
     """True iff the problem together with the constraint reduces to an
     unsatisfiable ground formula."""
-    work_sig = sig.copy()
-    reduced = reduce_chain(work_sig, list(statements) + constraint_statements(constraint))
+    reduced = reduce_chain(sig, list(statements) + constraint_statements(constraint))
     return decide(reduced.ground) is None
 
 

@@ -27,6 +27,13 @@ stay direct recursions.  Walks that do their own work at each
 connective keep their own recursion: nnf (polarity), to_clauses, and
 outside this module print_formula, canonical, the SMT-LIB export and
 linear's DNF.
+
+A Signature holds the declared symbols: base and leveled extension
+functions, relations and constants.  A constant is declared on first
+use: the parser declares those of the text it reads on the signature it
+is given, and reduction.reduce_chain those of its statements (a negated
+candidate's Skolem constants) and the ones it introduces on its own
+copy, so it never changes a caller's signature.
 """
 
 from fractions import Fraction
@@ -249,16 +256,15 @@ class Clause(Node):
 
 class Signature(Record):
     """Declared symbols: base functions, leveled extension functions,
-    relations, parameters and (implicitly declared) constants.  An
-    omitted table starts empty, base_functions with + - * of arity 2."""
+    relations and (implicitly declared) constants.  An omitted table
+    starts empty, base_functions with + - * of arity 2."""
 
-    def __init__(self, base_functions=None, extension_functions=None, relations=None, parameters=None, constants=None):
+    def __init__(self, base_functions=None, extension_functions=None, relations=None, constants=None):
         self.base_functions: Dict[str, int] = dict(ARITH_FUNCTIONS) if base_functions is None else base_functions
         self.extension_functions: Dict[str, Tuple[int, int]] = (
             {} if extension_functions is None else extension_functions
         )
         self.relations: Dict[str, int] = {} if relations is None else relations
-        self.parameters: Set[str] = set() if parameters is None else parameters
         self.constants: Set[str] = set() if constants is None else constants
 
     def validate(self) -> None:
@@ -271,16 +277,12 @@ class Signature(Record):
         for name, (_, level) in self.extension_functions.items():
             if level < 1:
                 raise SignatureError("extension level of %s must be >= 1" % name)
-        for p in self.parameters:
-            if not (p in self.extension_functions or p in self.base_functions or p in self.constants):
-                raise SignatureError("parameter %s names no declared function or constant" % p)
 
     def copy(self) -> "Signature":
         return Signature(
             dict(self.base_functions),
             dict(self.extension_functions),
             dict(self.relations),
-            set(self.parameters),
             set(self.constants),
         )
 
@@ -313,10 +315,8 @@ class Signature(Record):
     def all_symbols(self) -> Set[str]:
         return set(self.base_functions) | set(self.extension_functions) | set(self.constants)
 
-    def fresh_constant(self, stem: str, taken: Optional[Set[str]] = None) -> str:
+    def fresh_constant(self, stem: str) -> str:
         used = self.all_symbols()
-        if taken:
-            used |= taken
         if stem not in used:
             self.constants.add(stem)
             return stem

@@ -37,18 +37,14 @@ class Verdict(Record):
 
 
 def vc_initiation(system: TransitionSystem, candidate: Sequence[Formula]) -> ReducedProblem:
-    sig = system.sig.copy()
-    negated = negate_universal(list(candidate), avoid=sig.all_symbols())
-    sig.declare_constants_of(negated)
-    return reduce_chain(sig, list(system.init) + [negated])
+    negated = negate_universal(list(candidate), avoid=system.sig.all_symbols())
+    return reduce_chain(system.sig, list(system.init) + [negated])
 
 
 def vc_consecution(system: TransitionSystem, candidate: Sequence[Formula]) -> ReducedProblem:
-    sig = system.sig.copy()
     primed = [rename_symbols(c, system.renaming()) for c in candidate]
-    negated = negate_universal(primed, avoid=sig.all_symbols())
-    sig.declare_constants_of(negated)
-    return reduce_chain(sig, list(candidate) + list(system.update) + [negated])
+    negated = negate_universal(primed, avoid=system.sig.all_symbols())
+    return reduce_chain(system.sig, list(candidate) + list(system.update) + [negated])
 
 
 def check_inductive(system: TransitionSystem, candidate: Sequence[Formula]) -> Verdict:
@@ -109,15 +105,12 @@ def bmc(system: TransitionSystem, candidate: Sequence[Formula], k: int) -> List[
     init0 = [rename_symbols(f, state_renaming(0)) for f in system.init]
     results: List[BmcStep] = []
     for j in range(k + 1):
-        work = sig.copy()
         statements = list(init0)
         for i in range(j):
             statements.extend(rename_symbols(f, step_renaming(i)) for f in system.update)
         shifted = [rename_symbols(c, state_renaming(j)) for c in candidate]
-        negated = negate_universal(shifted, avoid=work.all_symbols())
-        work.declare_constants_of(negated)
-        statements.append(negated)
-        witness = decide(reduce_chain(work, statements).ground)
+        statements.append(negate_universal(shifted, avoid=sig.all_symbols()))
+        witness = decide(reduce_chain(sig, statements).ground)
         results.append(BmcStep(j, witness is None, witness))
     return results
 
@@ -148,9 +141,11 @@ def _log_candidate(log: List[Tuple[int, str]], label: str, candidate: Sequence[F
 
 
 def _ground_unit_atoms(candidate: Sequence[Formula]) -> List[LinAtom]:
+    """The linear atoms of the candidate's ground atoms.  A != atom is
+    a disjunction of its two strict halves, so it gives no unit."""
     units: List[LinAtom] = []
     for c in candidate:
-        if isinstance(c, Atom) and is_ground(c):
+        if isinstance(c, Atom) and c.rel != "!=" and is_ground(c):
             for a in atom_to_lin(c):
                 if isinstance(a, LinAtom):
                     units.append(a)
@@ -203,11 +198,11 @@ def strengthen(
         log.append((0, "%d. Iteration:" % iteration))
         _log_candidate(log, "current candidate", current)
 
-        sig = system.sig.copy()
-        negated = canonical(negate_universal(current, avoid=sig.all_symbols()))
+        avoid = system.sig.all_symbols()
+        negated = canonical(negate_universal(current, avoid=avoid))
         log.append((1, "(step) negated candidate: %s;" % print_formula(negated)))
         primed = [rename_symbols(c, system.renaming()) for c in current]
-        negated_primed = negate_universal(primed, avoid=sig.all_symbols())
+        negated_primed = negate_universal(primed, avoid=avoid)
         log.append((1, "(step) negated and updated candidate: %s;" % print_formula(canonical(negated_primed))))
 
         init_ok = decide(vc_initiation(system, current).ground) is None
@@ -233,9 +228,8 @@ def strengthen(
         if consec_ok:
             return StrengthenResult("Invariant", current, iteration, log)
 
-        sig.declare_constants_of(negated_primed)
         statements = list(current) + list(system.update) + [negated_primed]
-        result = generate_constraint(sig, statements, parameters=list(parameters), max_cases=max_cases)
+        result = generate_constraint(system.sig, statements, parameters=list(parameters), max_cases=max_cases)
         weakest_flags.append(result.weakest)
         current = [canonical(c) for c in current]
         current = _conjoin_constraint(current, result.constraint)

@@ -961,3 +961,31 @@ def test_readme_example_result(tmp_path, capsys):
     path.write_text(task_text)
     assert main([str(path)]) == 0
     assert result in capsys.readouterr().out.splitlines()
+
+
+DISEQUALITY_QUERY_TASK = """\
+tasks:
+    t:
+        mode: INVARIANT_STRENGTHENING
+        specification_type: PTS
+        options: {parameter: [p]}
+        specification:
+            init: 'x = _1; p = _0;'
+            update: 'xp = x + p;'
+            query: '%s'
+            update_vars: {x: xp}
+"""
+
+
+@pytest.mark.parametrize("query", ["x != _0;", "OR(x < _0, x > _0);"])
+def test_strengthening_a_disequality_candidate(tmp_path, capsys, query):
+    """A candidate x != _0 strengthens as its disjunction of strict
+    halves does: the generated p = _0 is conjoined, not dropped as a
+    contradiction of both halves."""
+    path = tmp_path / "neq.yaml"
+    path.write_text(DISEQUALITY_QUERY_TASK % query)
+    assert main([str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    i = lines.index("        Inductive Invariant: |-")
+    shown = "x != _0;" if "!=" in query else "OR(x > _0, x < _0);"
+    assert lines[i + 1 : i + 4] == ["            %s" % shown, "            p >= _0;", "            p <= _0;"]

@@ -172,6 +172,21 @@ def test_reduce_chain_level_free_input():
     assert reduced.definitions == []
 
 
+def test_reduce_chain_leaves_its_signature_unchanged():
+    """The reduction extends a copy of the signature: the statements'
+    undeclared constants and the introduced c_* constants are declared
+    on reduced.sig, and the signature passed in stays as it was."""
+    sig = make_sig()
+    statements = parse_statements("(FORALL x). f(x) <= g(x); f(u) > g(u) + k; k >= _0;", sig.copy())
+    before = sig.copy()
+    reduced = reduce_chain(sig, statements)
+    assert sig == before and "k" not in sig.constants
+    introduced = [d.constant for d in reduced.definitions]
+    assert introduced == ["c_f_1", "c_g_1"]
+    assert reduced.sig.constants == sig.constants | {"k"} | set(introduced)
+    assert decide(reduced.ground) is None
+
+
 # ---------------------------------------------------------------------------
 # Closure operator laws
 

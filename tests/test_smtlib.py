@@ -4,12 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import GRID7, dnf_formula, eval_conjunct, model_of, random_conjunct
+from oracles import GRID7, dnf_formula, eval_conjunct, evaluate, model_of, random_conjunct
 from paramverify.errors import SortError
 from paramverify.parsing import parse_statements
 from paramverify.reduction import reduce_chain
 from paramverify.smtlib import export_smtlib
-from paramverify.terms import And, Forall, Atom, Signature, Var
+from paramverify.terms import (
+    And,
+    App,
+    Atom,
+    Forall,
+    Implies,
+    Not,
+    Num,
+    Or,
+    Signature,
+    Var,
+    formula_subterms,
+    subformulas,
+)
 
 
 def test_unsat_script_shape():
@@ -81,6 +94,8 @@ def _parse_sexpr(text):
 
 def _eval_sexpr(node, point):
     if isinstance(node, str):
+        if node in ("true", "false"):
+            return node == "true"
         if re.fullmatch(r"-?\d+", node):
             return Fraction(node)
         return point[node]
@@ -166,3 +181,46 @@ def test_consecution_script_sat_at_witness(ex1_spec):
         symbols |= {s for s in formula_symbols(g) if s not in ("+", "-", "*")}
     point = {s: witness.get(s, Fraction(0)) for s in symbols}
     assert _script_holds(script, point)
+
+
+def _random_ground_term(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            return App(rng.choice(["x", "y"]), ())
+        return Num(Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])))
+    kind = rng.choice(["+", "-", "*", "neg"])
+    if kind == "neg":
+        return App("-", (_random_ground_term(rng, depth - 1),))
+    return App(kind, (_random_ground_term(rng, depth - 1), _random_ground_term(rng, depth - 1)))
+
+
+def _random_ground_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        rel = rng.choice(["=", "!=", "<=", "<", ">=", ">"])
+        return Atom(rel, _random_ground_term(rng, 2), _random_ground_term(rng, 2))
+    kind = rng.choice(["and", "or", "not", "implies"])
+    if kind == "not":
+        return Not(_random_ground_formula(rng, depth - 1))
+    if kind == "implies":
+        return Implies(_random_ground_formula(rng, depth - 1), _random_ground_formula(rng, depth - 1))
+    parts = tuple(_random_ground_formula(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+    return And(parts) if kind == "and" else Or(parts)
+
+
+def test_disjunctive_script_agrees_with_evaluation():
+    """Every connective, the != atom, unary minus and rational numerals
+    export to a script that holds at a grid point exactly where the
+    formulas do."""
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(120):
+        fs = [_random_ground_formula(rng, 3) for _ in range(rng.randint(1, 2))]
+        for f in fs:
+            seen |= {"!=" if type(g) is Atom and g.rel == "!=" else type(g) for g in subformulas(f)}
+            seen |= {"unary -" for t in formula_subterms(f) if isinstance(t, App) and len(t.args) == 1}
+        script = export_smtlib(fs)
+        for xv in GRID7:
+            for yv in GRID7[::2]:
+                point = {"x": xv, "y": yv}
+                assert _script_holds(script, point) == all(evaluate(f, point) for f in fs), script
+    assert seen == {And, Or, Not, Implies, Atom, "!=", "unary -"}

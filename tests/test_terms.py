@@ -291,7 +291,7 @@ def test_node_repr_lists_fields():
 
 def test_records_get_fresh_defaults():
     a, b = Signature(), Signature()
-    for table in ("base_functions", "extension_functions", "relations", "parameters", "constants"):
+    for table in ("base_functions", "extension_functions", "relations", "constants"):
         assert getattr(a, table) is not getattr(b, table)
     a.base_functions["d"] = 1
     a.constants.add("c")

@@ -2,10 +2,11 @@ import pytest
 
 from oracles import evaluate
 from paramverify.linear import decide
-from paramverify.parsing import _parse_task_body, parse_statements
+from paramverify.parsing import _parse_task_body, parse_formula, parse_statements
 from paramverify.printing import print_formula
-from paramverify.terms import And, conj
+from paramverify.terms import And, FALSE, Signature, conj
 from paramverify.transition import (
+    _conjoin_constraint,
     bmc,
     check_inductive,
     strengthen,
@@ -252,3 +253,18 @@ def test_bmc_over_two_function_chain(ex2_system):
     system = ex2_system
     steps = bmc(system, system.query, 2)
     assert [s.holds for s in steps] == [True, True, True]
+
+
+def test_disequality_in_candidate_keeps_the_constraint():
+    """x != _0 is x < _0 or x > _0, so it gives no unit literal to drop
+    clause literals against: read as both halves at once it would
+    contradict every literal, and the conjoined clause would be false."""
+    sig = Signature()
+    candidate = [parse_formula("x != _0;", sig)]
+    clause = parse_formula("OR(p > _0, x > _0);", sig)
+    out = _conjoin_constraint(candidate, clause)
+    assert FALSE not in out
+    assert [print_formula(c) for c in out] == ["x != _0", "OR(x > _0, p > _0)"]
+    # a unit literal still drops the clause literal it contradicts
+    unit = [parse_formula("x < _0;", sig)]
+    assert [print_formula(c) for c in _conjoin_constraint(unit, clause)] == ["x < _0", "p > _0"]
