@@ -25,6 +25,7 @@ from .terms import (
     Num,
     Record,
     Term,
+    fresh_name,
     negate_universal,
     rename_symbols,
 )
@@ -117,7 +118,7 @@ class NamedVC(Record):
     def __init__(self, name, statements, duration):
         self.name: str = name
         self.statements: List[Formula] = statements
-        self.duration: str = duration  # t, or t_vc / t_cf when t is a symbol of the automaton
+        self.duration: str = duration  # fresh_name("t") over the automaton's symbols
 
 
 def _selected(items: list, names: Optional[Sequence[str]], matches, what: str) -> list:
@@ -133,14 +134,15 @@ def _selected(items: list, names: Optional[Sequence[str]], matches, what: str) -
 def vcs_invariant(automaton: HybridAutomaton, candidate: Sequence[Formula], names=None) -> List[NamedVC]:
     """One condition per mode (initial states, flows) and per edge
     (jumps), or those that names selects; the candidate is invariant iff
-    all are unsatisfiable."""
+    all are unsatisfiable.  Flows last a duration fresh_name("t") over
+    the automaton's symbols, which the Skolem constants avoid too."""
     renaming = automaton.prime_renaming()
     avoid = automaton.sig.all_symbols()
     neg_plain = negate_universal(list(candidate), avoid=avoid)
     neg_primed = negate_universal([rename_symbols(c, renaming) for c in candidate], avoid=avoid)
     primed_of = lambda fs: [rename_symbols(f, renaming) for f in fs]
     out: List[NamedVC] = []
-    tname = "t" if "t" not in automaton.sig.all_symbols() else "t_vc"
+    tname = fresh_name("t", avoid)
     t: Term = App(tname, ())
     zero: Term = Num(Fraction(0))
     for name, mode in automaton.modes.items():
@@ -170,11 +172,12 @@ def vcs_chatterfree(
     """Chatter-freedom conditions: every jump lands in the target's
     inner envelope, and no guard fires within the dwelling time.  edges
     selects edges by label or by source->target; a selected edge with
-    no inner envelope on either side is a SortError."""
+    no inner envelope on either side is a SortError.  Dwelling lasts a
+    duration fresh_name("t") over the automaton's symbols, as in vcs_invariant."""
     renaming = automaton.prime_renaming()
     avoid = automaton.sig.all_symbols()
     primed_of = lambda fs: [rename_symbols(f, renaming) for f in fs]
-    tname = "t" if "t" not in automaton.sig.all_symbols() else "t_cf"
+    tname = fresh_name("t", avoid)
     t: Term = App(tname, ())
     zero: Term = Num(Fraction(0))
     matches = lambda e, name: name in (e.label(), "%s->%s" % (e.source, e.target))

@@ -693,6 +693,9 @@ _KNOWN_OPTION_KEYS = {key for row in MODES.values() for reads in row.values() fo
 _KNOWN_OPTION_KEYS.add("print_steps")
 
 
+# the options a task may leave out, and the values it then runs with
+OPTION_DEFAULTS = {"bmc_k": 1, "inv_str_max_iter": 10, "slfq_query": False, "print_steps": False}
+
 # (option, a test of its value, what the error message asks for)
 _SCALAR_OPTIONS = (
     ("epsilon", lambda v: type(v) in (int, str) or type(v) is float and isfinite(v), "a finite number or a term"),
@@ -703,8 +706,9 @@ _SCALAR_OPTIONS = (
 
 
 class TaskSpec(Record):
-    """A task as its mode runs it: the options its mode reads, the texts
-    among them parsed into candidate, assumptions and epsilon."""
+    """A task as its mode runs it: the options its mode reads, defaults
+    filled in, the texts among them parsed into candidate, assumptions
+    and epsilon."""
 
     def __init__(self, name, mode, spec_type, theory, body, options=None):
         self.name: str = name
@@ -1059,7 +1063,7 @@ def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[st
     theory = doc.get("specification_theory", "REAL_CLOSED_FIELDS")
     if theory not in THEORIES:
         raise ParseError("task %s: unknown specification_theory %r" % (name, theory))
-    options = dict(defaults)
+    options = {**OPTION_DEFAULTS, **defaults}
     raw_options = doc.get("options") or {}
     if not isinstance(raw_options, dict):
         raise ParseError("task %s: options must be a mapping" % name)
@@ -1077,7 +1081,7 @@ def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[st
             shape = "a string or a list of strings" if key == "assumptions" else "a list of strings"
             raise ParseError("task %s: option %s must be %s" % (name, key, shape))
     for key, least in (("bmc_k", 0), ("inv_str_max_iter", 1)):
-        value = options.get(key, least)
+        value = options[key]
         if type(value) is not int or value < least:
             raise ParseError("task %s: option %s must be an integer >= %d, got %r" % (name, key, least, value))
     for key, valid, shape in _SCALAR_OPTIONS:

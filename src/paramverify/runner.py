@@ -96,7 +96,7 @@ class TaskRunner:
             "BMC": self._bmc,
             "CHATTER_FREE": self._constraints_for_vcs,
         }[task.mode]
-        outcome = handler(task, assumptions, seeds, vcs, task.options.get("print_steps", False))
+        outcome = handler(task, assumptions, seeds, vcs, task.options["print_steps"])
         outcome.runtime = time.perf_counter() - start
         return outcome
 
@@ -110,7 +110,7 @@ class TaskRunner:
             eliminate_symbols=eliminate,
             assumptions=assumptions,
             max_cases=self.flags.max_cases,
-            full_simplify=task.options.get("slfq_query", False),
+            full_simplify=task.options["slfq_query"],
             seeds=seeds,
         )
 
@@ -164,7 +164,7 @@ class TaskRunner:
             task.body,
             task.body.query,
             task.options["parameter"],
-            max_iter=task.options.get("inv_str_max_iter", 10),
+            max_iter=task.options["inv_str_max_iter"],
             task_name=task.name,
             max_cases=self.flags.max_cases,
         )
@@ -222,7 +222,7 @@ class TaskRunner:
     # -- BMC
 
     def _bmc(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
-        k = task.options.get("bmc_k", 1)
+        k = task.options["bmc_k"]
         steps = bmc(task.body, task.body.query, k)
         violated = [s for s in steps if not s.holds]
         outcome = TaskOutcome(task.name, [], None)

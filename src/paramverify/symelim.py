@@ -40,9 +40,11 @@ from .terms import (
     Term,
     Var,
     conj,
+    const,
     disj,
     formula_subterms,
     formula_symbols,
+    fresh_name,
     map_terms,
     negate_atom,
     nnf,
@@ -254,12 +256,11 @@ def _guards_disjoint(sig: Signature, a, b) -> bool:
     args_b, guard_b = b
     if len(args_a) != len(args_b):
         return True
-    shared = ["v_%d" % k for k in range(len(args_a))]
-    sub_a = {x: App("g_%s" % v, ()) for x, v in zip(args_a, shared)}
-    sub_b = {x: App("g_%s" % v, ()) for x, v in zip(args_b, shared)}
+    taken = sig.all_symbols() | formula_symbols(guard_a) | formula_symbols(guard_b)
+    shared = [const(fresh_name("g_v_%d" % k, taken)) for k in range(len(args_a))]
     try:
-        ga = substitute(guard_a, sub_a)
-        gb = substitute(guard_b, sub_b)
+        ga = substitute(guard_a, dict(zip(args_a, shared)))
+        gb = substitute(guard_b, dict(zip(args_b, shared)))
         return decide([ga, gb]) is None
     except (SortError, EngineError):
         return False

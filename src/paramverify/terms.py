@@ -33,7 +33,8 @@ functions, relations and constants.  A constant is declared on first
 use: the parser declares those of the text it reads on the signature it
 is given, and reduction.reduce_chain those of its statements (a negated
 candidate's Skolem constants) and the ones it introduces on its own
-copy, so it never changes a caller's signature.
+copy, so it never changes a caller's signature.  Each symbol the
+engine introduces is named by fresh_name, away from the names given.
 """
 
 from fractions import Fraction
@@ -316,16 +317,20 @@ class Signature(Record):
         return set(self.base_functions) | set(self.extension_functions) | set(self.constants)
 
     def fresh_constant(self, stem: str) -> str:
-        used = self.all_symbols()
-        if stem not in used:
-            self.constants.add(stem)
-            return stem
-        k = 2
-        while "%s_%d" % (stem, k) in used:
-            k += 1
-        name = "%s_%d" % (stem, k)
+        """Declare and return fresh_name(stem) over all declared symbols."""
+        name = fresh_name(stem, self.all_symbols())
         self.constants.add(name)
         return name
+
+
+def fresh_name(stem: str, taken: Set[str]) -> str:
+    """stem, or the first of stem_2, stem_3, ... not in taken; the name
+    is added to taken.  Every symbol the engine introduces is named so."""
+    name, k = stem, 2
+    while name in taken:
+        name, k = "%s_%d" % (stem, k), k + 1
+    taken.add(name)
+    return name
 
 
 class SymbolRenaming:
@@ -354,14 +359,6 @@ def subterms(t: Term):
     if isinstance(t, App):
         for a in t.args:
             yield from subterms(a)
-
-
-def term_symbols(t: Term) -> Set[str]:
-    out: Set[str] = set()
-    for s in subterms(t):
-        if isinstance(s, App):
-            out.add(s.fn)
-    return out
 
 
 def subformulas(f: Formula):
@@ -523,21 +520,12 @@ def _disjunction_literals(f: Formula) -> List[Atom]:
     raise SortError("formula is not a clause: nested %s" % type(f).__name__)
 
 
-def skolem_name(var: str, avoid: Set[str]) -> str:
-    name = "sk_%s" % var
-    if name not in avoid:
-        return name
-    k = 2
-    while "%s_%d" % (name, k) in avoid:
-        k += 1
-    return "%s_%d" % (name, k)
-
-
 def negate_universal(f: Union[Formula, Iterable[Formula]], avoid: Iterable[str] = ()) -> Formula:
     """Negate a conjunction of universally closed clauses.
 
-    Quantified variables become fresh skolem constants named sk_<var>
-    (suffixed _2, _3, ... on collision); the result is a ground
+    Each clause's variables become constants fresh_name("sk_<var>")
+    over avoid and the clauses' symbols, distinct within the clause;
+    different clauses may share a name.  The result is a ground
     disjunction of negated-literal conjunctions in NNF.
     """
     if isinstance(f, (list, tuple)):
@@ -546,13 +534,11 @@ def negate_universal(f: Union[Formula, Iterable[Formula]], avoid: Iterable[str] 
             clauses.extend(to_clauses(part))
     else:
         clauses = to_clauses(f)
-    taken = set(avoid)
-    for c in clauses:
-        for l in c.literals:
-            taken |= term_symbols(l.lhs) | term_symbols(l.rhs)
+    taken = set(avoid).union(*(formula_symbols(l) for c in clauses for l in c.literals))
     disjuncts: List[Formula] = []
     for c in clauses:
-        sk = {v: const(skolem_name(v, taken)) for v in c.variables}
+        names = set(taken)
+        sk = {v: const(fresh_name("sk_" + v, names)) for v in c.variables}
         negated = [negate_atom(substitute(l, sk)) for l in c.literals]
         disjuncts.append(conj(negated) if negated else TRUE)
     return disj(disjuncts) if disjuncts else FALSE

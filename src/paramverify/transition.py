@@ -24,6 +24,7 @@ from .terms import (
     Record,
     SymbolRenaming,
     TRUE,
+    fresh_name,
     is_ground,
     negate_universal,
     rename_symbols,
@@ -68,39 +69,34 @@ class BmcStep(Record):
         self.witness: Optional[Dict] = witness
 
 
-def _indexed(name: str, i: int) -> str:
-    return "%s_%d" % (name, i)
-
-
 def bmc(system: TransitionSystem, candidate: Sequence[Formula], k: int) -> List[BmcStep]:
-    """Check reachability of a candidate violation in up to k steps."""
+    """Check reachability of a candidate violation in up to k steps.
+    State i renames each update variable x, and step i - 1 its primed
+    name, to copy i of x: fresh_name("x_<i>") over the system's symbols."""
     if k < 0:
         raise ValueError("bound must be >= 0")
     sig = system.sig.copy()
-    base = system.sig
+    ext = system.sig.extension_functions
+    taken = sig.all_symbols()
+    copies = {old: [fresh_name("%s_%d" % (old, i), taken) for i in range(k + 2)] for old in system.update_vars}
     for old, new in system.update_vars.items():
-        arity = base.arity_of(old)
-        for i in range(k + 2):
-            name = _indexed(old, i)
-            if arity == 0:
+        for i, name in enumerate(copies[old]):
+            if old not in ext:
                 sig.declare_constant(name)
             else:
-                level = base.extension_functions[old][1]
-                if new in base.extension_functions:
-                    delta = max(base.extension_functions[new][1] - level, 1)
-                else:
-                    delta = 1
+                arity, level = ext[old]
+                delta = max(ext[new][1] - level, 1) if new in ext else 1
                 sig.extension_functions[name] = (arity, level + i * delta)
 
     def step_renaming(i: int) -> SymbolRenaming:
         mapping = {}
         for old, new in system.update_vars.items():
-            mapping[old] = _indexed(old, i)
-            mapping[new] = _indexed(old, i + 1)
+            mapping[old] = copies[old][i]
+            mapping[new] = copies[old][i + 1]
         return SymbolRenaming(mapping)
 
     def state_renaming(i: int) -> SymbolRenaming:
-        return SymbolRenaming({old: _indexed(old, i) for old in system.update_vars})
+        return SymbolRenaming({old: copies[old][i] for old in system.update_vars})
 
     init0 = [rename_symbols(f, state_renaming(0)) for f in system.init]
     results: List[BmcStep] = []

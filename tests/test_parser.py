@@ -114,6 +114,17 @@ def test_parse_task_file_parameter_list():
     assert task.options["parameter"] == ["a", "d1", "d2"]
 
 
+def test_parse_task_file_fills_option_defaults():
+    """Each default a mode reads is in the task's options, set or not;
+    those of other modes are not."""
+    task = parse_task_file((DATA / "ex1_constraint.yaml").read_text()).tasks["example constraint generation"]
+    assert task.options == {"parameter": ["a", "d1", "d2"], "slfq_query": True, "print_steps": False}
+    text = (DATA / "pts_check_unsorted.yaml").read_text()
+    assert parse_task_file(text).tasks["check_unsorted"].options == {"print_steps": True}
+    text = text.replace("mode: CHECK_INVARIANT", "mode: BMC")
+    assert parse_task_file(text).tasks["check_unsorted"].options == {"bmc_k": 1, "print_steps": True}
+
+
 def test_empty_tasks_rejected():
     with pytest.raises(ParseError, match="no tasks"):
         parse_task_file("tasks:\n")

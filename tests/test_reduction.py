@@ -17,7 +17,19 @@ from paramverify.reduction import (
     reduce_chain,
     split_statements,
 )
-from paramverify.terms import And, App, Atom, Forall, Num, Or, Signature, SymbolRenaming, Var, rename_symbols
+from paramverify.terms import (
+    And,
+    App,
+    Atom,
+    Forall,
+    Num,
+    Or,
+    Signature,
+    SymbolRenaming,
+    Var,
+    fresh_name,
+    rename_symbols,
+)
 
 
 def make_sig():
@@ -150,6 +162,13 @@ def test_fresh_constants_avoid_collisions():
     statements = parse_statements("z = f(u);", sig)
     purified = flatten_purify(statements, sig, {"f"})
     assert purified.definitions[0].constant == "c_f_1_2"
+    # a second collision: the shared helper steps on to the next free suffix
+    taken = {"c_f_1", "c_f_1_2"}
+    assert fresh_name("c_f_1", taken) == "c_f_1_3" and "c_f_1_3" in taken
+    sig.declare_constant("c_g_1")
+    sig.declare_constant("c_g_1_2")
+    purified = flatten_purify(parse_statements("z = g(v);", sig), sig, {"g"})
+    assert purified.definitions[0].constant == "c_g_1_3"
 
 
 def test_reduce_chain_consecution_sat(ex1_spec):

@@ -165,8 +165,8 @@ edge a -> b: guard: x >= p; jump: xp = x;
 
 def test_default_elimination_keeps_a_user_t_free():
     """When t is a symbol of the task, the conditions name their duration
-    t_vc (invariance) or t_cf (chatter-freedom); the default elimination
-    removes that duration and keeps the user's t as a parameter."""
+    t_2; the default elimination removes that duration and keeps the
+    user's t as a parameter."""
     invariance = lha_task("GENERATE_CONSTRAINTS", 'candidate: "x <= t;"', USER_T_LHA)
     chatter = lha_task("CHATTER_FREE", "epsilon: t", USER_T_LHA)
     results = []
@@ -176,7 +176,7 @@ def test_default_elimination_keeps_a_user_t_free():
         lines = report.splitlines()
         start = lines.index("    Result:")
         results += [l.strip() for l in lines[start + 1 :] if l.startswith("        ")]
-    assert not any("t_vc" in l or "t_cf" in l for l in results), results
+    assert not any("t_2" in l for l in results), results
     assert "I_a: t >= _0" in results and "F_flow_a: p - t <= _0" in results
     assert "CF2_a_b_1: t < _1" in results
 

@@ -173,6 +173,10 @@ def test_negate_universal_skolem_collision():
     negated = negate_universal(f)
     symbols = {s.fn for s in _apps(negated)}
     assert "sk_i_2" in symbols
+    # the variables of one clause get distinct constants, none of them sk_i
+    f = parse_formula("(FORALL i, i_2). a(i) <= a(i_2);", sig)
+    negated = negate_universal(f, avoid=sig.all_symbols())
+    assert print_formula(negated) == "a(sk_i_2) > a(sk_i_2_2)"
 
 
 def _apps(f):
