@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import SortError
-from .parsing import HybridAutomaton, Mode, primed
+from .parsing import DURATION, HybridAutomaton, Mode, primed
 from .printing import term_poly
 from .terms import (
     App,
@@ -25,6 +25,7 @@ from .terms import (
     Num,
     Record,
     Term,
+    check_term,
     fresh_name,
     negate_universal,
     rename_symbols,
@@ -115,10 +116,12 @@ def flow_relax(
 
 
 class NamedVC(Record):
-    def __init__(self, name, statements, duration):
+    """A named verification condition.  Its parameters are symbols of the
+    automaton's sig, never the Skolem constants and duration it introduces."""
+
+    def __init__(self, name, statements):
         self.name: str = name
         self.statements: List[Formula] = statements
-        self.duration: str = duration  # fresh_name("t") over the automaton's symbols
 
 
 def _selected(items: list, names: Optional[Sequence[str]], matches, what: str) -> list:
@@ -134,20 +137,21 @@ def _selected(items: list, names: Optional[Sequence[str]], matches, what: str) -
 def vcs_invariant(automaton: HybridAutomaton, candidate: Sequence[Formula], names=None) -> List[NamedVC]:
     """One condition per mode (initial states, flows) and per edge
     (jumps), or those that names selects; the candidate is invariant iff
-    all are unsatisfiable.  Flows last a duration fresh_name("t") over
-    the automaton's symbols, which the Skolem constants avoid too."""
+    all are unsatisfiable.  Flows last a duration fresh_name(DURATION) over
+    the automaton's symbols, which the Skolem constants avoid too; the
+    parameters of a condition are symbols of the automaton's sig, on
+    which the candidate is parsed."""
     renaming = automaton.prime_renaming()
     avoid = automaton.sig.all_symbols()
     neg_plain = negate_universal(list(candidate), avoid=avoid)
     neg_primed = negate_universal([rename_symbols(c, renaming) for c in candidate], avoid=avoid)
     primed_of = lambda fs: [rename_symbols(f, renaming) for f in fs]
     out: List[NamedVC] = []
-    tname = fresh_name("t", avoid)
-    t: Term = App(tname, ())
+    t: Term = App(fresh_name(DURATION, avoid), ())
     zero: Term = Num(Fraction(0))
     for name, mode in automaton.modes.items():
         if mode.init:
-            out.append(NamedVC("I_%s" % name, list(mode.init) + [neg_plain], tname))
+            out.append(NamedVC("I_%s" % name, list(mode.init) + [neg_plain]))
     for name, mode in automaton.modes.items():
         statements = (
             list(candidate)
@@ -156,11 +160,11 @@ def vcs_invariant(automaton: HybridAutomaton, candidate: Sequence[Formula], name
             + primed_of(mode.inv)
             + [neg_primed, Atom(">=", t, zero)]
         )
-        out.append(NamedVC("F_flow_%s" % name, statements, tname))
+        out.append(NamedVC("F_flow_%s" % name, statements))
     for edge in automaton.edges:
         target_inv = automaton.modes[edge.target].inv
         statements = list(candidate) + list(edge.jump) + primed_of(target_inv) + [neg_primed]
-        out.append(NamedVC("F_jump_%s" % edge.label(), statements, tname))
+        out.append(NamedVC("F_jump_%s" % edge.label(), statements))
     return _selected(out, names, lambda vc, name: vc.name == name, "verification condition")
 
 
@@ -173,12 +177,14 @@ def vcs_chatterfree(
     inner envelope, and no guard fires within the dwelling time.  edges
     selects edges by label or by source->target; a selected edge with
     no inner envelope on either side is a SortError.  Dwelling lasts a
-    duration fresh_name("t") over the automaton's symbols, as in vcs_invariant."""
+    duration fresh_name(DURATION) over the automaton's symbols, as in
+    vcs_invariant.  The parameters are symbols of the automaton's sig,
+    on which epsilon's undeclared constants are declared, as by parsing it."""
+    check_term(automaton.sig, epsilon)
     renaming = automaton.prime_renaming()
     avoid = automaton.sig.all_symbols()
     primed_of = lambda fs: [rename_symbols(f, renaming) for f in fs]
-    tname = fresh_name("t", avoid)
-    t: Term = App(tname, ())
+    t: Term = App(fresh_name(DURATION, avoid), ())
     zero: Term = Num(Fraction(0))
     matches = lambda e, name: name in (e.label(), "%s->%s" % (e.source, e.target))
     landing: List[NamedVC] = []
@@ -197,7 +203,7 @@ def vcs_chatterfree(
                 + list(edge.jump)
                 + [negate_universal(primed_of(target.inenv), avoid=avoid)]
             )
-            landing.append(NamedVC("CF1_%s" % edge.label(), statements, tname))
+            landing.append(NamedVC("CF1_%s" % edge.label(), statements))
         if source.inenv:
             statements = (
                 list(source.inenv)
@@ -206,5 +212,5 @@ def vcs_chatterfree(
                 + [rename_symbols(g, renaming) for g in edge.guard]
                 + [Atom("<=", t, epsilon), Atom(">", t, zero)]
             )
-            dwelling.append(NamedVC("CF2_%s" % edge.label(), statements, tname))
+            dwelling.append(NamedVC("CF2_%s" % edge.label(), statements))
     return landing + dwelling

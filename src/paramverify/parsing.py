@@ -66,6 +66,7 @@ MAX_TERM_DEPTH = 200
 MAX_FORMULA_DEPTH = 50
 
 SECTION_NAMES = ("Base_functions", "Extension_functions", "Relations", "Clauses", "Query")
+DURATION = "t"  # the stem of the name of an LHA flow's duration
 
 # One token a match, after the blanks before it.  A numeral's digits are
 # never cut short and its '/' must lead to digits, so "_12/x" matches no
@@ -1038,6 +1039,7 @@ def parse_task_file(text: str) -> TaskFile:
     task_options = doc.get("task_options") or {}
     if not isinstance(task_options, dict):
         raise ParseError("task_options must be a mapping")
+    warnings += ["task_options: unknown option %r ignored" % k for k in task_options if k not in _KNOWN_OPTION_KEYS]
     tasks: Dict[str, TaskSpec] = {}
     for name, body in tasks_doc.items():
         if not isinstance(body or {}, dict):
@@ -1116,9 +1118,10 @@ def _parse_task(name: str, doc: dict, defaults: dict) -> Tuple[TaskSpec, List[st
         epsilon = options.pop("epsilon", "epsilon")  # a number is read as its numeral
         epsilon = epsilon if type(epsilon) is str else "_%s" % Fraction(str(epsilon))
         task.epsilon = parse_input(name, "option epsilon", parse_term_string, epsilon, sig)
-    # an LHA task may eliminate the duration, which no text declares
-    for key in ("parameter",) if spec_type == "LHA" else ("parameter", "eliminate"):
-        unknown = [s for s in options.get(key) or () if sig.arity_of(s) is None]
+    for key in ("parameter", "eliminate"):
+        # an LHA task may list t undeclared: the duration, which no text declares, is always eliminated
+        duration = (DURATION,) if key == "eliminate" and spec_type == "LHA" else ()
+        unknown = [s for s in options.get(key) or () if sig.arity_of(s) is None and s not in duration]
         if unknown:
             raise ParseError("task %s: option %s: %s names no symbol of the task" % (name, key, ", ".join(unknown)))
     return task, warnings

@@ -63,7 +63,7 @@ class TaskOutcome(Record):
 def prepare(task: TaskSpec, flags: RunFlags, seed_text: Optional[str], warn: Callable[[str], None]):
     """A task's assumptions, seed terms and automaton conditions, or a
     ParseError naming it.  The conditions come last: texts declare the
-    constants that duration and skolem names avoid."""
+    constants that the names the conditions introduce avoid."""
     reads = MODES[task.mode][task.spec_type]
     for flag in ("--assume", "--seed-closure", "--dump-reduction", "--dump-smtlib"):  # each a RunFlags field
         if getattr(flags, flag[2:].replace("-", "_")) and flag not in reads:
@@ -130,9 +130,8 @@ class TaskRunner:
     def _constraints_for_vcs(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
         eliminate = task.options.get("eliminate")
         if eliminate is None and task.options.get("parameter") is None:
-            # by default, the state variables, their primed copies and the duration the conditions share
-            variables = task.body.variables
-            eliminate = variables + [primed(x) for x in variables] + [vc.duration for vc in vcs[:1]]
+            # by default, the state variables and their primed copies
+            eliminate = task.body.variables + [primed(x) for x in task.body.variables]
         extra: List[Tuple[int, str]] = []
         results = []
         for vc in vcs:

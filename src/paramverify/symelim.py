@@ -77,18 +77,20 @@ def generate_constraint(
 ) -> ConstraintResult:
     """Weakest universal parameter constraint making the problem
     unsatisfiable (weakest guaranteed only when the extension axioms
-    have definitional or bounded shape, reported via the flag).
+    have definitional or bounded shape, reported via the flag).  The
+    parameters are symbols of sig: those that parameters names (an
+    EngineError if sig lacks one), or those that eliminate_symbols does
+    not name.  So every symbol the engine introduces (purification and
+    Skolem constants, a flow's duration) is eliminated.
     full_simplify runs the exact simplify on the projection; assumptions
     imply it, so no literal of the result is decided by them."""
     if (parameters is None) == (eliminate_symbols is None):
         raise EngineError("exactly one of parameters/eliminate must be given")
+    undeclared = [p for p in parameters or () if sig.arity_of(p) is None]
+    if undeclared:
+        raise EngineError("parameters %s are no symbols of the signature" % ", ".join(undeclared))
+    params = set(parameters) if parameters is not None else sig.all_symbols() - set(eliminate_symbols)
     steps: List[str] = []
-
-    def is_param(symbol: str) -> bool:
-        if parameters is not None:
-            return symbol in parameters
-        return symbol not in eliminate_symbols
-
     reduced = reduce_chain(sig, statements, seeds)
     for step in reduced.steps:
         steps.append(
@@ -96,12 +98,12 @@ def generate_constraint(
             % (step.level, len(step.est), len(step.instances), len(step.definitions))
         )
 
-    kept_defs = [d for d in reduced.definitions if is_param(d.term.fn)]
+    kept_defs = [d for d in reduced.definitions if d.term.fn in params]
     for d in kept_defs:
         bad = [
             s.fn
             for s in subterms(d.term)
-            if isinstance(s, App) and s.args and sig.is_extension(s.fn) and not is_param(s.fn) and s != d.term
+            if isinstance(s, App) and s.args and sig.is_extension(s.fn) and s.fn not in params and s != d.term
         ]
         if bad:
             raise SortError(
@@ -109,16 +111,9 @@ def generate_constraint(
                 % (print_term(d.term), bad[0])
             )
     occurring = _constants((s for f in reduced.ground for s in formula_subterms(f)), reduced.sig)
-    kept = [name for name in occurring if is_param(name)]
-    for d in kept_defs:
-        if d.constant not in kept:
-            kept.append(d.constant)
-    arg_constants: List[str] = []
-    for d in kept_defs:
-        for arg in d.term.args:
-            for name in _constants(subterms(arg), reduced.sig):
-                if not is_param(name) and name not in kept and name not in arg_constants:
-                    arg_constants.append(name)
+    kept = [name for name in occurring if name in params] + [d.constant for d in kept_defs]
+    args = (s for d in kept_defs for arg in d.term.args for s in subterms(arg))
+    arg_constants = [name for name in _constants(args, reduced.sig) if name not in params and name not in kept]
     eliminated = [name for name in occurring if name not in kept and name not in arg_constants]
     steps.append("kept %s; eliminating %s" % (kept + arg_constants, eliminated))
 
@@ -136,8 +131,7 @@ def generate_constraint(
         f = substitute_constants(clause, defs_map)
         variables = [c for c in arg_constants if c in formula_symbols(f)]
         if variables:
-            f = _constants_to_variables(f, variables)
-            f = Forall(tuple(variables), f)
+            f = Forall(tuple(variables), substitute_constants(f, {c: Var(c) for c in variables}))
         closed.append(canonical(f))
     constraint = canonical(conj(closed)) if closed else TRUE
     weakest = definitional_shapes_ok(sig, statements)
@@ -185,10 +179,6 @@ def substitute_constants(f: Formula, mapping: Dict[str, Term]) -> Formula:
         return t
 
     return map_terms(f, sub_term)
-
-
-def _constants_to_variables(f: Formula, names: Sequence[str]) -> Formula:
-    return substitute_constants(f, {n: Var(n) for n in names})
 
 
 # ---------------------------------------------------------------------------

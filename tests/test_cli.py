@@ -735,21 +735,29 @@ def test_task_name_matching_no_task_exit_two(capsys):
     assert "    Number of Tasks: 1" in capsys.readouterr().out.splitlines()
 
 
+def data_text(name):
+    return (DATA / ("%s.yaml" % name)).read_text()
+
+
+LHA_ELIMINATING = one_task("GENERATE_CONSTRAINTS", "LHA", "{candidate: 'x <= _1;', eliminate: [x, xp, t]}")
+
+
 @pytest.mark.parametrize(
-    "name, old, new, message",
+    "text, old, new, message",
     [
-        ("ex1_constraint", "parameter: [a, d1, d2]", "parameter: [a, d1, dd2]", "option parameter: dd2"),
-        ("ex1_constraint", "parameter: [a, d1, d2]", "eliminate: [b, ap, ip, d1p, d2p, e]", "option eliminate: e"),
-        ("ex2_strengthening", "parameter: [a, d1, d2]", "parameter: [a, c, d]", "option parameter: c, d"),
-        ("chem_mode1", "eliminate: [x1, x2, x3, x1p, x2p, x3p, t]", "parameter: [lf, ld]", "option parameter: ld"),
+        (data_text("ex1_constraint"), "parameter: [a, d1, d2]", "parameter: [a, d1, dd2]", "option parameter: dd2"),
+        (data_text("ex1_constraint"), "parameter: [a, d1, d2]", "eliminate: [b, ap, ip, d1p, d2p, e]", "option eliminate: e"),
+        (data_text("ex2_strengthening"), "parameter: [a, d1, d2]", "parameter: [a, c, d]", "option parameter: c, d"),
+        (data_text("chem_mode1"), "eliminate: [x1, x2, x3, x1p, x2p, x3p, t]", "parameter: [lf, ld]", "option parameter: ld"),
+        (LHA_ELIMINATING, "eliminate: [x, xp, t]", "eliminate: [x, xp, t, typo]", "option eliminate: typo"),
     ],
-    ids=["hpilot-parameter", "hpilot-eliminate", "pts-parameter", "hpilot-flow-parameter"],
+    ids=["hpilot-parameter", "hpilot-eliminate", "pts-parameter", "hpilot-flow-parameter", "lha-eliminate"],
 )
-def test_parameter_naming_no_symbol_exit_two(tmp_path, capsys, name, old, new, message):
-    """A parameter, or an HPILOT task's eliminated symbol, that is no
-    symbol of the task would silently change which symbols a result
-    keeps: a parse error naming the task, the option and the names."""
-    text = (DATA / ("%s.yaml" % name)).read_text()
+def test_parameter_naming_no_symbol_exit_two(tmp_path, capsys, text, old, new, message):
+    """A parameter or an eliminated symbol that is no symbol of the task
+    would silently change which symbols a result keeps: a parse error
+    naming the task, the option and the names.  Only an LHA task's
+    eliminate list may name t, which the task need not declare."""
     assert old in text
     task_file = tmp_path / "misnamed.yaml"
     task_file.write_text(text.replace(old, new))
@@ -935,19 +943,24 @@ def test_imports_load_neither_dataclasses_nor_inspect(modules):
 
 
 def test_unknown_option_warns_on_stderr(tmp_path, capsys):
-    """A misspelled option is ignored with a warning on stderr; the exit
-    code and the report are those of the file without it."""
+    """A misspelled option, of a task or under task_options, is ignored
+    with a warning on stderr; the exit code and the report are those of
+    the file without it."""
     plain = DATA / "ex1_constraint.yaml"
-    misspelled = tmp_path / "misspelled.yaml"
-    text = plain.read_text().replace("slfq_query: true", "slfq_query: true\n            slfq_querry: true")
-    misspelled.write_text(text)
     assert main([str(plain)]) == 0
     expected = capsys.readouterr()
-    assert main([str(misspelled)]) == 0
-    out, err = capsys.readouterr()
     assert not expected.err
-    assert err == "warning: task example constraint generation: unknown option 'slfq_querry' ignored\n"
-    assert mask_report(out) == mask_report(expected.out)
+    cases = [
+        ("slfq_query: true", "slfq_query: true\n            slfq_querry: true", "task example constraint generation"),
+        ("tasks:", "task_options: {slfq_querry: true}\ntasks:", "task_options"),
+    ]
+    for old, new, where in cases:
+        misspelled = tmp_path / "misspelled.yaml"
+        misspelled.write_text(plain.read_text().replace(old, new, 1))
+        assert main([str(misspelled)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "warning: %s: unknown option 'slfq_querry' ignored\n" % where
+        assert mask_report(out) == mask_report(expected.out)
 
 
 def test_readme_example_result(tmp_path, capsys):

@@ -11,7 +11,7 @@ from paramverify.parsing import parse_formula, parse_lha, parse_statements
 from paramverify.printing import print_formula
 from paramverify.reduction import reduce_chain
 from paramverify.symelim import generate_constraint
-from paramverify.terms import App, Num, Signature
+from paramverify.terms import App, Num, Signature, formula_symbols
 
 
 MINI = """
@@ -196,6 +196,7 @@ def test_chatterfree_e12_dwell_constraint(plant):
         vc.statements,
         eliminate_symbols=["x1", "x2", "x3", "x1p", "x2p", "x3p", "t"],
     )
+    assert "epsilon" in formula_symbols(res.constraint)  # a parameter, declared on plant.sig
     sig = Signature()
     expected = parse_formula("lsafe < lf - _4 * epsilon;", sig)
     assumptions = parse_formula("AND(%s)" % A_FULL.replace(";", ",").rstrip(", "), sig)
@@ -270,6 +271,7 @@ def test_chatterfree_symbolic_rates_matches_handbuilt_problem():
         assumptions=hand_sign,
     )
 
+    assert "epsilon" in formula_symbols(res.constraint)  # a parameter, declared on automaton.sig
     rates = {"dmin": Num(Fraction(1)), "dmax": Num(Fraction(2)), "da": Num(Fraction(1))}
     mine = substitute_constants(res.constraint, rates)
     reference = substitute_constants(hand_res.constraint, rates)

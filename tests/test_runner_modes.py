@@ -166,19 +166,20 @@ edge a -> b: guard: x >= p; jump: xp = x;
 def test_default_elimination_keeps_a_user_t_free():
     """When t is a symbol of the task, the conditions name their duration
     t_2; the default elimination removes that duration and keeps the
-    user's t as a parameter."""
+    user's t as a parameter, and so does a list that leaves t_2 out."""
     invariance = lha_task("GENERATE_CONSTRAINTS", 'candidate: "x <= t;"', USER_T_LHA)
+    listed = lha_task("GENERATE_CONSTRAINTS", 'candidate: "x <= t;"\neliminate: [x, xp]', USER_T_LHA)
     chatter = lha_task("CHATTER_FREE", "epsilon: t", USER_T_LHA)
     results = []
-    for text in (invariance, chatter):
+    for text in (invariance, listed, chatter):
         report, code, _ = run_task_file(text)
         assert code == 0
         lines = report.splitlines()
         start = lines.index("    Result:")
-        results += [l.strip() for l in lines[start + 1 :] if l.startswith("        ")]
-    assert not any("t_2" in l for l in results), results
-    assert "I_a: t >= _0" in results and "F_flow_a: p - t <= _0" in results
-    assert "CF2_a_b_1: t < _1" in results
+        results.append([l.strip() for l in lines[start + 1 :] if l.startswith("        ")])
+    assert not any("t_2" in l for r in results for l in r), results
+    assert results[0] == results[1] == ["I_a: t >= _0", "F_flow_a: p - t <= _0", "F_flow_b: t < _0", "F_jump_a_b_1: true"]
+    assert "CF2_a_b_1: t < _1" in results[2]
 
 
 def test_multi_clause_constraint_block_is_reparseable():

@@ -1,11 +1,14 @@
+import re
+
 import pytest
 
-from conftest import EX1_SPEC
+from conftest import DATA, EX1_SPEC
 from oracles import dnf_formula, entails_constraint
 from paramverify.errors import EngineError
 from paramverify.linear import assumptions_from, simplify, to_linear
-from paramverify.parsing import parse_formula, parse_spec, parse_statements
+from paramverify.parsing import parse_formula, parse_spec, parse_statements, parse_task_file
 from paramverify.printing import canonical, print_canonical, print_formula
+from paramverify.runner import run_task_file
 from paramverify.symelim import (
     check_unsat_with_constraint,
     definitional_shapes_ok,
@@ -75,6 +78,8 @@ def test_result_mentions_only_base_and_parameters():
 
 
 def test_requires_exactly_one_selection():
+    """Exactly one list selects the parameters, and each parameter is a
+    symbol of the signature, never one the engine introduces."""
     spec = parse_spec(EX1_SPEC)
     with pytest.raises(EngineError):
         generate_constraint(spec.sig, spec.statements())
@@ -82,6 +87,8 @@ def test_requires_exactly_one_selection():
         generate_constraint(
             spec.sig, spec.statements(), parameters=["a"], eliminate_symbols=["d1"]
         )
+    with pytest.raises(EngineError, match="parameters c_a_1 are no symbols of the signature"):
+        generate_constraint(spec.sig, spec.statements(), parameters=["a", "c_a_1"])
 
 
 def test_determinism_byte_identical():
@@ -188,6 +195,38 @@ Query := d1 = a(i); d1 > _0;
     )
     res = generate_constraint(spec.sig, spec.statements(), eliminate_symbols=["d1", "i"])
     assert print_formula(res.constraint) == "(FORALL i). a(i) <= _0"
+
+
+def _result_block(report):
+    """The lines from the Result line to the Runtime line."""
+    lines = report.splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith("    Result:"))
+    end = next(i for i, l in enumerate(lines) if l.startswith("    Runtime:"))
+    return lines[start:end]
+
+
+GENERATING_FILES = [
+    path.stem
+    for path in sorted(DATA.glob("*.yaml"))
+    for task in parse_task_file(path.read_text()).tasks.values()
+    if (task.mode, task.spec_type) == ("GENERATE_CONSTRAINTS", "HPILOT")
+]
+
+
+@pytest.mark.parametrize("name", GENERATING_FILES)
+def test_complement_list_gives_the_same_result(name):
+    """parameter: P and eliminate: the task's other constants and
+    extension functions select the same parameters: no symbol the engine
+    introduces is kept, whichever list a task gives."""
+    text = (DATA / ("%s.yaml" % name)).read_text()
+    (task,) = parse_task_file(text).tasks.values()
+    sig = task.body.sig
+    symbols = sig.constants | set(sig.extension_functions)
+    (key,) = [k for k in ("parameter", "eliminate") if k in task.options]
+    other = "eliminate" if key == "parameter" else "parameter"
+    line = re.search(r"%s: \[.*\]" % key, text).group()
+    swapped = "%s: [%s]" % (other, ", ".join(sorted(symbols - set(task.options[key]))))
+    assert _result_block(run_task_file(text)[0]) == _result_block(run_task_file(text.replace(line, swapped))[0])
 
 
 def test_chem_weakestness_family():
