@@ -64,7 +64,12 @@ of the case.  A step splits each row that holds the eliminated symbol
 into (rel, coefficient, rest) and decides each distinct coefficient's
 sign once.  Ground elimination
 takes the column with the fewest rows first; is_sat returns a bool,
-orders the atoms by LinAtom.key and caches the verdict per atom set.
+eliminates in the caller's order of the atoms and caches the verdict per
+atom set.  The two loops of verdicts on one context, simplify_conjunct's
+leave-one-out and a step's sign cases, admit the context's rows into one
+table once (_table_of); each check (_sat_with) eliminates on a copy of
+it, with at most one slot left out or rebuilt and the probe's row under
+a fresh history bit.  Neither loop calls is_sat or uses its cache.
 
 The ground decision procedure (decide) is DPLL over clauses with
 Fourier-Motzkin at the leaves.  It translates each literal once per
@@ -327,11 +332,11 @@ StepRow = Tuple[str, Union[int, IntPoly], dict, int]
 Steps = List[Tuple[str, Optional[StepRow], Sequence[StepRow], Sequence[StepRow]]]
 
 
-def _admit(table: RowTable, index: Index, rel: str, p: RowPoly, h: int, names=None, atom=None) -> bool:
+def _admit(table: RowTable, index: Index, rel: str, p: RowPoly, h: int, names=None, atom=None) -> object:
     """Add the row p rel 0 with history h to the table, divided by the
     gcd of its entries, and index it under names (default: its
-    columns).  A constant row is decided instead; False when it is
-    false.  p is not mutated.
+    columns), and return the key of the slot it took.  A constant row
+    is decided instead: True or False.  p is not mutated.
 
     An equation is keyed by its entries, a bound by its coefficients
     over their gcd.  A row whose key is taken merges into that slot: a
@@ -366,16 +371,16 @@ def _admit(table: RowTable, index: Index, rel: str, p: RowPoly, h: int, names=No
                 index[u].append(key)
             else:
                 index[u] = [key]
-        return True
+        return key
     orel, op, oh, og, names, oatom = seen
     if rel != "=":
         # same direction: compare const/g against the kept bound's
         lhs, rhs = const * og, op.get("", 0) * g
         if lhs > rhs or (lhs == rhs and rel == "<" and orel == "<="):
             table[key] = (rel, p, oh & h, g, names, atom)
-            return True
+            return key
     table[key] = (orel, op, oh & h, og, names, oatom)
-    return True
+    return key
 
 
 def _take(table: RowTable, index: Index, v) -> List[StepRow]:
@@ -392,6 +397,19 @@ def _take(table: RowTable, index: Index, v) -> List[StepRow]:
                     del index[u]
         rows.append((rel, p.get(v), p, h))
     return rows
+
+
+def _clear_slot(table: RowTable, index: Index, key, entry: Optional[tuple]) -> None:
+    """Put entry in the key's slot, which must be indexed under the same
+    names; with no entry, remove the slot from the table and the index."""
+    if entry is not None:
+        table[key] = entry
+        return
+    for u in table.pop(key)[4]:
+        keys = index[u]
+        keys.remove(key)
+        if not keys:
+            del index[u]
 
 
 def _neg(p):
@@ -466,8 +484,9 @@ _SAT_CACHE: Dict[frozenset, bool] = {}
 _SAT_CACHE_LIMIT = 200000
 
 
-def is_sat(atoms: Iterable[LinAtom]) -> bool:
-    """Decide a conjunction.  Builds no witness.
+def is_sat(atoms: Sequence[LinAtom]) -> bool:
+    """Decide a conjunction, eliminating in the given order of the
+    atoms.  Builds no witness.
 
     Product monomials are treated as fresh symbols, which is exact for
     linear input (the documented contract) and refutation-sound
@@ -477,7 +496,7 @@ def is_sat(atoms: Iterable[LinAtom]) -> bool:
     cached = _SAT_CACHE.get(key)
     if cached is not None:
         return cached
-    sat = _fm_steps(sorted(key, key=LinAtom.key)) is not None
+    sat = _fm_steps(atoms) is not None
     if len(_SAT_CACHE) < _SAT_CACHE_LIMIT:
         _SAT_CACHE[key] = sat
     return sat
@@ -496,16 +515,41 @@ def _witness(steps: Steps, atoms: Iterable[LinAtom]) -> Dict[str, Fraction]:
     return witness
 
 
+# the row table and index of a context's atoms, and the slot key each took
+Context = Tuple[RowTable, Index, List[object]]
+
+
+def _table_of(atoms: Iterable[LinAtom]) -> Context:
+    """A new row table of the atoms, each its own history: atom i enters
+    with history 1 << i, so 1 << len(keys) is a history bit that no row
+    has.  An atom's row is never constant, so each takes a slot."""
+    table: RowTable = {}
+    index: Index = {}
+    keys = [_admit(table, index, *_atom_row(a), 1 << i) for i, a in enumerate(atoms)]
+    return table, index, keys
+
+
 def _fm_steps(atoms: Iterable[LinAtom]) -> Optional[Steps]:
     """Fourier-Motzkin on the atoms' rows, each atom its own history: the
     elimination steps, which _back_substitute turns into a witness and
     _probe_sat replays, or None when the atoms are unsatisfiable."""
-    table: RowTable = {}
-    index: Index = {}
-    for i, a in enumerate(atoms):
-        if not _admit(table, index, *_atom_row(a), 1 << i):
-            return None
+    table, index, _ = _table_of(atoms)
     return _eliminate_rows(table, index, 0)
+
+
+def _sat_with(context: Context, rel: str, p: RowPoly, slot=None, entry: Optional[tuple] = None) -> bool:
+    """Whether the context's rows and the row p rel 0 hold together,
+    with the context's slot left out or given entry (_clear_slot).  One
+    check of many on one context: it eliminates on a copy of the table
+    and its index, which it admits the row to under a history bit that
+    no row of the context has."""
+    table, index, keys = context
+    table = table.copy()
+    index = {u: slots[:] for u, slots in index.items()}
+    if slot is not None:
+        _clear_slot(table, index, slot, entry)
+    _admit(table, index, rel, p, 1 << len(keys))
+    return _eliminate_rows(table, index, 0) is not None
 
 
 def _eliminate_rows(table: RowTable, index: Index, done: int) -> Optional[Steps]:
@@ -625,15 +669,7 @@ def _back_substitute(steps: Steps) -> Dict[str, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Entailment, simplification
-
-
-def entails(context: Sequence[LinAtom], atom: LinAtom) -> bool:
-    """context |= atom over ordered fields (refutation of the negation)."""
-    if atom.rel == "=":
-        halves = (LinAtom("<", atom.terms), LinAtom("<", _neg_terms(atom.terms)))
-        return not any(is_sat(list(context) + [side]) for side in halves)
-    return not is_sat(list(context) + [atom.negated()])
+# Simplification
 
 
 def _complexity(a: LinAtom):
@@ -643,17 +679,33 @@ def _complexity(a: LinAtom):
 def simplify_conjunct(conj: Conjunct, assumptions: Sequence[LinAtom]) -> Optional[Conjunct]:
     """Drop atoms entailed by the rest; None when unsatisfiable with the
     assumptions.  The row table drops slack bounds first; then a single
-    sequential pass yields an irredundant set."""
+    sequential pass yields an irredundant set.
+
+    The pass decides each entailment (the atom's negation, or either
+    strict half of an equation's, refuted by the rest) on one table of
+    the assumptions and the atoms.  The atom's slot is left out of the
+    check, and an entailed atom leaves the table; a slot that an
+    assumption's row took too gets back that row, the assumptions'
+    merge of it, and is never simply dropped."""
     table: RowTable = {}
     for a in conj:
         _admit(table, {}, *_atom_row(a), 0, (), a)
     atoms = [entry[5] for entry in table.values()]
-    if not is_sat(atoms + list(assumptions)):
+    assumptions = list(assumptions)
+    if not is_sat(atoms + assumptions):
         return None
+    own = _table_of(assumptions)[0]
+    context = _table_of(assumptions + atoms)
+    shared, index, keys = context
+    slots = dict(zip(atoms, keys[len(assumptions) :]))
     for a in sorted(atoms, key=_complexity, reverse=True):
-        rest = [b for b in atoms if b is not a] + list(assumptions)
-        if entails(rest, a):
+        slot = slots[a]
+        entry = own.get(slot)
+        rel, p = _atom_row(a)
+        negated = [("<", p), ("<", _neg(p))] if rel == "=" else [("<" if rel == "<=" else "<=", _neg(p))]
+        if not any(_sat_with(context, *row, slot, entry) for row in negated):
             atoms.remove(a)
+            _clear_slot(shared, index, slot, entry)
     return conjunct_of(atoms)
 
 
@@ -688,12 +740,13 @@ def _sign_cases(coeff: IntPoly) -> Tuple[LinAtom, LinAtom, LinAtom]:
     return atom_of("<", _neg(coeff)), atom_of("<", coeff), atom_of("=", coeff)
 
 
-def _sign(coeff: Union[int, IntPoly], ctx: List[LinAtom]) -> str:
+def _sign(coeff: Union[int, IntPoly], context: Optional[Context]) -> str:
     """Sign of a coefficient entailed by the context: "+", "-", "0", "?"
-    (unknown) or "dead" (context unsatisfiable)."""
+    (unknown) or "dead" (context unsatisfiable).  A constant coefficient
+    needs no context."""
     if type(coeff) is int:
         return "+" if coeff > 0 else "-"
-    possible = [is_sat(ctx + [a]) for a in _sign_cases(coeff)]
+    possible = [_sat_with(context, *_atom_row(a)) for a in _sign_cases(coeff)]
     if not any(possible):
         return "dead"
     return "+-0"[possible.index(True)] if sum(possible) == 1 else "?"
@@ -777,7 +830,7 @@ class _Eliminator:
                 if not live:
                     return "done", [entry[5] for entry in table.values()]
                 x, splits = self._pick_pivot_symbol(table, index, live)
-                ctx = self.assumptions + [table[key][5] for key in index.get(None, ())]
+                ctx: Optional[Context] = None
                 rows = []
                 signs: Dict[object, str] = {}
                 for key in index[x]:
@@ -786,6 +839,9 @@ class _Eliminator:
                     ckey = coeff if type(coeff) is int else frozenset(coeff.items())
                     sign = signs.get(ckey)
                     if sign is None:
+                        if ctx is None and type(coeff) is not int:
+                            # the assumptions and the rows without an eliminated symbol
+                            ctx = _table_of(self.assumptions + [table[k][5] for k in index.get(None, ())])
                         sign = signs[ckey] = _sign(coeff, ctx)
                     if sign == "dead":
                         return "drop", None

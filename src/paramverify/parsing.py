@@ -1047,6 +1047,10 @@ def parse_task_file(text: str) -> TaskFile:
         task, extra = _parse_task(str(name), body or {}, task_options)
         tasks[str(name)] = task
         warnings.extend(extra)
+    read = {"print_steps"}.union(*(MODES[t.mode][t.spec_type] for t in tasks.values()))
+    warnings += [
+        "task_options: option %r read by no task" % k for k in task_options if k in _KNOWN_OPTION_KEYS and k not in read
+    ]
     return TaskFile(tasks, warnings)
 
 

@@ -963,6 +963,29 @@ def test_unknown_option_warns_on_stderr(tmp_path, capsys):
         assert mask_report(out) == mask_report(expected.out)
 
 
+def test_task_options_option_read_by_no_task_warns(tmp_path, capsys):
+    """A known option under task_options that no task of the file reads
+    is ignored with one warning; the exit code and the report are those
+    of the file without it.  When some task of the file reads it, there
+    is no warning."""
+    plain = DATA / "ex1_constraint.yaml"
+    assert main([str(plain)]) == 0
+    expected = capsys.readouterr()
+    unread = tmp_path / "unread.yaml"
+    unread.write_text("task_options: {epsilon: 1}\n" + plain.read_text())
+    assert main([str(unread)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: task_options: option 'epsilon' read by no task\n"
+    assert mask_report(out) == mask_report(expected.out)
+    # the strengthening task reads inv_str_max_iter, the constraint task does not
+    strengthening = (DATA / "ex2_strengthening.yaml").read_text().split("tasks:\n", 1)[1]
+    read = tmp_path / "read.yaml"
+    read.write_text("task_options: {inv_str_max_iter: 3}\n" + plain.read_text() + strengthening)
+    assert len(parse_task_file(read.read_text()).tasks) == 2
+    assert main([str(read)]) == 0
+    assert not capsys.readouterr().err
+
+
 def test_readme_example_result(tmp_path, capsys):
     """The README's example task file gives the Result line the README
     shows for it."""

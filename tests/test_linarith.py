@@ -1,6 +1,7 @@
 import copy
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -27,12 +28,14 @@ from paramverify.linear import (
     _back_substitute,
     _fm_steps,
     assumptions_from,
+    conjunct_of,
     decide,
     eliminate,
     is_sat,
     lin_to_atom,
     make_atom,
     simplify,
+    simplify_conjunct,
     to_linear,
 )
 from paramverify.parsing import parse_formula, parse_statements
@@ -408,6 +411,151 @@ def test_simplify_drops_entailed_atom():
     d = dnf("x <= _1; x <= _2;")
     slim = simplify(d, ())
     assert len(slim[0]) == 1
+
+
+def test_simplify_gives_a_slot_shared_with_an_assumption_back_its_row():
+    """x + z <= _0 shares its row table slot with the assumption on
+    x + z.  Once the atom is found entailed, the slot holds the
+    assumption's row again: with x + z <= _5 the slot is not dropped
+    (x <= _0 stays, the assumption does not entail it) nor kept at
+    x + z <= _0 (which would entail x <= _0).  A tighter assumption, in
+    the slot from the start, entails both atoms on x."""
+    sig = Signature()
+    for conjunct, assumption, kept in (
+        ("x + z <= _0; x <= _0; z <= _0; z >= _0;", "x + z <= _5;", "x <= _0; z <= _0; z >= _0;"),
+        ("x + z <= _0; x <= _0; z <= _0; z >= _0;", "x + z <= _-1;", "z <= _0; z >= _0;"),
+        ("x + z <= _5; x <= _0; z <= _0; z >= _0;", "x + z <= _0;", "z <= _0; z >= _0;"),
+    ):
+        assumptions = assumptions_from(parse_statements(assumption, sig))
+        assert simplify_conjunct(dnf(conjunct, sig)[0], assumptions) == dnf(kept, sig)[0]
+
+
+def entailed_and_shared(rng):
+    """A random conjunct over x and y with up to two nonnegative
+    combinations of its atoms added, each entailed by them, and up to
+    three assumptions: most share a slot with a bound of the conjunct
+    (its variable part, another constant) or repeat an equation."""
+    atoms = list(random_conjunct(rng, ["x", "y"], max_atoms=5))
+    for _ in range(rng.randint(0, 2)):
+        poly, rels = {(): Fraction(-rng.randint(0, 1))}, set()
+        for a in rng.sample(atoms, min(len(atoms), 2)):
+            factor = rng.choice([-1, 1, 2] if a.rel == "=" else [1, 2])
+            for m, c in a.poly:
+                poly[m] = poly.get(m, 0) + factor * c
+            rels.add(a.rel)
+        rel = "<" if "<" in rels else "=" if rels == {"="} and not poly[()] else "<="
+        b = make_atom(rel, poly)
+        if isinstance(b, LinAtom):
+            atoms.append(b)
+    rng.shuffle(atoms)
+    assumptions = []
+    for _ in range(rng.randint(0, 3)):
+        a = rng.choice(atoms)
+        if a.rel == "=":
+            b = a if rng.random() < 0.5 else make_atom("<=", {**dict(a.poly), (): Fraction(rng.randint(-3, 3))})
+        else:
+            b = make_atom(rng.choice(["<=", "<"]), {**dict(a.poly), (): Fraction(rng.randint(-3, 3))})
+        if isinstance(b, LinAtom) and b not in assumptions:
+            assumptions.append(b)
+    return tuple(atoms), assumptions
+
+
+def reference_simplify_conjunct(conjunct, assumptions):
+    """simplify_conjunct by its definition on the reference FM: the
+    atoms the row table keeps, then, most terms first, each atom left
+    out when the rest and the assumptions refute its negation (each
+    strict half of an equation's)."""
+    atoms, _ = admitted(conjunct, [0] * len(conjunct))
+    if reference_is_sat(atoms + assumptions) is None:
+        return None
+    for a in sorted(atoms, key=lambda b: (len(b.terms), b.key()), reverse=True):
+        rest = [b for b in atoms if b is not a] + assumptions
+        if a.rel == "=":
+            negations = [make_atom("<", dict(a.poly)), make_atom("<", {m: -c for m, c in a.poly})]
+        else:
+            negations = [a.negated()]
+        if all(reference_is_sat(rest + [n]) is None for n in negations):
+            atoms.remove(a)
+    return conjunct_of(atoms)
+
+
+def test_simplify_conjunct_matches_the_reference_leave_one_out():
+    """On 2,000 generated conjuncts, some of whose atoms are entailed and
+    some of whose assumptions share a slot with an atom, simplify_conjunct
+    keeps exactly the atoms the reference leave-one-out keeps."""
+    rng = random.Random(20261020)
+    seen = {"unsat": 0, "dropped": 0, "shared": 0}
+    for _ in range(2000):
+        conjunct, assumptions = entailed_and_shared(rng)
+        got = simplify_conjunct(conjunct, assumptions)
+        assert got == reference_simplify_conjunct(conjunct, assumptions), (conjunct, assumptions)
+        if got is None:
+            seen["unsat"] += 1
+            continue
+        kept, _ = admitted(conjunct, [0] * len(conjunct))
+        seen["dropped"] += len(got) < len(kept)
+        slots = admitted(list(assumptions) + kept, [0] * (len(assumptions) + len(kept)))[0]
+        seen["shared"] += len(got) < len(kept) and len(slots) < len(set(assumptions) | set(kept))
+    assert all(n >= 100 for n in seen.values()), seen
+
+
+def test_sign_cases_match_the_reference(monkeypatch):
+    """Every sign the eliminator decides for a parametric coefficient of
+    parametric_conjunct's atoms, on a step's context table, is the one
+    that three reference_is_sat calls give on the context's atoms plus
+    each sign case.  Assumptions on the parameter make every verdict
+    occur."""
+    contexts = {}
+    table_of, sign = linear._table_of, linear._sign
+
+    def recording_table_of(atoms):
+        atoms = list(atoms)
+        context = table_of(atoms)
+        contexts[id(context)] = context, atoms
+        return context
+
+    verdicts = Counter()
+
+    def checking_sign(coeff, context):
+        got = sign(coeff, context)
+        if type(coeff) is not int:
+            atoms = contexts[id(context)][1]
+            possible = [reference_is_sat(atoms + [case]) is not None for case in linear._sign_cases(coeff)]
+            if not any(possible):
+                assert got == "dead"
+            else:
+                assert got == ("+-0"[possible.index(True)] if sum(possible) == 1 else "?")
+            verdicts[got] += 1
+        return got
+
+    monkeypatch.setattr(linear, "_table_of", recording_table_of)
+    monkeypatch.setattr(linear, "_sign", checking_sign)
+    rng = random.Random(20261021)
+    sig = Signature()
+    for k in range(120):
+        contexts.clear()
+        symbols = ["s%d" % i for i in range(5)]
+        conjunct = parametric_conjunct(rng, symbols[:3], symbols[3:])
+        assumptions = ["", "s3 >= _1;", "s3 <= _-1;", "s3 = _0;", "s3 >= _0; s4 <= s3;", "s3 + s4 = _0;"][k % 6]
+        eliminate(symbols[:3], [conjunct], assumptions_from(parse_statements(assumptions, sig)))
+    assert set(verdicts) == {"+", "-", "0", "?", "dead"}, verdicts
+
+
+def test_leave_one_out_and_sign_cases_make_no_is_sat_call(monkeypatch):
+    """simplify_conjunct calls is_sat once, for its first check; the
+    leave-one-out runs on its shared table.  The sign cases of an
+    elimination below the prune threshold never call is_sat."""
+    calls, checks = [], []
+    real_is_sat, real_sat_with = linear.is_sat, linear._sat_with
+    monkeypatch.setattr(linear, "is_sat", lambda atoms: calls.append(atoms) or real_is_sat(atoms))
+    monkeypatch.setattr(linear, "_sat_with", lambda *args: checks.append(args) or real_sat_with(*args))
+    sig = Signature()
+    conjunct = dnf("x <= _1; x <= y; y <= _0; x + y <= _1; x + _2 * y <= _3;", sig)[0]
+    simplify_conjunct(conjunct, assumptions_from(parse_statements("x + y <= _2;", sig)))
+    assert len(calls) == 1 and len(checks) >= len(conjunct)
+    del calls[:], checks[:]
+    out = eliminate(["x"], dnf("p * x <= y; x >= _1; y <= _3;", sig))
+    assert len(out) > 1 and checks and not calls
 
 
 def test_case_split_matches_sign_instantiation():
