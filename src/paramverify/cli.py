@@ -1,8 +1,9 @@
 """Command line entry point.
 
 Exit codes: 0 when every selected task completes (whatever the verdict),
-1 when the engine meets one of its limits, 2 on any error in the input or
-when a report or script cannot be written.
+1 when the engine meets one of its limits in some task (that task's
+result is the error, and the other tasks still run), 2 on any error in
+the input or when a report or script cannot be written.
 """
 
 import argparse
@@ -10,7 +11,7 @@ import os
 import re
 import sys
 
-from .errors import EngineError, ParseError
+from .errors import ParseError
 from .runner import RunFlags, read_text, run_task_file
 
 
@@ -54,9 +55,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except EngineError as exc:
-        print("engine error: %s" % exc, file=sys.stderr)
-        return 1
     except OSError as exc:  # the task file's or the --seed-closure file's
         print("cannot read %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
         return 2

@@ -116,8 +116,9 @@ def flow_relax(
 
 
 class NamedVC(Record):
-    """A named verification condition.  Its parameters are symbols of the
-    automaton's sig, never the Skolem constants and duration it introduces."""
+    """A named verification condition: an automaton's, or an HPILOT
+    problem as "problem".  Its parameters are symbols of the task's sig,
+    never the Skolem constants and duration it introduces."""
 
     def __init__(self, name, statements):
         self.name: str = name

@@ -414,7 +414,8 @@ class Parser:
         rhs = self.parse_term(scope)
         return Atom(tok[1], lhs, rhs)
 
-    def parse_statement(self) -> Formula:
+    def parse_statement(self, end_optional: bool = False) -> Formula:
+        """A statement and its ';', optional at the end of the text with end_optional."""
         scope: Tuple[str, ...] = ()
         quantified = False
         if (
@@ -435,7 +436,8 @@ class Parser:
             scope = tuple(names)
             quantified = True
         body = self.parse_formula(scope)
-        self.expect(";")
+        if not (end_optional and self.at_end()):
+            self.expect(";")
         if quantified:
             return Forall(scope, body)
         return body
@@ -1140,9 +1142,14 @@ def parse_input(task: str, what: str, parse, *args):
 
 
 def parse_assumptions(texts: List[str], sig: Signature) -> List[Formula]:
-    """The ';'-separated atoms of the texts; a SortError for any that
-    linear.assumptions_from rejects."""
-    formulas = [parse_formula(part, sig) for text in texts for part in text.split(";") if part.strip()]
+    """The statements of the texts, each text read as a candidate is
+    ('#' starts a comment) but with its last ';' optional; a SortError
+    for any that linear.assumptions_from rejects."""
+    formulas: List[Formula] = []
+    for text in texts:
+        parser = Parser(text, sig)
+        while not parser.at_end():
+            formulas.append(parser.parse_statement(end_optional=True))
     assumptions_from(formulas)
     return formulas
 

@@ -7,8 +7,14 @@ fields; everything else is byte-stable across runs.
 
 Every input is checked before the first task runs: parsing gives each
 task as the record its mode runs on, its option texts parsed, and
-prepare adds the run's flags and an automaton's verification
-conditions.  The handlers only compute and format.
+prepare adds the run's flags and the task's named verification
+conditions: an automaton's, or an HPILOT problem as the one condition
+"problem".  The handlers only compute and format.  One handler serves
+every constraint task (GENERATE_CONSTRAINTS and CHATTER_FREE): it
+projects each condition once, and its step log ends with that
+condition's weakest-constraint guarantee; the reduction a handler
+decided or projected is the one it dumps.  An engine error ends the
+task it is raised in, as the task's result, and the run goes on.
 """
 
 import errno
@@ -16,12 +22,13 @@ import time
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import ParseError, SortError
-from .hybrid import vcs_chatterfree, vcs_invariant
+from .errors import EngineError, ParseError, SortError
+from .hybrid import NamedVC, vcs_chatterfree, vcs_invariant
 from .linear import assumptions_from, decide
 from .parsing import (
     MODES,
     HybridAutomaton,
+    ProblemSpec,
     TaskSpec,
     TransitionSystem,
     parse_assumptions,
@@ -31,10 +38,10 @@ from .parsing import (
     primed,
 )
 from .printing import print_formula
-from .reduction import reduce_chain
+from .reduction import ReducedProblem, reduce_chain
 from .smtlib import export_smtlib
 from .symelim import constraint_statements, generate_constraint
-from .terms import Formula, Record
+from .terms import Record
 from .transition import bmc, check_inductive, strengthen
 
 
@@ -61,9 +68,11 @@ class TaskOutcome(Record):
 
 
 def prepare(task: TaskSpec, flags: RunFlags, seed_text: Optional[str], warn: Callable[[str], None]):
-    """A task's assumptions, seed terms and automaton conditions, or a
-    ParseError naming it.  The conditions come last: texts declare the
-    constants that the names the conditions introduce avoid."""
+    """A task's assumptions, seed terms and named verification
+    conditions (an automaton's, an HPILOT problem's one "problem", none
+    for a PTS task), or a ParseError naming it.  The conditions come
+    last: texts declare the constants that the names the conditions
+    introduce avoid."""
     reads = MODES[task.mode][task.spec_type]
     for flag in ("--assume", "--seed-closure", "--dump-reduction", "--dump-smtlib"):  # each a RunFlags field
         if getattr(flags, flag[2:].replace("-", "_")) and flag not in reads:
@@ -78,6 +87,8 @@ def prepare(task: TaskSpec, flags: RunFlags, seed_text: Optional[str], warn: Cal
             vcs = vcs_chatterfree(task.body, task.epsilon, edges=task.options.get("vcs"))
         elif isinstance(task.body, HybridAutomaton):
             vcs = vcs_invariant(task.body, task.candidate, names=task.options.get("vcs"))
+        elif isinstance(task.body, ProblemSpec):
+            vcs = [NamedVC("problem", task.body.statements())]
     except SortError as exc:
         raise ParseError("task %s: %s" % (task.name, exc))
     return assumptions, seeds, vcs
@@ -86,6 +97,7 @@ def prepare(task: TaskSpec, flags: RunFlags, seed_text: Optional[str], warn: Cal
 class TaskRunner:
     def __init__(self, flags: RunFlags):
         self.flags = flags
+        self.failed: List[str] = []  # the tasks an engine error ended
 
     def run(self, task: TaskSpec, assumptions, seeds, vcs) -> TaskOutcome:
         start = time.perf_counter()
@@ -94,66 +106,56 @@ class TaskRunner:
             "INVARIANT_STRENGTHENING": self._strengthen,
             "CHECK_INVARIANT": self._check_invariant,
             "BMC": self._bmc,
-            "CHATTER_FREE": self._constraints_for_vcs,
+            "CHATTER_FREE": self._generate_constraints,
         }[task.mode]
-        outcome = handler(task, assumptions, seeds, vcs, task.options["print_steps"])
+        try:
+            outcome = handler(task, assumptions, seeds, vcs, task.options["print_steps"])
+        except EngineError as exc:
+            self.failed.append(task.name)
+            outcome = TaskOutcome(task.name, [], "error: %s: %s" % (type(exc).__name__, exc))
         outcome.runtime = time.perf_counter() - start
         return outcome
 
-    # -- GENERATE_CONSTRAINTS
-
-    def _constraint(self, task, statements, assumptions, eliminate, seeds=()):
-        return generate_constraint(
-            task.body.sig,
-            statements,
-            parameters=task.options.get("parameter"),
-            eliminate_symbols=eliminate,
-            assumptions=assumptions,
-            max_cases=self.flags.max_cases,
-            full_simplify=task.options["slfq_query"],
-            seeds=seeds,
-        )
+    # -- GENERATE_CONSTRAINTS and CHATTER_FREE
 
     def _generate_constraints(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
-        if isinstance(task.body, HybridAutomaton):
-            return self._constraints_for_vcs(task, assumptions, seeds, vcs, print_steps)
-        statements = task.body.statements()
-        res = self._constraint(task, statements, assumptions, task.options.get("eliminate"), seeds)
-        outcome = TaskOutcome(task.name, [], None)
-        _set_constraint_result(outcome, res.constraint)
-        if print_steps:
-            outcome.extra = [(0, "(step) %s" % s) for s in res.steps]
-            outcome.extra.append((0, "(step) weakest-constraint guarantee: %s" % str(res.weakest).lower()))
-        self._dumps(outcome, task, statements, seeds=seeds)
-        return outcome
-
-    def _constraints_for_vcs(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
         eliminate = task.options.get("eliminate")
         if eliminate is None and task.options.get("parameter") is None:
-            # by default, the state variables and their primed copies
+            # an automaton's default: its state variables and their primed copies
             eliminate = task.body.variables + [primed(x) for x in task.body.variables]
-        extra: List[Tuple[int, str]] = []
-        results = []
-        for vc in vcs:
-            res = self._constraint(task, vc.statements, assumptions, eliminate)
-            results.append((vc.name, res.constraint))
-            if print_steps:
-                extra.append((0, "(step) %s:" % vc.name))
-                extra.extend((1, s) for s in res.steps)
         outcome = TaskOutcome(task.name, [], None)
-        if len(results) == 1:
-            _set_constraint_result(outcome, results[0][1])
-        else:
-            for name, constraint in results:
-                clauses = constraint_statements(constraint)
-                if len(clauses) <= 1:
-                    outcome.result.append((0, "%s: %s" % (name, print_formula(constraint))))
-                else:
-                    outcome.result.append((0, "%s: |-" % name))
-                    outcome.result += [(1, "%s;" % print_formula(c)) for c in clauses]
-        outcome.extra = extra
+        reductions = []
         for vc in vcs:
-            self._dumps(outcome, task, vc.statements, vc.name)
+            res = generate_constraint(
+                task.body.sig,
+                vc.statements,
+                parameters=task.options.get("parameter"),
+                eliminate_symbols=eliminate,
+                assumptions=assumptions,
+                max_cases=self.flags.max_cases,
+                full_simplify=task.options["slfq_query"],
+                seeds=seeds,
+            )
+            reductions.append((vc.name, res.reduced))
+            # one condition prints as the task's constraint, several each under its name;
+            # single clauses print inline, conjunctions one clause a line to stay re-parseable
+            label = "Constraint" if len(vcs) == 1 else vc.name
+            clauses = constraint_statements(res.constraint)
+            if len(clauses) > 1:
+                outcome.result.append((0, "%s: |-" % label))
+                outcome.result += [(1, "%s;" % print_formula(c)) for c in clauses]
+            elif len(vcs) == 1:
+                outcome.inline_result = print_formula(res.constraint)
+            else:
+                outcome.result.append((0, "%s: %s" % (label, print_formula(res.constraint))))
+            if print_steps:
+                lines = res.steps + ["weakest-constraint guarantee: %s" % str(res.weakest).lower()]
+                if len(vcs) == 1:
+                    outcome.extra += [(0, "(step) " + line) for line in lines]
+                else:
+                    outcome.extra += [(0, "(step) %s:" % vc.name)] + [(1, line) for line in lines]
+        for name, reduced in reductions:
+            self._dumps(outcome, name, reduced)
         return outcome
 
     # -- INVARIANT_STRENGTHENING
@@ -196,17 +198,16 @@ class TaskRunner:
             return outcome
         lin_assumptions = assumptions_from(assumptions)
         failing: List[str] = []
-        extra: List[Tuple[int, str]] = []
         outcome = TaskOutcome(task.name, [], None)
+        reductions = []
         for vc in vcs:
             reduced = reduce_chain(task.body.sig, vc.statements)
-            witness = decide(reduced.ground, lin_assumptions)
-            holds = witness is None
+            reductions.append((vc.name, reduced))
+            holds = decide(reduced.ground, lin_assumptions) is None
             if not holds:
                 failing.append(vc.name)
             if print_steps:
-                extra.append((0, "(step) %s: %s" % (vc.name, "unsatisfiable" if holds else "satisfiable")))
-            self._dumps(outcome, task, vc.statements, vc.name)
+                outcome.extra.append((0, "(step) %s: %s" % (vc.name, "unsatisfiable" if holds else "satisfiable")))
         if not failing:
             outcome.inline_result = "Inductive"
         elif all(name.startswith("I_") for name in failing):
@@ -214,8 +215,9 @@ class TaskRunner:
         else:
             outcome.inline_result = "ConsecutionFails (%s)" % ", ".join(failing)
         if failing and print_steps:
-            extra.append((0, _INSTANTIATION_NOTE))
-        outcome.extra = extra
+            outcome.extra.append((0, _INSTANTIATION_NOTE))
+        for name, reduced in reductions:
+            self._dumps(outcome, name, reduced)
         return outcome
 
     # -- BMC
@@ -240,12 +242,7 @@ class TaskRunner:
 
     # -- dumps
 
-    def _dumps(
-        self, outcome: TaskOutcome, task, statements, label: str = "problem", seeds=()
-    ) -> None:
-        if not (self.flags.dump_reduction or self.flags.dump_smtlib):
-            return
-        reduced = reduce_chain(task.body.sig, statements, seeds)
+    def _dumps(self, outcome: TaskOutcome, label: str, reduced: ReducedProblem) -> None:
         if self.flags.dump_reduction:
             outcome.extra.append((0, "(reduction) %s:" % label))
             outcome.extra.extend((1, "%s;" % print_formula(g)) for g in reduced.ground)
@@ -256,17 +253,6 @@ class TaskRunner:
 # instantiation is complete only for local extension chains, which the
 # tool assumes rather than verifies
 _INSTANTIATION_NOTE = "(step) satisfiable under the complete-instantiation assumption"
-
-
-def _set_constraint_result(outcome: TaskOutcome, constraint: Formula) -> None:
-    """Single clauses print inline; conjunctions print one clause per
-    line so quantified statements stay re-parseable."""
-    clauses = constraint_statements(constraint)
-    if len(clauses) <= 1:
-        outcome.inline_result = print_formula(constraint)
-        return
-    outcome.result = [(0, "Constraint: |-")]
-    outcome.result += [(1, "%s;" % print_formula(c)) for c in clauses]
 
 
 def _format_point(witness: Dict[str, Fraction]) -> str:
@@ -321,7 +307,9 @@ def run_task_file(
 ) -> Tuple[str, int, List[TaskOutcome]]:
     """Execute a task file; returns (report text, exit code, outcomes).
     Every selected task is prepared before the first one runs, so an
-    input error of any task is a ParseError and no task runs.  warn,
+    input error of any task is a ParseError and no task runs.  An
+    EngineError ends only the task it is raised in, whose result it
+    becomes; the exit code is then 1, else 0.  warn,
     when given, receives each warning: unknown keys and options, and
     options and flags a task's mode does not read, all ignored."""
     flags = flags or RunFlags()
@@ -340,4 +328,4 @@ def run_task_file(
     runner = TaskRunner(flags)
     outcomes = [runner.run(*p) for p in prepared]
     report = format_report(outcomes)
-    return report, 0, outcomes
+    return report, 1 if runner.failed else 0, outcomes

@@ -20,6 +20,7 @@ from .linear import (
 )
 from .printing import canonical, print_formula, print_term
 from .reduction import (
+    ReducedProblem,
     clause_level,
     extension_heads,
     reduce_chain,
@@ -54,9 +55,10 @@ from .terms import (
 
 
 class ConstraintResult(Record):
-    def __init__(self, constraint, weakest, steps=None):
+    def __init__(self, constraint, weakest, reduced, steps=None):
         self.constraint: Formula = constraint  # conjunction of universally closed clauses
         self.weakest: bool = weakest
+        self.reduced: ReducedProblem = reduced  # the problem the constraint was projected from
         self.steps: List[str] = [] if steps is None else steps
 
 
@@ -135,7 +137,7 @@ def generate_constraint(
         closed.append(canonical(f))
     constraint = canonical(conj(closed)) if closed else TRUE
     weakest = definitional_shapes_ok(sig, statements)
-    return ConstraintResult(constraint, weakest, steps)
+    return ConstraintResult(constraint, weakest, reduced, steps)
 
 
 def _negate_dnf(dnf) -> List[Formula]:

@@ -11,7 +11,7 @@ or when the iteration budget runs out.
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linear import LinAtom, atom_to_lin, decide, is_sat
+from .linear import decide
 from .parsing import TransitionSystem
 from .printing import canonical, print_formula
 from .reduction import ReducedProblem, reduce_chain
@@ -21,9 +21,12 @@ from .terms import (
     FALSE,
     Forall,
     Formula,
+    Or,
     Record,
+    Signature,
     SymbolRenaming,
     TRUE,
+    disj,
     fresh_name,
     is_ground,
     negate_universal,
@@ -136,36 +139,23 @@ def _log_candidate(log: List[Tuple[int, str]], label: str, candidate: Sequence[F
         log.append((2, line))
 
 
-def _ground_unit_atoms(candidate: Sequence[Formula]) -> List[LinAtom]:
-    """The linear atoms of the candidate's ground atoms.  A != atom is
-    a disjunction of its two strict halves, so it gives no unit."""
-    units: List[LinAtom] = []
-    for c in candidate:
-        if isinstance(c, Atom) and c.rel != "!=" and is_ground(c):
-            for a in atom_to_lin(c):
-                if isinstance(a, LinAtom):
-                    units.append(a)
-    return units
-
-
-def _conjoin_constraint(candidate: List[Formula], constraint: Formula) -> List[Formula]:
-    """Conjoin a generated constraint, dropping clause literals that
-    contradict the candidate's ground atoms."""
-    from .terms import Or, disj
-
-    units = _ground_unit_atoms(candidate)
+def _conjoin_constraint(sig: Signature, candidate: List[Formula], constraint: Formula) -> List[Formula]:
+    """Conjoin a generated constraint, dropping each ground clause
+    literal that decide refutes together with the candidate's ground
+    atoms (a != atom among them is the disjunction it is), after
+    reduce_chain on sig purifies their extension applications."""
+    ground = [c for c in candidate if isinstance(c, Atom) and is_ground(c)]
     out = list(candidate)
     for clause in constraint_statements(constraint):
         body = clause.body if isinstance(clause, Forall) else clause
         variables = clause.variables if isinstance(clause, Forall) else ()
         literals = list(body.parts) if isinstance(body, Or) else [body]
-        kept = []
-        for lit in literals:
-            if isinstance(lit, Atom) and is_ground(lit):
-                lins = [a for a in atom_to_lin(lit) if isinstance(a, LinAtom)]
-                if lins and not any(is_sat(units + [a]) for a in lins):
-                    continue
-            kept.append(lit)
+        kept = [
+            lit
+            for lit in literals
+            if not (isinstance(lit, Atom) and is_ground(lit))
+            or decide(reduce_chain(sig, ground + [lit]).ground) is not None
+        ]
         if not kept:
             return [FALSE]
         new_clause: Formula = disj(kept)
@@ -228,7 +218,7 @@ def strengthen(
         result = generate_constraint(system.sig, statements, parameters=list(parameters), max_cases=max_cases)
         weakest_flags.append(result.weakest)
         current = [canonical(c) for c in current]
-        current = _conjoin_constraint(current, result.constraint)
+        current = _conjoin_constraint(system.sig, current, result.constraint)
         # a false candidate fails the initiation check on the next pass
         _log_candidate(log, "new candidate", current)
     return StrengthenResult("Exhausted", current, max_iter, log)

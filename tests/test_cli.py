@@ -460,7 +460,7 @@ INPUT_ERRORS = [
         "{candidate: 'x <= _1;', assumptions: ['q <= ;']}",
         None,
         [],
-        "option assumptions: 1:5: expected a term, found ';'",
+        "option assumptions: 1:6: expected a term, found ';'",
     ),
     (
         "CHECK_INVARIANT",
@@ -492,7 +492,7 @@ INPUT_ERRORS = [
         "{candidate: 'x <= _1;'}",
         None,
         ["--assume", "q <= ;"],
-        "flag --assume: 1:5: expected a term, found ';'",
+        "flag --assume: 1:6: expected a term, found ';'",
     ),
     (
         "GENERATE_CONSTRAINTS",
@@ -639,6 +639,66 @@ tasks:
 """
     )
     assert main([str(nonlinear)]) == 1
+
+
+NONLINEAR_TASK = """
+    squares:
+        mode: GENERATE_CONSTRAINTS
+        options:
+            eliminate: [x]
+        specification_type: HPILOT
+        specification_theory: REAL_CLOSED_FIELDS
+        specification:
+            file: |
+                Base_functions := {(+,2), (-,2), (*,2)}
+                Extension_functions :=  {}
+                Relations := {(<=,2), (<,2), (>=,2), (>,2)}
+                Query := x * x <= p;
+"""
+
+
+def test_engine_error_ends_its_task_not_the_run(tmp_path, capsys):
+    """A task the engine cannot finish reports its error as its result,
+    the error's class and message, and the tasks before and after it
+    still report theirs; the exit code is 1."""
+    ex1 = (DATA / "ex1_constraint.yaml").read_text()
+    task_file = tmp_path / "two.yaml"
+    task_file.write_text(ex1 + NONLINEAR_TASK + ex1.split("tasks:\n", 1)[1].replace("example constraint", "again"))
+    assert main([str(task_file)]) == 1
+    out, err = capsys.readouterr()
+    assert not err
+    result = "    Result: (FORALL i). OR(a(i + _1) - a(i) >= _0, d1 - d2 > _0)"
+    lines = out.splitlines()
+    assert lines[2] == "    Number of Tasks: 3"
+    assert [line for line in lines if line.startswith("    Result:")] == [
+        result,
+        "    Result: error: NonLinearError: symbol x occurs with degree >= 2",
+        result,
+    ]
+    report, code, outcomes = run_task_file(task_file.read_text())
+    assert code == 1 and [o.name for o in outcomes] == ["example constraint generation", "squares", "again generation"]
+
+
+def test_assumption_texts_read_comments(tmp_path):
+    """An assumption text is read as a candidate is, '#' comments
+    included, and its last ';' may be left out, in --assume and in the
+    assumptions option alike."""
+    plain, code, _ = run_task_file((DATA / "ex1_constraint.yaml").read_text(), RunFlags(assume="d1 <= d2"))
+    assert code == 0 and "    Result: (FORALL i). a(i + _1) - a(i) >= _0" in plain.splitlines()
+    for text in ("d1 <= d2 # sorted", "d1 <= d2; # sorted", "# sorted\nd1 <= d2;\n# done"):
+        assert main([str(DATA / "ex1_constraint.yaml"), "--assume", text]) == 0
+        report, code, _ = run_task_file((DATA / "ex1_constraint.yaml").read_text(), RunFlags(assume=text))
+        assert code == 0 and mask_report(report) == mask_report(plain)
+    text = (DATA / "ex1_constraint.yaml").read_text()
+    for option in (
+        'assumptions: ["d1 <= d2 # sorted"]',
+        'assumptions: "d1 <= d2; # sorted"',
+        "assumptions: |\n                d1 <= d2  # sorted\n                # nothing else",
+    ):
+        task_file = tmp_path / "assumed.yaml"
+        task_file.write_text(text.replace("            slfq_query: true\n", "            slfq_query: true\n            %s\n" % option))
+        report, code, _ = run_task_file(task_file.read_text())
+        assert code == 0 and mask_report(report) == mask_report(plain), option
 
 
 DISEQUALITY_ERROR = (

@@ -2,7 +2,10 @@
 
 import textwrap
 
-from conftest import PLANT_LHA, PLANT_VARIANT_LHA
+import paramverify.reduction
+import paramverify.runner
+import paramverify.symelim
+from conftest import DATA, PLANT_LHA, PLANT_VARIANT_LHA
 from paramverify.runner import RunFlags, run_task_file
 
 PTS_BLOCK = """
@@ -213,3 +216,79 @@ tasks:
     assert len(clause_lines) >= 2
     for l in clause_lines:
         (stmt,) = parse_statements(l, sig)
+
+
+def extra_block(report):
+    """The lines of a one-task report's Extra block, without the block's own indent."""
+    lines = report.splitlines()
+    return [l[8:] for l in lines[lines.index("    Extra:") + 1 :]]
+
+
+GUARANTEE = "weakest-constraint guarantee: true"
+
+
+def test_every_constraint_task_logs_its_guarantee():
+    """Each condition's step lines end with its weakest-constraint
+    guarantee: flat for a task with one condition, as for an HPILOT
+    problem, and under the condition's name for a task with several,
+    whether it generates constraints or checks chatter-freedom."""
+    one = lha_task("GENERATE_CONSTRAINTS", 'candidate: "x <= t;"\nvcs: [F_flow_a]\nprint_steps: true', USER_T_LHA)
+    report, code, _ = run_task_file(one)
+    assert code == 0 and extra_block(report) == [
+        "(step) kept ['t', 'p']; eliminating ['x', 'xp', 't_2']",
+        "(step) eliminated 3 symbols, 1 conjuncts remain",
+        "(step) " + GUARANTEE,
+    ]
+    several = lha_task("GENERATE_CONSTRAINTS", 'candidate: "x <= t;"\nvcs: [I_a, F_flow_b]\nprint_steps: true', USER_T_LHA)
+    report, code, _ = run_task_file(several)
+    assert code == 0 and extra_block(report) == [
+        "(step) I_a:",
+        "    kept ['t']; eliminating ['x']",
+        "    eliminated 1 symbols, 1 conjuncts remain",
+        "    " + GUARANTEE,
+        "(step) F_flow_b:",
+        "    kept ['t']; eliminating ['x', 'xp', 't_2']",
+        "    eliminated 3 symbols, 1 conjuncts remain",
+        "    " + GUARANTEE,
+    ]
+    report, code, _ = run_task_file(lha_task("CHATTER_FREE", "epsilon: t\nprint_steps: true", USER_T_LHA))
+    block = extra_block(report)
+    assert code == 0 and [l for l in block if not l.startswith(" ")] == ["(step) CF1_a_b_1:", "(step) CF2_a_b_1:"]
+    assert block[3] == block[7] == "    " + GUARANTEE
+
+
+def test_check_invariant_lha_dumps_each_condition():
+    """--dump-reduction on an automaton's CHECK_INVARIANT task appends one
+    (reduction) block per condition after the step lines, and
+    --dump-smtlib gives one script per condition."""
+    text = lha_task("CHECK_INVARIANT", 'candidate: "x <= t;"\nprint_steps: true', USER_T_LHA)
+    flags = RunFlags(dump_reduction=True, dump_smtlib="scripts")
+    report, code, (outcome,) = run_task_file(text, flags)
+    names = ["I_a", "F_flow_a", "F_flow_b", "F_jump_a_b_1"]
+    block = extra_block(report)
+    assert code == 0 and [l for l in block if l.startswith("(reduction)")] == ["(reduction) %s:" % n for n in names]
+    assert block[4] == "(step) satisfiable under the complete-instantiation assumption"
+    assert block[5:8] == ["(reduction) I_a:", "    x = _0;", "    x > t;"]
+    assert [label for label, _ in outcome.smtlib] == names
+
+
+def test_each_condition_is_reduced_once(monkeypatch):
+    """With both dumps on, a constraint task and an automaton's
+    CHECK_INVARIANT task reduce each condition once: the dumps show the
+    reduction the task projected or decided."""
+    calls = []
+    real = paramverify.reduction.reduce_chain
+    counted = lambda *args: calls.append(args) or real(*args)
+    monkeypatch.setattr(paramverify.runner, "reduce_chain", counted)
+    monkeypatch.setattr(paramverify.symelim, "reduce_chain", counted)
+    flags = RunFlags(dump_reduction=True, dump_smtlib="scripts")
+    tasks = [
+        ((DATA / "ex1_constraint.yaml").read_text(), 1),
+        (lha_task("GENERATE_CONSTRAINTS", 'candidate: "x <= t;"\nvcs: [I_a, F_flow_b]', USER_T_LHA), 2),
+        (lha_task("CHECK_INVARIANT", 'candidate: "x <= t;"', USER_T_LHA), 4),
+    ]
+    for text, vcs in tasks:
+        del calls[:]
+        _, code, (outcome,) = run_task_file(text, flags)
+        assert code == 0 and len(calls) == len(outcome.smtlib) == vcs
+        assert len([l for _, l in outcome.extra if l.startswith("(reduction)")]) == vcs

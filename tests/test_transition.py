@@ -256,15 +256,30 @@ def test_bmc_over_two_function_chain(ex2_system):
 
 
 def test_disequality_in_candidate_keeps_the_constraint():
-    """x != _0 is x < _0 or x > _0, so it gives no unit literal to drop
-    clause literals against: read as both halves at once it would
-    contradict every literal, and the conjoined clause would be false."""
+    """x != _0 is x < _0 or x > _0, and decide reads it so: read as both
+    halves at once it would contradict every literal, and the conjoined
+    clause would be false."""
     sig = Signature()
     candidate = [parse_formula("x != _0;", sig)]
     clause = parse_formula("OR(p > _0, x > _0);", sig)
-    out = _conjoin_constraint(candidate, clause)
+    out = _conjoin_constraint(sig, candidate, clause)
     assert FALSE not in out
     assert [print_formula(c) for c in out] == ["x != _0", "OR(x > _0, p > _0)"]
     # a unit literal still drops the clause literal it contradicts
     unit = [parse_formula("x < _0;", sig)]
-    assert [print_formula(c) for c in _conjoin_constraint(unit, clause)] == ["x < _0", "p > _0"]
+    assert [print_formula(c) for c in _conjoin_constraint(sig, unit, clause)] == ["x < _0", "p > _0"]
+
+
+def test_ground_extension_atoms_drop_the_literal_they_refute():
+    """Ground candidate atoms and clause literals over an extension
+    function are purified before decide refutes a literal with them: the
+    literal a(_0) > d1 contradicts the candidate's a(_0) <= d1 and is
+    dropped, where reading the atoms unpurified was an engine error."""
+    sig = Signature()
+    sig.extension_functions["a"] = (1, 1)
+    candidate = [parse_formula("a(_0) <= d1;", sig), parse_formula("d1 <= d2;", sig)]
+    clause = parse_formula("OR(a(_0) > d1, a(_1) >= d2, p > _0);", sig)
+    out = _conjoin_constraint(sig, candidate, clause)
+    assert [print_formula(c) for c in out] == ["a(_0) <= d1", "d1 <= d2", "OR(a(_1) - d2 >= _0, p > _0)"]
+    refuted = parse_formula("OR(a(_0) > d1, d1 > d2);", sig)
+    assert _conjoin_constraint(sig, candidate, refuted) == [FALSE]
