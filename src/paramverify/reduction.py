@@ -257,9 +257,10 @@ class ReductionStep(Record):
 
 
 class ReducedProblem(Record):
-    def __init__(self, sig, ground, definitions=None, steps=None):
+    def __init__(self, sig, ground, clauses=None, definitions=None, steps=None):
         self.sig: Signature = sig
         self.ground: List[Formula] = ground
+        self.clauses: List[Formula] = [] if clauses is None else clauses  # the axioms split off the input
         self.definitions: List[Definition] = [] if definitions is None else definitions
         self.steps: List[ReductionStep] = [] if steps is None else steps
 
@@ -279,7 +280,7 @@ def reduce_chain(sig: Signature, statements: Iterable[Formula], seeds: Sequence[
             raise NonGroundableError("universal clause without extension symbols cannot be grounded")
         leveled.setdefault(level, []).append(c)
     levels = sorted(set(sig.extension_functions[f][1] for f in sig.extension_functions), reverse=True)
-    problem = ReducedProblem(sig, list(goal))
+    problem = ReducedProblem(sig, list(goal), clauses)
     for level in levels:
         heads = extension_heads(sig, level)
         level_clauses = leveled.pop(level, [])

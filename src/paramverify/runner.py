@@ -9,12 +9,16 @@ Every input is checked before the first task runs: parsing gives each
 task as the record its mode runs on, its option texts parsed, and
 prepare adds the run's flags and the task's named verification
 conditions: an automaton's, or an HPILOT problem as the one condition
-"problem".  The handlers only compute and format.  One handler serves
-every constraint task (GENERATE_CONSTRAINTS and CHATTER_FREE): it
-projects each condition once, and its step log ends with that
-condition's weakest-constraint guarantee; the reduction a handler
-decided or projected is the one it dumps.  An engine error ends the
-task it is raised in, as the task's result, and the run goes on.
+"problem".  TaskRunner.run reduces each condition once and hands the
+task's handler the (name, reduction) pairs; after the handler returns
+it appends the dumps of those same reductions.  The handlers only
+compute and format.  One handler serves every constraint task
+(GENERATE_CONSTRAINTS and CHATTER_FREE): it projects each reduction,
+and its step log ends with that condition's weakest-constraint
+guarantee.  An automaton's CHECK_INVARIANT decides each reduction and,
+as for a transition system, reports failing initiation conditions
+first.  An engine error ends the task it is raised in, as the task's
+result, and the run goes on.
 """
 
 import errno
@@ -38,7 +42,7 @@ from .parsing import (
     primed,
 )
 from .printing import print_formula
-from .reduction import ReducedProblem, reduce_chain
+from .reduction import reduce_chain
 from .smtlib import export_smtlib
 from .symelim import constraint_statements, generate_constraint
 from .terms import Record
@@ -109,7 +113,14 @@ class TaskRunner:
             "CHATTER_FREE": self._generate_constraints,
         }[task.mode]
         try:
-            outcome = handler(task, assumptions, seeds, vcs, task.options["print_steps"])
+            reductions = [(vc.name, reduce_chain(task.body.sig, vc.statements, seeds)) for vc in vcs]
+            outcome = handler(task, assumptions, reductions, task.options["print_steps"])
+            for name, reduced in reductions:
+                if self.flags.dump_reduction:
+                    outcome.extra.append((0, "(reduction) %s:" % name))
+                    outcome.extra.extend((1, "%s;" % print_formula(g)) for g in reduced.ground)
+                if self.flags.dump_smtlib:
+                    outcome.smtlib.append((name, export_smtlib(reduced.ground)))
         except EngineError as exc:
             self.failed.append(task.name)
             outcome = TaskOutcome(task.name, [], "error: %s: %s" % (type(exc).__name__, exc))
@@ -118,49 +129,44 @@ class TaskRunner:
 
     # -- GENERATE_CONSTRAINTS and CHATTER_FREE
 
-    def _generate_constraints(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
+    def _generate_constraints(self, task, assumptions, reductions, print_steps) -> TaskOutcome:
         eliminate = task.options.get("eliminate")
         if eliminate is None and task.options.get("parameter") is None:
             # an automaton's default: its state variables and their primed copies
             eliminate = task.body.variables + [primed(x) for x in task.body.variables]
         outcome = TaskOutcome(task.name, [], None)
-        reductions = []
-        for vc in vcs:
+        for name, reduced in reductions:
             res = generate_constraint(
                 task.body.sig,
-                vc.statements,
+                reduced,
                 parameters=task.options.get("parameter"),
                 eliminate_symbols=eliminate,
                 assumptions=assumptions,
                 max_cases=self.flags.max_cases,
                 full_simplify=task.options["slfq_query"],
-                seeds=seeds,
             )
-            reductions.append((vc.name, res.reduced))
             # one condition prints as the task's constraint, several each under its name;
             # single clauses print inline, conjunctions one clause a line to stay re-parseable
-            label = "Constraint" if len(vcs) == 1 else vc.name
+            label = "Constraint" if len(reductions) == 1 else name
             clauses = constraint_statements(res.constraint)
             if len(clauses) > 1:
                 outcome.result.append((0, "%s: |-" % label))
                 outcome.result += [(1, "%s;" % print_formula(c)) for c in clauses]
-            elif len(vcs) == 1:
+            elif len(reductions) == 1:
                 outcome.inline_result = print_formula(res.constraint)
             else:
                 outcome.result.append((0, "%s: %s" % (label, print_formula(res.constraint))))
             if print_steps:
                 lines = res.steps + ["weakest-constraint guarantee: %s" % str(res.weakest).lower()]
-                if len(vcs) == 1:
+                if len(reductions) == 1:
                     outcome.extra += [(0, "(step) " + line) for line in lines]
                 else:
-                    outcome.extra += [(0, "(step) %s:" % vc.name)] + [(1, line) for line in lines]
-        for name, reduced in reductions:
-            self._dumps(outcome, name, reduced)
+                    outcome.extra += [(0, "(step) %s:" % name)] + [(1, line) for line in lines]
         return outcome
 
     # -- INVARIANT_STRENGTHENING
 
-    def _strengthen(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
+    def _strengthen(self, task, assumptions, reductions, print_steps) -> TaskOutcome:
         res = strengthen(
             task.body,
             task.body.query,
@@ -186,7 +192,7 @@ class TaskRunner:
 
     # -- CHECK_INVARIANT
 
-    def _check_invariant(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
+    def _check_invariant(self, task, assumptions, reductions, print_steps) -> TaskOutcome:
         if isinstance(task.body, TransitionSystem):
             verdict = check_inductive(task.body, task.body.query)
             outcome = TaskOutcome(task.name, [], verdict.kind)
@@ -199,30 +205,27 @@ class TaskRunner:
         lin_assumptions = assumptions_from(assumptions)
         failing: List[str] = []
         outcome = TaskOutcome(task.name, [], None)
-        reductions = []
-        for vc in vcs:
-            reduced = reduce_chain(task.body.sig, vc.statements)
-            reductions.append((vc.name, reduced))
+        for name, reduced in reductions:
             holds = decide(reduced.ground, lin_assumptions) is None
             if not holds:
-                failing.append(vc.name)
+                failing.append(name)
             if print_steps:
-                outcome.extra.append((0, "(step) %s: %s" % (vc.name, "unsatisfiable" if holds else "satisfiable")))
-        if not failing:
-            outcome.inline_result = "Inductive"
-        elif all(name.startswith("I_") for name in failing):
-            outcome.inline_result = "InitFails (%s)" % ", ".join(failing)
-        else:
+                outcome.extra.append((0, "(step) %s: %s" % (name, "unsatisfiable" if holds else "satisfiable")))
+        # initiation first, as for a transition system
+        failing_init = [name for name in failing if name.startswith("I_")]
+        if failing_init:
+            outcome.inline_result = "InitFails (%s)" % ", ".join(failing_init)
+        elif failing:
             outcome.inline_result = "ConsecutionFails (%s)" % ", ".join(failing)
+        else:
+            outcome.inline_result = "Inductive"
         if failing and print_steps:
             outcome.extra.append((0, _INSTANTIATION_NOTE))
-        for name, reduced in reductions:
-            self._dumps(outcome, name, reduced)
         return outcome
 
     # -- BMC
 
-    def _bmc(self, task, assumptions, seeds, vcs, print_steps) -> TaskOutcome:
+    def _bmc(self, task, assumptions, reductions, print_steps) -> TaskOutcome:
         k = task.options["bmc_k"]
         steps = bmc(task.body, task.body.query, k)
         violated = [s for s in steps if not s.holds]
@@ -239,15 +242,6 @@ class TaskRunner:
             if violated:
                 outcome.extra.append((0, _INSTANTIATION_NOTE))
         return outcome
-
-    # -- dumps
-
-    def _dumps(self, outcome: TaskOutcome, label: str, reduced: ReducedProblem) -> None:
-        if self.flags.dump_reduction:
-            outcome.extra.append((0, "(reduction) %s:" % label))
-            outcome.extra.extend((1, "%s;" % print_formula(g)) for g in reduced.ground)
-        if self.flags.dump_smtlib:
-            outcome.smtlib.append((label, export_smtlib(reduced.ground)))
 
 
 # instantiation is complete only for local extension chains, which the

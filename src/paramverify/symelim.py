@@ -1,9 +1,11 @@
 """Property-directed symbol elimination.
 
 Produces the weakest universal constraint on the parameter symbols that
-makes a reduced problem unsatisfiable: purify, existentially eliminate
-every non-parameter constant, negate, then re-substitute definition
-terms and universally close over the kept argument constants.
+makes a reduced problem unsatisfiable.  It projects a reduction it is
+given (reduction.reduce_chain's, which purified the problem):
+existentially eliminate every non-parameter constant, negate, then
+re-substitute definition terms and universally close over the kept
+argument constants.
 """
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -55,10 +57,9 @@ from .terms import (
 
 
 class ConstraintResult(Record):
-    def __init__(self, constraint, weakest, reduced, steps=None):
+    def __init__(self, constraint, weakest, steps=None):
         self.constraint: Formula = constraint  # conjunction of universally closed clauses
         self.weakest: bool = weakest
-        self.reduced: ReducedProblem = reduced  # the problem the constraint was projected from
         self.steps: List[str] = [] if steps is None else steps
 
 
@@ -69,21 +70,21 @@ def _constants(terms: Iterable[Term], sig: Signature) -> List[str]:
 
 def generate_constraint(
     sig: Signature,
-    statements: Sequence[Formula],
+    reduced: ReducedProblem,
     parameters: Optional[Sequence[str]] = None,
     eliminate_symbols: Optional[Sequence[str]] = None,
     assumptions: Sequence[Formula] = (),
     max_cases: int = 10000,
     full_simplify: bool = True,
-    seeds: Sequence[Term] = (),
 ) -> ConstraintResult:
-    """Weakest universal parameter constraint making the problem
-    unsatisfiable (weakest guaranteed only when the extension axioms
-    have definitional or bounded shape, reported via the flag).  The
-    parameters are symbols of sig: those that parameters names (an
-    EngineError if sig lacks one), or those that eliminate_symbols does
-    not name.  So every symbol the engine introduces (purification and
-    Skolem constants, a flow's duration) is eliminated.
+    """Weakest universal parameter constraint making the problem that
+    reduce_chain(sig, ...) reduced to reduced unsatisfiable (weakest
+    guaranteed only when its extension axioms have definitional or
+    bounded shape, reported via the flag).  The parameters are symbols
+    of sig: those that parameters names (an EngineError if sig lacks
+    one), or those that eliminate_symbols does not name.  So every
+    symbol the engine introduces (purification and Skolem constants, a
+    flow's duration) is eliminated.
     full_simplify runs the exact simplify on the projection; assumptions
     imply it, so no literal of the result is decided by them."""
     if (parameters is None) == (eliminate_symbols is None):
@@ -92,13 +93,11 @@ def generate_constraint(
     if undeclared:
         raise EngineError("parameters %s are no symbols of the signature" % ", ".join(undeclared))
     params = set(parameters) if parameters is not None else sig.all_symbols() - set(eliminate_symbols)
-    steps: List[str] = []
-    reduced = reduce_chain(sig, statements, seeds)
-    for step in reduced.steps:
-        steps.append(
-            "level %d: %d instantiation terms, %d instances, %d definitions"
-            % (step.level, len(step.est), len(step.instances), len(step.definitions))
-        )
+    steps = [
+        "level %d: %d instantiation terms, %d instances, %d definitions"
+        % (step.level, len(step.est), len(step.instances), len(step.definitions))
+        for step in reduced.steps
+    ]
 
     kept_defs = [d for d in reduced.definitions if d.term.fn in params]
     for d in kept_defs:
@@ -136,8 +135,7 @@ def generate_constraint(
             f = Forall(tuple(variables), substitute_constants(f, {c: Var(c) for c in variables}))
         closed.append(canonical(f))
     constraint = canonical(conj(closed)) if closed else TRUE
-    weakest = definitional_shapes_ok(sig, statements)
-    return ConstraintResult(constraint, weakest, reduced, steps)
+    return ConstraintResult(constraint, definitional_shapes_ok(sig, reduced.clauses), steps)
 
 
 def _negate_dnf(dnf) -> List[Formula]:
@@ -188,8 +186,9 @@ def substitute_constants(f: Formula, mapping: Dict[str, Term]) -> Formula:
 
 
 def definitional_shapes_ok(sig: Signature, statements: Sequence[Formula]) -> bool:
-    """True when every universal axiom is a guarded definition or bound
-    of a single extension application with mutually exclusive guards."""
+    """True when every universal axiom among the statements (a
+    reduction's clauses, say) is a guarded definition or bound of a
+    single extension application with mutually exclusive guards."""
     try:
         clauses, _ = split_statements(statements)
     except SortError:

@@ -2,11 +2,14 @@
 inductive-invariant checking, bounded model checking, and iterative
 invariant strengthening.
 
-A candidate invariant is a list of universally closed clauses.  The
-strengthening loop conjoins, whenever consecution fails, the weakest
-parameter constraint extracted from the failed verification condition,
-and stops when the candidate becomes inductive, when initiation fails,
-or when the iteration budget runs out.
+A candidate invariant is a list of universally closed clauses.
+inductive_vcs builds its two verification conditions, initiation and
+consecution, each a statement list ending with its negated candidate.
+Each condition is reduced once: the strengthening loop decides both
+reductions and, whenever consecution fails, conjoins the weakest
+parameter constraint projected from the consecution reduction it
+decided.  It stops when the candidate becomes inductive, when
+initiation fails, or when the iteration budget runs out.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -14,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .linear import decide
 from .parsing import TransitionSystem
 from .printing import canonical, print_formula
-from .reduction import ReducedProblem, reduce_chain
+from .reduction import reduce_chain
 from .symelim import constraint_statements, generate_constraint
 from .terms import (
     Atom,
@@ -36,28 +39,29 @@ from .terms import (
 
 class Verdict(Record):
     def __init__(self, kind, witness=None):
-        self.kind: str = kind  # Inductive | InitFails | ConsecutionFails | Unknown
+        self.kind: str = kind  # Inductive | InitFails | ConsecutionFails
         self.witness: Optional[Dict] = witness
 
 
-def vc_initiation(system: TransitionSystem, candidate: Sequence[Formula]) -> ReducedProblem:
-    negated = negate_universal(list(candidate), avoid=system.sig.all_symbols())
-    return reduce_chain(system.sig, list(system.init) + [negated])
-
-
-def vc_consecution(system: TransitionSystem, candidate: Sequence[Formula]) -> ReducedProblem:
+def inductive_vcs(
+    system: TransitionSystem, candidate: Sequence[Formula]
+) -> Tuple[List[Formula], List[Formula]]:
+    """The initiation and consecution conditions of the candidate, each a
+    statement list that ends with its negated candidate: init and the
+    negated candidate, and the candidate, the update and the negated
+    primed candidate."""
+    avoid = system.sig.all_symbols()
     primed = [rename_symbols(c, system.renaming()) for c in candidate]
-    negated = negate_universal(primed, avoid=system.sig.all_symbols())
-    return reduce_chain(system.sig, list(candidate) + list(system.update) + [negated])
+    initiation = list(system.init) + [negate_universal(list(candidate), avoid=avoid)]
+    consecution = list(candidate) + list(system.update) + [negate_universal(primed, avoid=avoid)]
+    return initiation, consecution
 
 
 def check_inductive(system: TransitionSystem, candidate: Sequence[Formula]) -> Verdict:
-    witness = decide(vc_initiation(system, candidate).ground)
-    if witness is not None:
-        return Verdict("InitFails", witness)
-    witness = decide(vc_consecution(system, candidate).ground)
-    if witness is not None:
-        return Verdict("ConsecutionFails", witness)
+    for kind, statements in zip(("InitFails", "ConsecutionFails"), inductive_vcs(system, candidate)):
+        witness = decide(reduce_chain(system.sig, statements).ground)
+        if witness is not None:
+            return Verdict(kind, witness)
     return Verdict("Inductive")
 
 
@@ -101,15 +105,14 @@ def bmc(system: TransitionSystem, candidate: Sequence[Formula], k: int) -> List[
     def state_renaming(i: int) -> SymbolRenaming:
         return SymbolRenaming({old: copies[old][i] for old in system.update_vars})
 
-    init0 = [rename_symbols(f, state_renaming(0)) for f in system.init]
+    unrolled = [rename_symbols(f, state_renaming(0)) for f in system.init]
     results: List[BmcStep] = []
     for j in range(k + 1):
-        statements = list(init0)
-        for i in range(j):
-            statements.extend(rename_symbols(f, step_renaming(i)) for f in system.update)
+        if j:
+            unrolled.extend(rename_symbols(f, step_renaming(j - 1)) for f in system.update)
         shifted = [rename_symbols(c, state_renaming(j)) for c in candidate]
-        statements.append(negate_universal(shifted, avoid=sig.all_symbols()))
-        witness = decide(reduce_chain(sig, statements).ground)
+        negated = negate_universal(shifted, avoid=sig.all_symbols())
+        witness = decide(reduce_chain(sig, unrolled + [negated]).ground)
         results.append(BmcStep(j, witness is None, witness))
     return results
 
@@ -184,15 +187,13 @@ def strengthen(
         log.append((0, "%d. Iteration:" % iteration))
         _log_candidate(log, "current candidate", current)
 
-        avoid = system.sig.all_symbols()
-        negated = canonical(negate_universal(current, avoid=avoid))
-        log.append((1, "(step) negated candidate: %s;" % print_formula(negated)))
-        primed = [rename_symbols(c, system.renaming()) for c in current]
-        negated_primed = negate_universal(primed, avoid=avoid)
-        log.append((1, "(step) negated and updated candidate: %s;" % print_formula(canonical(negated_primed))))
+        initiation, consecution = inductive_vcs(system, current)
+        log.append((1, "(step) negated candidate: %s;" % print_formula(canonical(initiation[-1]))))
+        log.append((1, "(step) negated and updated candidate: %s;" % print_formula(canonical(consecution[-1]))))
 
-        init_ok = decide(vc_initiation(system, current).ground) is None
-        consec_ok = decide(vc_consecution(system, current).ground) is None
+        init_ok = decide(reduce_chain(system.sig, initiation).ground) is None
+        reduced = reduce_chain(system.sig, consecution)
+        consec_ok = decide(reduced.ground) is None
 
         if not consec_ok:
             subtask = "%s_ST_strengthening_%d_" % (task_name, iteration)
@@ -214,8 +215,7 @@ def strengthen(
         if consec_ok:
             return StrengthenResult("Invariant", current, iteration, log)
 
-        statements = list(current) + list(system.update) + [negated_primed]
-        result = generate_constraint(system.sig, statements, parameters=list(parameters), max_cases=max_cases)
+        result = generate_constraint(system.sig, reduced, parameters=list(parameters), max_cases=max_cases)
         weakest_flags.append(result.weakest)
         current = [canonical(c) for c in current]
         current = _conjoin_constraint(system.sig, current, result.constraint)

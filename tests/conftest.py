@@ -1,3 +1,4 @@
+import importlib.util
 import re
 from pathlib import Path
 
@@ -130,6 +131,14 @@ PTS_EX2 = {
     "query": "d1 <= d2;",
     "update_vars": {"a": "ap", "d1": "d1p", "d2": "d2p", "i": "ip"},
 }
+
+
+def workloads():
+    """perfbench/workloads.py, imported from its file."""
+    spec = importlib.util.spec_from_file_location("workloads", DATA.parent.parent / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def mask_report(report: str) -> str:

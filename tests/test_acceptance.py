@@ -126,7 +126,7 @@ def test_criterion_05_chatter_freedom_edge_1_4():
     statements = [substitute_constants(s, rates) for s in spec.statements()]
     res = generate_constraint(
         spec.sig,
-        statements,
+        reduce_chain(spec.sig, statements),
         eliminate_symbols=["x1", "x2", "x3", "x1p", "x2p", "x3p", "t"],
     )
 
@@ -191,7 +191,7 @@ def test_criterion_07_reduction_equisatisfiability():
 
 def test_criterion_08_weakestness_family():
     spec = parse_spec(_load("ex1_constraint").split("file: |")[1].replace("\n                ", "\n"))
-    res = generate_constraint(spec.sig, spec.statements(), parameters=["a", "d1", "d2"])
+    res = generate_constraint(spec.sig, reduce_chain(spec.sig, spec.statements()), parameters=["a", "d1", "d2"])
     assert res.weakest
     for text in ("(FORALL i). a(i) <= a(i + _1);", "(FORALL i). a(i) = a(i + _1);", "false;"):
         stronger = parse_formula(text, spec.sig.copy())

@@ -46,7 +46,8 @@ def quantifier_only_as_prefix(statement):
 
 
 def test_quantifiers_only_as_statement_prefixes():
-    """Every statement a task file gives, and every clause of a generated
+    """Every statement a task file gives (an automaton's mode and edge
+    formulas and its candidate included), and every clause of a generated
     constraint, holds a quantifier only as its top prefix."""
     prefixed = {"statement": 0, "constraint": 0}
     for path in sorted(DATA.glob("*.yaml")):
@@ -54,6 +55,9 @@ def test_quantifiers_only_as_statement_prefixes():
             body = task.body
             if hasattr(body, "statements"):
                 statements = body.statements()
+            elif hasattr(body, "modes"):  # an automaton: its mode and edge formulas and the candidate
+                statements = [f for m in body.modes.values() for f in m.inv + m.flow + m.init + m.inenv]
+                statements += [f for e in body.edges for f in e.guard + e.jump] + task.candidate
             else:
                 statements = body.init + body.update + body.query
             assert statements, path.name
@@ -61,7 +65,7 @@ def test_quantifiers_only_as_statement_prefixes():
             if task.mode == "GENERATE_CONSTRAINTS":
                 res = generate_constraint(
                     body.sig,
-                    statements,
+                    reduce_chain(body.sig, statements),
                     parameters=task.options.get("parameter"),
                     eliminate_symbols=task.options.get("eliminate"),
                 )
@@ -89,7 +93,7 @@ def test_every_generated_constraint_closes_its_problem():
         statements = [substitute_constants(s, rates) for s in spec.statements()]
         res = generate_constraint(
             spec.sig,
-            statements,
+            reduce_chain(spec.sig, statements),
             parameters=task.options.get("parameter"),
             eliminate_symbols=task.options.get("eliminate"),
         )
@@ -103,7 +107,7 @@ def test_constraints_mention_only_kept_symbols():
         spec = task.body
         res = generate_constraint(
             spec.sig,
-            spec.statements(),
+            reduce_chain(spec.sig, spec.statements()),
             parameters=task.options.get("parameter"),
             eliminate_symbols=task.options.get("eliminate"),
         )
@@ -149,3 +153,38 @@ def test_seed_closure_flag(tmp_path):
     assert "c_ap_3" in report  # the seeded application was named apart
     # the generated constraint is unchanged by the extra instance
     assert "    Result: (FORALL i). OR(a(i + _1) - a(i) >= _0, d1 - d2 > _0)" in report.splitlines()
+
+
+def test_readme_library_use_prints_ex1_constraint(tmp_path, monkeypatch, capsys):
+    """README's "Library use" block, reduce_chain then generate_constraint,
+    run on ex1_constraint.yaml's specification, prints ex1's constraint."""
+    readme = (DATA.parent.parent / "README.md").read_text()
+    code = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "problem.txt").write_text(hpilot_body("ex1_constraint"))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "(FORALL i). OR(a(i + _1) - a(i) >= _0, d1 - d2 > _0)\n"
+
+
+def test_bmc_and_automaton_check_files():
+    """The corpus's BMC task and its automaton CHECK_INVARIANT task, in
+    which an initiation and a flow condition both fail, print these
+    Result and step lines."""
+    expected = {
+        "pts_bmc_unsorted": (
+            "counterexample at depth 1",
+            ["depth 0: unsatisfiable"] + ["depth %d: satisfiable" % j for j in (1, 2, 3)],
+        ),
+        "lha_check_init_flow": (
+            "InitFails (I_a)",
+            ["I_a: satisfiable", "F_flow_a: unsatisfiable", "F_flow_b: satisfiable", "F_jump_a_b_1: unsatisfiable"],
+        ),
+    }
+    for name, (result, steps) in expected.items():
+        report, code, _ = run_task_file((DATA / ("%s.yaml" % name)).read_text())
+        lines = report.splitlines()
+        assert code == 0 and "    Result: %s" % result in lines, name
+        extra = lines[lines.index("    Extra:") + 1 :]
+        assert extra == ["        (step) " + step for step in steps] + [
+            "        (step) satisfiable under the complete-instantiation assumption"
+        ], name

@@ -193,7 +193,7 @@ def test_chatterfree_e12_dwell_constraint(plant):
     (vc,) = [v for v in vcs_chatterfree(plant, eps, edges=["1_2_1"]) if v.name == "CF2_1_2_1"]
     res = generate_constraint(
         plant.sig,
-        vc.statements,
+        reduce_chain(plant.sig, vc.statements),
         eliminate_symbols=["x1", "x2", "x3", "x1p", "x2p", "x3p", "t"],
     )
     assert "epsilon" in formula_symbols(res.constraint)  # a parameter, declared on plant.sig
@@ -254,7 +254,7 @@ def test_chatterfree_symbolic_rates_matches_handbuilt_problem():
     sign = parse_statements(CF_SIGN_ASSUMPTIONS, automaton.sig)
     res = generate_constraint(
         automaton.sig,
-        vc.statements,
+        reduce_chain(automaton.sig, vc.statements),
         eliminate_symbols=["x1", "x2", "x3", "x1p", "x2p", "x3p", "t"],
         assumptions=sign,
     )
@@ -266,7 +266,7 @@ def test_chatterfree_symbolic_rates_matches_handbuilt_problem():
     hand_sign = parse_statements(CF_SIGN_ASSUMPTIONS, hand.sig)
     hand_res = generate_constraint(
         hand.sig,
-        hand.statements(),
+        reduce_chain(hand.sig, hand.statements()),
         eliminate_symbols=["x1", "x2", "x3", "x1p", "x2p", "x3p", "t"],
         assumptions=hand_sign,
     )

@@ -7,6 +7,7 @@ from oracles import dnf_formula, equiv_on_grid, eval_dnf, random_conjunct
 from paramverify.linear import assumptions_from, simplify, to_linear
 from paramverify.parsing import parse_formula, parse_statements
 from paramverify.printing import canonical, print_formula
+from paramverify.reduction import reduce_chain
 from paramverify.symelim import check_unsat_with_constraint, generate_constraint
 from paramverify.terms import (
     And,
@@ -52,7 +53,7 @@ def test_generated_constraints_always_close_random_problems():
     closed = 0
     for _ in range(60):
         sig, statements = random_parametric_instance(rng)
-        res = generate_constraint(sig, statements, parameters=["h", "p", "q"])
+        res = generate_constraint(sig, reduce_chain(sig, statements), parameters=["h", "p", "q"])
         assert check_unsat_with_constraint(sig, statements, res.constraint)
         used = formula_symbols(res.constraint) - {"+", "-", "*"}
         assert used <= {"h", "p", "q", "u", "v"}  # u, v may return as bound args

@@ -2,10 +2,13 @@
 
 import textwrap
 
+import pytest
+
 import paramverify.reduction
 import paramverify.runner
 import paramverify.symelim
-from conftest import DATA, PLANT_LHA, PLANT_VARIANT_LHA
+import paramverify.transition
+from conftest import DATA, PLANT_LHA, PLANT_VARIANT_LHA, workloads
 from paramverify.runner import RunFlags, run_task_file
 
 PTS_BLOCK = """
@@ -166,6 +169,28 @@ edge a -> b: guard: x >= p; jump: xp = x;
 """
 
 
+@pytest.mark.parametrize(
+    "candidate, verdicts, result",
+    [
+        ("x <= t;", "S S S U", "InitFails (I_a)"),
+        ("x <= p;", "S U S U", "InitFails (I_a)"),
+        ("x <= _0;", "U S S U", "ConsecutionFails (F_flow_a, F_flow_b)"),
+    ],
+)
+def test_check_invariant_lha_reports_initiation_first(candidate, verdicts, result):
+    """An automaton's CHECK_INVARIANT reports as a transition system's
+    does: InitFails with the failing initiation conditions whenever one
+    fails, else ConsecutionFails with the failing ones; the step lines
+    give every condition's verdict."""
+    text = lha_task("CHECK_INVARIANT", 'candidate: "%s"\nprint_steps: true' % candidate, USER_T_LHA)
+    report, code, _ = run_task_file(text)
+    lines = report.splitlines()
+    assert code == 0 and "    Result: %s" % result in lines
+    names = ["I_a", "F_flow_a", "F_flow_b", "F_jump_a_b_1"]
+    words = {"S": "satisfiable", "U": "unsatisfiable"}
+    assert extra_block(report)[:4] == ["(step) %s: %s" % (n, words[v]) for n, v in zip(names, verdicts.split())]
+
+
 def test_default_elimination_keeps_a_user_t_free():
     """When t is a symbol of the task, the conditions name their duration
     t_2; the default elimination removes that duration and keeps the
@@ -292,3 +317,23 @@ def test_each_condition_is_reduced_once(monkeypatch):
         _, code, (outcome,) = run_task_file(text, flags)
         assert code == 0 and len(calls) == len(outcome.smtlib) == vcs
         assert len([l for _, l in outcome.extra if l.startswith("(reduction)")]) == vcs
+
+
+def test_strengthening_hands_no_statement_list_to_reduce_chain_twice(monkeypatch):
+    """Strengthening reduces each condition once: the consecution
+    reduction it decides is the one its constraint is projected from."""
+    lists = []
+    real = paramverify.reduction.reduce_chain
+
+    def counted(sig, statements, seeds=()):
+        lists.append(tuple(statements))
+        return real(sig, statements, seeds)
+
+    for module in (paramverify.runner, paramverify.symelim, paramverify.transition):
+        monkeypatch.setattr(module, "reduce_chain", counted)
+    _, bench_task = workloads().strengthen_copy(1, 0)
+    for text in ((DATA / "ex2_strengthening.yaml").read_text(), "tasks:\n" + bench_task):
+        del lists[:]
+        report, code, _ = run_task_file(text)
+        assert code == 0 and "        Inductive Invariant: |-" in report.splitlines()
+        assert lists and len(set(lists)) == len(lists)

@@ -8,6 +8,7 @@ from paramverify.errors import EngineError
 from paramverify.linear import assumptions_from, simplify, to_linear
 from paramverify.parsing import parse_formula, parse_spec, parse_statements, parse_task_file
 from paramverify.printing import canonical, print_canonical, print_formula
+from paramverify.reduction import reduce_chain
 from paramverify.runner import run_task_file
 from paramverify.symelim import (
     check_unsat_with_constraint,
@@ -44,7 +45,7 @@ Query :=
 
 def ex1_constraint():
     spec = parse_spec(EX1_SPEC)
-    return spec, generate_constraint(spec.sig, spec.statements(), parameters=["a", "d1", "d2"])
+    return spec, generate_constraint(spec.sig, reduce_chain(spec.sig, spec.statements()), parameters=["a", "d1", "d2"])
 
 
 def test_running_example_exact_output():
@@ -82,13 +83,13 @@ def test_requires_exactly_one_selection():
     symbol of the signature, never one the engine introduces."""
     spec = parse_spec(EX1_SPEC)
     with pytest.raises(EngineError):
-        generate_constraint(spec.sig, spec.statements())
+        generate_constraint(spec.sig, reduce_chain(spec.sig, spec.statements()))
     with pytest.raises(EngineError):
         generate_constraint(
-            spec.sig, spec.statements(), parameters=["a"], eliminate_symbols=["d1"]
+            spec.sig, reduce_chain(spec.sig, spec.statements()), parameters=["a"], eliminate_symbols=["d1"]
         )
     with pytest.raises(EngineError, match="parameters c_a_1 are no symbols of the signature"):
-        generate_constraint(spec.sig, spec.statements(), parameters=["a", "c_a_1"])
+        generate_constraint(spec.sig, reduce_chain(spec.sig, spec.statements()), parameters=["a", "c_a_1"])
 
 
 def test_determinism_byte_identical():
@@ -103,7 +104,7 @@ def test_chem_mode1_exact():
     spec = parse_spec(CHEM1)
     res = generate_constraint(
         spec.sig,
-        spec.statements(),
+        reduce_chain(spec.sig, spec.statements()),
         eliminate_symbols=["x1", "x2", "x3", "x1p", "x2p", "x3p", "t"],
     )
     assert print_formula(res.constraint) == "OR(min < _0, lsafe < _0, lf - lsafe <= _0, ea <= _0)"
@@ -114,7 +115,7 @@ def test_chem_mode1_simplifies_to_level_condition():
     spec = parse_spec(CHEM1)
     res = generate_constraint(
         spec.sig,
-        spec.statements(),
+        reduce_chain(spec.sig, spec.statements()),
         eliminate_symbols=["x1", "x2", "x3", "x1p", "x2p", "x3p", "t"],
     )
     sig = Signature()
@@ -171,14 +172,14 @@ def test_disjoint_guards_accepted():
 def test_unsatisfiable_problem_needs_no_constraint():
     sig = Signature()
     statements = parse_statements("c < _0; c > _0;", sig)
-    res = generate_constraint(sig, statements, eliminate_symbols=["c"])
+    res = generate_constraint(sig, reduce_chain(sig, statements), eliminate_symbols=["c"])
     assert print_formula(res.constraint) == "true"
 
 
 def test_unconstrained_problem_closes_only_under_false():
     sig = Signature()
     statements = parse_statements("c >= _0;", sig)
-    res = generate_constraint(sig, statements, eliminate_symbols=["c"])
+    res = generate_constraint(sig, reduce_chain(sig, statements), eliminate_symbols=["c"])
     assert print_formula(res.constraint) == "false"
 
 
@@ -193,7 +194,7 @@ Relations := {(<=,2), (<,2), (>=,2), (>,2)}
 Query := d1 = a(i); d1 > _0;
 """
     )
-    res = generate_constraint(spec.sig, spec.statements(), eliminate_symbols=["d1", "i"])
+    res = generate_constraint(spec.sig, reduce_chain(spec.sig, spec.statements()), eliminate_symbols=["d1", "i"])
     assert print_formula(res.constraint) == "(FORALL i). a(i) <= _0"
 
 
@@ -233,7 +234,7 @@ def test_chem_weakestness_family():
     spec = parse_spec(CHEM1)
     res = generate_constraint(
         spec.sig,
-        spec.statements(),
+        reduce_chain(spec.sig, spec.statements()),
         eliminate_symbols=["x1", "x2", "x3", "x1p", "x2p", "x3p", "t"],
     )
     for text in ("lf <= lsafe;", "ea < _0;", "min < _0;", "false;"):

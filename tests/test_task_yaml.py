@@ -10,27 +10,18 @@ rejected with a position; tests/test_parser.py checks those positions
 without PyYAML.
 """
 
-import importlib.util
 import random
 import string
 
 import pytest
 
-from conftest import DATA, same_document
+from conftest import DATA, same_document, workloads
 from paramverify.errors import ParseError
 from paramverify.parsing import _read_task_yaml
 
 yaml = pytest.importorskip("yaml")
 
 ROOT = DATA.parent.parent
-
-
-def workloads():
-    """perfbench/workloads.py, imported from its file."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def parametrized(test, name):

@@ -1,17 +1,19 @@
 import pytest
 
+import paramverify.transition
 from oracles import evaluate
 from paramverify.linear import decide
 from paramverify.parsing import _parse_task_body, parse_formula, parse_statements
 from paramverify.printing import print_formula
+from paramverify.reduction import reduce_chain
 from paramverify.terms import And, FALSE, Signature, conj
 from paramverify.transition import (
+    Verdict,
     _conjoin_constraint,
     bmc,
     check_inductive,
+    inductive_vcs,
     strengthen,
-    vc_consecution,
-    vc_initiation,
 )
 
 EX1_PTS = {
@@ -56,19 +58,19 @@ def with_sorted_init_only():
 
 def test_initiation_holds():
     system = ex1_system()
-    reduced = vc_initiation(system, system.query)
+    reduced = reduce_chain(system.sig, inductive_vcs(system, system.query)[0])
     assert decide(reduced.ground) is None
 
 
 def test_initiation_trivial_for_true_candidate():
     system = ex1_system()
-    reduced = vc_initiation(system, [])
+    reduced = reduce_chain(system.sig, inductive_vcs(system, [])[0])
     assert decide(reduced.ground) is None
 
 
 def test_consecution_fails_without_constraint():
     system = ex1_system()
-    reduced = vc_consecution(system, system.query)
+    reduced = reduce_chain(system.sig, inductive_vcs(system, system.query)[1])
     witness = decide(reduced.ground)
     assert witness is not None
     # the witness satisfies the reduced verification condition
@@ -99,16 +101,44 @@ def test_identity_update_always_inductive():
 
 
 def test_check_inductive_verdicts():
+    """check_inductive decides initiation first, then consecution, each
+    on its reduced condition: its verdicts and witnesses are pinned."""
     system = ex1_system()
-    verdict = check_inductive(system, system.query)
-    assert verdict.kind == "ConsecutionFails"
-    assert verdict.witness is not None
+    cases = [
+        (system.query, "ConsecutionFails", "c_a_1 0 c_a_2 -1 c_ap_1 1 c_ap_2 0 d1 -1 d1p 1 d2 0 d2p 0 i -1 ip 0"),
+        (parse_statements("d2 <= _0;", system.sig), "InitFails", "d1 1 d2 1 i 0"),
+        (
+            parse_statements("(FORALL i). a(i) <= a(i + _1);", system.sig),
+            "InitFails",
+            "c_a_1 1 c_a_2 0 d1 1 d2 1 i 0",
+        ),
+    ]
+    for candidate, kind, witness in cases:
+        verdict = check_inductive(system, candidate)
+        point = " ".join("%s %s" % (k, verdict.witness[k]) for k in sorted(verdict.witness))
+        assert (verdict.kind, point) == (kind, witness)
 
     bad_init = _parse_task_body("bad", "PTS", dict(EX1_PTS, init="d1 = _2; d2 = _1; i = _0;"))
     assert check_inductive(bad_init, bad_init.query).kind == "InitFails"
 
     strong = with_sorted_axiom()
-    assert check_inductive(strong, strong.query).kind == "Inductive"
+    assert check_inductive(strong, strong.query) == Verdict("Inductive")
+
+
+def test_bmc_renames_each_step_once(monkeypatch):
+    """Depth j extends depth j - 1's unrolling by one renamed step, so a
+    bound of k renames the update k times, and the verdicts stay those
+    of the full unrolling."""
+    renamed = []
+    real = paramverify.transition.rename_symbols
+    monkeypatch.setattr(
+        paramverify.transition, "rename_symbols", lambda f, renaming: renamed.append(f) or real(f, renaming)
+    )
+    system = ex1_system()
+    steps = bmc(system, system.query, 3)
+    assert [s.holds for s in steps] == [True, False, False, False]
+    # the init once, each of the 4 update formulas once per step, the candidate once per depth
+    assert len(renamed) == len(system.init) + 3 * len(system.update) + 4 * len(system.query)
 
 
 def test_bmc_depth_zero_equals_initiation():
@@ -207,7 +237,7 @@ def test_strengthen_log_structure(ex2_system):
 
 def test_example2_initiation_with_sorted_source(ex2_system):
     system = ex2_system
-    reduced = vc_initiation(system, system.query)
+    reduced = reduce_chain(system.sig, inductive_vcs(system, system.query)[0])
     assert decide(reduced.ground) is None
 
 
@@ -216,7 +246,7 @@ def test_example2_strengthened_consecution_unsat(ex2_system):
     strengthened = system.query + parse_statements(
         "(FORALL i). a(i) <= a(i + _1);", system.sig
     )
-    reduced = vc_consecution(system, strengthened)
+    reduced = reduce_chain(system.sig, inductive_vcs(system, strengthened)[1])
     assert decide(reduced.ground) is None
 
 
