@@ -71,18 +71,25 @@ it, with at most one slot left out or rebuilt and the probe's row under
 a fresh history bit.  The engine makes no is_sat call (see is_sat).
 
 The ground decision procedure (decide) is DPLL over clauses with
-Fourier-Motzkin at the leaves.  It translates each literal once per
-call, on its first visit, negates its atoms (not its terms), repeats a
-round of propagation only after a new unit, and eliminates each distinct
+Fourier-Motzkin at the leaves, searching on the model of the unit atoms
+(Nieuwenhuis, Oliveras & Tinelli, JACM 53(6), 2006; de Moura & Bjorner,
+"Model-based theory combination", SMT 2007).  It translates each
+literal once per call, on its first visit, and eliminates each distinct
 set of unit atoms once per call, in LinAtom.key order, keeping the
-steps: back-substituted, they give the units' witness, which does not
+steps: back-substituted, they give the units' model, which does not
 depend on the interpreter's hash seed; it is checked against every unit
-and scaled once to integers.  Every probe is the units plus one atom.
-A probe whose atom holds at the model, or whose atom has a column that
-no unit has, is satisfiable; otherwise the atom's row is carried through
-the recorded steps (_probe_sat) by the same step, and the verdict is
-memoised with the units' steps.  A unit the model violates drops the
-model until the round's model of the units.
+and scaled once to integers.  Propagation reads each clause at the
+model from the atoms its literals hold, and examines only a clause the
+model violates, which the units cannot entail: it drops the literals
+the units refute and makes a sole remaining one a unit.  A unit the
+model violates replaces the model by the new units' at once, a round
+repeats while the units grow, and a clause the model satisfies waits
+for a later model.  A node whose model satisfies every clause left
+returns it; otherwise it branches on the shortest violated clause.
+Every probe is the units plus one atom: one whose atom has a column
+that no unit has is satisfiable; otherwise the atom's row is carried
+through the recorded steps (_probe_sat) by the same step, and the
+verdict is memoised with the units' steps.
 """
 
 from fractions import Fraction
@@ -925,8 +932,12 @@ def eliminate(
 
 
 def decide(formulas, assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, Fraction]]:
-    """Satisfiability of a conjunction of ground quantifier-free
-    formulas; DPLL-style splitting on disjunctions with FM leaves."""
+    """A witness of a conjunction of ground quantifier-free formulas,
+    or None when it is unsatisfiable: DPLL on the model of the unit
+    atoms, splitting on disjunctions, with FM leaves.  The witness is
+    the first node model that satisfies every clause, the canonical
+    model of that node's units, checked here against every formula and
+    assumption."""
     if not isinstance(formulas, (list, tuple)):
         formulas = [formulas]
     pending = [nnf(f) for f in formulas]
@@ -944,25 +955,15 @@ def decide(formulas, assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, 
     return witness
 
 
-# literal -> (its branches, the atoms whose disjunction is its negation)
+# literal -> its atoms, whose disjunction it is (two for a !=)
 LiteralMemo = Dict[Atom, tuple]
 
 
 def _translated(lit: Atom, memo: LiteralMemo) -> tuple:
-    """Read once per decide call; the negation comes from the atoms."""
+    """Read once per decide call."""
     entry = memo.get(lit)
     if entry is None:
-        branches = _lit_branches(lit)
-        a = branches[0][0]
-        if type(a) is bool:
-            negation = [not (a or branches[-1][0])]  # of a !=: neither half
-        elif len(branches) == 2:  # the halves of a !=
-            negation = [atom_of("=", dict(a.terms))]
-        elif a.rel == "=":
-            negation = [LinAtom("<", a.terms), LinAtom("<", _neg_terms(a.terms))]
-        else:
-            negation = [a.negated()]
-        entry = memo[lit] = branches, negation
+        entry = memo[lit] = tuple(a for (a,) in _lit_branches(lit))
     return entry
 
 
@@ -988,13 +989,22 @@ def _holds(model: ScaledModel, a: LinAtom) -> bool:
     return total <= 0 if rel == "<=" else total < 0 if rel == "<" else total == 0
 
 
+def _some_holds(model: ScaledModel, atoms: tuple) -> bool:
+    """A literal's atoms (True, False or linear) hold at the model in
+    disjunction."""
+    for a in atoms:
+        if a is True or a is not False and _holds(model, a):
+            return True
+    return False
+
+
 def _satisfies(model: ScaledModel, f: Formula, memo: LiteralMemo) -> bool:
     """The NNF formula holds at the scaled model, its literals read as decide reads them."""
     if isinstance(f, And):
         return all(_satisfies(model, p, memo) for p in f.parts)
     if isinstance(f, Or):
         return any(_satisfies(model, p, memo) for p in f.parts)
-    return any(all(a is True or a is not False and _holds(model, a) for a in b) for b in _translated(f, memo)[0])
+    return _some_holds(model, _translated(f, memo))
 
 
 # unit set -> [its elimination steps (None: unsatisfiable), its witness
@@ -1024,25 +1034,14 @@ def _unit_model(units: frozenset, records: UnitRecords) -> Optional[Dict[str, Fr
     return record[1]
 
 
-def _refuted(units: frozenset, a: Union[LinAtom, bool], model: Optional[ScaledModel], records: UnitRecords) -> bool:
-    """The units and a do not hold together, where a True atom adds
-    nothing.  Answered without elimination when the model of the units
-    satisfies a or a has a column that no unit has, else by replaying a
-    through the units' elimination steps."""
-    if a is True:
-        return model is None and _unit_record(units, records)[0] is None
-    rel, p = _atom_row(a)
-    if model is not None:
-        total = 0  # _holds inlined: a call per probe costs decide about 6%
-        for v, c in p.items():
-            w = model.get(v)
-            if w:
-                total += c * w
-        if total <= 0 if rel == "<=" else total < 0 if rel == "<" else total == 0:
-            return False
+def _refuted(units: frozenset, a: LinAtom, records: UnitRecords) -> bool:
+    """The units and a do not hold together: answered without
+    elimination when a has a column that no unit has, else by replaying
+    a through the units' elimination steps."""
     steps, _, verdicts, columns = _unit_record(units, records)
     if steps is None:
         return True
+    rel, p = _atom_row(a)
     # Take any model of the units: a column that no unit holds can take
     # the value that makes a's =, < or <= row hold, and every unit still
     # holds.  A product monomial is its own column here as in a row and
@@ -1057,8 +1056,33 @@ def _refuted(units: frozenset, a: Union[LinAtom, bool], model: Optional[ScaledMo
 
 
 def _clause(f: Formula) -> tuple:
-    """A clause in propagation: (f, its literals as [literal, memo entry or None until visited])."""
+    """A clause in propagation: (f, its literals as [literal, entry]),
+    where an entry, None until the literal is first read, holds an
+    atom's atoms (_translated) or a conjunction's or disjunction's parts
+    as literals."""
     return f, [[lit, None] for lit in (f.parts if isinstance(f, Or) else (f,))]
+
+
+def _true_at(model: ScaledModel, lits: list, memo: LiteralMemo, every: bool = False) -> bool:
+    """Some literal of lits (every one, with every) holds at the scaled
+    model, read from their entries."""
+    for item in lits:
+        lit, entry = item
+        if entry is None:
+            if isinstance(lit, Atom):
+                entry = _translated(lit, memo)
+            elif isinstance(lit, (And, Or)):
+                entry = [[part, None] for part in lit.parts]
+            else:
+                raise SortError("decide expects ground clause structure, found %s" % type(lit).__name__)
+            item[1] = entry
+        if isinstance(lit, Atom):
+            holds = _some_holds(model, entry)
+        else:
+            holds = _true_at(model, entry, memo, isinstance(lit, And))
+        if holds is not every:
+            return holds
+    return every
 
 
 def _decide(
@@ -1072,7 +1096,7 @@ def _decide(
         if isinstance(f, And):
             stack.extend(f.parts)
         elif isinstance(f, Atom) and f.rel != "!=":
-            for a in _translated(f, memo)[0][0]:
+            for a in _translated(f, memo):
                 if a is False:
                     return None
                 if a is not True:
@@ -1084,62 +1108,64 @@ def _decide(
         else:
             raise SortError("decide expects ground clause structure, found %s" % type(f).__name__)
     units = units.union(new_units)
-    # unit propagation: drop satisfied clauses, prune impossible literals;
-    # a round without a new unit would give the answers of the one before
+    # unit propagation on the clauses that the model of the units
+    # violates: a clause the units entail holds at every model of them,
+    # so a violated clause is never entailed; a round repeats while the
+    # units grow, and a clause the model satisfies waits for a later model
     deferred: List[Formula] = []  # conjunctions left alone in a clause: each must hold whole
     new = True
     while new:
         witness = _unit_model(units, records)
         if witness is None:
             return None
-        # a scaled model of every atom in units, or None after a unit it violates
         model = _scaled(witness)
         new = False
         remaining: List[tuple] = []
-        for f, lits in clauses:
-            viable = []
-            for item in lits:
-                lit, entry = item
-                if entry is None and isinstance(lit, Atom):
-                    entry = item[1] = _translated(lit, memo)
-                if entry is not None:
-                    for (a,) in entry[0]:
-                        if a is not False and not _refuted(units, a, model, records):
-                            break
-                    else:
-                        continue  # literal cannot hold
-                    for a in entry[1]:
-                        if a is True or (a is not False and not _refuted(units, a, model, records)):
-                            break
-                    else:
-                        break  # literal holds: the clause is satisfied
-                viable.append(item)
+        violated: List[tuple] = []
+        for clause in clauses:
+            f, lits = clause
+            if _true_at(model, lits, memo):
+                remaining.append(clause)
+                continue
+            viable = [
+                item
+                for item in lits
+                if not isinstance(item[0], Atom) or not all(a is False or _refuted(units, a, records) for a in item[1])
+            ]
+            if not viable:
+                return None
+            lit, entry = viable[0]
+            if len(viable) == 1 and isinstance(lit, Atom) and lit.rel != "!=":
+                (a,) = entry  # neither False (it is viable) nor True (it would hold)
+                units = units.union((a,))
+                new = True
+                if not _holds(model, a):
+                    witness = _unit_model(units, records)
+                    if witness is None:
+                        return None
+                    model = _scaled(witness)
+                continue
+            if len(viable) == len(lits):
+                kept = clause
+            elif len(viable) > 1:
+                kept = Or(tuple(lit for lit, _ in viable)), viable
+            elif isinstance(lit, Or):
+                kept = lit, entry
+            elif isinstance(lit, Atom):  # a != literal
+                kept = lit, viable
             else:
-                if not viable:
-                    return None
-                lit, entry = viable[0]
-                if len(viable) == 1 and entry is not None and lit.rel != "!=":
-                    ((a,),) = entry[0]  # neither False (it is viable) nor True (it would hold)
-                    units = units.union((a,))
-                    if model is not None and not _holds(model, a):
-                        model = None
-                    new = True
-                elif len(viable) == len(lits):
-                    remaining.append((f, lits))
-                elif len(viable) > 1:
-                    remaining.append((Or(tuple(lit for lit, _ in viable)), viable))
-                elif isinstance(lit, (Atom, Or)):  # a != literal or a disjunction
-                    remaining.append(_clause(lit))
-                else:
-                    deferred.append(lit)
+                deferred.append(lit)
+                continue
+            remaining.append(kept)
+            violated.append(kept)
         clauses = remaining
     if deferred:  # not a branch: the conjunctions' parts enter as pending
         return _decide(units, deferred, clauses, memo, records)
-    if not clauses:
+    if not violated:
         return dict(witness)
-    clauses.sort(key=lambda c: len(c[0].parts) if isinstance(c[0], Or) else 2)
-    first = clauses[0][0]
-    rest = clauses[:0:-1]  # a child visits the other clauses last first
+    chosen = min(violated, key=lambda c: len(c[0].parts) if isinstance(c[0], Or) else 2)
+    first = chosen[0]
+    rest = [c for c in reversed(clauses) if c is not chosen]  # a child visits the other clauses last first
     if isinstance(first, Atom):  # a != literal: branch on < and >
         branches: List[Formula] = [Atom("<", first.lhs, first.rhs), Atom(">", first.lhs, first.rhs)]
     else:

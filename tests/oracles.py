@@ -3,8 +3,10 @@
 These deliberately avoid the code paths they check: the projection
 oracle decides one-variable satisfiability by direct interval
 reasoning, the reference Fourier-Motzkin decides conjunctions with
-Fraction rows, the reference decide() runs DPLL without the engine's
-literal memo, model shortcut and probe replay, the grid oracle compares formulas by
+Fraction rows, the two reference decide() versions run DPLL without the engine's
+literal memo, records per unit set, free-column rule and probe replay
+(one as the engine searches, on the model of the units, and one as it
+searched before, kept for its verdicts), the grid oracle compares formulas by
 evaluating them at sample points, the full-instantiation oracle
 grounds extension axioms by brute force over all terms up to a fixed
 depth, and the reference tokenizer scans a text character by character
@@ -339,10 +341,13 @@ def reference_is_sat(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
 
 # The engine's decide() before it translated each literal once per call,
 # answered feasibility probes from the current model and replayed the
-# rest through the recorded elimination of the units, kept as the oracle
-# for that version: on the same input both must return the same witness.
-# It calls model_of on every unit set and every probe, wherever that
-# version called the witness-building is_sat.
+# rest through the recorded elimination of the units, and before it
+# searched on the model of the units.  It probes every literal of every
+# clause in each round, for whether it can hold and whether the units
+# entail it, so its search and its witnesses are those of that version;
+# it is kept as a verdict oracle (reference_model_decide pins the
+# witnesses).  It calls model_of on every unit set and every probe,
+# wherever that version called the witness-building is_sat.
 
 
 def reference_decide(formulas, assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, Fraction]]:
@@ -444,6 +449,124 @@ def _reference_decide(units: List[LinAtom], pending: List[Formula]) -> Optional[
         return _reference_decide(list(units), complexes)
     for b in branches:
         w = _reference_decide(list(units), [b] + rest)
+        if w is not None:
+            return w
+    return None
+
+
+# The engine's decide() as it searches on the model of the units, kept as
+# the oracle for that search: on the same input both must return the same
+# witness.  Propagation examines only the clauses that the model of the
+# units violates, a round repeats while the units grow, and a unit that
+# the model violates replaces the model at once.  A node whose model
+# satisfies every clause left returns it, else it branches on the
+# shortest violated clause.  It has no literal memo, no record per unit
+# set, no free-column rule and no replay: every probe and every model of
+# the units is one model_of call.
+
+
+def reference_model_decide(formulas, assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, Fraction]]:
+    """Satisfiability of a conjunction of ground quantifier-free
+    formulas by DPLL on the model of the unit atoms, with FM leaves."""
+    if not isinstance(formulas, (list, tuple)):
+        formulas = [formulas]
+    return _model_decide(list(assumptions), [nnf(f) for f in formulas], [])
+
+
+def _column_holds(model: Dict[str, Fraction], a: Union[LinAtom, bool]) -> bool:
+    """The atom holds at the model, each monomial read as one column (a
+    product is its own column), a missing column as 0."""
+    if type(a) is bool:
+        return a
+    total = sum(c * model.get(_mono_var(m), ZERO) if m else c for m, c in a.poly)
+    return total <= 0 if a.rel == "<=" else total < 0 if a.rel == "<" else total == 0
+
+
+def _formula_holds(model: Dict[str, Fraction], f: Formula) -> bool:
+    if isinstance(f, And):
+        return all(_formula_holds(model, p) for p in f.parts)
+    if isinstance(f, Or):
+        return any(_formula_holds(model, p) for p in f.parts)
+    if isinstance(f, Atom):
+        return any(_column_holds(model, a) for a in atom_to_lin(f))
+    raise SortError("decide expects ground clause structure, found %s" % type(f).__name__)
+
+
+def _model_decide(units: List[LinAtom], pending: List[Formula], clauses: List[Formula]) -> Optional[Dict[str, Fraction]]:
+    clauses = list(clauses)
+    stack = list(pending)
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack.extend(f.parts)
+        elif isinstance(f, Atom) and f.rel != "!=":
+            for a in atom_to_lin(f):
+                if a is False:
+                    return None
+                if a is not True:
+                    units.append(a)
+        elif isinstance(f, Or) and not f.parts:
+            return None
+        elif isinstance(f, (Atom, Or)):
+            clauses.append(f)
+        else:
+            raise SortError("decide expects ground clause structure, found %s" % type(f).__name__)
+    deferred: List[Formula] = []
+    grew = True
+    while grew:
+        model = model_of(units)
+        if model is None:
+            return None
+        grew = False
+        remaining: List[Formula] = []
+        violated: List[int] = []  # positions in remaining
+        for f in clauses:
+            if _formula_holds(model, f):
+                remaining.append(f)
+                continue
+            lits = list(f.parts) if isinstance(f, Or) else [f]
+            viable = [
+                lit
+                for lit in lits
+                if not isinstance(lit, Atom)
+                or any(a is not False and model_of(units + [a]) is not None for a in atom_to_lin(lit))
+            ]
+            if not viable:
+                return None
+            if len(viable) == 1 and isinstance(viable[0], Atom) and viable[0].rel != "!=":
+                (a,) = atom_to_lin(viable[0])
+                units.append(a)
+                grew = True
+                if not _column_holds(model, a):
+                    model = model_of(units)
+                    if model is None:
+                        return None
+                continue
+            if len(viable) == len(lits):
+                kept = f
+            elif len(viable) > 1:
+                kept = Or(tuple(viable))
+            elif isinstance(viable[0], (Atom, Or)):
+                kept = viable[0]
+            else:  # a conjunction left alone in its clause: it holds whole
+                deferred.append(viable[0])
+                continue
+            violated.append(len(remaining))
+            remaining.append(kept)
+        clauses = remaining
+    if deferred:
+        return _model_decide(units, deferred, clauses)
+    if not violated:
+        return model
+    i = min(violated, key=lambda i: len(clauses[i].parts) if isinstance(clauses[i], Or) else 2)
+    first = clauses[i]
+    rest = (clauses[:i] + clauses[i + 1 :])[::-1]
+    if isinstance(first, Atom):  # a != literal: branch on < and >
+        branches: List[Formula] = [Atom("<", first.lhs, first.rhs), Atom(">", first.lhs, first.rhs)]
+    else:
+        branches = list(first.parts)
+    for b in branches:
+        w = _model_decide(list(units), [b], rest)
         if w is not None:
             return w
     return None

@@ -166,25 +166,65 @@ def test_readme_library_use_prints_ex1_constraint(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().out == "(FORALL i). OR(a(i + _1) - a(i) >= _0, d1 - d2 > _0)\n"
 
 
+COMPLETE_INSTANTIATION = "(step) satisfiable under the complete-instantiation assumption"
+
+
+def golden_extra(name):
+    """The lines under Extra: of the file's golden masked report."""
+    lines = (DATA / ("%s_report.txt" % name)).read_text().splitlines()
+    return [line[8:] for line in lines[lines.index("    Extra:") + 1 :]]
+
+
 def test_bmc_and_automaton_check_files():
-    """The corpus's BMC task and its automaton CHECK_INVARIANT task, in
-    which an initiation and a flow condition both fail, print these
-    Result and step lines."""
+    """The corpus's BMC task, its automaton CHECK_INVARIANT task, in
+    which an initiation and a flow condition both fail, and its
+    strengthening task with ground atoms in the candidate print these
+    Result lines and these lines under Extra:."""
     expected = {
         "pts_bmc_unsorted": (
             "counterexample at depth 1",
-            ["depth 0: unsatisfiable"] + ["depth %d: satisfiable" % j for j in (1, 2, 3)],
+            ["(step) depth 0: unsatisfiable"]
+            + ["(step) depth %d: satisfiable" % j for j in (1, 2, 3)]
+            + [COMPLETE_INSTANTIATION],
         ),
         "lha_check_init_flow": (
             "InitFails (I_a)",
-            ["I_a: satisfiable", "F_flow_a: unsatisfiable", "F_flow_b: satisfiable", "F_jump_a_b_1: unsatisfiable"],
+            [
+                "(step) " + step
+                for step in ["I_a: satisfiable", "F_flow_a: unsatisfiable", "F_flow_b: satisfiable", "F_jump_a_b_1: unsatisfiable"]
+            ]
+            + [COMPLETE_INSTANTIATION],
+        ),
+        "ex2_strengthening_ground_atoms": (
+            "no universal inductive invariant over the parameters entails the candidate",
+            golden_extra("ex2_strengthening_ground_atoms"),
         ),
     }
-    for name, (result, steps) in expected.items():
+    for name, (result, extra) in expected.items():
         report, code, _ = run_task_file((DATA / ("%s.yaml" % name)).read_text())
         lines = report.splitlines()
         assert code == 0 and "    Result: %s" % result in lines, name
-        extra = lines[lines.index("    Extra:") + 1 :]
-        assert extra == ["        (step) " + step for step in steps] + [
-            "        (step) satisfiable under the complete-instantiation assumption"
-        ], name
+        assert lines[lines.index("    Extra:") + 1 :] == ["        " + line for line in extra], name
+
+
+def test_strengthening_with_ground_candidate_atoms(monkeypatch):
+    """ex2_strengthening.yaml with b(_0) = _0 in init and a(_0) <= d1 in
+    the query: its second iteration decides a consecution condition of
+    58 ground formulas with several ground-guarded universal clauses.
+    The masked report is the golden one, and the whole run takes at most
+    4,000 _decide nodes (47,093 before decide searched on the model of
+    its units, 1,862 since)."""
+    from paramverify import linear
+
+    nodes = [0]
+    real = linear._decide
+
+    def counted(*args):
+        nodes[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(linear, "_decide", counted)
+    report, code, _ = run_task_file((DATA / "ex2_strengthening_ground_atoms.yaml").read_text())
+    assert code == 0
+    assert mask_report(report) == (DATA / "ex2_strengthening_ground_atoms_report.txt").read_text()
+    assert nodes[0] <= 4000

@@ -1,27 +1,33 @@
-"""decide() against the reference DPLL in tests/oracles.py, and its
-probe replay against the reference Fourier-Motzkin.
+"""decide() against the reference DPLL searches in tests/oracles.py,
+and its probe replay against the reference Fourier-Motzkin.
 
-The engine translates each literal once per call, answers a
-feasibility probe from the model of the current unit atoms when the
-probe's atoms hold there, answers it satisfiable when the probe atom
-has a column that no unit has, and otherwise replays the probe atom
+The engine searches on the model of the unit atoms: it propagates only
+on the clauses that model violates, and returns the first node model
+that satisfies every clause left.  It translates each literal once per
+call, answers a feasibility probe satisfiable when the probe atom has
+a column that no unit has, and otherwise replays the probe atom
 through the recorded elimination of the units.  None of it may change
-the search: the verdict and the witness must be the reference's,
-decide makes no is_sat call, and it runs at most as many
-eliminations as the reference makes satisfiability calls.  The
-free-column answers must be the replay's, and no probe they cover may
-reach a replay.
+the search: the verdict and the witness must be those of the reference
+that searches on the model of the units (reference_model_decide),
+decide makes no is_sat call, and it runs at most as many eliminations
+as that reference makes satisfiability calls.  The verdicts must also
+be those of the earlier search (reference_decide), and of the stored
+brute-force oracle on the benchmark's pool.  The free-column answers
+must be the replay's, and no probe they cover may reach a replay.
 """
 
+import json
 import random
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import oracles
-from oracles import evaluate, random_conjunct, reference_decide, reference_is_sat
+from conftest import workloads
+from oracles import evaluate, random_conjunct, reference_decide, reference_is_sat, reference_model_decide
 from paramverify import linear, terms
 from paramverify.errors import EngineError
 from paramverify.linear import decide, make_atom
@@ -59,9 +65,9 @@ def constants_of(formulas):
 
 def check_against_reference(formulas, calls):
     """decide's witness, and how many fewer eliminations it ran than
-    the reference made satisfiability calls."""
+    the reference of its search made satisfiability calls."""
     del calls[:]
-    expected = reference_decide(formulas)
+    expected = reference_model_decide(formulas)
     reference_calls = sum(kind != "fm" for kind, _ in calls)
     del calls[:]
     got = decide(formulas)
@@ -115,11 +121,52 @@ def test_decide_matches_reference_on_random_instances(monkeypatch):
     assert saved > 0
 
 
+def test_earlier_search_gives_the_same_verdicts():
+    """The reference of the search before decide searched on the model
+    of its units probes every literal of every clause; its verdicts, not
+    its witnesses, must be decide's."""
+    verdicts = Counter()
+    for ground in random_instances():
+        sat = decide(ground) is not None
+        assert (reference_decide(ground) is not None) is sat
+        verdicts[sat] += 1
+    assert min(verdicts.values()) >= 10, verdicts
+
+
+POOL = Path(__file__).parent.parent / "perfbench" / "data" / "equisat_pool.json"
+
+
+def test_decide_matches_the_pool_oracle_verdicts():
+    """On every instance of the benchmark's pool, reduced with the
+    benchmark's depth-2 seed terms, decide's verdict is the stored
+    brute-force verdict, and every witness makes each ground formula
+    true when evaluated without linear, the constants it omits read as
+    0.  Neither depends on how decide searches."""
+    seed_terms = workloads().SEED_TERMS
+    instances = json.loads(POOL.read_text())["instances"]
+    verdicts = Counter()
+    for inst in instances:
+        sig = Signature()
+        sig.extension_functions["f"] = (1, 1)
+        for c in ("u", "v", "w"):
+            sig.declare_constant(c)
+        statements = parse_statements(inst["clauses"] + " " + inst["goal"], sig)
+        seeds = [parse_term_string(t, sig) for t in seed_terms]
+        ground = reduce_chain(sig.copy(), statements, seeds).ground
+        witness = decide(ground)
+        assert (witness is not None) is inst["sat"], inst["clauses"]
+        if witness is not None:
+            point = {s: witness.get(s, Fraction(0)) for s in constants_of(ground)}
+            assert all(evaluate(f, point) for f in ground), inst["clauses"]
+        verdicts[inst["sat"]] += 1
+    assert len(instances) == 240 and min(verdicts.values()) >= 50, verdicts
+
+
 def test_each_literal_is_read_once_and_negations_come_from_atoms(monkeypatch):
     """Within one decide call each distinct literal's terms are read
-    (_lit_branches) at most once, and a literal's negation comes from
-    its translated atoms: no atom that negate_atom builds after the
-    input's negation normal form is ever read."""
+    (_lit_branches) at most once, and no atom that negate_atom builds
+    after the input's negation normal form is ever read: the search
+    tests no literal for entailment, so it negates none."""
     reads, built = [], []
     in_nnf = [False]
     real_nnf, real_branches, real_negate = linear.nnf, linear._lit_branches, terms.negate_atom
@@ -164,18 +211,16 @@ def free_columns(units, a):
 
 
 def refuted_calls(monkeypatch):
-    """Record every _refuted call that the model of the units does not
-    answer, as [units, atom, answer, the units' steps (None:
-    unsatisfiable), the atoms _probe_sat received during the call]."""
+    """Record every _refuted call as [units, atom, answer, the units'
+    steps (None: unsatisfiable), the atoms _probe_sat received during
+    the call]."""
     calls = []
     real_refuted, real_probe = linear._refuted, linear._probe_sat
 
-    def refuted(units, a, model, records):
-        if a is True or (model is not None and linear._holds(model, a)):
-            return real_refuted(units, a, model, records)
+    def refuted(units, a, records):
         call = [units, a, None, None, []]
         calls.append(call)
-        call[2] = real_refuted(units, a, model, records)
+        call[2] = real_refuted(units, a, records)
         call[3] = records[units][0]
         return call[2]
 
@@ -236,7 +281,7 @@ def test_constant_is_not_a_free_column(monkeypatch):
     units = frozenset([row_atom("<", {"u": 1, "c_f_2": -1}), row_atom("<", {"c_f_1": 1, "c_f_2": -1})])
     probe = row_atom("=", {"c_f_2": 1, "u": -1, "": 3})
     calls = refuted_calls(monkeypatch)
-    assert linear._refuted(units, probe, None, {}) is True
+    assert linear._refuted(units, probe, {}) is True
     assert [replayed for *_, replayed in calls] == [[probe]]
 
 
@@ -251,7 +296,7 @@ def test_free_column_probe_is_not_replayed(monkeypatch, rel, fresh):
     assert reference_is_sat(units + [row_atom(rel, {"x": 1, "": 5})]) is None
     assert reference_is_sat(units + [probe]) is not None
     calls = refuted_calls(monkeypatch)
-    assert linear._refuted(frozenset(units), probe, None, {}) is False
+    assert linear._refuted(frozenset(units), probe, {}) is False
     assert [replayed for *_, replayed in calls] == [[]]
 
 
@@ -259,7 +304,8 @@ def test_unit_violating_the_model_drops_it(monkeypatch):
     """Propagation visits OR(x <= -1, x >= 5) first and learns x >= 5
     while the model of the units still has x = 1.  The next clause's
     x <= 2 holds at that stale model but is refuted by the units, so
-    the model must be dropped before the clause is probed."""
+    the model must be replaced by one of the new units before the
+    clause is read at it."""
     calls = recorded_calls(monkeypatch)
     sig = Signature()
     formulas = parse_statements("OR(x <= _2, y = _3); OR(x <= -_1, x >= _5); x >= _0;", sig)
@@ -321,7 +367,7 @@ def test_probe_replay_matches_reference():
     seen = {"sat": 0, "unsat": 0, "equation": 0, "strict": 0, "fresh symbol": 0, "unsatisfiable units": 0}
     for units, probe in probe_pairs(rng):
         expected = reference_is_sat(list(units) + [probe]) is not None
-        assert linear._refuted(frozenset(units), probe, None, {}) is not expected, (units, probe)
+        assert linear._refuted(frozenset(units), probe, {}) is not expected, (units, probe)
         seen["sat" if expected else "unsat"] += 1
         seen["equation"] += probe.rel == "="
         seen["strict"] += probe.rel == "<"

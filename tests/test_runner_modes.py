@@ -99,6 +99,20 @@ tasks:
     assert "    Result: no counterexample up to depth 2" in report.splitlines()
 
 
+def test_deep_bmc_of_a_sorted_array_finds_no_counterexample():
+    """The benchmark's sorted-array BMC task (bmc_sorted(1, 0)) at depth
+    10, where each depth's ground set is a few hundred formulas: a
+    sorted array stays sorted under a constant increment, so no depth
+    has a counterexample."""
+    _, text = workloads().bmc_sorted(1, 0)
+    assert "bmc_k: 3" in text
+    report, code, _ = run_task_file("tasks:\n" + text.replace("bmc_k: 3", "bmc_k: 10"))
+    lines = report.splitlines()
+    assert code == 0 and "    Result: no counterexample up to depth 10" in lines
+    extra = lines[lines.index("    Extra:") + 1 :]
+    assert extra == ["        (step) depth %d: unsatisfiable" % j for j in range(11)]
+
+
 def test_check_invariant_lha_mode():
     text = lha_task(
         "CHECK_INVARIANT",
