@@ -77,25 +77,15 @@ def _scaled(coeff: Fraction, base: Term) -> Term:
     return App("*", (Num(coeff), base))
 
 
-def flow_relax(
-    mode: Mode,
-    t0: Term,
-    t: Term,
-    pre: Optional[Dict[str, Term]] = None,
-    post: Optional[Dict[str, Term]] = None,
-) -> List[Formula]:
-    """Endpoint relaxation of the mode's flow over the interval [t0, t];
-    by default the endpoints are the plain and the primed variables."""
+def flow_relax(mode: Mode, t: Term) -> List[Formula]:
+    """Endpoint relaxation of the mode's flow over a duration t, between
+    the plain and the primed variables."""
     out: List[Formula] = []
-    elapsed: Term = t if t0 == Num(Fraction(0)) else App("-", (t, t0))
     for f in mode.flow:
         derivatives, rest = _flow_combination(f)
-        parts: List[Tuple[Fraction, Term]] = []
-        for x in sorted(derivatives):
-            pre_t = pre[x] if pre else App(x, ())
-            post_t = post[x] if post else App(primed(x), ())
-            parts.append((derivatives[x], App("-", (post_t, pre_t))))
-        lhs = _signed_sum(parts)
+        lhs = _signed_sum(
+            [(derivatives[x], App("-", (App(primed(x), ()), App(x, ())))) for x in sorted(derivatives)]
+        )
         rhs_parts: List[Tuple[Fraction, Term]] = []
         for mono, coeff in sorted(rest.items()):
             base: Optional[Term] = None
@@ -103,9 +93,9 @@ def flow_relax(
                 factor: Term = App(name, ())
                 base = factor if base is None else App("*", (base, factor))
             if base is None:
-                rhs_parts.append((-coeff, elapsed))
+                rhs_parts.append((-coeff, t))
             else:
-                rhs_parts.append((-coeff, App("*", (base, elapsed))))
+                rhs_parts.append((-coeff, App("*", (base, t))))
         rhs = _signed_sum(rhs_parts)
         out.append(Atom(f.rel, lhs, rhs))
     return out
@@ -157,7 +147,7 @@ def vcs_invariant(automaton: HybridAutomaton, candidate: Sequence[Formula], name
         statements = (
             list(candidate)
             + list(mode.inv)
-            + flow_relax(mode, zero, t)
+            + flow_relax(mode, t)
             + primed_of(mode.inv)
             + [neg_primed, Atom(">=", t, zero)]
         )
@@ -209,7 +199,7 @@ def vcs_chatterfree(
             statements = (
                 list(source.inenv)
                 + list(source.inv)
-                + flow_relax(source, zero, t)
+                + flow_relax(source, t)
                 + [rename_symbols(g, renaming) for g in edge.guard]
                 + [Atom("<=", t, epsilon), Atom(">", t, zero)]
             )

@@ -73,23 +73,26 @@ a fresh history bit.  The engine makes no is_sat call (see is_sat).
 The ground decision procedure (decide) is DPLL over clauses with
 Fourier-Motzkin at the leaves, searching on the model of the unit atoms
 (Nieuwenhuis, Oliveras & Tinelli, JACM 53(6), 2006; de Moura & Bjorner,
-"Model-based theory combination", SMT 2007).  It translates each
-literal once per call, on its first visit, and eliminates each distinct
-set of unit atoms once per call, in LinAtom.key order, keeping the
-steps: back-substituted, they give the units' model, which does not
-depend on the interpreter's hash seed; it is checked against every unit
-and scaled once to integers.  Propagation reads each clause at the
-model from the atoms its literals hold, and examines only a clause the
-model violates, which the units cannot entail: it drops the literals
-the units refute and makes a sole remaining one a unit.  A unit the
-model violates replaces the model by the new units' at once, a round
-repeats while the units grow, and a clause the model satisfies waits
-for a later model.  A node whose model satisfies every clause left
-returns it; otherwise it branches on the shortest violated clause.
-Every probe is the units plus one atom: one whose atom has a column
-that no unit has is satisfiable; otherwise the atom's row is carried
-through the recorded steps (_probe_sat) by the same step, and the
-verdict is memoised with the units' steps.
+"Model-based theory combination", SMT 2007).  It translates each literal
+once per call, on its first visit, and builds one record per distinct
+set of unit atoms per call (_unit_record): the steps of their
+elimination, in LinAtom.key order, and, when they are satisfiable, the
+witness back-substituted from the steps (it does not depend on the
+interpreter's hash seed), checked against every unit, beside the
+integer-scaled model that the check read.  Propagation reads each clause
+at the model from the atoms its literals hold, and examines only a
+clause the model violates, which the units cannot entail: it drops the
+literals the units refute and makes a sole remaining one a unit.  A unit
+the model violates replaces the model by the new units' at once, a round
+repeats while the units grow, and a clause the model satisfies waits for
+a later model.  A node whose model satisfies every clause left returns
+it; otherwise it branches on the shortest violated clause.  Every probe
+is the units plus one atom: one whose atom has a column that no unit has
+is satisfiable; otherwise the atom's row is carried through the recorded
+steps (_probe_sat) by the same step, and the verdict is memoised in the
+units' record.  decide checks the witness it returns against every
+formula and assumption, reading the formulas as propagation reads
+clauses (_true_at).
 """
 
 from fractions import Fraction
@@ -512,9 +515,9 @@ def is_sat(atoms: Sequence[LinAtom]) -> bool:
     return sat
 
 
-def _witness(steps: Steps, atoms: Iterable[LinAtom]) -> Dict[str, Fraction]:
-    """The witness of the elimination steps, checked against every atom;
-    a violated atom raises EngineError."""
+def _witness(steps: Steps, atoms: Iterable[LinAtom]) -> Tuple[Dict[str, Fraction], "ScaledModel"]:
+    """The witness of the elimination steps and its scaled model, checked
+    against every atom; a violated atom raises EngineError."""
     witness = _back_substitute(steps)
     model = _scaled(witness)
     for a in atoms:
@@ -522,7 +525,7 @@ def _witness(steps: Steps, atoms: Iterable[LinAtom]) -> Dict[str, Fraction]:
             from .printing import print_formula
 
             raise EngineError("ground witness violates %s" % print_formula(lin_to_atom(a)))
-    return witness
+    return witness, model
 
 
 # the row table and index of a context's atoms, and the slot key each took
@@ -931,22 +934,20 @@ def eliminate(
 # Ground decision procedure for clause-structured formulas
 
 
-def decide(formulas, assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, Fraction]]:
-    """A witness of a conjunction of ground quantifier-free formulas,
-    or None when it is unsatisfiable: DPLL on the model of the unit
-    atoms, splitting on disjunctions, with FM leaves.  The witness is
-    the first node model that satisfies every clause, the canonical
-    model of that node's units, checked here against every formula and
-    assumption."""
-    if not isinstance(formulas, (list, tuple)):
-        formulas = [formulas]
+def decide(formulas: List[Formula], assumptions: Sequence[LinAtom] = ()) -> Optional[Dict[str, Fraction]]:
+    """A witness of a list of ground quantifier-free formulas in
+    conjunction, or None when it is unsatisfiable: DPLL on the model of
+    the unit atoms, splitting on disjunctions, with FM leaves.  The
+    witness is the first node model that satisfies every clause, the
+    canonical model of that node's units, checked here against every
+    formula and assumption."""
     pending = [nnf(f) for f in formulas]
     memo: LiteralMemo = {}
     witness = _decide(frozenset(assumptions), pending, [], memo, {})
     if witness is not None:
         # _decide checked the witness against its leaf's unit atoms only
         model = _scaled(witness)
-        wrong = [f for f in pending if not _satisfies(model, f, memo)]
+        wrong = [f for f in pending if not _true_at(model, [[f, None]], memo)]
         wrong += [lin_to_atom(a) for a in assumptions if not _holds(model, a)]
         if wrong:
             from .printing import print_formula
@@ -998,40 +999,24 @@ def _some_holds(model: ScaledModel, atoms: tuple) -> bool:
     return False
 
 
-def _satisfies(model: ScaledModel, f: Formula, memo: LiteralMemo) -> bool:
-    """The NNF formula holds at the scaled model, its literals read as decide reads them."""
-    if isinstance(f, And):
-        return all(_satisfies(model, p, memo) for p in f.parts)
-    if isinstance(f, Or):
-        return any(_satisfies(model, p, memo) for p in f.parts)
-    return _some_holds(model, _translated(f, memo))
+# unit set -> (its elimination steps (None: unsatisfiable), its witness
+# and the witness scaled (_witness; None when unsatisfiable), {probe atom:
+# whether it holds with the units}, the columns of the units' rows and the
+# constant's column "")
+UnitRecords = Dict[frozenset, tuple]
 
 
-# unit set -> [its elimination steps (None: unsatisfiable), its witness
-# (None until built), {probe atom: whether it holds with the units}, the columns
-# of the units' rows and the constant's column ""]
-UnitRecords = Dict[frozenset, list]
-
-
-def _unit_record(units: frozenset, records: UnitRecords) -> list:
-    """The units' record; their elimination runs once per decide call,
-    in LinAtom.key order."""
+def _unit_record(units: frozenset, records: UnitRecords) -> tuple:
+    """The units' record, built once per decide call: their elimination,
+    in LinAtom.key order, and the witness of its steps, checked against
+    every unit."""
     record = records.get(units)
     if record is None:
-        steps = _fm_steps(sorted(units, key=LinAtom.key))
-        record = records[units] = [steps, None, {}, {""}.union(*(_atom_row(a)[1] for a in units))]
+        ordered = sorted(units, key=LinAtom.key)
+        steps = _fm_steps(ordered)
+        checked = None if steps is None else _witness(steps, ordered)
+        record = records[units] = (steps, checked, {}, {""}.union(*(_atom_row(a)[1] for a in units)))
     return record
-
-
-def _unit_model(units: frozenset, records: UnitRecords) -> Optional[Dict[str, Fraction]]:
-    """A checked witness of the units, or None when they are
-    unsatisfiable, from the units' record."""
-    record = _unit_record(units, records)
-    if record[0] is None:
-        return None
-    if record[1] is None:
-        record[1] = _witness(record[0], sorted(units, key=LinAtom.key))
-    return record[1]
 
 
 def _refuted(units: frozenset, a: LinAtom, records: UnitRecords) -> bool:
@@ -1115,10 +1100,10 @@ def _decide(
     deferred: List[Formula] = []  # conjunctions left alone in a clause: each must hold whole
     new = True
     while new:
-        witness = _unit_model(units, records)
-        if witness is None:
+        checked = _unit_record(units, records)[1]
+        if checked is None:
             return None
-        model = _scaled(witness)
+        witness, model = checked
         new = False
         remaining: List[tuple] = []
         violated: List[tuple] = []
@@ -1140,10 +1125,10 @@ def _decide(
                 units = units.union((a,))
                 new = True
                 if not _holds(model, a):
-                    witness = _unit_model(units, records)
-                    if witness is None:
+                    checked = _unit_record(units, records)[1]
+                    if checked is None:
                         return None
-                    model = _scaled(witness)
+                    witness, model = checked
                 continue
             if len(viable) == len(lits):
                 kept = clause
@@ -1192,27 +1177,16 @@ def monomial_term(factors: Sequence[Term], coeff: Fraction) -> Term:
     return expr
 
 
-def poly_term(p: Poly) -> Term:
-    """Rebuild a term from a polynomial (canonical monomial order)."""
-    from .terms import num
-
-    items = sorted(((m, c) for m, c in p.items() if m), key=_term_key)
-    const = p.get((), ZERO)
-    if not items:
-        return num(const)
-    expr = None
-    for m, c in items:
-        t = monomial_term([App(s, ()) for s in m], c)
-        expr = t if expr is None else App("+", (expr, t))
-    if const:
-        expr = App("+", (expr, Num(const)))
-    return expr
-
-
 def lin_to_atom(a: LinAtom) -> Atom:
+    """The atom as terms: its monomials, which a.poly holds in monomial
+    order, summed to the left against the negated constant."""
     p = a.poly_dict()
     const = p.pop((), ZERO)
-    return Atom(a.rel, poly_term(p), Num(-const))
+    summands = [monomial_term([App(s, ()) for s in m], c) for m, c in p.items()]
+    expr = summands[0]
+    for t in summands[1:]:
+        expr = App("+", (expr, t))
+    return Atom(a.rel, expr, Num(-const))
 
 
 def assumptions_from(formulas) -> List[LinAtom]:

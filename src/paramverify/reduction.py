@@ -84,12 +84,12 @@ def ground_extension_subterms(
     (the set is closed under taking extension-headed subterms)."""
     if heads is None:
         heads = extension_heads(sig)
-    out: List[Term] = []
+    out: Dict[Term, None] = {}
     for s in statements:
         for sub in formula_subterms(s):
-            if isinstance(sub, App) and sub.fn in heads and is_ground(sub) and sub not in out:
-                out.append(sub)
-    return out
+            if isinstance(sub, App) and sub.fn in heads and sub not in out and is_ground(sub):
+                out[sub] = None
+    return list(out)
 
 
 def closure(
@@ -103,15 +103,15 @@ def closure(
     given terms, the terms themselves, plus user-supplied seeds."""
     if heads is None:
         heads = extension_heads(sig)
-    out = ground_extension_subterms(statements, sig, heads)
+    out = dict.fromkeys(ground_extension_subterms(statements, sig, heads))
     for t in terms:
         for sub in subterms(t):
-            if isinstance(sub, App) and sub.fn in heads and is_ground(sub) and sub not in out:
-                out.append(sub)
+            if isinstance(sub, App) and sub.fn in heads and sub not in out and is_ground(sub):
+                out[sub] = None
     for t in seeds:
-        if isinstance(t, App) and t.fn in heads and is_ground(t) and t not in out:
-            out.append(t)
-    return out
+        if isinstance(t, App) and t.fn in heads and t not in out and is_ground(t):
+            out[t] = None
+    return list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +135,7 @@ def _match(pattern: Term, ground: Term, binding: Dict[str, Term]) -> bool:
 
 
 def _patterns(clause: Formula, heads: Set[str]) -> List[Term]:
-    out: List[Term] = []
-    for sub in formula_subterms(clause):
-        if isinstance(sub, App) and sub.fn in heads and sub not in out:
-            out.append(sub)
-    return out
+    return list(dict.fromkeys(sub for sub in formula_subterms(clause) if isinstance(sub, App) and sub.fn in heads))
 
 
 def instantiate(
@@ -150,7 +146,8 @@ def instantiate(
     split_statements returns them, so each instance is ground."""
     if heads is None:
         heads = extension_heads(sig)
-    out: List[Formula] = []
+    known = set(terms)
+    out: Dict[Formula, None] = {}
     for clause in clauses:
         variables = set(clause.variables)
         body = clause.body
@@ -165,21 +162,20 @@ def instantiate(
             )
         bindings: List[Dict[str, Term]] = [{}]
         for p in patterns:
-            next_bindings: List[Dict[str, Term]] = []
+            next_bindings: Dict[frozenset, Dict[str, Term]] = {}
             for b in bindings:
                 for t in terms:
                     candidate = dict(b)
-                    if _match(p, t, candidate) and candidate not in next_bindings:
-                        next_bindings.append(candidate)
-            bindings = next_bindings
+                    if _match(p, t, candidate):
+                        next_bindings.setdefault(frozenset(candidate.items()), candidate)
+            bindings = list(next_bindings.values())
             if not bindings:
                 break
         for b in bindings:
             instance = substitute(body, b)
-            if all(t in terms for t in _patterns(instance, heads)):
-                if instance not in out:
-                    out.append(instance)
-    return out
+            if all(t in known for t in _patterns(instance, heads)):
+                out[instance] = None
+    return list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +205,13 @@ def flatten_purify(
         heads = extension_heads(sig)
     defs: List[Definition] = []
     by_term: Dict[App, str] = {}
+    per_head: Dict[str, int] = {}
 
     def name_for(original: App, purified_args: Tuple[Term, ...]) -> str:
         known = by_term.get(original)
         if known is not None:
             return known
-        count = sum(1 for d in defs if d.term.fn == original.fn) + 1
+        count = per_head[original.fn] = per_head.get(original.fn, 0) + 1
         name = sig.fresh_constant("c_%s_%d" % (original.fn, count))
         defs.append(Definition(name, original, purified_args))
         by_term[original] = name
@@ -266,8 +263,9 @@ class ReducedProblem(Record):
 
 
 def reduce_chain(sig: Signature, statements: Iterable[Formula], seeds: Sequence[Term] = ()) -> ReducedProblem:
-    """Iterate est / closure / instantiation / purification from the
-    highest declared extension level down to 1, on a copy of sig."""
+    """Iterate closure / instantiation / purification from the highest
+    declared extension level down to 1, on a copy of sig; one closure of
+    a level's clauses and the ground part gives its instantiation terms."""
     statements = list(statements)
     sig = sig.copy()
     for s in statements:
@@ -284,8 +282,7 @@ def reduce_chain(sig: Signature, statements: Iterable[Formula], seeds: Sequence[
     for level in levels:
         heads = extension_heads(sig, level)
         level_clauses = leveled.pop(level, [])
-        est_terms = ground_extension_subterms(level_clauses + problem.ground, sig, heads)
-        terms = closure(est_terms, level_clauses, sig, heads, seeds)
+        terms = closure((), level_clauses + problem.ground, sig, heads, seeds)
         instances = instantiate(level_clauses, terms, sig, heads)
         purified = flatten_purify(instances + problem.ground, sig, heads)
         problem.ground = purified.clauses + purified.congruence

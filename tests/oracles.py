@@ -159,7 +159,7 @@ def model_of(atoms: Iterable[LinAtom]) -> Optional[Dict[str, Fraction]]:
     against every atom; a violated atom raises EngineError."""
     ordered = sorted(set(atoms), key=LinAtom.key)
     steps = _fm_steps(ordered)
-    return None if steps is None else _witness(steps, ordered)
+    return None if steps is None else _witness(steps, ordered)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -641,6 +641,37 @@ tasks:
     assert main([str(nonlinear)]) == 1
 
 
+def test_parameter_application_over_an_eliminated_symbol_exit_one(tmp_path, capsys):
+    """A kept parameter application whose argument holds an eliminated
+    extension symbol, a(b(c)) with parameter a, leaves no constraint
+    over the parameters alone: the task's result is that SortError, and
+    the exit code is 1."""
+    task_file = tmp_path / "nested.yaml"
+    task_file.write_text(
+        """
+tasks:
+    nested:
+        mode: GENERATE_CONSTRAINTS
+        options:
+            parameter: [a]
+        specification_type: HPILOT
+        specification_theory: REAL_CLOSED_FIELDS
+        specification:
+            file: |
+                Base_functions := {(+,2), (-,2), (*,2)}
+                Extension_functions := {(b, 1, 1), (a, 1, 2)}
+                Relations := {(<=,2), (<,2), (>=,2), (>,2)}
+                Query := a(b(c)) > _0;
+"""
+    )
+    assert main([str(task_file)]) == 1
+    out, err = capsys.readouterr()
+    assert not err
+    assert [line for line in out.splitlines() if line.startswith("    Result:")] == [
+        "    Result: error: SortError: argument of parameter application a(b(c)) contains eliminated symbol b"
+    ]
+
+
 NONLINEAR_TASK = """
     squares:
         mode: GENERATE_CONSTRAINTS
@@ -933,11 +964,11 @@ def test_determinism_across_hash_seeds():
     seeds 0 and 2 iterate its ground atoms in different orders."""
     script = "\n".join(
         [
+            "from pathlib import Path",
             "from paramverify.runner import run_task_file",
             "import sys",
-            "for name in ['ex1_constraint', 'ex2_strengthening', 'chem_mode1', 'pts_check_unsorted']:",
-            "    text = open(r'{data}/' + name + '.yaml').read()".format(data=DATA),
-            "    sys.stdout.write(run_task_file(text)[0])",
+            "for path in sorted(Path(r'{data}').glob('*.yaml')):".format(data=DATA),
+            "    sys.stdout.write(run_task_file(path.read_text())[0])",
         ]
     )
     outputs = []
@@ -945,6 +976,7 @@ def test_determinism_across_hash_seeds():
         proc = run_python("-c", script, PYTHONHASHSEED=seed)
         assert proc.returncode == 0, proc.stderr
         outputs.append(mask_report(proc.stdout))
+    assert outputs[0].count("Metadata:\n") == len(list(DATA.glob("*.yaml"))) >= 9
     assert "(step) witness: " in outputs[0]
     assert all(out == outputs[0] for out in outputs[1:])
 

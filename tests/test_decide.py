@@ -32,8 +32,9 @@ from paramverify import linear, terms
 from paramverify.errors import EngineError
 from paramverify.linear import decide, make_atom
 from paramverify.parsing import parse_statements, parse_term_string
+from paramverify.printing import print_formula
 from paramverify.reduction import reduce_chain
-from paramverify.terms import App, Atom, Or, Signature, const, formula_terms, num, subterms
+from paramverify.terms import App, Atom, Or, Signature, const, formula_terms, nnf, num, subterms
 from test_linarith import equation_heavy_conjunct, row_table_conjunct
 from test_reduction import random_definitional_instance
 
@@ -160,6 +161,33 @@ def test_decide_matches_the_pool_oracle_verdicts():
             assert all(evaluate(f, point) for f in ground), inst["clauses"]
         verdicts[inst["sat"]] += 1
     assert len(instances) == 240 and min(verdicts.values()) >= 50, verdicts
+
+
+def test_a_refuted_head_leaves_the_nested_disjunction_as_the_clause(monkeypatch):
+    """g(a, b) = _1 and g(c, d) = _2 purify to units that refute the head
+    of their congruence clause AND(a = c, b = d) --> c_g_1 = c_g_2, whose
+    other literal is the disjunction OR(a != c, b != d).  Propagation
+    keeps that disjunction as the clause, and the search splits on it:
+    the first child gets its part a != c, and a != c's own first branch
+    a < c satisfies everything.  The witness is the reference search's,
+    and it separates a from c alone, so b and d are never eliminated."""
+    sig = Signature()
+    sig.extension_functions["g"] = (2, 1)
+    ground = reduce_chain(sig, parse_statements("g(a, b) = _1; g(c, d) = _2;", sig)).ground
+    assert isinstance(nnf(ground[-1]), Or) and isinstance(nnf(ground[-1]).parts[0], Or)
+    got, _ = check_against_reference(ground, recorded_calls(monkeypatch))
+    assert got is not None and got["a"] != got["c"]
+    assert set(got) == {"a", "c", "c_g_1", "c_g_2"}
+    nodes = []
+    real = linear._decide
+
+    def node(units, pending, *rest):
+        nodes.append([print_formula(f) for f in pending])
+        return real(units, pending, *rest)
+
+    monkeypatch.setattr(linear, "_decide", node)
+    assert decide(ground) == got
+    assert nodes[1:] == [["a != c"], ["a < c"]]
 
 
 def test_each_literal_is_read_once_and_negations_come_from_atoms(monkeypatch):

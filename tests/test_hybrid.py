@@ -46,7 +46,7 @@ def test_derivative_scaled_by_parameter_rejected():
     for flow in ("c * d(x) <= _1;", "_1 <= d(x) * c;"):
         automaton = parse_lha(MINI % flow)
         with pytest.raises(SortError, match=r"scaled by a symbol in c \* d\(x\)$"):
-            flow_relax(automaton.modes["a"], Num(Fraction(0)), App("t", ()))
+            flow_relax(automaton.modes["a"], App("t", ()))
 
 
 def test_inv_with_derivative_rejected():
@@ -63,7 +63,7 @@ def test_guard_with_primed_rejected():
 
 
 def test_flow_relax_mode3(plant):
-    relaxed = flow_relax(plant.modes["3"], Num(Fraction(0)), App("t", ()))
+    relaxed = flow_relax(plant.modes["3"], App("t", ()))
     assert [print_formula(f) for f in relaxed] == [
         "x1p - x1 = _0",
         "x2p - x2 = _0",
@@ -75,12 +75,12 @@ def test_flow_relax_empty_is_empty():
     automaton = parse_lha(MINI % "d(x) = _0;")
     mode = automaton.modes["a"]
     mode.flow = []
-    assert flow_relax(mode, Num(Fraction(0)), App("t", ())) == []
+    assert flow_relax(mode, App("t", ())) == []
 
 
 def test_flow_relax_zero_elapsed_pins_equation_flows(plant):
     """At t = t0 an equation flow forces the endpoints to agree."""
-    relaxed = flow_relax(plant.modes["4"], Num(Fraction(0)), App("t", ()))
+    relaxed = flow_relax(plant.modes["4"], App("t", ()))
     sig = plant.sig.copy()
     sig.declare_constant("t")
     statements = relaxed + parse_statements("t = _0; x1p > x1;", sig)
@@ -89,7 +89,7 @@ def test_flow_relax_zero_elapsed_pins_equation_flows(plant):
 
 def test_flow_relax_constant_rate_round_trip():
     automaton = parse_lha(MINI % "d(x) = _3;")
-    relaxed = flow_relax(automaton.modes["a"], Num(Fraction(0)), App("t", ()))
+    relaxed = flow_relax(automaton.modes["a"], App("t", ()))
     sig = automaton.sig.copy()
     sig.declare_constant("t")
     statements = relaxed + parse_statements("t = _1; xp - x != _3;", sig)
@@ -209,7 +209,7 @@ def test_chatterfree_e12_dwell_constraint(plant):
 
 
 def test_flow_relax_mode1_matches_reference_shape(plant):
-    relaxed = flow_relax(plant.modes["1"], Num(Fraction(0)), App("t", ()))
+    relaxed = flow_relax(plant.modes["1"], App("t", ()))
     texts = [print_formula(f) for f in relaxed]
     assert "x1p - x1 >= t" in texts
     assert "(x1p - x1) - (x2p - x2) <= t" in texts
@@ -293,5 +293,5 @@ def test_flow_relax_zero_rate_is_a_zero_numeral():
     """A rate constant that is a literal _0 on the left relaxes to _0, as
     it does on the right, not to _0 * t."""
     for flow, expected in (("_0 <= d(x);", "-(xp - x) <= _0"), ("d(x) >= _0;", "xp - x >= _0")):
-        relaxed = flow_relax(parse_lha(MINI % flow).modes["a"], Num(Fraction(0)), App("t", ()))
+        relaxed = flow_relax(parse_lha(MINI % flow).modes["a"], App("t", ()))
         assert [print_formula(f) for f in relaxed] == [expected]

@@ -16,8 +16,9 @@ from fractions import Fraction
 from conftest import DATA
 from paramverify.errors import SortError
 from paramverify.hybrid import Mode, flow_relax
+from paramverify.parsing import primed
 from paramverify.printing import print_canonical, print_formula
-from paramverify.terms import App, Atom, Forall, Num, Var
+from paramverify.terms import App, Atom, Forall, Num, SymbolRenaming, Var, rename_symbols
 
 GOLDEN = DATA / "normal_form_golden.json"
 
@@ -118,16 +119,19 @@ def random_flow(rng):
 
 
 def relaxations(mode):
-    """The mode's flow relaxation over [0, t] and over [t0, t] between
-    renamed endpoints, as printed atoms."""
-    pre = {x: _const(x + "_0") for x in FLOW_VARIABLES}
-    post = {x: _const(x + "_1") for x in FLOW_VARIABLES}
+    """The mode's flow relaxation over a duration t, and over t - t0
+    between renamed endpoints x_0 and x_1, as printed atoms."""
+    endpoints = {x: x + "_0" for x in FLOW_VARIABLES}
+    endpoints.update({primed(x): x + "_1" for x in FLOW_VARIABLES})
+    renaming = SymbolRenaming(endpoints)
     out = []
-    for args in ((Num(Fraction(0)), _const("t")), (_const("t0"), _const("t"), pre, post)):
+    for duration, rename in ((_const("t"), False), (App("-", (_const("t"), _const("t0"))), True)):
         try:
-            out.append([print_formula(f) for f in flow_relax(mode, *args)])
+            relaxed = flow_relax(mode, duration)
         except SortError as exc:
             out.append("SortError: %s" % exc)
+            continue
+        out.append([print_formula(rename_symbols(f, renaming) if rename else f) for f in relaxed])
     return out
 
 

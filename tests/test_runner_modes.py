@@ -113,6 +113,24 @@ def test_deep_bmc_of_a_sorted_array_finds_no_counterexample():
     assert extra == ["        (step) depth %d: unsatisfiable" % j for j in range(11)]
 
 
+def test_strengthening_out_of_iterations_reports_its_last_candidate():
+    """With one iteration allowed, ex2_strengthening stops before it can
+    check the candidate its first iteration produced: the result is the
+    Exhausted block with that candidate."""
+    text = (DATA / "ex2_strengthening.yaml").read_text()
+    assert "inv_str_max_iter: 2" in text
+    report, code, _ = run_task_file(text.replace("inv_str_max_iter: 2", "inv_str_max_iter: 1"))
+    assert code == 0
+    lines = report.splitlines()
+    start = lines.index("    Result:") + 1
+    assert lines[start : start + 3] == [
+        "        Exhausted after 1 iterations, candidate: |-",
+        "            d1 - d2 <= _0;",
+        "            (FORALL i). a(i + _1) - a(i) >= _0;",
+    ]
+    assert lines[start + 3].startswith("    Runtime: ")
+
+
 def test_check_invariant_lha_mode():
     text = lha_task(
         "CHECK_INVARIANT",
